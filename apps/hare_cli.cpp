@@ -78,8 +78,8 @@ using namespace hare;
                 [--fault-spec SPEC] [--sharded] [--shards N]
                 [--seed S] [--csv]
   hare serve    --arrival-spec SPEC [--gpus N | --testbed] [--seed S]
-                [--tick T] [--lp-max-batch N] [--compact-rows N] [--cold]
-                [--replan-budget N] [--fault-spec SPEC]
+                [--tick T] [--lp-max-batch N] [--replan-budget N]
+                [--fault-spec SPEC]
                 [--sharded --shard-min N [--shards N]] [--csv]
 
 fault specs are comma-separated key=value strings (see docs/ROBUSTNESS.md):
@@ -616,8 +616,6 @@ int cmd_serve(const Args& args) {
   serve::ServeConfig config;
   config.tick = args.get_double("tick", 0.0);
   config.lp_max_batch_jobs = args.get_size("lp-max-batch", 32);
-  config.lp_compact_rows = args.get_size("compact-rows", 2048);
-  config.warm_lp = !args.flag("cold");
   config.replan_budget = args.get_size("replan-budget", 0);
   if (args.flag("sharded")) {
     config.shard_min_batch_jobs = args.get_size("shard-min", 1);
@@ -654,13 +652,8 @@ int cmd_serve(const Args& args) {
       std::to_string(report.flat_batches) + "/" +
       std::to_string(report.sharded_batches) + "/" +
       std::to_string(report.greedy_batches));
-  summary.row().cell("LP solves warm/cold").cell(
-      std::to_string(report.lp.warm_solves) + "/" +
-      std::to_string(report.lp.cold_solves));
-  summary.row().cell("LP pivots warm/cold").cell(
-      std::to_string(report.lp.warm_pivots) + "/" +
-      std::to_string(report.lp.cold_pivots));
-  summary.row().cell("LP compactions").cell(report.lp.compactions);
+  summary.row().cell("LP solves").cell(report.lp.cold_solves);
+  summary.row().cell("LP pivots").cell(report.lp.cold_pivots);
   summary.row().cell("fault events").cell(report.fault_events);
   summary.row().cell("displaced tasks").cell(report.displaced_tasks);
   summary.row().cell("continuations").cell(report.continuations);

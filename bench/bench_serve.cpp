@@ -7,22 +7,23 @@
 // contract:
 //
 //   * sustained admission throughput (arrivals/second through the full
-//     admit -> profile -> batch -> replan path) — the 10k/s floor from the
-//     serving design note, enforced in full mode;
-//   * p99 replan latency, read back from the `serve.replan_latency`
-//     histogram the service records per flush;
-//   * warm-vs-cold LP pivot counts: the same stream served twice, once
-//     with the retained-basis dual-simplex replanner and once cold —
-//     warm must do strictly less pivot work (machine-independent, gated
-//     in quick mode too).
+//     admit -> profile -> batch -> replan path) on large batches (flat
+//     path) — the 10k/s floor from the serving design note;
+//   * the same throughput on a stream whose every batch takes the LP path
+//     (each batch solved as its own small LP block), with its own floor;
+//   * p99 replan latency, the nearest-rank bucket bound of the
+//     `serve.replan_latency` histogram the service records per flush.
 //
 // Determinism is the fourth, never-waived contract: the served schedule
 // for a fixed event stream must be bit-identical across a serial re-run,
-// four replicas fanned across the hare::exp pool, warm vs cold LP, and
-// the sharded serve path serial vs pooled.
+// four replicas fanned across the hare::exp pool, the sparse vs dense LP
+// backends, and the sharded serve path serial vs pooled; and every LP
+// block's snapped start values must equal the ones the block takes inside
+// the accumulated program that stacks all of the stream's blocks.
 //
 // Emits machine-readable BENCH_serve.json, gated by
 // scripts/check_bench_regression.py.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -33,6 +34,7 @@
 
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
+#include "opt/simplex.hpp"
 #include "serve/serve_service.hpp"
 #include "workload/arrival_spec.hpp"
 
@@ -55,22 +57,82 @@ serve::ServeReport serve_stream(const cluster::Cluster& cluster,
   return service.run(stream);
 }
 
-/// p99 upper bound from a fixed-bucket histogram (the bound of the first
-/// bucket whose cumulative count covers 99% of the samples).
-double histogram_p99(const obs::Histogram& hist) {
-  const std::vector<std::uint64_t> counts = hist.counts();
-  const std::uint64_t total = hist.count();
-  if (total == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(0.99 * static_cast<double>(total)) + 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= target) {
-      return i < hist.bounds().size() ? hist.bounds()[i]
-                                      : hist.bounds().back();
+/// Replay the LP path of a fault-free, cancel-free served stream batch by
+/// batch and also stack every block into one program, solved once. True
+/// when the replay reproduces the served schedule and every block's
+/// per-block h matches the accumulated program's snapped starts.
+bool blocks_match_accumulated(const cluster::Cluster& cluster,
+                              const std::string& spec,
+                              const serve::ServeConfig& config) {
+  workload::TraceStream stream(4200, workload::parse_arrival_spec(spec));
+  serve::ServeService service(cluster, workload::PerfModel{}, config);
+  const serve::ServeReport report = service.run(stream);
+  const workload::JobSet& jobs = service.jobs();
+  const profiler::TimeTable& times = service.times();
+  if (report.lp_batches != report.batches) return false;
+
+  core::HareConfig hare = config.hare;
+  hare.relaxation.mode = core::RelaxMode::Fluid;
+  hare.sync = core::SyncScheme::Relaxed;
+  core::HareScheduler flat(hare);
+  core::HareScheduler::IncrementalState state;
+  state.phi.assign(cluster.gpu_count(), 0.0);
+  sim::Schedule replay;
+  replay.sequences.resize(cluster.gpu_count());
+  replay.predicted_start.assign(jobs.task_count(), 0.0);
+  std::vector<Time> h(jobs.task_count(), 0.0);
+  serve::IncrementalReplanner replanner({config.lp_backend});
+  opt::LinearProgram accumulated;
+  std::vector<std::vector<JobId>> blocks;
+  std::vector<std::vector<std::vector<std::size_t>>> block_vars;
+  bool solved = true;
+
+  serve::AdmissionBatcher batcher(config.tick);
+  const auto flush = [&] {
+    if (batcher.empty()) return;
+    blocks.push_back(batcher.take());
+    const std::vector<JobId>& batch = blocks.back();
+    const Time phi_floor =
+        *std::min_element(state.phi.begin(), state.phi.end());
+    solved = solved && replanner.relax_batch(jobs, times, batch, phi_floor,
+                                             cluster.gpu_count(), h);
+    block_vars.emplace_back();
+    serve::append_batch_block(accumulated, jobs, times, batch, phi_floor,
+                              cluster.gpu_count(), block_vars.back());
+    std::vector<char> mask(jobs.job_count(), 0);
+    for (JobId id : batch) mask[static_cast<std::size_t>(id.value())] = 1;
+    (void)flat.schedule_jobs_with_h({cluster, jobs, times}, mask, h, state,
+                                    replay);
+  };
+  for (std::size_t j = 0; j < jobs.job_count(); ++j) {
+    const Time arrival = jobs.job(JobId(static_cast<int>(j))).spec.arrival;
+    if (batcher.should_flush(arrival)) flush();
+    batcher.admit(JobId(static_cast<int>(j)), arrival);
+  }
+  flush();
+  if (!solved || blocks.size() != report.lp_batches ||
+      !schedules_identical(report.schedule, replay)) {
+    return false;
+  }
+
+  const opt::LpSolution whole =
+      accumulated.solve(100000, nullptr, config.lp_backend);
+  if (!whole.optimal()) return false;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (std::size_t k = 0; k < blocks[b].size(); ++k) {
+      const workload::Job& job = jobs.job(blocks[b][k]);
+      const Time half_tc = times.max_tc(job.id) / 2.0;
+      for (std::uint32_t r = 0; r < job.rounds(); ++r) {
+        const Time mid =
+            serve::snap_lp_value(whole.values[block_vars[b][k][r]]) +
+            half_tc;
+        if (h[static_cast<std::size_t>(job.task_at(r, 0).value())] != mid) {
+          return false;
+        }
+      }
     }
   }
-  return hist.bounds().back();
+  return true;
 }
 
 struct ServeNumbers {
@@ -78,12 +140,16 @@ struct ServeNumbers {
   std::size_t batches = 0;
   std::size_t max_batch_jobs = 0;
   double throughput = 0.0;
+  std::size_t lp_arrivals = 0;
+  std::size_t lp_batches = 0;
+  std::size_t lp_max_batch_jobs = 0;
+  double lp_throughput = 0.0;
   double p99_us = 0.0;
-  serve::ReplannerStats warm;
-  serve::ReplannerStats cold;
-  bool warm_cold_identical = false;
-  bool deterministic = false;
+  serve::ReplannerStats lp;
+  bool backends_identical = false;
+  bool blocks_identical = false;
   bool sharded_identical = false;
+  bool deterministic = false;
 };
 
 [[nodiscard]] bool write_json(const std::string& path, const ServeNumbers& n,
@@ -98,14 +164,13 @@ struct ServeNumbers {
   out << "  \"batches\": " << n.batches << ",\n";
   out << "  \"max_batch_jobs\": " << n.max_batch_jobs << ",\n";
   out << "  \"throughput_arrivals_per_s\": " << n.throughput << ",\n";
+  out << "  \"lp_arrivals\": " << n.lp_arrivals << ",\n";
+  out << "  \"lp_batches\": " << n.lp_batches << ",\n";
+  out << "  \"lp_max_batch_jobs\": " << n.lp_max_batch_jobs << ",\n";
+  out << "  \"lp_throughput_arrivals_per_s\": " << n.lp_throughput << ",\n";
+  out << "  \"lp_solves\": " << n.lp.cold_solves << ",\n";
+  out << "  \"lp_pivots\": " << n.lp.cold_pivots << ",\n";
   out << "  \"replan_p99_us\": " << n.p99_us << ",\n";
-  out << "  \"warm_solves\": " << n.warm.warm_solves << ",\n";
-  out << "  \"cold_solves\": " << n.cold.cold_solves << ",\n";
-  out << "  \"warm_pivots\": " << n.warm.warm_pivots + n.warm.cold_pivots
-      << ",\n";
-  out << "  \"cold_pivots\": " << n.cold.warm_pivots + n.cold.cold_pivots
-      << ",\n";
-  out << "  \"compactions\": " << n.warm.compactions << ",\n";
   out << "  \"wall_ms\": " << wall_ms << "\n";
   out << "}\n";
 
@@ -135,11 +200,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "=== serve: streaming admission, incremental warm replans ===\n";
+  std::cout << "=== serve: streaming admission, per-batch LP replans ===\n";
   obs::Registry::instance().reset();
   const auto bench_start = std::chrono::steady_clock::now();
   const cluster::Cluster cluster = cluster::make_testbed_cluster();
   ServeNumbers n;
+
+  const auto timed_stream = [&](const std::string& spec,
+                                const serve::ServeConfig& config,
+                                double& throughput) {
+    const auto start = std::chrono::steady_clock::now();
+    serve::ServeReport report = serve_stream(cluster, spec, config);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    throughput = static_cast<double>(report.arrivals) / seconds;
+    return report;
+  };
 
   // --- Sustained throughput: a dense stream, batched per tick, through
   // the flat replan path (batches larger than the LP cap). -------------
@@ -150,50 +227,63 @@ int main(int argc, char** argv) {
         "rounds_min=0.05,rounds_max=0.15";
     serve::ServeConfig config;
     config.tick = 2.0;
-    const auto start = std::chrono::steady_clock::now();
-    const serve::ServeReport report = serve_stream(cluster, spec, config);
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
+    const serve::ServeReport report = timed_stream(spec, config, n.throughput);
     n.arrivals = report.arrivals;
     n.batches = report.batches;
     n.max_batch_jobs = report.max_batch_jobs;
-    n.throughput = static_cast<double>(report.arrivals) / seconds;
   }
 
-  // --- Warm vs cold incremental LP: the same moderate stream served
-  // twice; the retained basis must do strictly less pivot work and land
-  // on the bit-identical schedule. --------------------------------------
+  // --- LP-path throughput: small bursty batches, every one within the LP
+  // cap, so each flush builds and solves its own LP block. --------------
+  {
+    const std::string spec =
+        std::string("jobs=") + (quick ? "600" : "2000") +
+        ",rate=2,burst=3,on_period=10,off_period=30,"
+        "rounds_min=0.05,rounds_max=0.15";
+    serve::ServeConfig config;
+    config.tick = 1.0;
+    const serve::ServeReport report =
+        timed_stream(spec, config, n.lp_throughput);
+    n.lp_arrivals = report.arrivals;
+    n.lp_batches = report.lp_batches;
+    n.lp_max_batch_jobs = report.max_batch_jobs;
+    n.lp = report.lp;
+    if (report.lp_batches != report.batches) {
+      std::cerr << "error: " << report.batches - report.lp_batches
+                << " batches of the LP stream left the LP path\n";
+      n.lp_batches = 0;
+    }
+  }
+
+  // --- Determinism on a moderate LP stream: a serial re-run, four pool
+  // replicas and the dense backend must reproduce the first schedule bit
+  // for bit, and every block must match the accumulated program. -------
   const std::string lp_spec =
       std::string("jobs=") + (quick ? "48" : "96") +
       ",rate=2,rounds_min=0.08,rounds_max=0.2";
   serve::ServeConfig lp_config;
   lp_config.tick = 4.0;
   {
-    serve::ServeConfig cold_config = lp_config;
-    cold_config.warm_lp = false;
-    const serve::ServeReport warm = serve_stream(cluster, lp_spec, lp_config);
-    const serve::ServeReport cold =
-        serve_stream(cluster, lp_spec, cold_config);
-    n.warm = warm.lp;
-    n.cold = cold.lp;
-    n.warm_cold_identical =
-        schedules_identical(warm.schedule, cold.schedule);
-
-    // Determinism: a serial re-run and four pool replicas of the warm
-    // config must all reproduce the first schedule bit for bit.
-    bool identical = n.warm_cold_identical &&
-                     schedules_identical(
-                         warm.schedule,
-                         serve_stream(cluster, lp_spec, lp_config).schedule);
+    const sim::Schedule first =
+        serve_stream(cluster, lp_spec, lp_config).schedule;
+    bool identical = schedules_identical(
+        first, serve_stream(cluster, lp_spec, lp_config).schedule);
     exp::Engine engine;
     const auto replicas = engine.map(4, [&](std::size_t) {
       return serve_stream(cluster, lp_spec, lp_config).schedule;
     });
     for (const auto& replica : replicas) {
-      identical = identical && schedules_identical(warm.schedule, replica);
+      identical = identical && schedules_identical(first, replica);
     }
-    n.deterministic = identical;
+    serve::ServeConfig sparse_config = lp_config;
+    sparse_config.lp_backend = opt::LpBackend::Sparse;
+    serve::ServeConfig dense_config = lp_config;
+    dense_config.lp_backend = opt::LpBackend::Dense;
+    n.backends_identical = schedules_identical(
+        serve_stream(cluster, lp_spec, sparse_config).schedule,
+        serve_stream(cluster, lp_spec, dense_config).schedule);
+    n.blocks_identical = blocks_match_accumulated(cluster, lp_spec, lp_config);
+    n.deterministic = identical && n.backends_identical && n.blocks_identical;
   }
 
   // --- Sharded serve path: large batches fanned across shard workers
@@ -215,43 +305,42 @@ int main(int argc, char** argv) {
     n.deterministic = n.deterministic && n.sharded_identical;
   }
 
-  n.p99_us = histogram_p99(
-      obs::histogram("serve.replan_latency", obs::latency_bounds_us()));
+  n.p99_us = obs::histogram("serve.replan_latency", obs::latency_bounds_us())
+                 .quantile_upper_bound(99, 100);
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - bench_start)
                              .count();
 
-  const std::size_t warm_total = n.warm.warm_pivots + n.warm.cold_pivots;
-  const std::size_t cold_total = n.cold.warm_pivots + n.cold.cold_pivots;
   common::Table table({"metric", "value"});
-  table.row().cell("arrivals served").cell(n.arrivals);
+  table.row().cell("arrivals served (flat stream)").cell(n.arrivals);
   table.row().cell("batches (max jobs)").cell(
       std::to_string(n.batches) + " (" + std::to_string(n.max_batch_jobs) +
       ")");
   table.row().cell("throughput (arrivals/s)").cell(n.throughput, 0);
+  table.row().cell("arrivals served (LP stream)").cell(n.lp_arrivals);
+  table.row().cell("LP batches (max jobs)").cell(
+      std::to_string(n.lp_batches) + " (" +
+      std::to_string(n.lp_max_batch_jobs) + ")");
+  table.row().cell("LP throughput (arrivals/s)").cell(n.lp_throughput, 0);
+  table.row().cell("LP solves / pivots").cell(
+      std::to_string(n.lp.cold_solves) + " / " +
+      std::to_string(n.lp.cold_pivots));
   table.row().cell("replan p99 (us, bucket bound)").cell(n.p99_us, 1);
-  table.row().cell("LP pivots warm/cold").cell(
-      std::to_string(warm_total) + "/" + std::to_string(cold_total));
-  table.row().cell("LP solves warm-path/cold-path").cell(
-      std::to_string(n.warm.warm_solves) + "/" +
-      std::to_string(n.cold.cold_solves));
-  table.row().cell("warm == cold schedule").cell(
-      n.warm_cold_identical ? "yes" : "NO");
+  table.row().cell("sparse == dense schedule").cell(
+      n.backends_identical ? "yes" : "NO");
+  table.row().cell("blocks == accumulated LP").cell(
+      n.blocks_identical ? "yes" : "NO");
   table.row().cell("sharded serial == pooled").cell(
       n.sharded_identical ? "yes" : "NO");
-  table.row().cell("bit-identical x7").cell(n.deterministic ? "yes" : "NO");
+  table.row().cell("deterministic").cell(n.deterministic ? "yes" : "NO");
   table.print(std::cout);
 
   const bool wrote = write_json(json_path, n, wall_ms, quick);
-  const bool pivots_ok =
-      n.warm.warm_solves > 0 && warm_total < cold_total;
-  if (!pivots_ok) {
-    std::cerr << "error: warm replans did not beat cold pivot work\n";
-  }
+  const bool lp_path_ok = n.lp_batches > 0;
   const bool throughput_ok = quick || n.throughput >= 10000.0;
   if (!throughput_ok) {
     std::cerr << "error: sustained throughput " << n.throughput
               << " arrivals/s below the 10k/s floor\n";
   }
-  return n.deterministic && pivots_ok && throughput_ok && wrote ? 0 : 1;
+  return n.deterministic && lp_path_ok && throughput_ok && wrote ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -39,6 +40,23 @@ std::vector<std::uint64_t> Histogram::counts() const {
 }
 
 double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
+
+double Histogram::quantile_upper_bound(std::uint64_t num,
+                                       std::uint64_t den) const {
+  HARE_CHECK_MSG(den > 0 && num <= den, "quantile must lie in [0, 1]");
+  const std::vector<std::uint64_t> snapshot = counts();
+  std::uint64_t total = 0;
+  for (std::uint64_t c : snapshot) total += c;
+  if (total == 0) return 0.0;
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, (num * total + den - 1) / den);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < bounds_.size(); ++i) {
+    seen += snapshot[i];
+    if (seen >= rank) return bounds_[i];
+  }
+  return std::numeric_limits<double>::infinity();
+}
 
 void Histogram::reset() {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
@@ -148,11 +166,13 @@ void Registry::reset() {
 }
 
 std::vector<double> latency_bounds_us() {
-  // 1, 3, 10, 30, ... 1e7 µs: half-decade resolution from 1 µs to 10 s.
+  // 10^(k/40) µs for k = 0..280: 1 µs to 10 s, exact at every decade.
+  constexpr int kPerDecade = 40;
+  constexpr int kDecades = 7;
   std::vector<double> bounds;
-  for (double decade = 1.0; decade <= 1e7; decade *= 10.0) {
-    bounds.push_back(decade);
-    if (decade < 1e7) bounds.push_back(3.0 * decade);
+  bounds.reserve(kPerDecade * kDecades + 1);
+  for (int k = 0; k <= kPerDecade * kDecades; ++k) {
+    bounds.push_back(std::pow(10.0, static_cast<double>(k) / kPerDecade));
   }
   return bounds;
 }

@@ -42,14 +42,10 @@ RevisedSimplex::RevisedSimplex(const LinearProgram& lp) {
     }
     rhs_.push_back(row.rhs);
   }
-  struct_col_.resize(static_cast<std::size_t>(n_));
-  for (int j = 0; j < n_; ++j) struct_col_[static_cast<std::size_t>(j)] = j;
   // One logical per row: a·x + s = b with s bounded by the relation.
   cost_.resize(static_cast<std::size_t>(n_ + m_), 0.0);
-  logical_col_.reserve(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i) {
     const int col = A_.add_column();
-    logical_col_.push_back(col);
     A_.push(col, i, 1.0);
     switch (lp.rows_[static_cast<std::size_t>(i)].rel) {
       case Relation::LessEqual:
@@ -719,12 +715,11 @@ LpSolution RevisedSimplex::extract() const {
   solution.status = LpStatus::Optimal;
   solution.values.assign(static_cast<std::size_t>(n_), 0.0);
   double objective = 0.0;
-  for (int var = 0; var < n_; ++var) {
-    const int j = struct_col_[static_cast<std::size_t>(var)];
+  for (int j = 0; j < n_; ++j) {
     const int pos = pos_of_[static_cast<std::size_t>(j)];
     const double v =
         pos >= 0 ? xb_[static_cast<std::size_t>(pos)] : nonbasic_value(j);
-    solution.values[static_cast<std::size_t>(var)] = v;
+    solution.values[static_cast<std::size_t>(j)] = v;
     objective += cost_[static_cast<std::size_t>(j)] * v;
   }
   solution.objective = objective;
@@ -741,7 +736,7 @@ LpSolution RevisedSimplex::solve(std::size_t max_iterations,
   pos_of_.assign(static_cast<std::size_t>(cols), -1);
   basis_.resize(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i) {
-    const int logical = logical_col_[static_cast<std::size_t>(i)];
+    const int logical = n_ + i;
     basis_[static_cast<std::size_t>(i)] = logical;
     vstat_[static_cast<std::size_t>(logical)] = VarStatus::Basic;
     pos_of_[static_cast<std::size_t>(logical)] = i;
@@ -775,12 +770,11 @@ void RevisedSimplex::add_ge_row(
   const int row = m_;
   A_.add_rows(1);
   for (const auto& [var, coeff] : terms) {
-    HARE_CHECK_MSG(var < struct_col_.size(),
+    HARE_CHECK_MSG(var < static_cast<std::size_t>(n_),
                    "cut references unknown variable " << var);
-    A_.push(struct_col_[var], row, coeff);
+    A_.push(static_cast<int>(var), row, coeff);
   }
   const int logical = A_.add_column();
-  logical_col_.push_back(logical);
   A_.push(logical, row, 1.0);
   ++m_;
   rhs_.push_back(rhs);
@@ -799,29 +793,6 @@ void RevisedSimplex::add_ge_row(
     devex_.push_back(1.0);
   }
   rows_appended_ = true;
-}
-
-std::size_t RevisedSimplex::add_variable(double cost, double lower,
-                                         double upper) {
-  const int col = A_.add_column();
-  cost_.push_back(cost);
-  lower_.push_back(lower);
-  upper_.push_back(upper);
-  struct_col_.push_back(col);
-  ++n_;
-  if (!vstat_.empty()) {
-    // Joining a live basis nonbasic-at-lower keeps the old duals exact only
-    // when the empty column's reduced cost (= cost) is dual feasible there.
-    HARE_CHECK_MSG(cost >= 0.0,
-                   "warm-appended variable needs a nonnegative cost");
-    HARE_CHECK_MSG(std::isfinite(lower),
-                   "warm-appended variable needs a finite lower bound");
-    vstat_.push_back(VarStatus::AtLower);
-    pos_of_.push_back(-1);
-    dual_.push_back(cost);
-    devex_.push_back(1.0);
-  }
-  return static_cast<std::size_t>(n_) - 1;
 }
 
 LpSolution RevisedSimplex::resolve(std::size_t max_iterations,

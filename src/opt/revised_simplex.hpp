@@ -63,15 +63,6 @@ class RevisedSimplex {
   void add_ge_row(const std::vector<std::pair<std::size_t, double>>& terms,
                   double rhs);
 
-  /// Append a structural variable as an empty column: no entries in any
-  /// existing row; later add_ge_row calls may reference it. When an optimal
-  /// basis is retained the column enters nonbasic at its lower bound, so the
-  /// old duals stay exact (an empty column's reduced cost is its objective
-  /// coefficient) and the next resolve() starts dual feasible with zero
-  /// phase-1 work — `cost` must be >= 0 and `lower` finite on that path.
-  /// Returns the new variable's index.
-  std::size_t add_variable(double cost, double lower, double upper);
-
   /// Warm re-solve after add_ge_row(): refactorize the extended basis and
   /// run dual-simplex pivots on the appended rows. Falls back to Infeasible
   /// / IterationLimit like solve(); callers may cold-restart on failure.
@@ -88,10 +79,8 @@ class RevisedSimplex {
   enum class VarStatus : unsigned char { Basic, AtLower, AtUpper };
 
   // Problem in standard form. m_ rows, n_ structural variables. Columns
-  // start as [structural 0..n_-1 | logical per row]; appended variables and
-  // appended rows' logicals interleave at the tail in append order, so the
-  // maps below track which column each structural variable / row logical
-  // occupies.
+  // are [structural 0..n_-1 | logical per row], so row i's logical is
+  // column n_ + i (appended rows' logicals join the tail in row order).
   int m_ = 0;
   int n_ = 0;
   SparseMatrix A_;
@@ -99,8 +88,6 @@ class RevisedSimplex {
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<double> rhs_;
-  std::vector<int> struct_col_;   ///< structural variable -> column index
-  std::vector<int> logical_col_;  ///< row -> its logical's column index
 
   // Basis state.
   std::vector<int> basis_;        ///< variable at each basis position

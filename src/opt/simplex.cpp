@@ -629,27 +629,6 @@ void IncrementalLpSolver::add_ge_constraint(
   }
 }
 
-std::size_t IncrementalLpSolver::add_variable(double objective_coefficient,
-                                              double lower, double upper) {
-  const std::size_t var = impl_->lp.add_variable(objective_coefficient);
-  impl_->lp.set_bounds(var, lower, upper);
-  if (impl_->backend == LpBackend::Sparse) {
-    if (impl_->warm_start && impl_->sparse &&
-        impl_->sparse->has_optimal_basis()) {
-      impl_->sparse->add_variable(objective_coefficient, lower, upper);
-    }
-    // Otherwise the next sparse_solve() rebuilds from `lp`, which already
-    // records the variable.
-  } else {
-    // The dense warm path cannot grow the structural block of its retained
-    // standard form; fall back to a cold factorization at the next solve().
-    impl_->has_basis = false;
-    impl_->basis_optimal = false;
-    impl_->dirty = false;
-  }
-  return var;
-}
-
 LpSolution IncrementalLpSolver::solve(std::size_t max_iterations) {
   return impl_->solve(max_iterations);
 }

@@ -169,17 +169,6 @@ class IncrementalLpSolver {
   void add_ge_constraint(
       const std::vector<std::pair<std::size_t, double>>& terms, double rhs);
 
-  /// Append a structural variable with the given objective coefficient and
-  /// bounds [lower, upper]; later add_ge_constraint calls may reference it.
-  /// On the sparse backend with a live optimal basis the column lands on the
-  /// retained basis (it enters nonbasic at `lower`, so the old duals stay
-  /// exact and the next solve() is a pure dual-simplex warm re-solve;
-  /// `objective_coefficient` must be >= 0 and `lower` finite on that path).
-  /// The dense backend invalidates its basis and re-solves cold. Returns the
-  /// new variable's index.
-  std::size_t add_variable(double objective_coefficient, double lower,
-                           double upper);
-
   /// Solve / re-solve. The first call is always a cold two-phase solve;
   /// later calls re-optimize from the previous basis when warm_start is on.
   [[nodiscard]] LpSolution solve(std::size_t max_iterations = 100000);

@@ -14,56 +14,31 @@ namespace {
 /// by far less than any profiled task time.
 constexpr double kDelta = 1e-6;
 
-/// Snap an extracted value to the perturbation grid, collapsing the
-/// backends' last-ulp arithmetic differences to identical doubles.
-double snap(double v) { return std::round(v * 1e6) / 1e6; }
-
 }  // namespace
 
-bool IncrementalReplanner::relax_batch(const workload::JobSet& jobs,
-                                       const profiler::TimeTable& times,
-                                       const std::vector<JobId>& batch,
-                                       Time phi_floor, std::size_t gpus_alive,
-                                       std::vector<Time>& h) {
-  if (batch.empty()) return true;
-  HARE_CHECK_MSG(h.size() >= jobs.task_count(),
-                 "h must span the task array before relax_batch");
+double snap_lp_value(double v) { return std::round(v * 1e6) / 1e6; }
 
+void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
+                        const profiler::TimeTable& times,
+                        const std::vector<JobId>& batch, Time phi_floor,
+                        std::size_t gpus_alive,
+                        std::vector<std::vector<std::size_t>>& round_vars) {
   // Count the block so every variable's perturbation rank is known up
   // front (rounds + completion per job).
   std::size_t block_vars = 0;
   for (JobId id : batch) block_vars += jobs.job(id).rounds() + 1;
   const double denom = static_cast<double>(block_vars) + 2.0;
 
-  const bool fresh = !solver_ || pending_reset_;
-  if (fresh && pending_reset_) ++stats_.compactions;
-
-  opt::LinearProgram lp;  // staging program for the fresh path
-  const auto add_var = [&](double cost, double lower) -> std::size_t {
-    if (fresh) {
-      const std::size_t var = lp.add_variable(cost);
-      lp.set_bounds(var, lower, opt::LinearProgram::kInfinity);
-      return var;
-    }
-    return solver_->add_variable(cost, lower, opt::LinearProgram::kInfinity);
-  };
-  const auto add_row =
-      [&](const std::vector<std::pair<std::size_t, double>>& terms,
-          double rhs) {
-        if (fresh) {
-          lp.add_constraint(terms, opt::Relation::GreaterEqual, rhs);
-        } else {
-          solver_->add_ge_constraint(terms, rhs);
-        }
-        ++rows_;
-      };
-  if (fresh) rows_ = 0;
-
-  // Build the batch block. Variables are created job-major (rounds then
-  // completion) so the block's perturbation ranks are reproducible.
   std::size_t pos = 0;
+  const auto add_var = [&](double cost, double lower) {
+    const double eps = 1.0 + static_cast<double>(++pos) / denom;
+    const std::size_t var = lp.add_variable(cost + kDelta * eps);
+    lp.set_bounds(var, lower, opt::LinearProgram::kInfinity);
+    return var;
+  };
+
   std::vector<std::pair<std::size_t, double>> cut;
-  std::vector<std::vector<std::size_t>> round_vars(batch.size());
+  round_vars.assign(batch.size(), {});
   double sum_p = 0.0;
   double sum_p2 = 0.0;
   for (std::size_t b = 0; b < batch.size(); ++b) {
@@ -75,65 +50,66 @@ bool IncrementalReplanner::relax_batch(const workload::JobSet& jobs,
     auto& rounds = round_vars[b];
     rounds.reserve(job.rounds());
     for (std::uint32_t r = 0; r < job.rounds(); ++r) {
-      const double eps = 1.0 + static_cast<double>(pos + 1) / denom;
-      ++pos;
       const std::size_t x =
-          add_var(kDelta * eps, release + static_cast<double>(r) * t_min);
-      if (r > 0) add_row({{x, 1.0}, {prev, -1.0}}, t_min);
+          add_var(0.0, release + static_cast<double>(r) * t_min);
+      if (r > 0) {
+        lp.add_constraint({{x, 1.0}, {prev, -1.0}},
+                          opt::Relation::GreaterEqual, t_min);
+      }
       cut.emplace_back(x, tpr * t_min);
       rounds.push_back(x);
       prev = x;
     }
-    const double eps = 1.0 + static_cast<double>(pos + 1) / denom;
-    ++pos;
     const std::size_t completion =
-        add_var(job.spec.weight + kDelta * eps,
+        add_var(job.spec.weight,
                 release + static_cast<double>(job.rounds()) * t_min);
-    add_row({{completion, 1.0}, {prev, -1.0}}, t_min);
+    lp.add_constraint({{completion, 1.0}, {prev, -1.0}},
+                      opt::Relation::GreaterEqual, t_min);
     sum_p += static_cast<double>(job.rounds()) * tpr * t_min;
     sum_p2 += static_cast<double>(job.rounds()) * tpr * t_min * t_min;
   }
   const double capacity = static_cast<double>(std::max<std::size_t>(
       gpus_alive, 1));
-  add_row(cut, 0.5 * (sum_p * sum_p - sum_p2) / capacity);
+  lp.add_constraint(cut, opt::Relation::GreaterEqual,
+                    0.5 * (sum_p * sum_p - sum_p2) / capacity);
+}
 
-  if (fresh) {
-    solver_.emplace(lp, config_.warm, config_.backend);
-    pending_reset_ = false;
-  }
+bool IncrementalReplanner::relax_batch(const workload::JobSet& jobs,
+                                       const profiler::TimeTable& times,
+                                       const std::vector<JobId>& batch,
+                                       Time phi_floor, std::size_t gpus_alive,
+                                       std::vector<Time>& h) {
+  if (batch.empty()) return true;
+  HARE_CHECK_MSG(h.size() >= jobs.task_count(),
+                 "h must span the task array before relax_batch");
 
-  const opt::LpSolution solution = solver_->solve();
+  opt::LinearProgram lp;
+  std::vector<std::vector<std::size_t>> round_vars;
+  append_batch_block(lp, jobs, times, batch, phi_floor, gpus_alive,
+                     round_vars);
+  opt::LpIterationStats pivots;
+  const opt::LpSolution solution =
+      lp.solve(100000, &pivots, config_.backend);
   ++stats_.batches;
-  const std::size_t pivots = solver_->last_stats().total();
-  last_warm_ = solver_->last_solve_was_warm();
-  if (last_warm_) {
-    ++stats_.warm_solves;
-    stats_.warm_pivots += pivots;
-  } else {
-    ++stats_.cold_solves;
-    stats_.cold_pivots += pivots;
-  }
-  if (!solution.optimal()) {
-    pending_reset_ = true;
-    return false;
-  }
+  ++stats_.cold_solves;
+  stats_.cold_pivots += pivots.total();
+  if (!solution.optimal()) return false;
 
   // Hand off: h_i = x_{j,r} + max_m T^c_{j,m} / 2 for every task of the
-  // block, snapped so both backends (and warm vs cold) emit identical h.
+  // block, snapped so both backends emit identical h.
   for (std::size_t b = 0; b < batch.size(); ++b) {
     const workload::Job& job = jobs.job(batch[b]);
     const Time half_tc = times.max_tc(batch[b]) / 2.0;
     const std::uint32_t tpr = job.tasks_per_round();
     for (std::uint32_t r = 0; r < job.rounds(); ++r) {
-      const Time mid = snap(solution.values[round_vars[b][r]]) + half_tc;
+      const Time mid =
+          snap_lp_value(solution.values[round_vars[b][r]]) + half_tc;
       for (std::uint32_t k = 0; k < tpr; ++k) {
         const TaskId task = job.task_at(r, k);
         h[static_cast<std::size_t>(task.value())] = mid;
       }
     }
   }
-
-  if (rows_ > config_.compact_rows) pending_reset_ = true;
   return true;
 }
 

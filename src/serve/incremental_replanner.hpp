@@ -1,8 +1,8 @@
-// Warm incremental LP relaxation for admission batches.
+// LP relaxation of one admission batch at a time.
 //
-// Each flushed batch contributes one independent block to a growing LP:
-// per job, a start variable x_{j,r} per round and a completion variable
-// C_j, chained by round-precedence rows x_{j,r+1} - x_{j,r} >= T_j and
+// Each flushed batch is relaxed as its own small LP: per job, a start
+// variable x_{j,r} per round and a completion variable C_j, chained by
+// round-precedence rows x_{j,r+1} - x_{j,r} >= T_j and
 // C_j - x_{j,last} >= T_j (T_j = the job's fastest per-task total), plus
 // one aggregate parallel-load cut per batch,
 //
@@ -12,19 +12,15 @@
 // The objective is sum_j w_j C_j with a deterministic micro-perturbation
 // delta * eps_v (eps_v distinct per block variable) added to every block
 // variable's cost: the perturbed optimum is a unique vertex, so the sparse
-// and dense backends — and a warm dual re-solve versus a cold two-phase
-// solve of the same program — all land on the same point, and snapping the
-// extracted values to a 1e-6 grid makes the hand-off bit-identical. All
-// perturbed costs stay nonnegative, which is exactly what the sparse
-// backend's warm column append needs to keep the retained basis dual
-// feasible (IncrementalLpSolver::add_variable).
+// and dense backends land on the same point, and snapping the extracted
+// values to a 1e-6 grid makes the hand-off bit-identical.
 //
-// New blocks land on the retained basis as appended columns + rows and the
-// re-solve runs dual-simplex pivots only (`serve.basis_reuse`); the basis
-// is invalidated only by LP compaction (accumulated rows exceeding the
-// configured bound — solved blocks are independent, so dropping them is
-// free) or by a failed solve. Fault events never invalidate it: they only
-// change future blocks' bounds and the cut denominator.
+// Blocks of different batches share no row or column, so solving each
+// block alone yields exactly the vertex the block takes inside any program
+// that stacks several blocks side by side (tests/test_serve.cpp checks
+// this against such an accumulated program). Nothing is retained between
+// batches: a failed solve affects only its own batch, and fault events
+// reach later blocks only through their bounds and the cut denominator.
 //
 // The block's solution feeds Algorithm 1 step 2 unchanged: middle
 // completion times h_i = x_{j,r} + max_m T^c_{j,m}/2 go to
@@ -33,7 +29,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -44,37 +39,32 @@
 namespace hare::serve {
 
 struct ReplannerConfig {
-  /// Retain the basis across batches (dual-simplex warm re-solves). With
-  /// false the solver still accumulates the same program but re-solves it
-  /// cold every batch — the reference path the serve bench compares pivot
-  /// counts against.
-  bool warm = true;
   opt::LpBackend backend = opt::LpBackend::Auto;
-  /// Accumulated-row bound; exceeding it compacts the LP (drop solved
-  /// blocks, rebuild from the next batch alone). Counts as a basis loss.
-  std::size_t compact_rows = 2048;
 };
 
+/// Per-batch LP counters. Every batch is one cold two-phase solve of its
+/// own block, so `cold_solves` counts every LP batch and `cold_pivots` all
+/// of their pivots; `warm_solves`, `warm_pivots` and `compactions` are
+/// always 0 (kept so existing readers of these names still parse).
 struct ReplannerStats {
   std::size_t batches = 0;      ///< blocks relaxed
-  std::size_t warm_solves = 0;  ///< re-solves on the retained basis
-  std::size_t cold_solves = 0;  ///< two-phase solves (first/compacted/failed)
-  std::size_t warm_pivots = 0;  ///< pivots spent in warm re-solves
-  std::size_t cold_pivots = 0;  ///< pivots spent in cold solves
-  std::size_t compactions = 0;  ///< LP rebuilds forced by the row bound
+  std::size_t warm_solves = 0;  ///< always 0
+  std::size_t cold_solves = 0;  ///< block solves, one per relaxed batch
+  std::size_t warm_pivots = 0;  ///< always 0
+  std::size_t cold_pivots = 0;  ///< pivots spent in block solves
+  std::size_t compactions = 0;  ///< always 0
 };
 
 class IncrementalReplanner {
  public:
   explicit IncrementalReplanner(ReplannerConfig config) : config_(config) {}
 
-  /// Relax one batch: append its block, re-solve, and write the middle
-  /// completion time of every task of every batch job into `h` (indexed by
-  /// TaskId value; `h` must already span the task array). `phi_floor` is
-  /// the earliest commitment horizon across alive GPUs (start lower bound)
-  /// and `gpus_alive` the parallel capacity in the aggregate cut. Returns
-  /// false when the solve failed (caller falls back to a flat replan); the
-  /// next batch then rebuilds from scratch.
+  /// Build and solve `batch`'s block, then write the middle completion
+  /// time of every task of every batch job into `h` (indexed by TaskId
+  /// value; `h` must already span the task array). `phi_floor` is the
+  /// earliest commitment horizon across alive GPUs (start lower bound) and
+  /// `gpus_alive` the parallel capacity in the aggregate cut. Returns false
+  /// when the solve failed (caller falls back to a flat replan).
   [[nodiscard]] bool relax_batch(const workload::JobSet& jobs,
                                  const profiler::TimeTable& times,
                                  const std::vector<JobId>& batch,
@@ -83,16 +73,25 @@ class IncrementalReplanner {
 
   [[nodiscard]] const ReplannerStats& stats() const { return stats_; }
 
-  /// True when the most recent relax_batch re-solved on the retained basis.
-  [[nodiscard]] bool last_was_warm() const { return last_warm_; }
-
  private:
   ReplannerConfig config_;
   ReplannerStats stats_;
-  std::optional<opt::IncrementalLpSolver> solver_;
-  std::size_t rows_ = 0;
-  bool pending_reset_ = false;
-  bool last_warm_ = false;
 };
+
+/// Append `batch`'s block to `lp`: variables job-major (each job's rounds,
+/// then its completion), chain rows, then the aggregate load cut.
+/// `round_vars[b][r]` receives the index in `lp` of batch job b's round-r
+/// start variable. relax_batch solves this block alone in a fresh program;
+/// appending several blocks to one program rebuilds the accumulated LP the
+/// blocks would form side by side (the oracle the tests compare against).
+void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
+                        const profiler::TimeTable& times,
+                        const std::vector<JobId>& batch, Time phi_floor,
+                        std::size_t gpus_alive,
+                        std::vector<std::vector<std::size_t>>& round_vars);
+
+/// Snap an extracted LP value to the 1e-6 perturbation grid, collapsing
+/// the backends' last-ulp arithmetic differences to identical doubles.
+[[nodiscard]] double snap_lp_value(double v);
 
 }  // namespace hare::serve

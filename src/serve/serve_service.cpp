@@ -33,8 +33,7 @@ ServeService::ServeService(const cluster::Cluster& cluster,
         hare.sync = core::SyncScheme::Relaxed;
         return hare;
       }()),
-      replanner_(ReplannerConfig{config.warm_lp, config.lp_backend,
-                                 config.lp_compact_rows}) {
+      replanner_(ReplannerConfig{config.lp_backend}) {
   HARE_CHECK_MSG(cluster.gpu_count() > 0, "serving needs a non-empty cluster");
   schedule_.sequences.resize(cluster.gpu_count());
   state_.phi.assign(cluster.gpu_count(), 0.0);
@@ -78,8 +77,7 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
       "serve.batch_size",
       {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0});
   static auto& replans = obs::counter("serve.replans");
-  static auto& basis_reuse = obs::counter("serve.basis_reuse");
-  static auto& basis_cold = obs::counter("serve.basis_cold");
+  static auto& lp_batches = obs::counter("serve.lp_batches");
   static auto& greedy_fallbacks = obs::counter("serve.greedy_fallbacks");
   const auto started = std::chrono::steady_clock::now();
 
@@ -118,11 +116,7 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
                                  gpus_alive, h_)) {
         flat_.schedule_jobs_with_h(input, mask, h_, state_, schedule_);
         ++report_.lp_batches;
-        if (replanner_.last_was_warm()) {
-          basis_reuse.add();
-        } else {
-          basis_cold.add();
-        }
+        lp_batches.add();
         planned = true;
       }
     }

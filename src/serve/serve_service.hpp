@@ -14,9 +14,8 @@
 //
 // Replan paths, chosen per batch:
 //  * LP (batches of at most `lp_max_batch_jobs` jobs) — the
-//    IncrementalReplanner appends the batch's rows/columns onto the
-//    retained sparse basis, dual-simplex re-solves, and hands middle
-//    completion times to HareScheduler::schedule_jobs_with_h.
+//    IncrementalReplanner solves the batch's own small LP block and hands
+//    middle completion times to HareScheduler::schedule_jobs_with_h.
 //  * Flat fluid (larger batches) — HareScheduler::schedule_jobs with the
 //    Fluid relaxation, exactly the OnlineHareScheduler path.
 //  * Sharded (batches of at least `shard_min_batch_jobs`, when enabled) —
@@ -66,10 +65,6 @@ struct ServeConfig {
   /// Batches up to this many jobs take the incremental-LP path; 0 disables
   /// the LP entirely (every batch plans flat/sharded).
   std::size_t lp_max_batch_jobs = 32;
-  /// LP compaction bound (accumulated rows), forwarded to the replanner.
-  std::size_t lp_compact_rows = 2048;
-  /// Retain the LP basis across batches; false = cold reference mode.
-  bool warm_lp = true;
   opt::LpBackend lp_backend = opt::LpBackend::Auto;
   /// Non-greedy replans allowed before the greedy fallback takes over
   /// permanently; 0 = unlimited.
@@ -103,7 +98,7 @@ struct ServeReport {
   std::size_t flat_batches = 0;
   std::size_t sharded_batches = 0;
   std::size_t greedy_batches = 0;
-  ReplannerStats lp;  ///< warm/cold solve + pivot counts
+  ReplannerStats lp;  ///< LP block solve + pivot counts
 };
 
 class ServeService {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -207,8 +208,40 @@ TEST_F(ObsTest, LatencyBoundsAreStrictlyAscending) {
   const auto bounds = latency_bounds_us();
   ASSERT_GE(bounds.size(), 2u);
   EXPECT_DOUBLE_EQ(bounds.front(), 1.0);
+  EXPECT_DOUBLE_EQ(bounds.back(), 1e7);
   EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
   EXPECT_EQ(std::adjacent_find(bounds.begin(), bounds.end()), bounds.end());
+  // Bounded relative error: a bucket-bound percentile overstates the true
+  // value by at most the step ratio.
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_LE(bounds[i] / bounds[i - 1], 1.06) << "bound " << i;
+  }
+}
+
+TEST_F(ObsTest, QuantileUpperBoundUsesNearestRank) {
+  // Sample k (1-based) lands in bucket k, whose bound is k: the p99 bound
+  // is then exactly the nearest rank ceil(0.99 N).
+  const auto p99_of = [](std::uint64_t n) {
+    std::vector<double> bounds;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      bounds.push_back(static_cast<double>(k));
+    }
+    Histogram histogram(bounds);
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      histogram.record(static_cast<double>(k));
+    }
+    return histogram.quantile_upper_bound(99, 100);
+  };
+  EXPECT_DOUBLE_EQ(p99_of(1), 1.0);
+  EXPECT_DOUBLE_EQ(p99_of(99), 99.0);    // ceil(98.01)
+  EXPECT_DOUBLE_EQ(p99_of(100), 99.0);   // not the maximum
+  EXPECT_DOUBLE_EQ(p99_of(101), 100.0);  // ceil(99.99)
+
+  Histogram empty({1.0});
+  EXPECT_DOUBLE_EQ(empty.quantile_upper_bound(99, 100), 0.0);
+  Histogram overflow({1.0});
+  overflow.record(5.0);
+  EXPECT_TRUE(std::isinf(overflow.quantile_upper_bound(99, 100)));
 }
 
 TEST_F(ObsTest, RegistryHandsOutStableReferences) {

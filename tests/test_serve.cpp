@@ -1,6 +1,7 @@
 // hare::serve tests: pull-based trace streaming, arrival-spec parsing,
 // the schedule_jobs_with_h core seam, admission-batch determinism across
-// tick sizes, warm-vs-cold and sparse-vs-dense served-schedule parity,
+// tick sizes, per-block LP solves against the accumulated-program oracle,
+// sparse-vs-dense served-schedule parity,
 // replan-budget exhaustion fallback, fault-event-driven replanning, and
 // serial-vs-pooled bit-identity of the sharded serve path.
 #include <gtest/gtest.h>
@@ -243,25 +244,83 @@ TEST(Serve, TickSizesWithIdenticalCoalescingMatchBitForBit) {
   sim::validate_schedule(report.schedule, service.jobs());
 }
 
-TEST(Serve, WarmAndColdLpServeIdenticalSchedules) {
+// Oracle for the per-block LP path: replay the served stream's batches
+// through the replanner and also stack every block into one program (the
+// accumulated LP the service once kept), solved once. Blocks share no row
+// or column, so each block's snapped start values must match its own
+// solve exactly.
+TEST(Serve, BlockSolvesMatchAccumulatedProgram) {
   const cluster::Cluster cluster = cluster::make_testbed_cluster();
   const auto arrivals = spaced_arrivals(18, 1.0);
-  serve::ServeConfig warm = small_lp_config();
-  warm.tick = 3.0;
-  serve::ServeConfig cold = warm;
-  cold.warm_lp = false;
+  serve::ServeConfig config = small_lp_config();
+  config.tick = 3.0;
+  serve::ServeService service(cluster, workload::PerfModel{}, config);
+  const serve::ServeReport report = service.run(arrivals);
+  EXPECT_GT(report.lp_batches, 1u);
+  EXPECT_EQ(report.lp.cold_solves, report.lp_batches);
+  EXPECT_EQ(report.lp.warm_solves, 0u);
+  EXPECT_EQ(report.lp.compactions, 0u);
+  sim::validate_schedule(report.schedule, service.jobs());
 
-  serve::ServeService warm_service(cluster, workload::PerfModel{}, warm);
-  const serve::ServeReport warm_report = warm_service.run(arrivals);
-  serve::ServeService cold_service(cluster, workload::PerfModel{}, cold);
-  const serve::ServeReport cold_report = cold_service.run(arrivals);
+  // Replay the LP path: same batches, horizons and scheduler settings.
+  const workload::JobSet& jobs = service.jobs();
+  const profiler::TimeTable& times = service.times();
+  const sched::SchedulerInput input{cluster, jobs, times};
+  core::HareConfig hare;
+  hare.relaxation.mode = core::RelaxMode::Fluid;
+  hare.sync = core::SyncScheme::Relaxed;
+  core::HareScheduler flat(hare);
+  core::HareScheduler::IncrementalState state;
+  state.phi.assign(cluster.gpu_count(), 0.0);
+  sim::Schedule replay;
+  replay.sequences.resize(cluster.gpu_count());
+  replay.predicted_start.assign(jobs.task_count(), 0.0);
+  std::vector<Time> h(jobs.task_count(), 0.0);
+  serve::IncrementalReplanner replanner({});
+  opt::LinearProgram accumulated;
+  std::vector<std::vector<JobId>> blocks;
+  std::vector<std::vector<std::vector<std::size_t>>> block_vars;
 
-  EXPECT_GT(warm_report.lp_batches, 1u);
-  EXPECT_GT(warm_report.lp.warm_solves, 0u);
-  EXPECT_EQ(cold_report.lp.warm_solves, 0u);
-  EXPECT_TRUE(
-      schedules_identical(warm_report.schedule, cold_report.schedule));
-  sim::validate_schedule(warm_report.schedule, warm_service.jobs());
+  serve::AdmissionBatcher batcher(config.tick);
+  const auto flush = [&] {
+    if (batcher.empty()) return;
+    blocks.push_back(batcher.take());
+    const std::vector<JobId>& batch = blocks.back();
+    const Time phi_floor =
+        *std::min_element(state.phi.begin(), state.phi.end());
+    EXPECT_TRUE(replanner.relax_batch(jobs, times, batch, phi_floor,
+                                      cluster.gpu_count(), h));
+    block_vars.emplace_back();
+    serve::append_batch_block(accumulated, jobs, times, batch, phi_floor,
+                              cluster.gpu_count(), block_vars.back());
+    std::vector<char> mask(jobs.job_count(), 0);
+    for (JobId id : batch) mask[static_cast<std::size_t>(id.value())] = 1;
+    flat.schedule_jobs_with_h(input, mask, h, state, replay);
+  };
+  for (std::size_t j = 0; j < arrivals.size(); ++j) {
+    if (batcher.should_flush(arrivals[j].arrival)) flush();
+    batcher.admit(JobId(static_cast<int>(j)), arrivals[j].arrival);
+  }
+  flush();
+  ASSERT_EQ(blocks.size(), report.lp_batches);
+  EXPECT_TRUE(schedules_identical(report.schedule, replay));
+
+  const opt::LpSolution whole = accumulated.solve();
+  ASSERT_TRUE(whole.optimal());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (std::size_t k = 0; k < blocks[b].size(); ++k) {
+      const workload::Job& job = jobs.job(blocks[b][k]);
+      const Time half_tc = times.max_tc(job.id) / 2.0;
+      for (std::uint32_t r = 0; r < job.rounds(); ++r) {
+        const Time mid =
+            serve::snap_lp_value(whole.values[block_vars[b][k][r]]) +
+            half_tc;
+        EXPECT_EQ(h[static_cast<std::size_t>(job.task_at(r, 0).value())],
+                  mid)
+            << "block " << b << " job " << k << " round " << r;
+      }
+    }
+  }
 }
 
 TEST(Serve, LpBackendsServeIdenticalSchedules) {
@@ -282,24 +341,6 @@ TEST(Serve, LpBackendsServeIdenticalSchedules) {
   EXPECT_EQ(sparse_report.lp_batches, dense_report.lp_batches);
   EXPECT_TRUE(
       schedules_identical(sparse_report.schedule, dense_report.schedule));
-}
-
-TEST(Serve, CompactionBoundForcesColdRebuildsButSameSchedule) {
-  const cluster::Cluster cluster = cluster::make_testbed_cluster();
-  const auto arrivals = spaced_arrivals(16, 1.0);
-  serve::ServeConfig roomy = small_lp_config();
-  roomy.tick = 2.5;
-  serve::ServeConfig tight = roomy;
-  tight.lp_compact_rows = 8;  // force a rebuild nearly every batch
-
-  serve::ServeService roomy_service(cluster, workload::PerfModel{}, roomy);
-  const serve::ServeReport roomy_report = roomy_service.run(arrivals);
-  serve::ServeService tight_service(cluster, workload::PerfModel{}, tight);
-  const serve::ServeReport tight_report = tight_service.run(arrivals);
-
-  EXPECT_GT(tight_report.lp.compactions, 0u);
-  EXPECT_TRUE(
-      schedules_identical(roomy_report.schedule, tight_report.schedule));
 }
 
 TEST(Serve, ReplanBudgetExhaustionFallsBackToGreedy) {
