@@ -1,26 +1,19 @@
 // Planner scaling bench + regression baseline generator.
 //
 // Sweeps (jobs x GPUs) grid points for both relaxation modes and times the
-// Hare planner under four engine configurations:
+// Hare planner under three engine configurations:
 //
 //   naive        — the pre-optimization reference path: O(G) linear candidate
-//                  scans, cold *dense-tableau* LP per cut round, no caches.
-//   cold_indexed — indexed scans + cached aggregates, LP still cold dense.
-//                  Must produce a bit-identical schedule to `naive`
-//                  (asserted).
-//   warm_serial  — full optimized path: warm-started *sparse revised
-//                  simplex* LP + indexed scans. Bit-identical to `naive`
-//                  (asserted: LpCuts rounds canonicalize the reported
-//                  vertex, so the backend cannot change the schedule).
+//                  scans, full per-round separation sorts, no caches.
+//   warm_serial  — full optimized path: indexed scans, cached aggregates,
+//                  incremental separation. Bit-identical to `naive`
+//                  (asserted; both run the same warm-started LP, whose
+//                  perturbed optimum is a unique vertex).
 //   pooled       — warm_serial plus the shared thread pool for per-machine
 //                  cut separation. Bit-identical to warm_serial (asserted).
 //
-// LpCuts grid points past the dense backend's practical range are marked
-// sparse-only (`dense_ref = false`): only warm_serial/pooled run there, and
-// the speedup columns are omitted.
-//
 // Emits machine-readable BENCH_planner.json (wall ms, LP solves, cuts,
-// per-backend simplex pivots, LP shape, speedups, equality checks) which
+// simplex pivots, LP shape, speedups, equality checks) which
 // scripts/check_bench_regression.py gates in CI. `--quick` shrinks the grid
 // for smoke runs; `--json <path>` overrides the output location.
 //
@@ -43,7 +36,6 @@
 #include "common/table.hpp"
 #include "core/hare_scheduler.hpp"
 #include "obs/obs.hpp"
-#include "opt/simplex.hpp"
 #include "profiler/profiler.hpp"
 #include "workload/trace.hpp"
 
@@ -55,10 +47,6 @@ struct GridPoint {
   core::RelaxMode mode;
   std::size_t jobs;
   std::size_t gpus;
-  /// Run the dense-backend naive/cold reference at this point. Off for the
-  /// large LpCuts points where a cold dense solve per cut round is
-  /// impractically slow; only the sparse engine is timed there.
-  bool dense_ref = true;
 };
 
 struct Instance {
@@ -87,15 +75,11 @@ Instance make_instance(std::size_t job_count, std::size_t gpu_count,
 }
 
 core::HareConfig engine_config(core::RelaxMode mode, bool naive,
-                               bool warm_start, std::size_t threads,
-                               opt::LpBackend backend) {
+                               std::size_t threads) {
   core::HareConfig config;
   config.relaxation.mode = mode;
   config.relaxation.engine.naive = naive;
-  config.relaxation.engine.warm_start_lp = warm_start;
   config.relaxation.engine.threads = threads;
-  // Pinned per variant so HARE_LP_BACKEND cannot skew the comparison.
-  config.relaxation.engine.lp_backend = backend;
   config.placement = core::Placement::EarliestFinish;
   return config;
 }
@@ -135,7 +119,6 @@ struct PointResult {
   GridPoint point;
   std::size_t tasks = 0;
   double naive_ms = 0.0;
-  double cold_indexed_ms = 0.0;
   double warm_serial_ms = 0.0;
   double pooled_ms = 0.0;
   double speedup_serial = 0.0;  ///< naive_ms / warm_serial_ms
@@ -144,16 +127,13 @@ struct PointResult {
   std::size_t lp_solves_warm = 0;
   std::size_t cuts_naive = 0;
   std::size_t cuts_warm = 0;
-  std::size_t pivots_naive = 0;  ///< dense-backend pivots (naive reference)
-  std::size_t pivots_warm = 0;   ///< sparse-backend pivots (warm engine)
+  std::size_t pivots = 0;  ///< simplex pivots of the warm engine
   // Final LP shape of the warm engine's relaxation (base rows + cuts).
   std::size_t lp_rows = 0;
   std::size_t lp_cols = 0;
   std::size_t lp_nonzeros = 0;
-  std::size_t canonical_pivots = 0;  ///< vertex-canonicalization solves
-  bool naive_matches_cold_indexed = false;
+  bool naive_matches_warm = false;
   bool warm_matches_pooled = false;
-  bool dense_matches_sparse = false;  ///< naive (dense) vs warm (sparse)
 };
 
 const char* mode_name(core::RelaxMode mode) {
@@ -166,49 +146,33 @@ PointResult run_point(const GridPoint& point, int repeats,
   const sched::SchedulerInput input{instance.cluster, instance.jobs,
                                     instance.times};
 
-  const auto warm_serial = run_variant(
-      input, engine_config(point.mode, false, true, 1, opt::LpBackend::Sparse),
-      repeats);
+  const auto naive =
+      run_variant(input, engine_config(point.mode, true, 1), repeats);
+  const auto warm_serial =
+      run_variant(input, engine_config(point.mode, false, 1), repeats);
   const auto pooled = run_variant(
-      input,
-      engine_config(point.mode, false, true, pool_threads,
-                    opt::LpBackend::Sparse),
-      repeats);
+      input, engine_config(point.mode, false, pool_threads), repeats);
 
   PointResult result;
   result.point = point;
   result.tasks = warm_serial.schedule.task_count();
+  result.naive_ms = naive.wall_ms;
   result.warm_serial_ms = warm_serial.wall_ms;
   result.pooled_ms = pooled.wall_ms;
-  result.lp_solves_warm = warm_serial.relaxation.lp_solves;
-  result.cuts_warm = warm_serial.relaxation.cut_count;
-  result.pivots_warm = warm_serial.relaxation.simplex_pivots;
-  result.lp_rows = warm_serial.relaxation.lp_rows;
-  result.lp_cols = warm_serial.relaxation.lp_cols;
-  result.lp_nonzeros = warm_serial.relaxation.lp_nonzeros;
-  result.canonical_pivots = warm_serial.relaxation.canonical_pivots;
-  result.warm_matches_pooled =
-      schedules_equal(warm_serial.schedule, pooled.schedule);
-
-  if (!point.dense_ref) return result;
-
-  const auto naive = run_variant(
-      input, engine_config(point.mode, true, false, 1, opt::LpBackend::Dense),
-      repeats);
-  const auto cold_indexed = run_variant(
-      input, engine_config(point.mode, false, false, 1, opt::LpBackend::Dense),
-      repeats);
-  result.naive_ms = naive.wall_ms;
-  result.cold_indexed_ms = cold_indexed.wall_ms;
   result.speedup_serial = naive.wall_ms / std::max(1e-6, warm_serial.wall_ms);
   result.speedup_pooled = naive.wall_ms / std::max(1e-6, pooled.wall_ms);
   result.lp_solves_naive = naive.relaxation.lp_solves;
+  result.lp_solves_warm = warm_serial.relaxation.lp_solves;
   result.cuts_naive = naive.relaxation.cut_count;
-  result.pivots_naive = naive.relaxation.simplex_pivots;
-  result.naive_matches_cold_indexed =
-      schedules_equal(naive.schedule, cold_indexed.schedule);
-  result.dense_matches_sparse =
+  result.cuts_warm = warm_serial.relaxation.cut_count;
+  result.pivots = warm_serial.relaxation.simplex_pivots;
+  result.lp_rows = warm_serial.relaxation.lp_rows;
+  result.lp_cols = warm_serial.relaxation.lp_cols;
+  result.lp_nonzeros = warm_serial.relaxation.lp_nonzeros;
+  result.naive_matches_warm =
       schedules_equal(naive.schedule, warm_serial.schedule);
+  result.warm_matches_pooled =
+      schedules_equal(warm_serial.schedule, pooled.schedule);
   return result;
 }
 
@@ -225,9 +189,7 @@ PointResult run_point(const GridPoint& point, int repeats,
     out << "    {\"mode\": \"" << mode_name(r.point.mode) << "\""
         << ", \"jobs\": " << r.point.jobs << ", \"gpus\": " << r.point.gpus
         << ", \"tasks\": " << r.tasks                       //
-        << ", \"dense_ref\": " << (r.point.dense_ref ? "true" : "false")
         << ", \"naive_ms\": " << r.naive_ms                 //
-        << ", \"cold_indexed_ms\": " << r.cold_indexed_ms   //
         << ", \"warm_serial_ms\": " << r.warm_serial_ms     //
         << ", \"pooled_ms\": " << r.pooled_ms               //
         << ", \"speedup_serial\": " << r.speedup_serial     //
@@ -236,18 +198,14 @@ PointResult run_point(const GridPoint& point, int repeats,
         << ", \"lp_solves_warm\": " << r.lp_solves_warm     //
         << ", \"cuts_naive\": " << r.cuts_naive             //
         << ", \"cuts_warm\": " << r.cuts_warm               //
-        << ", \"pivots_dense\": " << r.pivots_naive         //
-        << ", \"pivots_sparse\": " << r.pivots_warm         //
-        << ", \"canonical_pivots\": " << r.canonical_pivots  //
+        << ", \"pivots\": " << r.pivots                     //
         << ", \"lp_rows\": " << r.lp_rows                   //
         << ", \"lp_cols\": " << r.lp_cols                   //
         << ", \"lp_nonzeros\": " << r.lp_nonzeros           //
-        << ", \"naive_matches_cold_indexed\": "
-        << (r.naive_matches_cold_indexed ? "true" : "false")
+        << ", \"naive_matches_warm\": "
+        << (r.naive_matches_warm ? "true" : "false")
         << ", \"warm_matches_pooled\": "
-        << (r.warm_matches_pooled ? "true" : "false")
-        << ", \"dense_matches_sparse\": "
-        << (r.dense_matches_sparse ? "true" : "false") << "}"
+        << (r.warm_matches_pooled ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -275,10 +233,7 @@ bool export_traced_run(const std::string& trace_path, bool quick) {
     const Instance instance = make_instance(jobs, gpus, 9000 + jobs);
     const sched::SchedulerInput input{instance.cluster, instance.jobs,
                                       instance.times};
-    run_variant(input,
-                engine_config(mode, false, true, quick ? 1 : 2,
-                              opt::LpBackend::Sparse),
-                1);
+    run_variant(input, engine_config(mode, false, quick ? 1 : 2), 1);
   }
   obs::Tracer::instance().disable();
 
@@ -324,8 +279,6 @@ int main(int argc, char** argv) {
 
   std::vector<GridPoint> grid;
   if (quick) {
-    // The quick LpCuts point keeps the dense reference so CI can enforce
-    // the sparse-backend speedup floor and dense/sparse schedule identity.
     grid = {{core::RelaxMode::Fluid, 30, 16},
             {core::RelaxMode::LpCuts, 16, 8}};
   } else {
@@ -337,11 +290,9 @@ int main(int argc, char** argv) {
             {core::RelaxMode::LpCuts, 6, 4},
             {core::RelaxMode::LpCuts, 10, 6},
             {core::RelaxMode::LpCuts, 16, 8},
-            // Sparse-only scale points: a cold dense tableau per cut round
-            // is minutes-per-solve here, so no reference run.
-            {core::RelaxMode::LpCuts, 24, 10, /*dense_ref=*/false},
-            {core::RelaxMode::LpCuts, 32, 12, /*dense_ref=*/false},
-            {core::RelaxMode::LpCuts, 40, 16, /*dense_ref=*/false}};
+            {core::RelaxMode::LpCuts, 24, 10},
+            {core::RelaxMode::LpCuts, 32, 12},
+            {core::RelaxMode::LpCuts, 40, 16}};
   }
   const int repeats = quick ? 1 : 3;
   const std::size_t pool_threads =
@@ -352,16 +303,13 @@ int main(int argc, char** argv) {
   bool all_match = true;
   for (const auto& point : grid) {
     auto row = run_point(point, repeats, pool_threads);
-    all_match = all_match && row.warm_matches_pooled;
-    if (point.dense_ref) {
-      all_match = all_match && row.naive_matches_cold_indexed &&
-                  row.dense_matches_sparse;
-    }
+    all_match =
+        all_match && row.naive_matches_warm && row.warm_matches_pooled;
     rows.push_back(std::move(row));
   }
 
-  common::Table table({"mode", "jobs", "gpus", "tasks", "dense ms",
-                       "sparse ms", "pooled ms", "speedup", "pivots d/s",
+  common::Table table({"mode", "jobs", "gpus", "tasks", "naive ms",
+                       "serial ms", "pooled ms", "speedup", "pivots",
                        "lp rxc (nnz)", "identical"});
   for (const auto& r : rows) {
     auto row = table.row();
@@ -369,33 +317,18 @@ int main(int argc, char** argv) {
     row.cell(r.point.jobs);
     row.cell(r.point.gpus);
     row.cell(r.tasks);
-    if (r.point.dense_ref) {
-      row.cell(r.naive_ms, 2);
-    } else {
-      row.cell("-");
-    }
+    row.cell(r.naive_ms, 2);
     row.cell(r.warm_serial_ms, 2);
     row.cell(r.pooled_ms, 2);
-    if (r.point.dense_ref) {
-      row.cell(r.speedup_serial, 2);
-      row.cell(std::to_string(r.pivots_naive) + "/" +
-               std::to_string(r.pivots_warm));
-    } else {
-      row.cell("-");
-      row.cell("-/" + std::to_string(r.pivots_warm));
-    }
+    row.cell(r.speedup_serial, 2);
+    row.cell(r.pivots);
     row.cell(std::to_string(r.lp_rows) + "x" + std::to_string(r.lp_cols) +
              " (" + std::to_string(r.lp_nonzeros) + ")");
-    const bool identical =
-        r.warm_matches_pooled &&
-        (!r.point.dense_ref ||
-         (r.naive_matches_cold_indexed && r.dense_matches_sparse));
-    row.cell(identical ? "yes" : "NO");
+    row.cell(r.naive_matches_warm && r.warm_matches_pooled ? "yes" : "NO");
   }
   table.print(std::cout);
-  std::cout << "(speedup = naive dense-tableau ms / warm sparse-simplex ms; "
-               "schedules are asserted bit-identical across engines and "
-               "backends)\n";
+  std::cout << "(speedup = naive ms / optimized serial ms; schedules are "
+               "asserted bit-identical across engines)\n";
 
   bool wrote = write_json(json_path, rows, quick);
   if (trace) wrote = export_traced_run(trace_path, quick) && wrote;

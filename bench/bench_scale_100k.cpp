@@ -1,39 +1,24 @@
-// Six-figure scale grid: streamed trace -> sharded plan -> schedule, plus
-// the hyper-sparse LP backend grid.
+// Six-figure scale grid: streamed trace -> sharded plan -> schedule.
 //
-// Part 1 — end-to-end scale points. Each point streams its trace through
-// workload::TraceStream (no materialized spec vector), profiles the exact
-// time table, and plans the instance with the two-level hierarchical
-// planner, serial and pooled. The serial and pooled plans must be
-// bit-identical (canonical-order merge), the serial plan must validate
-// structurally, and the bench reports per-stage wall-clock plus the
-// process peak RSS so a regression that trades time for memory still
-// shows up in the baseline. The full grid tops out at 100k jobs x 8192
-// GPUs — the six-figure point the allocation-churn work targets; no flat
-// plan is attempted there (the flat planner's masked rows alone would be
-// Ω(J·G); bench_shard_scale measures the sharded-over-flat gap on sizes
-// where flat is affordable).
-//
-// Part 2 — LP backend contracts. A small LpCuts instance is planned once
-// with the dense tableau backend and once with the sparse revised simplex;
-// the schedules must be bit-identical (the dense path is the retained
-// cross-check for the sparse engine). Then a grid of wide synthetic LPs
-// (few rows, thousands of columns, shard-blocked row structure — the
-// shape where full pricing scans dominate and the basis stays genuinely
-// sparse) is solved with SparseMode::Classic and SparseMode::Hyper; the
-// objectives must agree and the classic-over-hyper speedup is recorded.
-// The regression gate holds the wide points to a >= 1.5x hyper speedup in
-// full mode.
+// Each point streams its trace through workload::TraceStream (no
+// materialized spec vector), profiles the exact time table, and plans the
+// instance with the two-level hierarchical planner, serial and pooled. The
+// serial and pooled plans must be bit-identical (canonical-order merge),
+// the serial plan must validate structurally, and the bench reports
+// per-stage wall-clock plus the process peak RSS so a regression that
+// trades time for memory still shows up in the baseline. The full grid
+// tops out at 100k jobs x 8192 GPUs — the six-figure point the
+// allocation-churn work targets; no flat plan is attempted there (the flat
+// planner's masked rows alone would be Ω(J·G); bench_shard_scale measures
+// the sharded-over-flat gap on sizes where flat is affordable).
 //
 // Emits machine-readable BENCH_scale.json which
-// scripts/check_bench_regression.py gates in CI: merge bit-identity,
-// schedule validity, dense/sparse backend identity, and Classic/Hyper
-// objective agreement always; the hyper speedup floor and the six-figure
-// completion check in full mode only. `--quick` shrinks the grid for
-// smoke runs; `--json <path>` overrides the output location.
+// scripts/check_bench_regression.py gates in CI: merge bit-identity and
+// schedule validity always; the six-figure completion check in full mode
+// only. `--quick` shrinks the grid for smoke runs; `--json <path>`
+// overrides the output location.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -45,7 +30,6 @@
 #include "bench_util.hpp"
 #include "common/error.hpp"
 #include "common/resource.hpp"
-#include "opt/revised_simplex.hpp"
 #include "shard/hierarchical_planner.hpp"
 #include "workload/trace.hpp"
 
@@ -60,7 +44,6 @@ double ms_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: end-to-end scale points.
 
 struct ScalePoint {
   std::size_t jobs = 0;
@@ -173,172 +156,9 @@ ScaleRow run_scale_point(const ScalePoint& point) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 2a: dense vs sparse LP backend, end to end through LpCuts planning.
-
-struct BackendRow {
-  std::size_t jobs = 0;
-  std::size_t gpus = 0;
-  bool identical = false;
-};
-
-BackendRow run_backend_cross_check() {
-  BackendRow row;
-  row.jobs = 48;
-  row.gpus = 24;
-
-  const cluster::Cluster cluster =
-      cluster::make_simulation_cluster(row.gpus, 25.0, 4);
-  workload::TraceConfig config;
-  config.job_count = row.jobs;
-  config.base_arrival_rate = 0.2;
-  config.sync_scales = {1, 2, 2, 4};
-  config.rounds_scale_min = 0.05;
-  config.rounds_scale_max = 0.2;
-  workload::TraceGenerator generator(77);
-  const workload::JobSet jobs = generator.generate(config);
-  const workload::PerfModel perf;
-  profiler::Profiler profiler(perf, profiler::ProfilerConfig{}, 77);
-  const profiler::TimeTable times = profiler.exact(jobs, cluster);
-  times.precompute();
-  const sched::SchedulerInput input{cluster, jobs, times};
-
-  auto plan = [&](opt::LpBackend backend) {
-    shard::ShardPlannerConfig cfg;
-    cfg.shards = 2;
-    cfg.serial = true;
-    cfg.lp_max_jobs = row.jobs;  // every shard plans with LpCuts
-    cfg.hare.relaxation.engine.lp_backend = backend;
-    shard::HierarchicalPlanner planner(cfg);
-    return planner.schedule(input);
-  };
-  const sim::Schedule dense = plan(opt::LpBackend::Dense);
-  const sim::Schedule sparse = plan(opt::LpBackend::Sparse);
-  row.identical = schedules_identical(dense, sparse);
-  return row;
-}
-
-// ---------------------------------------------------------------------------
-// Part 2b: Classic vs Hyper sparse modes on wide synthetic LPs.
-
-struct LpPoint {
-  int rows = 0;
-  int cols = 0;
-  int blocks = 0;  ///< disjoint row blocks (shard-blocked structure)
-  std::uint64_t seed = 0;
-};
-
-struct LpRow {
-  LpPoint point;
-  std::size_t nonzeros = 0;
-  double classic_ms = 0.0;
-  double hyper_ms = 0.0;
-  double speedup = 0.0;
-  std::size_t classic_pivots = 0;
-  std::size_t hyper_pivots = 0;
-  bool objectives_match = false;
-};
-
-/// Wide packing LP with shard-blocked capacity structure: the rows split
-/// into disjoint blocks and every column's ~3 nonzeros land on distinct
-/// rows of one block — the shape the planner's per-shard LPs produce
-/// (placements only touch their shard's capacity rows) and the regime the
-/// hyper-sparse path targets: block-confined bases keep the FTRAN/BTRAN
-/// results genuinely sparse, so the row pass and candidate pricing skip
-/// most of the matrix. Uniformly scattered nonzeros would fill the basis
-/// in and the hyper bookkeeping would only add overhead. Every column has
-/// a finite upper bound (bounded objective); rhs is sized so a meaningful
-/// fraction of the columns go active, which makes phase 2 do real pivot
-/// work.
-opt::LinearProgram make_wide_lp(int rows, int cols, int blocks,
-                                std::uint64_t seed) {
-  common::Rng rng(seed);
-  opt::LinearProgram lp;
-  std::vector<std::vector<std::pair<std::size_t, double>>> row_terms(
-      static_cast<std::size_t>(rows));
-  const int block_rows = rows / blocks;
-  for (int j = 0; j < cols; ++j) {
-    const std::size_t var = lp.add_variable(-rng.uniform(0.5, 2.0));
-    lp.set_bounds(var, 0.0, rng.uniform(0.5, 2.0));
-    const int base = (j % blocks) * block_rows;
-    int picked[3] = {-1, -1, -1};
-    for (int k = 0; k < 3; ++k) {
-      int r;
-      do {
-        r = base + static_cast<int>(
-                       rng.uniform_int(static_cast<std::uint64_t>(block_rows)));
-      } while (r == picked[0] || r == picked[1]);
-      picked[k] = r;
-    }
-    for (int r : picked) {
-      row_terms[static_cast<std::size_t>(r)].push_back(
-          {static_cast<std::size_t>(j), rng.uniform(0.2, 1.0)});
-    }
-  }
-  const double rhs_scale = static_cast<double>(cols) /
-                           static_cast<double>(rows) / 4.0;
-  for (int i = 0; i < rows; ++i) {
-    lp.add_constraint(row_terms[static_cast<std::size_t>(i)],
-                      opt::Relation::LessEqual,
-                      rng.uniform(2.0, 6.0) * rhs_scale);
-  }
-  return lp;
-}
-
-LpRow run_lp_point(const LpPoint& point, int reps) {
-  LpRow row;
-  row.point = point;
-  std::cout << "lp " << point.rows << " rows x " << point.cols
-            << " cols ... " << std::flush;
-  const opt::LinearProgram lp =
-      make_wide_lp(point.rows, point.cols, point.blocks, point.seed);
-
-  struct ModeResult {
-    double ms = 1e30;
-    double objective = 0.0;
-    bool optimal = false;
-    std::size_t pivots = 0;
-    std::size_t nonzeros = 0;
-  };
-  auto run = [&](opt::SparseMode mode) {
-    ModeResult result;
-    for (int rep = 0; rep < reps; ++rep) {
-      opt::RevisedSimplex solver(lp);
-      solver.set_sparse_mode(mode);
-      opt::LpIterationStats stats;
-      const auto start = Clock::now();
-      const opt::LpSolution solution = solver.solve(2000000, &stats);
-      result.ms = std::min(result.ms, ms_since(start));
-      result.objective = solution.objective;
-      result.optimal = solution.optimal();
-      result.pivots = stats.phase1 + stats.phase2;
-      result.nonzeros = solver.nonzeros();
-    }
-    return result;
-  };
-
-  const ModeResult classic = run(opt::SparseMode::Classic);
-  const ModeResult hyper = run(opt::SparseMode::Hyper);
-  row.nonzeros = classic.nonzeros;
-  row.classic_ms = classic.ms;
-  row.hyper_ms = hyper.ms;
-  row.speedup = classic.ms / std::max(1e-6, hyper.ms);
-  row.classic_pivots = classic.pivots;
-  row.hyper_pivots = hyper.pivots;
-  row.objectives_match =
-      classic.optimal && hyper.optimal &&
-      std::abs(classic.objective - hyper.objective) <=
-          1e-6 * std::max(1.0, std::abs(classic.objective));
-  std::cout << "classic " << classic.ms << " ms, hyper " << hyper.ms
-            << " ms\n";
-  return row;
-}
-
-// ---------------------------------------------------------------------------
 
 [[nodiscard]] bool write_json(const std::string& path,
-                              const std::vector<ScaleRow>& rows,
-                              const BackendRow& backend,
-                              const std::vector<LpRow>& lp_rows, bool quick) {
+                              const std::vector<ScaleRow>& rows, bool quick) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"bench\": \"bench_scale_100k\",\n";
@@ -362,25 +182,6 @@ LpRow run_lp_point(const LpPoint& point, int reps) {
         << (r.merge_identical ? "true" : "false")
         << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"backend_cross_check\": {\"jobs\": " << backend.jobs
-      << ", \"gpus\": " << backend.gpus << ", \"identical\": "
-      << (backend.identical ? "true" : "false") << "},\n";
-  out << "  \"lp_points\": [\n";
-  for (std::size_t i = 0; i < lp_rows.size(); ++i) {
-    const LpRow& r = lp_rows[i];
-    out << "    {\"rows\": " << r.point.rows << ", \"cols\": " << r.point.cols
-        << ", \"blocks\": " << r.point.blocks
-        << ", \"nonzeros\": " << r.nonzeros << ",\n"
-        << "     \"classic_ms\": " << r.classic_ms
-        << ", \"hyper_ms\": " << r.hyper_ms
-        << ", \"speedup\": " << r.speedup << ",\n"
-        << "     \"classic_pivots\": " << r.classic_pivots
-        << ", \"hyper_pivots\": " << r.hyper_pivots
-        << ", \"objectives_match\": "
-        << (r.objectives_match ? "true" : "false") << "}"
-        << (i + 1 < lp_rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
   out << "}\n";
@@ -450,53 +251,13 @@ int main(int argc, char** argv) {
   std::cout << "(identical = serial and pooled sharded plans match bit for "
                "bit; rss = process peak after the point)\n";
 
-  std::cout << "\n=== dense vs sparse LP backend: LpCuts plan identity ===\n";
-  const BackendRow backend = run_backend_cross_check();
-  std::cout << backend.jobs << " jobs x " << backend.gpus
-            << " gpus, 2 LpCuts shards: "
-            << (backend.identical ? "bit-identical" : "DIVERGED") << "\n";
-
-  std::cout << "\n=== Classic vs Hyper sparse mode: wide LP grid ===\n";
-  std::vector<LpPoint> lp_grid;
-  int reps = 3;
-  if (quick) {
-    lp_grid.push_back(LpPoint{96, 4096, 12, 9001});
-    reps = 1;
-  } else {
-    lp_grid.push_back(LpPoint{128, 8192, 16, 9001});
-    lp_grid.push_back(LpPoint{192, 16384, 24, 9002});
-  }
-  std::vector<LpRow> lp_rows;
-  for (const LpPoint& point : lp_grid) {
-    lp_rows.push_back(run_lp_point(point, reps));
-  }
-
-  common::Table lp_table({"rows", "cols", "nnz", "classic ms", "hyper ms",
-                          "speedup", "classic piv", "hyper piv", "match"});
-  for (const LpRow& r : lp_rows) {
-    lp_table.row()
-        .cell(r.point.rows)
-        .cell(r.point.cols)
-        .cell(r.nonzeros)
-        .cell(r.classic_ms, 1)
-        .cell(r.hyper_ms, 1)
-        .cell(r.speedup, 2)
-        .cell(r.classic_pivots)
-        .cell(r.hyper_pivots)
-        .cell(r.objectives_match ? "yes" : "NO");
-  }
-  lp_table.print(std::cout);
-  std::cout << "(speedup = classic over hyper wall-clock, best of " << reps
-            << " rep" << (reps == 1 ? "" : "s") << ")\n";
-
-  bool broken = !backend.identical;
+  bool broken = false;
   for (const ScaleRow& r : rows) {
     broken = broken || !r.merge_identical || !r.valid;
   }
-  for (const LpRow& r : lp_rows) broken = broken || !r.objectives_match;
   if (broken) {
     std::cerr << "\nBROKEN CONTRACT: see table above\n";
     return 1;
   }
-  return write_json(json_path, rows, backend, lp_rows, quick) ? 0 : 1;
+  return write_json(json_path, rows, quick) ? 0 : 1;
 }

@@ -16,8 +16,8 @@
 //
 // Determinism is the fourth, never-waived contract: the served schedule
 // for a fixed event stream must be bit-identical across a serial re-run,
-// four replicas fanned across the hare::exp pool, the sparse vs dense LP
-// backends, and the sharded serve path serial vs pooled; and every LP
+// four replicas fanned across the hare::exp pool, and the sharded serve
+// path serial vs pooled; and every LP
 // block's snapped start values must equal the ones the block takes inside
 // the accumulated program that stacks all of the stream's blocks.
 //
@@ -34,7 +34,6 @@
 
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
-#include "opt/simplex.hpp"
 #include "serve/serve_service.hpp"
 #include "workload/arrival_spec.hpp"
 
@@ -81,7 +80,7 @@ bool blocks_match_accumulated(const cluster::Cluster& cluster,
   replay.sequences.resize(cluster.gpu_count());
   replay.predicted_start.assign(jobs.task_count(), 0.0);
   std::vector<Time> h(jobs.task_count(), 0.0);
-  serve::IncrementalReplanner replanner({config.lp_backend});
+  serve::IncrementalReplanner replanner;
   opt::LinearProgram accumulated;
   std::vector<std::vector<JobId>> blocks;
   std::vector<std::vector<std::vector<std::size_t>>> block_vars;
@@ -115,8 +114,7 @@ bool blocks_match_accumulated(const cluster::Cluster& cluster,
     return false;
   }
 
-  const opt::LpSolution whole =
-      accumulated.solve(100000, nullptr, config.lp_backend);
+  const opt::LpSolution whole = accumulated.solve();
   if (!whole.optimal()) return false;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     for (std::size_t k = 0; k < blocks[b].size(); ++k) {
@@ -124,7 +122,7 @@ bool blocks_match_accumulated(const cluster::Cluster& cluster,
       const Time half_tc = times.max_tc(job.id) / 2.0;
       for (std::uint32_t r = 0; r < job.rounds(); ++r) {
         const Time mid =
-            serve::snap_lp_value(whole.values[block_vars[b][k][r]]) +
+            opt::snap_lp_value(whole.values[block_vars[b][k][r]]) +
             half_tc;
         if (h[static_cast<std::size_t>(job.task_at(r, 0).value())] != mid) {
           return false;
@@ -146,7 +144,6 @@ struct ServeNumbers {
   double lp_throughput = 0.0;
   double p99_us = 0.0;
   serve::ReplannerStats lp;
-  bool backends_identical = false;
   bool blocks_identical = false;
   bool sharded_identical = false;
   bool deterministic = false;
@@ -255,9 +252,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Determinism on a moderate LP stream: a serial re-run, four pool
-  // replicas and the dense backend must reproduce the first schedule bit
-  // for bit, and every block must match the accumulated program. -------
+  // --- Determinism on a moderate LP stream: a serial re-run and four pool
+  // replicas must reproduce the first schedule bit for bit, and every
+  // block must match the accumulated program. ---------------------------
   const std::string lp_spec =
       std::string("jobs=") + (quick ? "48" : "96") +
       ",rate=2,rounds_min=0.08,rounds_max=0.2";
@@ -275,15 +272,8 @@ int main(int argc, char** argv) {
     for (const auto& replica : replicas) {
       identical = identical && schedules_identical(first, replica);
     }
-    serve::ServeConfig sparse_config = lp_config;
-    sparse_config.lp_backend = opt::LpBackend::Sparse;
-    serve::ServeConfig dense_config = lp_config;
-    dense_config.lp_backend = opt::LpBackend::Dense;
-    n.backends_identical = schedules_identical(
-        serve_stream(cluster, lp_spec, sparse_config).schedule,
-        serve_stream(cluster, lp_spec, dense_config).schedule);
     n.blocks_identical = blocks_match_accumulated(cluster, lp_spec, lp_config);
-    n.deterministic = identical && n.backends_identical && n.blocks_identical;
+    n.deterministic = identical && n.blocks_identical;
   }
 
   // --- Sharded serve path: large batches fanned across shard workers
@@ -326,8 +316,6 @@ int main(int argc, char** argv) {
       std::to_string(n.lp.cold_solves) + " / " +
       std::to_string(n.lp.cold_pivots));
   table.row().cell("replan p99 (us, bucket bound)").cell(n.p99_us, 1);
-  table.row().cell("sparse == dense schedule").cell(
-      n.backends_identical ? "yes" : "NO");
   table.row().cell("blocks == accumulated LP").cell(
       n.blocks_identical ? "yes" : "NO");
   table.row().cell("sharded serial == pooled").cell(

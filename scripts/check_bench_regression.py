@@ -7,14 +7,8 @@ field:
 
 bench_planner_scale (BENCH_planner.json):
   * any engine configuration produced a schedule that differs from its
-    reference (naive vs cold-indexed, warm-serial vs pooled, dense backend
-    vs sparse backend) — determinism is a correctness contract, never
-    waived, including in quick mode;
-  * the warm sparse LP needed more simplex pivots than the cold dense
-    reference on any LpCuts grid point where the reference ran;
-  * an LpCuts point with >= 10 jobs and a dense reference fell below the
-    sparse-backend speedup floor (enforced in quick mode too — the quick
-    grid keeps the 16-job dense reference exactly for this);
+    reference (naive vs warm-serial, warm-serial vs pooled) — determinism
+    is a correctness contract, never waived, including in quick mode;
   * the measured speedups fall below the thresholds. Thresholds are ratios
     (optimized vs the in-process naive baseline measured in the same run),
     so they hold across machines; absolute milliseconds are never compared.
@@ -52,8 +46,7 @@ bench_fault (BENCH_fault.json):
 
 bench_serve (BENCH_serve.json):
   * the served schedule is bit-identical across a serial re-run, pooled
-    replicas, the sparse vs dense LP backends, and sharded serial vs
-    pooled, and every LP block's snapped starts equal those it takes in
+    replicas, and sharded serial vs pooled, and every LP block's snapped starts equal those it takes in
     the accumulated program stacking all of the stream's blocks — a
     correctness contract, never waived;
   * the LP stream actually planned through the LP path (lp_batches >= 1,
@@ -64,11 +57,9 @@ bench_serve (BENCH_serve.json):
     (quick grids are fixed-cost dominated, so both are skipped there).
 
 bench_scale_100k (BENCH_scale.json):
-  * the pooled sharded plan diverged from the serial one, a plan failed
-    structural validation, the sparse-backend LpCuts plan differs from the
-    dense tableau reference, or Classic and Hyper sparse modes disagree on
-    an LP objective — correctness contracts, never waived, including in
-    quick mode;
+  * the pooled sharded plan diverged from the serial one, or a plan failed
+    structural validation — correctness contracts, never waived, including
+    in quick mode;
   * any point's process peak RSS exceeded the memory ceiling, or the
     pooled sharded plan lost to the forced-serial plan by more than the
     slack — both enforced in quick mode too (the ceiling catches a return
@@ -76,9 +67,6 @@ bench_scale_100k (BENCH_scale.json):
   * a six-figure point recorded zero cross-shard migrations — the
     delay-ranked move bundles are deterministic, so the count is
     machine-independent;
-  * full mode: the hyper-sparse mode fell below the 1.5x speedup floor
-    over the classic sparse path on any wide (>= 4096 column) LP point —
-    an in-process ratio, so it holds across machines;
   * full mode: the grid never reached the six-figure (100k-job) point.
 
 A baseline JSON missing an expected key fails with a clear message naming
@@ -88,9 +76,8 @@ floor key by key (see fail_floor), so the CI log names the exact number
 that moved.
 
 Quick mode (--quick, or a JSON produced with --quick) runs tiny grids
-where fixed costs dominate, so only the determinism contracts and the
-LpCuts sparse-vs-dense floor (a 50x-headroom ratio, safe on any machine)
-are enforced there.
+where fixed costs dominate, so only the determinism contracts are
+enforced there.
 
 Usage: scripts/check_bench_regression.py [JSON...] [--quick]
        (default: BENCH_planner.json)
@@ -103,11 +90,6 @@ import sys
 # optimization work is gated on; smaller grids only need to not regress
 # past the naive engine by more than measurement noise.
 LARGE_FLUID_MIN_SPEEDUP = 3.0
-# Sparse revised simplex vs the dense-tableau reference, end to end through
-# the whole planner. Enforced at every LpCuts point with >= 10 jobs where
-# the dense reference ran — in quick mode too.
-LP_CUTS_MIN_SPEEDUP = 5.0
-LP_CUTS_MIN_JOBS = 10
 ANY_POINT_MIN_SPEEDUP = 0.7  # noise floor for tiny grids
 
 # Sweep-engine thresholds: the parallel fan-out must beat the serial
@@ -138,14 +120,8 @@ SERVE_MIN_THROUGHPUT = 10000.0
 SERVE_LP_MIN_THROUGHPUT = 5000.0
 
 # Scale-bench thresholds: the full grid must actually reach the six-figure
-# point, and the hyper-sparse LP mode must beat the classic sparse path on
-# the wide (>= SCALE_LP_WIDE_COLS columns) LP points. The speedup is an
-# in-process ratio measured in the same run, so it holds across machines;
-# the quick grid's LP is small and single-rep, so the floor is full-mode
-# only there.
+# point.
 SCALE_SIX_FIGURE_JOBS = 100000
-SCALE_LP_MIN_SPEEDUP = 1.5
-SCALE_LP_WIDE_COLS = 4096
 # Memory ceiling for any scale point (process peak RSS in MB). The interned
 # time-table layout holds the six-figure point to a few hundred MB; the
 # ceiling catches a silent return to dense per-job storage (13.8 GB at
@@ -211,41 +187,10 @@ def check_planner(data, quick, path):
             )
             continue
         tag = f"{p['mode']} {p['jobs']}x{p['gpus']}"
-        dense_ref = p.get("dense_ref", True)
+        if not p.get("naive_matches_warm", False):
+            errors += fail(f"{tag}: optimized schedule differs from naive")
         if not p.get("warm_matches_pooled", False):
             errors += fail(f"{tag}: pooled schedule differs from warm-serial")
-        if not dense_ref:
-            continue
-        if not p.get("naive_matches_cold_indexed", False):
-            errors += fail(f"{tag}: cold-indexed schedule differs from naive")
-        if not p.get("dense_matches_sparse", False):
-            errors += fail(
-                f"{tag}: sparse-backend schedule differs from the dense "
-                "reference"
-            )
-        if p["mode"] == "lp_cuts":
-            absent = missing_keys(
-                p, ("pivots_sparse", "pivots_dense", "speedup_serial")
-            )
-            if absent:
-                errors += skip_missing(
-                    tag, absent, "pivot and LP-speedup gates"
-                )
-                continue
-            if p["pivots_sparse"] > p["pivots_dense"]:
-                errors += fail(
-                    f"{tag}: warm sparse simplex used more pivots than the "
-                    f"cold dense reference "
-                    f"({p['pivots_sparse']} > {p['pivots_dense']})"
-                )
-            if p["jobs"] >= LP_CUTS_MIN_JOBS and (
-                p["speedup_serial"] < LP_CUTS_MIN_SPEEDUP
-            ):
-                errors += fail_floor(
-                    tag, "speedup_serial", p["speedup_serial"],
-                    LP_CUTS_MIN_SPEEDUP,
-                    "sparse backend vs the dense reference",
-                )
 
     if not quick:
         for i, p in enumerate(points):
@@ -253,8 +198,6 @@ def check_planner(data, quick, path):
             if absent:
                 continue  # already reported above
             tag = f"{p['mode']} {p['jobs']}x{p['gpus']}"
-            if not p.get("dense_ref", True):
-                continue
             if "speedup_serial" not in p:
                 errors += skip_missing(
                     tag, ["speedup_serial"], "naive-floor speedup gate"
@@ -288,7 +231,7 @@ def check_planner(data, quick, path):
 
     if errors:
         return errors
-    mode = "quick (determinism/pivots/LP-backend floor)" if quick else "full"
+    mode = "quick (determinism)" if quick else "full"
     print(f"OK: {len(points)} grid points pass the {mode} planner gate in {path}")
     return 0
 
@@ -482,7 +425,7 @@ def check_serve(data, quick, path):
     if not data["deterministic"]:
         errors += fail(
             f"{path}: served schedule diverged across serial/pooled/"
-            "sparse-dense/sharded executions, or an LP block left the "
+            "sharded executions, or an LP block left the "
             "accumulated program's vertex (bit-identity is a correctness "
             "contract, never waived)"
         )
@@ -571,39 +514,6 @@ def check_scale(data, quick, path):
                 "the pooled sharded plan lost to the forced-serial plan",
             )
 
-    backend = data.get("backend_cross_check", {})
-    if not backend.get("identical", False):
-        errors += fail(
-            f"{path}: sparse-backend LpCuts plan differs from the dense "
-            "tableau reference (bit-identity is a correctness contract, "
-            "never waived)"
-        )
-
-    lp_points = data.get("lp_points", [])
-    if not lp_points:
-        errors += fail(f"{path} contains no LP backend points")
-    for p in lp_points:
-        absent = missing_keys(p, ("rows", "cols"))
-        if absent:
-            errors += skip_missing(
-                f"{path} lp point", absent, "all gates for this point"
-            )
-            continue
-        tag = f"lp {p['rows']}x{p['cols']}"
-        if not p.get("objectives_match", False):
-            errors += fail(
-                f"{tag}: Classic and Hyper sparse modes disagree on the "
-                "optimal objective"
-            )
-        if not quick and p["cols"] >= SCALE_LP_WIDE_COLS:
-            if "speedup" not in p:
-                errors += skip_missing(tag, ["speedup"], "hyper speedup gate")
-            elif p["speedup"] < SCALE_LP_MIN_SPEEDUP:
-                errors += fail_floor(
-                    tag, "speedup", p["speedup"], SCALE_LP_MIN_SPEEDUP,
-                    "hyper-sparse over classic sparse",
-                )
-
     if not quick:
         sized = [p for p in points if "jobs" in p]
         largest_jobs = max((p["jobs"] for p in sized), default=0)
@@ -615,11 +525,8 @@ def check_scale(data, quick, path):
 
     if errors:
         return errors
-    mode = "quick (identity/validity/objective)" if quick else "full"
-    print(
-        f"OK: {len(points)} scale points and {len(lp_points)} LP points "
-        f"pass the {mode} scale gate in {path}"
-    )
+    mode = "quick (identity/validity)" if quick else "full"
+    print(f"OK: {len(points)} scale points pass the {mode} scale gate in {path}")
     return 0
 
 

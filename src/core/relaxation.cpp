@@ -1,7 +1,6 @@
 #include "core/relaxation.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -207,7 +206,8 @@ RelaxationResult HareRelaxation::solve(const cluster::Cluster& cluster,
                                        const workload::JobSet& jobs,
                                        const profiler::TimeTable& times,
                                        const SubProblem& sub,
-                                       PlannerScratch* scratch) const {
+                                       PlannerScratch* scratch,
+                                       opt::LinearProgram* program) const {
   HARE_SPAN("planner", "planner.relaxation");
   HARE_CHECK_MSG(times.job_count() == jobs.job_count() &&
                      times.gpu_count() == cluster.gpu_count(),
@@ -219,7 +219,7 @@ RelaxationResult HareRelaxation::solve(const cluster::Cluster& cluster,
     case RelaxMode::Fluid:
       return solve_fluid(cluster, jobs, times, sub, scratch);
     case RelaxMode::LpCuts:
-      return solve_lp_cuts(cluster, jobs, times, sub, scratch);
+      return solve_lp_cuts(cluster, jobs, times, sub, scratch, program);
   }
   HARE_CHECK_MSG(false, "unknown relaxation mode");
   return {};
@@ -242,17 +242,11 @@ RelaxationResult HareRelaxation::solve_fluid(
 RelaxationResult HareRelaxation::solve_lp_cuts(
     const cluster::Cluster& cluster, const workload::JobSet& jobs,
     const profiler::TimeTable& times, const SubProblem& sub,
-    PlannerScratch* scratch) const {
+    PlannerScratch* scratch, opt::LinearProgram* program) const {
   HARE_SPAN("planner", "planner.lp_cuts");
   static obs::Counter& lp_solve_counter = obs::counter("planner.lp_solves");
   static obs::Counter& pivot_counter = obs::counter("planner.lp_pivots");
   static obs::Counter& cut_counter = obs::counter("planner.cuts_added");
-  static obs::Counter& dense_pivot_counter =
-      obs::counter("planner.lp_pivots_dense");
-  static obs::Counter& sparse_pivot_counter =
-      obs::counter("planner.lp_pivots_sparse");
-  static obs::Counter& canonical_counter =
-      obs::counter("planner.lp_canonical_solves");
   static obs::Counter& sep_total_counter =
       obs::counter("planner.sep_tasks_total");
   static obs::Counter& sep_resorted_counter =
@@ -274,9 +268,12 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
 
   obs::Span lp_build_span("planner", "planner.lp_build");
   opt::LinearProgram lp;
-  // Variables: x_i per task, then E_{n,r} per round, then C_n per job.
+  // Variables: x_i per task, then E_{n,r} per round, then C_n per job. The
+  // x_i carry the unique-vertex perturbation, ranked by task index.
   std::vector<std::size_t> x_var(task_count);
-  for (std::size_t i = 0; i < task_count; ++i) x_var[i] = lp.add_variable(0.0);
+  for (std::size_t i = 0; i < task_count; ++i) {
+    x_var[i] = lp.add_variable(opt::perturbation_cost(i + 1, task_count));
+  }
 
   std::vector<std::vector<std::size_t>> e_var(jobs.job_count());
   std::vector<std::size_t> c_var(jobs.job_count());
@@ -302,7 +299,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
         const std::size_t x = x_var[static_cast<std::size_t>(id.value())];
         // (4): release — round 0 at arrival, later rounds behind E_{r-1}.
         // The round-0 release is a single-variable constraint: stated as a
-        // bound it never enters the row space of either LP backend.
+        // bound it never enters the LP's row space.
         if (r == 0) {
           lp.set_bounds(x, job.spec.arrival, opt::LinearProgram::kInfinity);
         } else {
@@ -331,64 +328,19 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   RelaxationResult result;
   result.y_hat = pass.y_hat;
 
-  const opt::LpBackend backend = config_.engine.resolved_lp_backend();
-  result.lp_backend = backend;
   const std::size_t base_rows = lp.constraint_count();
   const std::size_t base_nonzeros = lp.nonzero_count();
+  const std::size_t cols = lp.variable_count();
   std::size_t cut_nonzeros = 0;
-
-  const bool warm = config_.engine.warm_start_lp && !config_.engine.naive;
-  opt::IncrementalLpSolver solver(lp, warm, backend);
-
-  // Canonical ε-objective program: same rows and bounds, objective Σ ε_i x_i
-  // with pairwise-distinct ε_i ∈ (1, 2). Among all optima of the primary LP
-  // (enforced by a cap row on Σ w_n C_n) the ε objective picks a unique x,
-  // so the point the planner reports — and every schedule built from it —
-  // is independent of backend, warm starts, and engine knobs. The primary
-  // optimum is typically degenerate (many optimal vertices), which is why
-  // different solvers legitimately land on different x̂ without this step.
-  opt::LinearProgram canon_base = lp;
-  for (std::size_t i = 0; i < task_count; ++i) {
-    canon_base.set_objective(
-        x_var[i], 1.0 + static_cast<double>(i + 1) /
-                            static_cast<double>(task_count + 2));
-  }
-  for (const auto& job : jobs.jobs()) {
-    canon_base.set_objective(
-        c_var[static_cast<std::size_t>(job.id.value())], 0.0);
-  }
-  std::vector<std::pair<std::size_t, double>> cap_terms;
-  for (const auto& job : jobs.jobs()) {
-    cap_terms.emplace_back(c_var[static_cast<std::size_t>(job.id.value())],
-                           job.spec.weight);
-  }
+  opt::IncrementalLpSolver solver(std::move(lp));
   lp_build_span.end();
 
-  using CutTerms = std::vector<std::pair<std::size_t, double>>;
-  std::vector<std::pair<CutTerms, double>> cuts;
-  std::vector<double> canonical_x(task_count, 0.0);
-
-  const auto canonicalize = [&](double z_star) {
-    HARE_SPAN("planner", "planner.lp_canonical");
-    opt::LinearProgram canon = canon_base;
-    for (const auto& [terms, rhs] : cuts) {
-      canon.add_constraint(terms, opt::Relation::GreaterEqual, rhs);
-    }
-    canon.add_constraint(cap_terms, opt::Relation::LessEqual,
-                         z_star + std::max(1e-6, 1e-6 * std::abs(z_star)));
-    opt::LpIterationStats canon_stats;
-    const opt::LpSolution canon_solution =
-        canon.solve(100000, &canon_stats, backend);
-    HARE_CHECK_MSG(canon_solution.optimal(),
-                   "canonical relaxation LP is infeasible/unbounded");
-    ++result.canonical_solves;
-    result.canonical_pivots += canon_stats.total();
-    canonical_counter.add();
-    // Snap to a 1e-6 grid: solver noise well below the grid collapses to
-    // bit-identical coordinates across backends.
+  // x̂ is the perturbed program's unique optimal vertex, snapped to the
+  // 1e-6 grid so last-ulp differences between pivot paths vanish.
+  std::vector<double> x_snapped(task_count, 0.0);
+  const auto snap = [&](const opt::LpSolution& solution) {
     for (std::size_t i = 0; i < task_count; ++i) {
-      canonical_x[i] =
-          std::round(canon_solution.values[x_var[i]] * 1e6) / 1e6;
+      x_snapped[i] = opt::snap_lp_value(solution.values[x_var[i]]);
     }
   };
 
@@ -404,7 +356,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   pivot_counter.add(solver.last_stats().total());
   result.lp_rounds.push_back(LpRoundStats{0, solver.last_stats().total(),
                                           solver.last_solve_was_warm()});
-  canonicalize(solution.objective);
+  snap(solution);
 
   // One separation over all machines per round. The per-machine separations
   // read the same LP point and are independent, so they fan out across the
@@ -413,7 +365,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   //
   // With incremental separation each machine retains its sorted order and
   // last point across rounds (the T^c vector is fixed given ŷ, so it is
-  // built once) and re-sorts only the coordinates the canonical vertex
+  // built once) and re-sorts only the coordinates the snapped vertex
   // moved — same cuts, a fraction of the sort work. The per-round work
   // accounting (total vs. resorted task entries) feeds the savings metric.
   const bool incremental =
@@ -444,7 +396,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
     if (incremental) {
       auto& point = machine_point[g];
       for (std::size_t k = 0; k < members.size(); ++k) {
-        point[k] = canonical_x[static_cast<std::size_t>(members[k].value())];
+        point[k] = x_snapped[static_cast<std::size_t>(members[k].value())];
       }
       machine_cuts[g] = separators[g].separate(point, config_.cut_tolerance);
       return;
@@ -454,9 +406,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
     for (std::size_t k = 0; k < members.size(); ++k) {
       const workload::Task& task = jobs.task(members[k]);
       t[k] = times.tc(task.job, GpuId(static_cast<int>(g)));
-      // Separate on the canonical point: the cut trajectory is then the
-      // same for every backend/engine combination.
-      point[k] = canonical_x[static_cast<std::size_t>(members[k].value())];
+      point[k] = x_snapped[static_cast<std::size_t>(members[k].value())];
     }
     machine_cuts[g] =
         opt::separate_queyranne_cut(t, point, config_.cut_tolerance);
@@ -502,7 +452,6 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
       const double cut_rhs = 0.5 * (t_sum * t_sum - t_sq);
       solver.add_ge_constraint(terms, cut_rhs);
       cut_nonzeros += terms.size();
-      cuts.emplace_back(std::move(terms), cut_rhs);
       ++result.cut_count;
       ++added;
     }
@@ -519,15 +468,19 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
     pivot_counter.add(solver.last_stats().total());
     result.lp_rounds.push_back(LpRoundStats{added, solver.last_stats().total(),
                                             solver.last_solve_was_warm()});
-    canonicalize(solution.objective);
+    snap(solution);
   }
 
-  result.x_hat = canonical_x;
-  result.objective = solution.objective;
+  result.x_hat = std::move(x_snapped);
+  for (const auto& job : jobs.jobs()) {
+    result.objective +=
+        job.spec.weight *
+        solution.values[c_var[static_cast<std::size_t>(job.id.value())]];
+  }
   result.h = middle_completion_times(jobs, times, result.x_hat, config_.engine);
 
   result.lp_rows = base_rows + result.cut_count;
-  result.lp_cols = lp.variable_count();
+  result.lp_cols = cols;
   result.lp_nonzeros = base_nonzeros + cut_nonzeros;
   rows_gauge.set(static_cast<double>(result.lp_rows));
   cols_gauge.set(static_cast<double>(result.lp_cols));
@@ -538,18 +491,14 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
           : static_cast<double>(result.lp_nonzeros) /
                 (static_cast<double>(result.lp_rows) *
                  static_cast<double>(result.lp_cols)));
-  obs::Counter& backend_pivots = backend == opt::LpBackend::Dense
-                                     ? dense_pivot_counter
-                                     : sparse_pivot_counter;
-  backend_pivots.add(result.simplex_pivots + result.canonical_pivots);
   sep_total_counter.add(result.sep_tasks_total);
   sep_resorted_counter.add(result.sep_tasks_resorted);
 
+  if (program) *program = std::move(solver).program();
+
   common::log_debug("planner: lp_cuts converged, ", result.lp_solves,
                     " solves, ", result.cut_count, " cuts, ",
-                    result.simplex_pivots, " pivots, ",
-                    result.canonical_solves, " canonical solves (",
-                    opt::lp_backend_name(backend), " backend)");
+                    result.simplex_pivots, " pivots");
   return result;
 }
 

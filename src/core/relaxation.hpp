@@ -10,7 +10,9 @@
 //    (9)-constraints over every machine-subset are added lazily: solve LP,
 //    run Queyranne prefix separation per machine, add the violated cut,
 //    repeat. This is exactly the cutting-plane treatment a commercial
-//    solver applies.
+//    solver applies. Each round is one warm re-solve of a program whose x_i
+//    costs carry opt::perturbation_cost(i + 1, |tasks|), so the optimum is
+//    a unique vertex; x̂ is that vertex snapped to the 1e-6 grid.
 //  * Fluid — the scalable surrogate for cluster-size instances: one
 //    earliest-finish-time list-scheduling pass over the precedence DAG
 //    yields fluid start times x̂ directly in O(|D|·(log|D| + |M|)).
@@ -44,14 +46,10 @@ enum class RelaxMode : std::uint8_t { Fluid, LpCuts };
 /// and Algorithm 1's list scheduler. Every setting produces bit-identical
 /// schedules (tests assert it); the knobs trade wall-clock only.
 struct PlannerEngine {
-  /// Pre-optimization reference path: O(G) linear candidate scans, a cold
-  /// two-phase LP per cut round, no caching shortcuts, no pool. Kept as the
-  /// perf bench baseline and as the equivalence oracle in tests.
+  /// Pre-optimization reference path: O(G) linear candidate scans, full
+  /// separation sorts, no caching shortcuts, no pool. Kept as the perf
+  /// bench baseline and as the equivalence oracle in tests.
   bool naive = false;
-  /// LpCuts: keep the simplex basis across solve→separate→add-cut rounds
-  /// and restore feasibility with dual-simplex pivots instead of a cold
-  /// restart.
-  bool warm_start_lp = true;
   /// Worker threads for per-machine separation, per-job preprocessing, and
   /// sharded candidate scans. 0 or 1 = serial; >= 2 uses the process-wide
   /// common::shared_pool().
@@ -60,12 +58,8 @@ struct PlannerEngine {
   /// when the cluster has at least this many GPUs (below it, the indexed
   /// lane scan wins and per-task fan-out overhead dominates).
   std::size_t parallel_scan_min_gpus = 1024;
-  /// LP backend for the LpCuts relaxation. Auto resolves via
-  /// HARE_LP_BACKEND (default sparse revised simplex); the naive engine
-  /// always runs the dense reference tableau regardless of this knob.
-  opt::LpBackend lp_backend = opt::LpBackend::Auto;
   /// LpCuts: keep per-machine separation sort state across cut rounds and
-  /// re-sort only the tasks whose canonical x̂ moved since the previous
+  /// re-sort only the tasks whose snapped x̂ moved since the previous
   /// round. Identical cut sequence (the merge uses the full sort's exact
   /// comparator); wall-clock only. The naive engine always full-sorts.
   bool incremental_separation = true;
@@ -74,12 +68,6 @@ struct PlannerEngine {
   /// is verified per instance at index build; non-type-uniform time tables
   /// fall back to the flat SIMD scan automatically.
   std::size_t bucketed_index_min_gpus = 512;
-
-  /// The LP backend the LpCuts solves actually run on under these knobs.
-  [[nodiscard]] opt::LpBackend resolved_lp_backend() const {
-    return naive ? opt::LpBackend::Dense
-                 : opt::resolve_lp_backend(lp_backend);
-  }
 
   /// The pool to use under the current knobs, or nullptr for serial.
   [[nodiscard]] common::ThreadPool* pool() const;
@@ -100,22 +88,22 @@ struct RelaxationResult {
   std::vector<Time> x_hat;      ///< relaxed start time per task (by id)
   std::vector<GpuId> y_hat;     ///< assignment used by the relaxation
   std::vector<Time> h;          ///< H_i = x̂_i + max_m T^c_{i,m} / 2
-  double objective = 0.0;       ///< relaxed Σ w_n C_n (lower bound given ŷ)
+  /// Relaxed Σ w_n C_n (lower bound given ŷ), from the C values: the
+  /// perturbation of the x costs is not part of it.
+  double objective = 0.0;
   std::size_t cut_count = 0;    ///< Queyranne cuts added (LpCuts mode)
   std::size_t lp_solves = 0;    ///< LP solve→separate rounds (LpCuts mode)
   std::size_t simplex_pivots = 0;  ///< total pivots across primary rounds
   std::vector<LpRoundStats> lp_rounds;  ///< per-round accounting
 
-  // LP shape + backend attribution (LpCuts mode). Shape is the final
-  // program: base rows plus appended cuts; bound-style constraints live in
-  // the bound arrays and are absent from all three numbers.
+  // LP shape (LpCuts mode): the final program, base rows plus appended
+  // cuts; bound-style constraints live in the bound arrays and are absent
+  // from all three numbers.
   std::size_t lp_rows = 0;
   std::size_t lp_cols = 0;
   std::size_t lp_nonzeros = 0;
-  opt::LpBackend lp_backend = opt::LpBackend::Auto;  ///< resolved backend
-  /// Canonicalization accounting: one cold solve per cut round pins the
-  /// reported vertex to a backend-independent point (see solve_lp_cuts).
-  std::size_t canonical_solves = 0;
+  /// Always 0: every round is one solve of the perturbed program, with no
+  /// second canonicalizing solve. Kept for readers of the field name.
   std::size_t canonical_pivots = 0;
 
   /// Separation-work accounting (LpCuts): task entries a full per-round
@@ -132,7 +120,7 @@ struct RelaxationConfig {
   std::size_t max_cut_rounds = 16;
   /// LpCuts: per-machine cut-violation tolerance.
   double cut_tolerance = 1e-6;
-  /// Execution-engine knobs (warm start, pool, scan strategy).
+  /// Execution-engine knobs (pool, scan strategy, separation state).
   PlannerEngine engine{};
 };
 
@@ -159,12 +147,15 @@ class HareRelaxation {
 
   /// `scratch` (optional) shares the φ-independent planning buffers — the
   /// fitting matrix and placement index — with the caller's list-scheduling
-  /// pass; the naive engine ignores it.
-  [[nodiscard]] RelaxationResult solve(const cluster::Cluster& cluster,
-                                       const workload::JobSet& jobs,
-                                       const profiler::TimeTable& times,
-                                       const SubProblem& sub = {},
-                                       PlannerScratch* scratch = nullptr) const;
+  /// pass; the naive engine ignores it. `program` (optional, LpCuts mode)
+  /// receives the final LP: perturbed objective and every appended cut.
+  /// Its variables are x_i per task (index = task id), then per job its
+  /// round ends and its completion C_n.
+  [[nodiscard]] RelaxationResult solve(
+      const cluster::Cluster& cluster, const workload::JobSet& jobs,
+      const profiler::TimeTable& times, const SubProblem& sub = {},
+      PlannerScratch* scratch = nullptr,
+      opt::LinearProgram* program = nullptr) const;
 
  private:
   [[nodiscard]] RelaxationResult solve_fluid(const cluster::Cluster& cluster,
@@ -172,11 +163,10 @@ class HareRelaxation {
                                              const profiler::TimeTable& times,
                                              const SubProblem& sub,
                                              PlannerScratch* scratch) const;
-  [[nodiscard]] RelaxationResult solve_lp_cuts(const cluster::Cluster& cluster,
-                                               const workload::JobSet& jobs,
-                                               const profiler::TimeTable& times,
-                                               const SubProblem& sub,
-                                               PlannerScratch* scratch) const;
+  [[nodiscard]] RelaxationResult solve_lp_cuts(
+      const cluster::Cluster& cluster, const workload::JobSet& jobs,
+      const profiler::TimeTable& times, const SubProblem& sub,
+      PlannerScratch* scratch, opt::LinearProgram* program) const;
 
   RelaxationConfig config_;
 };

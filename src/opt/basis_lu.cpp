@@ -1,8 +1,6 @@
 #include "opt/basis_lu.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/error.hpp"
 
@@ -12,12 +10,6 @@ namespace {
 constexpr double kSingularTol = 1e-11;
 constexpr double kUpdatePivotTol = 1e-8;
 constexpr double kDropTol = 1e-12;
-/// Markowitz stability screen: eligible pivot rows must be within this
-/// factor of the largest magnitude in the remaining column.
-constexpr double kMarkowitzRel = 0.1;
-/// Right-hand sides denser than nnz * kHyperDensity > m fall back to the
-/// dense sweeps (the graph walk would visit everything anyway).
-constexpr int kHyperDensity = 4;
 
 }  // namespace
 
@@ -34,24 +26,10 @@ bool BasisLU::factorize(const SparseMatrix& A, const std::vector<int>& basis) {
   }
   etas_.clear();
   work_.assign(static_cast<std::size_t>(m_), 0.0);
-  hyper_built_ = false;
 
   std::vector<char> pivoted(static_cast<std::size_t>(m_), 0);
   std::vector<int> touched;
   touched.reserve(static_cast<std::size_t>(m_));
-  // Static Markowitz counts: occupancy of each row across the basis
-  // columns. A cheap once-per-factorize proxy for the dynamic fill count.
-  std::vector<int> row_count;
-  if (markowitz_) {
-    row_count.assign(static_cast<std::size_t>(m_), 0);
-    for (int k = 0; k < m_; ++k) {
-      for (const SparseEntry& e :
-           A.column(basis[static_cast<std::size_t>(k)])) {
-        ++row_count[static_cast<std::size_t>(e.row)];
-      }
-    }
-  }
-
   for (int k = 0; k < m_; ++k) {
     // Scatter basis column k into the dense scratch.
     touched.clear();
@@ -86,24 +64,6 @@ bool BasisLU::factorize(const SparseMatrix& A, const std::vector<int>& basis) {
       for (int r : touched) work_[static_cast<std::size_t>(r)] = 0.0;
       return false;
     }
-    if (markowitz_) {
-      // Among rows within kMarkowitzRel of the magnitude leader, take the
-      // one occupying the fewest basis columns (lowest index on ties): the
-      // sparsest stable pivot produces the least fill-in.
-      int best_row = pivot_row;
-      int best_count = row_count[static_cast<std::size_t>(pivot_row)];
-      for (int i = 0; i < m_; ++i) {
-        if (pivoted[static_cast<std::size_t>(i)]) continue;
-        const double mag = std::abs(work_[static_cast<std::size_t>(i)]);
-        if (mag < kMarkowitzRel * pivot_mag || mag < kSingularTol) continue;
-        const int count = row_count[static_cast<std::size_t>(i)];
-        if (count < best_count || (count == best_count && i < best_row)) {
-          best_count = count;
-          best_row = i;
-        }
-      }
-      pivot_row = best_row;
-    }
     const double pivot = work_[static_cast<std::size_t>(pivot_row)];
     prow_[static_cast<std::size_t>(k)] = pivot_row;
     udiag_[static_cast<std::size_t>(k)] = pivot;
@@ -124,39 +84,7 @@ bool BasisLU::factorize(const SparseMatrix& A, const std::vector<int>& basis) {
     // Dense clear of rows touched twice is already handled: duplicates in
     // `touched` just re-zero an entry.
   }
-  if (hyper_) build_hyper_structures();
   return true;
-}
-
-void BasisLU::build_hyper_structures() {
-  const std::size_t m = static_cast<std::size_t>(m_);
-  row_step_.resize(m);
-  for (int k = 0; k < m_; ++k) {
-    row_step_[static_cast<std::size_t>(prow_[k])] = k;
-  }
-  u_readers_.resize(m);
-  l_readers_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    u_readers_[i].clear();
-    l_readers_[i].clear();
-  }
-  for (int k = 0; k < m_; ++k) {
-    for (const SparseEntry& e : ucol_[static_cast<std::size_t>(k)]) {
-      u_readers_[static_cast<std::size_t>(e.row)].push_back(k);
-    }
-    for (const SparseEntry& e : lcol_[static_cast<std::size_t>(k)]) {
-      l_readers_[static_cast<std::size_t>(e.row)].push_back(k);
-    }
-  }
-  swork_.assign(m, 0.0);
-  pwork_.assign(m, 0.0);
-  row_mark_.assign(m, 0);
-  step_mark_.assign(m, 0);
-  step_mark2_.assign(m, 0);
-  touched_rows_.clear();
-  touched_steps_.clear();
-  touched_steps2_.clear();
-  hyper_built_ = true;
 }
 
 void BasisLU::ftran(const std::vector<double>& v,
@@ -224,238 +152,6 @@ void BasisLU::btran(const std::vector<double>& v,
   }
 }
 
-void BasisLU::ftran_sparse(const std::vector<double>& v,
-                           const std::vector<int>& v_rows,
-                           std::vector<double>& out,
-                           std::vector<int>& out_pos) const {
-  out_pos.clear();
-  if (!hyper_built_ ||
-      static_cast<int>(v_rows.size()) * kHyperDensity > m_) {
-    ftran(v, out);
-    out_pos.resize(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) out_pos[static_cast<std::size_t>(i)] = i;
-    return;
-  }
-
-  const auto min_cmp = std::greater<int>();
-  heap_.clear();
-  touched_rows_.clear();
-  touched_steps_.clear();
-  const auto push_step_min = [&](int k) {
-    if (step_mark_[static_cast<std::size_t>(k)]) return;
-    step_mark_[static_cast<std::size_t>(k)] = 1;
-    touched_steps_.push_back(k);
-    heap_.push_back(k);
-    std::push_heap(heap_.begin(), heap_.end(), min_cmp);
-  };
-  const auto mark_row = [&](int r) {
-    if (row_mark_[static_cast<std::size_t>(r)]) return false;
-    row_mark_[static_cast<std::size_t>(r)] = 1;
-    touched_rows_.push_back(r);
-    return true;
-  };
-
-  // L pass: fire reachable steps in the same ascending order as the dense
-  // sweep; a step whose input cancelled to exactly zero is skipped there
-  // and here alike, so the arithmetic performed is identical.
-  for (int r : v_rows) {
-    swork_[static_cast<std::size_t>(r)] = v[static_cast<std::size_t>(r)];
-    mark_row(r);
-    push_step_min(row_step_[static_cast<std::size_t>(r)]);
-  }
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), min_cmp);
-    const int k = heap_.back();
-    heap_.pop_back();
-    const double t = swork_[static_cast<std::size_t>(prow_[k])];
-    if (t == 0.0) continue;
-    for (const SparseEntry& e : lcol_[static_cast<std::size_t>(k)]) {
-      if (mark_row(e.row)) {
-        push_step_min(row_step_[static_cast<std::size_t>(e.row)]);
-      }
-      swork_[static_cast<std::size_t>(e.row)] -= t * e.value;
-    }
-  }
-  for (int s : touched_steps_) step_mark_[static_cast<std::size_t>(s)] = 0;
-  touched_steps_.clear();
-
-  // U back substitution, descending through reachable steps only.
-  heap_.clear();
-  const auto push_step_max = [&](int k) {
-    if (step_mark_[static_cast<std::size_t>(k)]) return;
-    step_mark_[static_cast<std::size_t>(k)] = 1;
-    touched_steps_.push_back(k);
-    heap_.push_back(k);
-    std::push_heap(heap_.begin(), heap_.end());
-  };
-  for (std::size_t i = 0; i < touched_rows_.size(); ++i) {
-    push_step_max(row_step_[static_cast<std::size_t>(touched_rows_[i])]);
-  }
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    const int k = heap_.back();
-    heap_.pop_back();
-    const double y = swork_[static_cast<std::size_t>(prow_[k])] /
-                     udiag_[static_cast<std::size_t>(k)];
-    if (y == 0.0) continue;
-    out[static_cast<std::size_t>(k)] = y;
-    out_pos.push_back(k);
-    for (const SparseEntry& e : ucol_[static_cast<std::size_t>(k)]) {
-      mark_row(prow_[static_cast<std::size_t>(e.row)]);
-      swork_[static_cast<std::size_t>(prow_[static_cast<std::size_t>(
-          e.row)])] -= e.value * y;
-      push_step_max(e.row);
-    }
-  }
-  for (int s : touched_steps_) step_mark_[static_cast<std::size_t>(s)] = 0;
-  touched_steps_.clear();
-
-  // Product-form chain: positions stay sparse; new nonzeros join out_pos.
-  for (int p : out_pos) step_mark_[static_cast<std::size_t>(p)] = 1;
-  for (const Eta& eta : etas_) {
-    double& wp = out[static_cast<std::size_t>(eta.position)];
-    if (wp == 0.0) continue;
-    wp /= eta.pivot;
-    for (const SparseEntry& e : eta.other) {
-      if (!step_mark_[static_cast<std::size_t>(e.row)]) {
-        step_mark_[static_cast<std::size_t>(e.row)] = 1;
-        out_pos.push_back(e.row);
-      }
-      out[static_cast<std::size_t>(e.row)] -= e.value * wp;
-    }
-  }
-  for (int p : out_pos) step_mark_[static_cast<std::size_t>(p)] = 0;
-
-  for (int r : touched_rows_) {
-    swork_[static_cast<std::size_t>(r)] = 0.0;
-    row_mark_[static_cast<std::size_t>(r)] = 0;
-  }
-  touched_rows_.clear();
-  std::sort(out_pos.begin(), out_pos.end());
-}
-
-void BasisLU::btran_sparse(const std::vector<double>& v,
-                           const std::vector<int>& v_pos,
-                           std::vector<double>& out,
-                           std::vector<int>& out_rows) const {
-  out_rows.clear();
-  if (!hyper_built_ ||
-      static_cast<int>(v_pos.size()) * kHyperDensity > m_) {
-    btran(v, out);
-    out_rows.resize(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) out_rows[static_cast<std::size_t>(i)] = i;
-    return;
-  }
-
-  touched_rows_.clear();
-  touched_steps_.clear();
-  const auto mark_pos = [&](int p) {
-    if (step_mark_[static_cast<std::size_t>(p)]) return;
-    step_mark_[static_cast<std::size_t>(p)] = 1;
-    touched_steps_.push_back(p);
-  };
-  const auto mark_row = [&](int r) {
-    if (row_mark_[static_cast<std::size_t>(r)]) return;
-    row_mark_[static_cast<std::size_t>(r)] = 1;
-    touched_rows_.push_back(r);
-  };
-
-  for (int p : v_pos) {
-    pwork_[static_cast<std::size_t>(p)] = v[static_cast<std::size_t>(p)];
-    mark_pos(p);
-  }
-  // Transposed eta chain reads scattered positions; it runs in full (the
-  // chain is short and bounded by the refactor interval) exactly as the
-  // dense sweep does.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double s = pwork_[static_cast<std::size_t>(it->position)];
-    for (const SparseEntry& e : it->other) {
-      s -= e.value * pwork_[static_cast<std::size_t>(e.row)];
-    }
-    pwork_[static_cast<std::size_t>(it->position)] = s / it->pivot;
-    mark_pos(it->position);
-  }
-
-  // Uᵀ forward solve: ascending reachable steps; u_readers_ wakes the
-  // later steps whose sums read a freshly nonzero pivot row.
-  const auto min_cmp = std::greater<int>();
-  heap_.clear();
-  heap_.assign(touched_steps_.begin(), touched_steps_.end());
-  std::make_heap(heap_.begin(), heap_.end(), min_cmp);
-  const auto push_step_min = [&](int k) {
-    if (step_mark_[static_cast<std::size_t>(k)]) return;
-    step_mark_[static_cast<std::size_t>(k)] = 1;
-    touched_steps_.push_back(k);
-    heap_.push_back(k);
-    std::push_heap(heap_.begin(), heap_.end(), min_cmp);
-  };
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), min_cmp);
-    const int k = heap_.back();
-    heap_.pop_back();
-    double s = pwork_[static_cast<std::size_t>(k)];
-    for (const SparseEntry& e : ucol_[static_cast<std::size_t>(k)]) {
-      s -= e.value *
-           out[static_cast<std::size_t>(prow_[static_cast<std::size_t>(
-               e.row)])];
-    }
-    const double z = s / udiag_[static_cast<std::size_t>(k)];
-    if (z == 0.0) continue;
-    out[static_cast<std::size_t>(prow_[k])] = z;
-    mark_row(prow_[static_cast<std::size_t>(k)]);
-    for (int reader : u_readers_[static_cast<std::size_t>(k)]) {
-      push_step_min(reader);
-    }
-  }
-
-  // Lᵀ backward pass: descending steps that read a nonzero row.
-  heap_.clear();
-  const auto push_step_max = [&](int k) {
-    if (step_mark2_[static_cast<std::size_t>(k)]) return;
-    step_mark2_[static_cast<std::size_t>(k)] = 1;
-    touched_steps2_.push_back(k);
-    heap_.push_back(k);
-    std::push_heap(heap_.begin(), heap_.end());
-  };
-  for (std::size_t i = 0; i < touched_rows_.size(); ++i) {
-    for (int reader :
-         l_readers_[static_cast<std::size_t>(touched_rows_[i])]) {
-      push_step_max(reader);
-    }
-  }
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    const int k = heap_.back();
-    heap_.pop_back();
-    double s = 0.0;
-    for (const SparseEntry& e : lcol_[static_cast<std::size_t>(k)]) {
-      s += e.value * out[static_cast<std::size_t>(e.row)];
-    }
-    if (s == 0.0) continue;
-    const int r = prow_[static_cast<std::size_t>(k)];
-    out[static_cast<std::size_t>(r)] -= s;
-    if (!row_mark_[static_cast<std::size_t>(r)]) {
-      row_mark_[static_cast<std::size_t>(r)] = 1;
-      touched_rows_.push_back(r);
-      for (int reader : l_readers_[static_cast<std::size_t>(r)]) {
-        push_step_max(reader);
-      }
-    }
-  }
-  for (int s : touched_steps2_) step_mark2_[static_cast<std::size_t>(s)] = 0;
-  touched_steps2_.clear();
-
-  out_rows.assign(touched_rows_.begin(), touched_rows_.end());
-  std::sort(out_rows.begin(), out_rows.end());
-  for (int r : touched_rows_) row_mark_[static_cast<std::size_t>(r)] = 0;
-  touched_rows_.clear();
-  for (int p : touched_steps_) {
-    pwork_[static_cast<std::size_t>(p)] = 0.0;
-    step_mark_[static_cast<std::size_t>(p)] = 0;
-  }
-  touched_steps_.clear();
-}
-
 bool BasisLU::update(int p, const std::vector<double>& spike) {
   const double pivot = spike[static_cast<std::size_t>(p)];
   if (std::abs(pivot) < kUpdatePivotTol) return false;
@@ -463,22 +159,6 @@ bool BasisLU::update(int p, const std::vector<double>& spike) {
   eta.position = p;
   eta.pivot = pivot;
   for (int i = 0; i < m_; ++i) {
-    if (i == p) continue;
-    const double v = spike[static_cast<std::size_t>(i)];
-    if (std::abs(v) > kDropTol) eta.other.push_back(SparseEntry{i, v});
-  }
-  etas_.push_back(std::move(eta));
-  return true;
-}
-
-bool BasisLU::update_sparse(int p, const std::vector<double>& spike,
-                            const std::vector<int>& spike_pos) {
-  const double pivot = spike[static_cast<std::size_t>(p)];
-  if (std::abs(pivot) < kUpdatePivotTol) return false;
-  Eta eta;
-  eta.position = p;
-  eta.pivot = pivot;
-  for (int i : spike_pos) {
     if (i == p) continue;
     const double v = spike[static_cast<std::size_t>(i)];
     if (std::abs(v) > kDropTol) eta.other.push_back(SparseEntry{i, v});

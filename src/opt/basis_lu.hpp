@@ -16,19 +16,6 @@
 // Index spaces: FTRAN maps a row-indexed vector to a basis-position-indexed
 // one; BTRAN maps positions back to rows. Eta updates act purely on the
 // position space.
-//
-// Hyper-sparse mode (set_hyper): when the right-hand side has few nonzeros
-// — a single BTRAN(e_r) pricing row, an entering column's FTRAN — the
-// triangular solves only fire the elimination steps reachable from the
-// nonzero set through the L/U dependency graph (Gilbert–Peierls style),
-// driven by an index heap so steps still execute in the exact order the
-// dense sweeps use. Fired steps perform the identical arithmetic, so the
-// results match the dense sweeps bit for bit (modulo the sign of exact
-// zeros); callers get the nonzero pattern back and can skip dense scans of
-// their own. set_markowitz switches the refactorization's pivot choice
-// from pure partial pivoting to a Markowitz-style rule (stability-eligible
-// row of minimum static row count) that bounds fill-in on the wide LPs the
-// policy and serve layers generate.
 #pragma once
 
 #include <cstddef>
@@ -49,49 +36,16 @@ class BasisLU {
   [[nodiscard]] bool factorize(const SparseMatrix& A,
                                const std::vector<int>& basis);
 
-  /// v (dense, indexed by row) := nothing; out (indexed by basis position)
-  /// := B⁻¹ v.
+  /// v (dense, indexed by row); out (indexed by basis position) := B⁻¹ v.
   void ftran(const std::vector<double>& v, std::vector<double>& out) const;
 
   /// v (dense, indexed by basis position); out (indexed by row) := B⁻ᵀ v.
   void btran(const std::vector<double>& v, std::vector<double>& out) const;
 
-  /// Hyper-sparse FTRAN. `v` is dense with nonzero rows listed in `v_rows`;
-  /// `out` must be all-zero on entry and receives B⁻¹v with its nonzero
-  /// positions appended to `out_pos` (sorted ascending). Falls back to the
-  /// dense sweep (and a full position list) when the right-hand side is too
-  /// dense for graph-driven firing to pay off, or when the current
-  /// factorization predates set_hyper(true).
-  void ftran_sparse(const std::vector<double>& v,
-                    const std::vector<int>& v_rows, std::vector<double>& out,
-                    std::vector<int>& out_pos) const;
-
-  /// Hyper-sparse BTRAN: position-space `v` with nonzeros `v_pos`, row-space
-  /// result with nonzero rows in `out_rows`. Same contract as ftran_sparse.
-  void btran_sparse(const std::vector<double>& v,
-                    const std::vector<int>& v_pos, std::vector<double>& out,
-                    std::vector<int>& out_rows) const;
-
   /// Record the exchange "position `p` now holds the column whose spike
   /// B⁻¹a_q is `spike`". Returns false when |spike[p]| is too small for a
   /// stable product-form update (caller must refactorize instead).
   [[nodiscard]] bool update(int p, const std::vector<double>& spike);
-
-  /// update() reading only the listed spike positions (sorted ascending);
-  /// produces the same eta as the dense scan when the list covers every
-  /// nonzero.
-  [[nodiscard]] bool update_sparse(int p, const std::vector<double>& spike,
-                                   const std::vector<int>& spike_pos);
-
-  /// Build the transpose/reader structures the next factorize() needs for
-  /// graph-driven solves.
-  void set_hyper(bool on) { hyper_ = on; }
-
-  /// Bound fill-in with Markowitz-style pivot selection from the next
-  /// factorize() on.
-  void set_markowitz(bool on) { markowitz_ = on; }
-
-  [[nodiscard]] bool hyper_ready() const { return hyper_built_; }
 
   [[nodiscard]] std::size_t eta_count() const { return etas_.size(); }
   [[nodiscard]] bool needs_refactor() const {
@@ -113,30 +67,6 @@ class BasisLU {
   std::vector<std::vector<SparseEntry>> ucol_;  ///< U entries (step j<k, value)
   std::vector<Eta> etas_;
   mutable std::vector<double> work_;  ///< dense scratch, row-indexed
-
-  bool hyper_ = false;
-  bool markowitz_ = false;
-  bool hyper_built_ = false;
-  std::vector<int> row_step_;  ///< inverse of prow_: row -> elimination step
-  /// Steps k>j whose ucol_[k] references step j (BTRAN Uᵀ propagation).
-  std::vector<std::vector<int>> u_readers_;
-  /// Steps k whose lcol_[k] reads row r (BTRAN Lᵀ propagation); all k are
-  /// earlier than row_step_[r].
-  std::vector<std::vector<int>> l_readers_;
-
-  // Hyper-solve scratch: `swork_` (rows) and `pwork_` (positions) are kept
-  // all-zero between calls; the mark/touched pairs record what to clear.
-  mutable std::vector<double> swork_;
-  mutable std::vector<double> pwork_;
-  mutable std::vector<char> row_mark_;
-  mutable std::vector<char> step_mark_;
-  mutable std::vector<char> step_mark2_;
-  mutable std::vector<int> touched_rows_;
-  mutable std::vector<int> touched_steps_;
-  mutable std::vector<int> touched_steps2_;
-  mutable std::vector<int> heap_;
-
-  void build_hyper_structures();
 };
 
 }  // namespace hare::opt

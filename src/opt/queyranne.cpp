@@ -71,8 +71,8 @@ const QueyranneCut& IncrementalSeparator::separate(const std::vector<double>& x,
   }
 
   // Dirty set: coordinates whose value moved since the previous call.
-  // Exact comparison is deliberate — the planner separates canonicalized
-  // (grid-snapped) vertices, so unchanged means bitwise unchanged.
+  // Exact comparison is deliberate — the planner separates snapped
+  // (1e-6 grid) vertices, so unchanged means bitwise unchanged.
   is_dirty_.assign(n, 0);
   dirty_.clear();
   for (std::size_t i = 0; i < n; ++i) {

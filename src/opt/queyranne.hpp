@@ -41,7 +41,7 @@ struct QueyranneCut {
 /// same task set at a drifting sequence of points.
 ///
 /// Re-sorting all n tasks every round is wasted work: between consecutive
-/// LP rounds most coordinates of the (canonicalized) vertex do not move, so
+/// LP rounds most coordinates of the (snapped) vertex do not move, so
 /// the previous round's order is almost sorted. The separator keeps the
 /// order and the last point; on the next call it splits the order into the
 /// still-clean subsequence — which remains sorted, since those keys did not

@@ -19,8 +19,6 @@ constexpr double kFixedTol = 1e-12;
 constexpr double kDevexReset = 1e8;
 /// Consecutive degenerate steps before Bland's rule engages.
 constexpr std::size_t kStallThreshold = 64;
-/// Partial-pricing candidate list size (hyper mode).
-constexpr std::size_t kCandidateCap = 256;
 
 }  // namespace
 
@@ -78,121 +76,6 @@ double RevisedSimplex::nonbasic_value(int j) const {
 
 bool RevisedSimplex::refactorize() { return lu_.factorize(A_, basis_); }
 
-void RevisedSimplex::resolve_mode() {
-  if (mode_resolved_) return;
-  mode_resolved_ = true;
-  const SparseMode mode = resolve_sparse_mode(mode_);
-  if (mode == SparseMode::Hyper) {
-    hyper_ = true;
-  } else if (mode == SparseMode::Classic) {
-    hyper_ = false;
-  } else {
-    hyper_ = total_cols() >= kHyperMinCols &&
-             total_cols() >= kHyperWideFactor * std::max(m_, 1);
-  }
-  if (hyper_) {
-    lu_.set_hyper(true);
-    lu_.set_markowitz(true);
-    if (!A_.row_view_enabled()) A_.enable_row_view();
-  }
-}
-
-const std::vector<int>& RevisedSimplex::spike_positions() {
-  if (hyper_) return spike_nz_;
-  if (static_cast<int>(all_pos_.size()) != m_) {
-    all_pos_.resize(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) all_pos_[static_cast<std::size_t>(i)] = i;
-  }
-  return all_pos_;
-}
-
-void RevisedSimplex::row_pass(const std::vector<double>& w,
-                              const std::vector<int>& rows) {
-  const std::size_t cols = static_cast<std::size_t>(total_cols());
-  if (acc_.size() != cols) {
-    acc_.assign(cols, 0.0);
-    acc_mark_.assign(cols, 0);
-  }
-  for (int r : rows) {
-    const double wr = w[static_cast<std::size_t>(r)];
-    if (wr == 0.0) continue;
-    for (const RowEntry& e : A_.row(r)) {
-      if (!acc_mark_[static_cast<std::size_t>(e.col)]) {
-        acc_mark_[static_cast<std::size_t>(e.col)] = 1;
-        acc_cols_.push_back(e.col);
-      }
-      acc_[static_cast<std::size_t>(e.col)] += e.value * wr;
-    }
-  }
-  // Ascending column order keeps every downstream tie-break and update
-  // sequence identical to the classic full scan.
-  std::sort(acc_cols_.begin(), acc_cols_.end());
-}
-
-void RevisedSimplex::clear_row_pass() {
-  for (int j : acc_cols_) {
-    acc_[static_cast<std::size_t>(j)] = 0.0;
-    acc_mark_[static_cast<std::size_t>(j)] = 0;
-  }
-  acc_cols_.clear();
-}
-
-int RevisedSimplex::price_candidates(double& sigma) {
-  int enter = -1;
-  double best = 0.0;
-  std::size_t keep = 0;
-  for (int j : cand_) {
-    if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-        is_fixed(j)) {
-      continue;  // drop from the list
-    }
-    const double d = dual_[static_cast<std::size_t>(j)];
-    const bool at_lower =
-        vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
-    if (at_lower ? d >= -kDualTol : d <= kDualTol) continue;  // drop
-    cand_[keep++] = j;
-    const double score = d * d / devex_[static_cast<std::size_t>(j)];
-    if (score > best) {
-      best = score;
-      enter = j;
-      sigma = at_lower ? 1.0 : -1.0;
-    }
-  }
-  cand_.resize(keep);
-  return enter;
-}
-
-void RevisedSimplex::refill_candidates() {
-  cand_.clear();
-  for (int j = 0; j < total_cols(); ++j) {
-    if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-        is_fixed(j)) {
-      continue;
-    }
-    const double d = dual_[static_cast<std::size_t>(j)];
-    const bool at_lower =
-        vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
-    if (at_lower ? d >= -kDualTol : d <= kDualTol) continue;
-    cand_.push_back(j);
-  }
-  if (cand_.size() > kCandidateCap) {
-    const auto score_of = [&](int j) {
-      const double d = dual_[static_cast<std::size_t>(j)];
-      return d * d / devex_[static_cast<std::size_t>(j)];
-    };
-    std::nth_element(
-        cand_.begin(),
-        cand_.begin() + static_cast<std::ptrdiff_t>(kCandidateCap),
-        cand_.end(), [&](int a, int b) {
-          const double sa = score_of(a);
-          const double sb = score_of(b);
-          return sa > sb || (sa == sb && a < b);
-        });
-    cand_.resize(kCandidateCap);
-    std::sort(cand_.begin(), cand_.end());
-  }
-}
-
 void RevisedSimplex::compute_xb() {
   // B x_B = b − Σ_nonbasic a_j x̄_j.
   col_buf_ = rhs_;
@@ -222,39 +105,17 @@ void RevisedSimplex::compute_duals() {
 void RevisedSimplex::ftran_column(int j) {
   col_buf_.assign(static_cast<std::size_t>(m_), 0.0);
   A_.scatter_column(j, 1.0, col_buf_);
-  if (hyper_) {
-    if (static_cast<int>(spike_.size()) != m_) {
-      spike_.assign(static_cast<std::size_t>(m_), 0.0);
-    } else {
-      for (int p : spike_nz_) spike_[static_cast<std::size_t>(p)] = 0.0;
-    }
-    tmp_rows_.clear();
-    for (const SparseEntry& e : A_.column(j)) tmp_rows_.push_back(e.row);
-    lu_.ftran_sparse(col_buf_, tmp_rows_, spike_, spike_nz_);
-    return;
-  }
   lu_.ftran(col_buf_, spike_);
 }
 
 void RevisedSimplex::btran_row(int position) {
   pos_buf_.assign(static_cast<std::size_t>(m_), 0.0);
   pos_buf_[static_cast<std::size_t>(position)] = 1.0;
-  if (hyper_) {
-    if (static_cast<int>(rho_.size()) != m_) {
-      rho_.assign(static_cast<std::size_t>(m_), 0.0);
-    } else {
-      for (int r : rho_nz_) rho_[static_cast<std::size_t>(r)] = 0.0;
-    }
-    tmp_pos_.clear();
-    tmp_pos_.push_back(position);
-    lu_.btran_sparse(pos_buf_, tmp_pos_, rho_, rho_nz_);
-    return;
-  }
   lu_.btran(pos_buf_, rho_);
 }
 
 void RevisedSimplex::bound_flip(int var, double sigma, double step) {
-  for (int i : spike_positions()) {
+  for (int i = 0; i < m_; ++i) {
     const double a = spike_[static_cast<std::size_t>(i)];
     if (a != 0.0) xb_[static_cast<std::size_t>(i)] -= sigma * step * a;
   }
@@ -269,7 +130,7 @@ RevisedSimplex::PivotResult RevisedSimplex::pivot_exchange(
     VarStatus leaving_status) {
   const int leaving = basis_[static_cast<std::size_t>(position)];
   const double enter_value = nonbasic_value(enter) + sigma * step;
-  for (int i : spike_positions()) {
+  for (int i = 0; i < m_; ++i) {
     const double a = spike_[static_cast<std::size_t>(i)];
     if (a != 0.0) xb_[static_cast<std::size_t>(i)] -= sigma * step * a;
   }
@@ -280,9 +141,7 @@ RevisedSimplex::PivotResult RevisedSimplex::pivot_exchange(
   vstat_[static_cast<std::size_t>(enter)] = VarStatus::Basic;
   xb_[static_cast<std::size_t>(position)] = enter_value;
 
-  const bool updated = hyper_ ? lu_.update_sparse(position, spike_, spike_nz_)
-                              : lu_.update(position, spike_);
-  if (!updated || lu_.needs_refactor()) {
+  if (!lu_.update(position, spike_) || lu_.needs_refactor()) {
     if (!refactorize()) return PivotResult::Failed;
     compute_xb();
     return PivotResult::Refactored;
@@ -301,16 +160,9 @@ RevisedSimplex::PivotResult RevisedSimplex::pivot_exchange(
 LpStatus RevisedSimplex::phase1(std::size_t max_iterations,
                                 std::size_t* pivots) {
   std::size_t stall = 0;
-  if (hyper_) {
-    // y_ may hold a stale dense result (compute_duals); restore the
-    // all-zero invariant btran_sparse needs once per phase.
-    y_.assign(static_cast<std::size_t>(m_), 0.0);
-    y_nz_.clear();
-  }
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
     double infeasibility = 0.0;
     pos_buf_.assign(static_cast<std::size_t>(m_), 0.0);
-    tmp_pos_.clear();
     for (int i = 0; i < m_; ++i) {
       const int v = basis_[static_cast<std::size_t>(i)];
       const double x = xb_[static_cast<std::size_t>(i)];
@@ -318,11 +170,9 @@ LpStatus RevisedSimplex::phase1(std::size_t max_iterations,
       const double hi = upper_[static_cast<std::size_t>(v)];
       if (x < lo - kPrimalTol) {
         pos_buf_[static_cast<std::size_t>(i)] = -1.0;
-        tmp_pos_.push_back(i);
         infeasibility += lo - x;
       } else if (x > hi + kPrimalTol) {
         pos_buf_[static_cast<std::size_t>(i)] = 1.0;
-        tmp_pos_.push_back(i);
         infeasibility += x - hi;
       }
     }
@@ -334,54 +184,26 @@ LpStatus RevisedSimplex::phase1(std::size_t max_iterations,
     int enter = -1;
     double best = 0.0;
     double sigma = 1.0;
-    if (hyper_) {
-      for (int r : y_nz_) y_[static_cast<std::size_t>(r)] = 0.0;
-      lu_.btran_sparse(pos_buf_, tmp_pos_, y_, y_nz_);
-      row_pass(y_, y_nz_);
-      for (int j : acc_cols_) {
-        if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-            is_fixed(j)) {
-          continue;
-        }
-        const double d = -acc_[static_cast<std::size_t>(j)];
-        const bool at_lower =
-            vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
-        if (at_lower ? d >= -kDualTol : d <= kDualTol) continue;
-        if (bland) {
-          enter = j;
-          sigma = at_lower ? 1.0 : -1.0;
-          break;
-        }
-        const double score = std::abs(d);
-        if (score > best) {
-          best = score;
-          enter = j;
-          sigma = at_lower ? 1.0 : -1.0;
-        }
+    lu_.btran(pos_buf_, y_);
+    for (int j = 0; j < total_cols(); ++j) {
+      if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
+          is_fixed(j)) {
+        continue;
       }
-      clear_row_pass();
-    } else {
-      lu_.btran(pos_buf_, y_);
-      for (int j = 0; j < total_cols(); ++j) {
-        if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-            is_fixed(j)) {
-          continue;
-        }
-        const double d = -A_.column_dot(j, y_);  // nonbasic phase-1 cost is 0
-        const bool at_lower =
-            vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
-        if (at_lower ? d >= -kDualTol : d <= kDualTol) continue;
-        if (bland) {
-          enter = j;
-          sigma = at_lower ? 1.0 : -1.0;
-          break;
-        }
-        const double score = std::abs(d);
-        if (score > best) {
-          best = score;
-          enter = j;
-          sigma = at_lower ? 1.0 : -1.0;
-        }
+      const double d = -A_.column_dot(j, y_);  // nonbasic phase-1 cost is 0
+      const bool at_lower =
+          vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
+      if (at_lower ? d >= -kDualTol : d <= kDualTol) continue;
+      if (bland) {
+        enter = j;
+        sigma = at_lower ? 1.0 : -1.0;
+        break;
+      }
+      const double score = std::abs(d);
+      if (score > best) {
+        best = score;
+        enter = j;
+        sigma = at_lower ? 1.0 : -1.0;
       }
     }
     if (enter < 0) return LpStatus::Infeasible;
@@ -390,7 +212,7 @@ LpStatus RevisedSimplex::phase1(std::size_t max_iterations,
     int leave = -1;
     double t_row = kInf;
     VarStatus leave_status = VarStatus::AtLower;
-    for (int i : spike_positions()) {
+    for (int i = 0; i < m_; ++i) {
       const double a = sigma * spike_[static_cast<std::size_t>(i)];
       if (std::abs(a) <= kPivotTol) continue;
       const int v = basis_[static_cast<std::size_t>(i)];
@@ -447,7 +269,6 @@ LpStatus RevisedSimplex::phase2(std::size_t max_iterations,
                                 std::size_t* pivots) {
   compute_duals();
   devex_.assign(static_cast<std::size_t>(total_cols()), 1.0);
-  cand_.clear();
   std::size_t stall = 0;
   bool duals_fresh = true;
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
@@ -455,36 +276,25 @@ LpStatus RevisedSimplex::phase2(std::size_t max_iterations,
     int enter = -1;
     double best = 0.0;
     double sigma = 1.0;
-    if (hyper_ && !bland) {
-      // Candidate-list partial pricing: serve pivots from the warm list
-      // and rescan all columns only when it runs dry. Optimality is still
-      // only declared after a full (refill) scan over fresh duals.
-      enter = price_candidates(sigma);
-      if (enter < 0) {
-        refill_candidates();
-        enter = price_candidates(sigma);
+    for (int j = 0; j < total_cols(); ++j) {
+      if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
+          is_fixed(j)) {
+        continue;
       }
-    } else {
-      for (int j = 0; j < total_cols(); ++j) {
-        if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-            is_fixed(j)) {
-          continue;
-        }
-        const double d = dual_[static_cast<std::size_t>(j)];
-        const bool at_lower =
-            vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
-        if (at_lower ? d >= -kDualTol : d <= kDualTol) continue;
-        if (bland) {
-          enter = j;
-          sigma = at_lower ? 1.0 : -1.0;
-          break;
-        }
-        const double score = d * d / devex_[static_cast<std::size_t>(j)];
-        if (score > best) {
-          best = score;
-          enter = j;
-          sigma = at_lower ? 1.0 : -1.0;
-        }
+      const double d = dual_[static_cast<std::size_t>(j)];
+      const bool at_lower =
+          vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
+      if (at_lower ? d >= -kDualTol : d <= kDualTol) continue;
+      if (bland) {
+        enter = j;
+        sigma = at_lower ? 1.0 : -1.0;
+        break;
+      }
+      const double score = d * d / devex_[static_cast<std::size_t>(j)];
+      if (score > best) {
+        best = score;
+        enter = j;
+        sigma = at_lower ? 1.0 : -1.0;
       }
     }
     if (enter < 0) {
@@ -500,7 +310,7 @@ LpStatus RevisedSimplex::phase2(std::size_t max_iterations,
     int leave = -1;
     double t_row = kInf;
     VarStatus leave_status = VarStatus::AtLower;
-    for (int i : spike_positions()) {
+    for (int i = 0; i < m_; ++i) {
       const double a = sigma * spike_[static_cast<std::size_t>(i)];
       if (std::abs(a) <= kPivotTol) continue;
       const int v = basis_[static_cast<std::size_t>(i)];
@@ -536,39 +346,18 @@ LpStatus RevisedSimplex::phase2(std::size_t max_iterations,
     const int leaving = basis_[static_cast<std::size_t>(leave)];
     btran_row(leave);
     double w_max = 1.0;
-    if (hyper_) {
-      // Row-view pass: only columns intersecting the BTRAN nonzeros can
-      // have arj != 0; per-column sums accumulate in ascending row order,
-      // matching column_dot's term order on those rows exactly.
-      row_pass(rho_, rho_nz_);
-      for (const int j : acc_cols_) {
-        if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-            j == enter) {
-          continue;
-        }
-        const double arj = acc_[static_cast<std::size_t>(j)];
-        if (arj == 0.0) continue;
-        dual_[static_cast<std::size_t>(j)] -= ratio_d * arj;
-        const double ref = arj / alpha_r;
-        double& w = devex_[static_cast<std::size_t>(j)];
-        w = std::max(w, ref * ref * w_enter);
-        w_max = std::max(w_max, w);
+    for (int j = 0; j < total_cols(); ++j) {
+      if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
+          j == enter) {
+        continue;
       }
-      clear_row_pass();
-    } else {
-      for (int j = 0; j < total_cols(); ++j) {
-        if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-            j == enter) {
-          continue;
-        }
-        const double arj = A_.column_dot(j, rho_);
-        if (arj == 0.0) continue;
-        dual_[static_cast<std::size_t>(j)] -= ratio_d * arj;
-        const double ref = arj / alpha_r;
-        double& w = devex_[static_cast<std::size_t>(j)];
-        w = std::max(w, ref * ref * w_enter);
-        w_max = std::max(w_max, w);
-      }
+      const double arj = A_.column_dot(j, rho_);
+      if (arj == 0.0) continue;
+      dual_[static_cast<std::size_t>(j)] -= ratio_d * arj;
+      const double ref = arj / alpha_r;
+      double& w = devex_[static_cast<std::size_t>(j)];
+      w = std::max(w, ref * ref * w_enter);
+      w_max = std::max(w_max, w);
     }
     dual_[static_cast<std::size_t>(leaving)] = -ratio_d;
     dual_[static_cast<std::size_t>(enter)] = 0.0;
@@ -633,24 +422,14 @@ LpStatus RevisedSimplex::dual_phase(std::size_t max_iterations,
     const int leaving = basis_[static_cast<std::size_t>(leave)];
     const double delta = below ? 1.0 : -1.0;
     btran_row(leave);
-    // One row pass serves both the dual ratio test and the later reduced-
-    // cost update; acc_ stays populated until clear_row_pass() below.
-    if (hyper_) row_pass(rho_, rho_nz_);
     int enter = -1;
     double best_ratio = kInf;
-    double alpha_rq = 0.0;
-    const std::vector<int>* scan_cols = hyper_ ? &acc_cols_ : nullptr;
-    const int scan_count =
-        scan_cols ? static_cast<int>(scan_cols->size()) : total_cols();
-    for (int idx = 0; idx < scan_count; ++idx) {
-      const int j = scan_cols ? (*scan_cols)[static_cast<std::size_t>(idx)]
-                              : idx;
+    for (int j = 0; j < total_cols(); ++j) {
       if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
           is_fixed(j)) {
         continue;
       }
-      const double arj = scan_cols ? acc_[static_cast<std::size_t>(j)]
-                                   : A_.column_dot(j, rho_);
+      const double arj = A_.column_dot(j, rho_);
       if (std::abs(arj) <= kPivotTol) continue;
       const bool at_lower =
           vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
@@ -663,38 +442,27 @@ LpStatus RevisedSimplex::dual_phase(std::size_t max_iterations,
           (ratio < best_ratio + kRatioTol && enter >= 0 && j < enter)) {
         best_ratio = ratio;
         enter = j;
-        alpha_rq = arj;
       }
     }
-    if (enter < 0) {
-      if (hyper_) clear_row_pass();
-      return LpStatus::Infeasible;  // cut system is empty
-    }
+    if (enter < 0) return LpStatus::Infeasible;  // cut system is empty
 
     ftran_column(enter);
     const double alpha_r = spike_[static_cast<std::size_t>(leave)];
-    if (std::abs(alpha_r) <= kPivotTol) {
-      if (hyper_) clear_row_pass();
-      return LpStatus::IterationLimit;
-    }
+    if (std::abs(alpha_r) <= kPivotTol) return LpStatus::IterationLimit;
     const double target = below ? lower_[static_cast<std::size_t>(leaving)]
                                 : upper_[static_cast<std::size_t>(leaving)];
     const double step = (xb_[static_cast<std::size_t>(leave)] - target) /
                         alpha_r;  // signed entering step
 
     const double ratio_d = dual_[static_cast<std::size_t>(enter)] / alpha_r;
-    for (int idx = 0; idx < scan_count; ++idx) {
-      const int j = scan_cols ? (*scan_cols)[static_cast<std::size_t>(idx)]
-                              : idx;
+    for (int j = 0; j < total_cols(); ++j) {
       if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
           j == enter) {
         continue;
       }
-      const double arj = scan_cols ? acc_[static_cast<std::size_t>(j)]
-                                   : A_.column_dot(j, rho_);
+      const double arj = A_.column_dot(j, rho_);
       if (arj != 0.0) dual_[static_cast<std::size_t>(j)] -= ratio_d * arj;
     }
-    if (hyper_) clear_row_pass();
     dual_[static_cast<std::size_t>(leaving)] = -ratio_d;
     dual_[static_cast<std::size_t>(enter)] = 0.0;
 
@@ -705,7 +473,6 @@ LpStatus RevisedSimplex::dual_phase(std::size_t max_iterations,
     if (res == PivotResult::Failed) return LpStatus::IterationLimit;
     if (res == PivotResult::Refactored) compute_duals();
     stall = std::abs(step) <= kStepTol ? stall + 1 : 0;
-    (void)alpha_rq;
   }
   return LpStatus::IterationLimit;
 }
@@ -728,7 +495,6 @@ LpSolution RevisedSimplex::extract() const {
 
 LpSolution RevisedSimplex::solve(std::size_t max_iterations,
                                  LpIterationStats* stats) {
-  resolve_mode();
   basis_valid_ = false;
   rows_appended_ = false;
   const int cols = total_cols();
@@ -797,7 +563,6 @@ void RevisedSimplex::add_ge_row(
 
 LpSolution RevisedSimplex::resolve(std::size_t max_iterations,
                                    LpIterationStats* stats) {
-  resolve_mode();
   if (!basis_valid_ || vstat_.empty()) return solve(max_iterations, stats);
   if (rows_appended_) {
     if (!refactorize()) return solve(max_iterations, stats);

@@ -1,11 +1,10 @@
-// Sparse revised simplex with bounded variables — the LpBackend::Sparse
-// engine behind LinearProgram::solve() and IncrementalLpSolver.
+// Sparse revised simplex with bounded variables — the engine behind
+// LinearProgram::solve() and IncrementalLpSolver.
 //
-// The dense tableau recomputes every row × column per pivot; this solver
-// keeps the constraint matrix in column-sparse form (see SparseMatrix) and
-// works against an LU-factorized basis (see BasisLU), so one pivot costs a
-// pair of sparse triangular solves plus one pass over the matrix nonzeros
-// instead of O(rows · cols) dense arithmetic.
+// The constraint matrix lives in column-sparse form (see SparseMatrix) and
+// the solver works against an LU-factorized basis (see BasisLU), so one
+// pivot costs a pair of sparse triangular solves plus one pass over the
+// matrix nonzeros instead of O(rows · cols) tableau arithmetic.
 //
 //  * Standard form: one logical column per row (a·x + s = b) with bounds
 //    [0,∞) for ≤, (−∞,0] for ≥, [0,0] for =. Single-variable bound rows
@@ -34,23 +33,8 @@ namespace hare::opt {
 
 class RevisedSimplex {
  public:
-  /// Hyper-sparse auto-enable heuristic: the LP must have at least this
-  /// many columns and be at least this many times wider than tall. Wide
-  /// LPs are where full pricing scans dominate; everything narrower keeps
-  /// the classic path (and its exact pivot trajectory).
-  static constexpr int kHyperMinCols = 4096;
-  static constexpr int kHyperWideFactor = 8;
-
   /// Snapshot the program (structural columns + bounds + base rows).
   explicit RevisedSimplex(const LinearProgram& lp);
-
-  /// Select the sparse sub-mode (Classic/Hyper/Auto). Must be called
-  /// before the first solve(); the resolved choice is sticky for the
-  /// lifetime of the solver so warm re-solves stay on one path.
-  void set_sparse_mode(SparseMode mode) { mode_ = mode; }
-
-  /// True once the solver has resolved to the hyper-sparse path.
-  [[nodiscard]] bool hyper_enabled() const { return hyper_; }
 
   /// Cold solve: composite phase 1 + Devex phase 2. `stats`, when given,
   /// accumulates pivot counts.
@@ -107,23 +91,6 @@ class RevisedSimplex {
   std::vector<double> pos_buf_;   ///< position-indexed scratch
   std::vector<double> y_;         ///< duals by row
 
-  // Hyper-sparse state. spike_nz_/rho_nz_/y_nz_ list the nonzeros of the
-  // latest FTRAN/BTRAN results (ascending); acc_ + acc_cols_ implement the
-  // row-view pricing pass; cand_ is the partial-pricing candidate list.
-  SparseMode mode_ = SparseMode::Auto;
-  bool mode_resolved_ = false;
-  bool hyper_ = false;
-  std::vector<int> spike_nz_;
-  std::vector<int> rho_nz_;
-  std::vector<int> y_nz_;
-  std::vector<int> tmp_rows_;
-  std::vector<int> tmp_pos_;
-  std::vector<int> all_pos_;      ///< identity list 0..m-1 for classic loops
-  std::vector<double> acc_;
-  std::vector<char> acc_mark_;
-  std::vector<int> acc_cols_;
-  std::vector<int> cand_;
-
   enum class PivotResult { Ok, Refactored, Failed };
 
   [[nodiscard]] int total_cols() const { return n_ + m_; }
@@ -135,20 +102,6 @@ class RevisedSimplex {
   void compute_duals();
   void ftran_column(int j);      ///< spike_ := B⁻¹ a_j
   void btran_row(int position);  ///< rho_ := B⁻ᵀ e_position
-
-  /// Resolve mode_ once (env + width heuristic) and arm the LU/row view.
-  void resolve_mode();
-  /// Positions to scan after ftran_column: spike nonzeros in hyper mode,
-  /// the identity list otherwise (the classic full sweep).
-  [[nodiscard]] const std::vector<int>& spike_positions();
-  /// Row-view pass: acc_[j] := Σ_r w[r]·A[r,j] over the listed rows, with
-  /// touched columns collected into acc_cols_ (sorted ascending).
-  void row_pass(const std::vector<double>& w, const std::vector<int>& rows);
-  void clear_row_pass();
-  /// Partial Devex pricing over the candidate list; prunes unattractive
-  /// entries in place. Returns the entering column or -1.
-  int price_candidates(double& sigma);
-  void refill_candidates();
 
   /// Basis exchange at `position`: entering `enter` moved by signed step
   /// `sigma * step` (spike_ must hold B⁻¹a_enter); the leaving variable

@@ -1,28 +1,25 @@
-// LP front end with two interchangeable simplex backends.
+// LP front end over one simplex engine.
 //
 // Stands in for the commercial solver (CPLEX/Gurobi) the paper uses for the
 // Hare_Sched_RL relaxation. Problems are stated in the natural form
 //   minimize cᵀx   s.t.  aᵀx {<=,>=,=} b,  l <= x <= u
 // (bounds default to x >= 0; single-variable release/bound constraints
 // should be stated as bounds, not rows — they then never enter the row
-// space of either backend).
+// space). The engine is the sparse revised simplex of revised_simplex.hpp:
+// column-sparse matrix, LU-factorized basis with eta updates and periodic
+// refactorization, Devex pricing, native bounded variables. Every pricing,
+// ratio-test and factorization tie breaks to the lowest index, so solves
+// are deterministic run to run.
 //
-// Backends:
-//  * LpBackend::Sparse (default) — sparse revised simplex: column-sparse
-//    matrix, LU-factorized basis with eta updates and periodic
-//    refactorization, Devex pricing, native bounded variables. See
-//    revised_simplex.hpp.
-//  * LpBackend::Dense — the original dense two-phase tableau, kept as a
-//    slow reference path for cross-checking. Bounded variables are handled
-//    by shifting (x = l + x') plus internal upper-bound rows.
-//  * LpBackend::Auto resolves to Sparse unless the HARE_LP_BACKEND
-//    environment variable says "dense" (or "sparse").
-//
-// Both backends break every pricing/ratio/factorization tie to the lowest
-// variable index, so each is deterministic run-to-run; they agree on the
-// optimal objective to solver tolerance but may sit on different optimal
-// vertices — callers that need a backend-independent point canonicalize on
-// top (see core/relaxation.cpp).
+// Unique vertex. The planner and serve LPs are degenerate: many optimal
+// vertices, and which one a simplex run reports depends on its pivot path
+// (cold or warm, cuts appended in one round or several). Callers that hand
+// the vertex on add perturbation_cost(k, n) to the cost of the k-th of
+// their n start variables and snap the extracted values with
+// snap_lp_value(). Neighbouring perturbed costs differ by δ = 1e-6, ten
+// times the solver's reduced-cost tolerance, so the perturbed optimum is a
+// single vertex whatever the pivot path, and the snap collapses last-ulp
+// arithmetic differences to identical doubles.
 //
 // Two entry points:
 //  * LinearProgram::solve() — one-shot cold solve (phase 1 + phase 2).
@@ -37,6 +34,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace hare::opt {
@@ -45,33 +43,14 @@ enum class Relation { LessEqual, GreaterEqual, Equal };
 
 enum class LpStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
-enum class LpBackend { Auto, Dense, Sparse };
+class RevisedSimplex;
 
-/// Resolve Auto against the HARE_LP_BACKEND environment variable
-/// ("dense" / "sparse"); defaults to Sparse. Dense/Sparse pass through.
-[[nodiscard]] LpBackend resolve_lp_backend(LpBackend requested);
+/// Cost offset δ·(n + 2 + k), δ = 1e-6, for the k-th (1-based) of n
+/// perturbed variables. Offsets are distinct, positive, and δ apart.
+[[nodiscard]] double perturbation_cost(std::size_t k, std::size_t n);
 
-[[nodiscard]] const char* lp_backend_name(LpBackend backend);
-
-/// Sub-mode of the sparse backend.
-///  * Classic — the plain revised simplex: dense triangular sweeps, full
-///    Devex pricing scans, partial-pivoting LU. The reference the
-///    hyper-sparse path is benchmarked against.
-///  * Hyper — graph-driven FTRAN/BTRAN on sparse right-hand sides,
-///    row-view pricing passes touching only the columns that intersect the
-///    BTRAN nonzeros, candidate-list partial Devex pricing, and
-///    Markowitz-style LU pivoting.
-///  * Auto — resolve against HARE_LP_SPARSE_MODE ("classic"/"hyper");
-///    otherwise the solver flips to Hyper only on wide LPs (see
-///    RevisedSimplex), so the small cut/serve LPs keep their exact classic
-///    trajectories.
-enum class SparseMode { Auto, Classic, Hyper };
-
-/// Resolve Auto against HARE_LP_SPARSE_MODE; an unset/unknown value keeps
-/// Auto (solver-side width heuristic). Classic/Hyper pass through.
-[[nodiscard]] SparseMode resolve_sparse_mode(SparseMode requested);
-
-[[nodiscard]] const char* sparse_mode_name(SparseMode mode);
+/// Snap an extracted LP value to the 1e-6 grid the perturbation resolves.
+[[nodiscard]] double snap_lp_value(double v);
 
 struct LpSolution {
   LpStatus status = LpStatus::Infeasible;
@@ -95,6 +74,13 @@ class LinearProgram {
  public:
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+  /// One constraint row: sum(coeff * x[var]) rel rhs.
+  struct Row {
+    std::vector<std::pair<std::size_t, double>> terms;
+    Relation rel = Relation::LessEqual;
+    double rhs = 0.0;
+  };
+
   /// Add a variable with the given objective coefficient and bounds
   /// [0, +inf). Returns the variable's index.
   std::size_t add_variable(double objective_coefficient);
@@ -102,9 +88,9 @@ class LinearProgram {
   /// Replace the variable's objective coefficient.
   void set_objective(std::size_t var, double coefficient);
 
-  /// Set bounds lower <= x[var] <= upper. `lower` must be finite (both
-  /// backends anchor nonbasic variables at their lower bound); `upper` may
-  /// be kInfinity. lower == upper fixes the variable.
+  /// Set bounds lower <= x[var] <= upper. `lower` must be finite (nonbasic
+  /// variables are anchored at their lower bound); `upper` may be
+  /// kInfinity. lower == upper fixes the variable.
   void set_bounds(std::size_t var, double lower, double upper);
 
   /// Add a constraint sum(coeff[i] * x[var[i]]) rel rhs. Terms may repeat a
@@ -119,29 +105,25 @@ class LinearProgram {
   /// that is the point of stating bounds as bounds).
   [[nodiscard]] std::size_t nonzero_count() const { return nonzeros_; }
 
+  [[nodiscard]] double objective(std::size_t var) const {
+    return objective_[var];
+  }
   [[nodiscard]] double lower_bound(std::size_t var) const {
     return lower_[var];
   }
   [[nodiscard]] double upper_bound(std::size_t var) const {
     return upper_[var];
   }
+  [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
 
   /// Minimize. `max_iterations` guards against cycling (Bland's rule is
   /// engaged automatically after a stall). `stats`, when given, receives
   /// the pivot counts of this solve.
   [[nodiscard]] LpSolution solve(std::size_t max_iterations = 100000,
-                                 LpIterationStats* stats = nullptr,
-                                 LpBackend backend = LpBackend::Auto) const;
+                                 LpIterationStats* stats = nullptr) const;
 
  private:
-  friend class IncrementalLpSolver;
   friend class RevisedSimplex;
-
-  struct Row {
-    std::vector<std::pair<std::size_t, double>> terms;
-    Relation rel = Relation::LessEqual;
-    double rhs = 0.0;
-  };
 
   std::vector<double> objective_;
   std::vector<double> lower_;
@@ -154,13 +136,11 @@ class LinearProgram {
 /// LinearProgram, call solve() (cold two-phase), then alternate
 /// add_ge_constraint() / solve(): each re-solve starts from the retained
 /// optimal basis and prices the appended rows in with dual-simplex pivots.
-/// With `warm_start = false` the solver degrades to a cold two-phase solve
-/// per call — the pre-warm-start reference path the perf bench compares
-/// against.
+/// A warm re-solve that stalls numerically falls back to a cold solve of
+/// the whole program.
 class IncrementalLpSolver {
  public:
-  explicit IncrementalLpSolver(const LinearProgram& lp, bool warm_start = true,
-                               LpBackend backend = LpBackend::Auto);
+  explicit IncrementalLpSolver(LinearProgram lp);
   ~IncrementalLpSolver();
   IncrementalLpSolver(IncrementalLpSolver&&) noexcept;
   IncrementalLpSolver& operator=(IncrementalLpSolver&&) noexcept;
@@ -170,25 +150,24 @@ class IncrementalLpSolver {
       const std::vector<std::pair<std::size_t, double>>& terms, double rhs);
 
   /// Solve / re-solve. The first call is always a cold two-phase solve;
-  /// later calls re-optimize from the previous basis when warm_start is on.
+  /// later calls re-optimize from the previous basis.
   [[nodiscard]] LpSolution solve(std::size_t max_iterations = 100000);
 
   /// Pivot counts of the most recent solve() call.
-  [[nodiscard]] const LpIterationStats& last_stats() const;
+  [[nodiscard]] const LpIterationStats& last_stats() const { return stats_; }
 
   /// True when the most recent solve() reused the previous basis.
-  [[nodiscard]] bool last_solve_was_warm() const;
+  [[nodiscard]] bool last_solve_was_warm() const { return last_warm_; }
 
-  /// The backend this solver resolved to at construction.
-  [[nodiscard]] LpBackend backend() const;
-
-  /// Request a sparse-backend sub-mode (Classic/Hyper/Auto). Takes effect
-  /// from the next cold solve; the dense backend ignores it.
-  void set_sparse_mode(SparseMode mode);
+  /// The program as solved so far: the base rows plus every appended cut.
+  [[nodiscard]] const LinearProgram& program() const& { return lp_; }
+  [[nodiscard]] LinearProgram program() && { return std::move(lp_); }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  LinearProgram lp_;
+  std::unique_ptr<RevisedSimplex> simplex_;
+  LpIterationStats stats_;
+  bool last_warm_ = false;
 };
 
 }  // namespace hare::opt

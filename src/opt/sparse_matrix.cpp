@@ -14,44 +14,14 @@ void SparseMatrix::push(int col, int row, double value) {
   // is always the most recent entry).
   if (!entries.empty() && entries.back().row == row) {
     entries.back().value += value;
-    const bool cancelled = entries.back().value == 0.0;
-    const double merged = entries.back().value;
-    if (cancelled) {
+    if (entries.back().value == 0.0) {
       entries.pop_back();
       --nnz_;
-    }
-    if (row_view_) {
-      // The duplicate's mirror entry is the latest one for this column in
-      // the row list; scan from the back (duplicates are rare).
-      auto& mirror = rows_view_[static_cast<std::size_t>(row)];
-      for (std::size_t i = mirror.size(); i-- > 0;) {
-        if (mirror[i].col != col) continue;
-        if (cancelled) {
-          mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          mirror[i].value = merged;
-        }
-        break;
-      }
     }
     return;
   }
   entries.push_back(SparseEntry{row, value});
   ++nnz_;
-  if (row_view_) {
-    rows_view_[static_cast<std::size_t>(row)].push_back(RowEntry{col, value});
-  }
-}
-
-void SparseMatrix::enable_row_view() {
-  row_view_ = true;
-  rows_view_.assign(static_cast<std::size_t>(rows_), {});
-  for (int j = 0; j < cols(); ++j) {
-    for (const SparseEntry& e : cols_[static_cast<std::size_t>(j)]) {
-      rows_view_[static_cast<std::size_t>(e.row)].push_back(
-          RowEntry{j, e.value});
-    }
-  }
 }
 
 }  // namespace hare::opt

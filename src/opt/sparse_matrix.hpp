@@ -1,15 +1,14 @@
 // Column-compressed sparse matrix for the revised-simplex LP core.
 //
 // The constraint matrix of the Hare_Sched relaxation is >99% zeros (each
-// row couples 1-3 variables), so the sparse backend stores it column-wise:
-// pricing (dᵀ = c - yᵀA) and spike computation (B⁻¹a_q) both stream
-// columns, and the basis factorization gathers basis columns directly.
+// row couples 1-3 variables), so the simplex stores it column-wise: pricing
+// (dᵀ = c - yᵀA) and spike computation (B⁻¹a_q) both stream columns, and
+// the basis factorization gathers basis columns directly.
 //
 // Columns are individually growable: appending a Queyranne cut row touches
 // only the columns of the cut's variables (amortized push_back into
 // per-column headroom) plus one new logical column — never a full-matrix
-// copy, which is the sparse counterpart of the dense tableau's reserved
-// cut headroom.
+// copy.
 #pragma once
 
 #include <cstddef>
@@ -19,12 +18,6 @@ namespace hare::opt {
 
 struct SparseEntry {
   int row = 0;
-  double value = 0.0;
-};
-
-/// One entry of the optional row-wise view: (column, value).
-struct RowEntry {
-  int col = 0;
   double value = 0.0;
 };
 
@@ -38,10 +31,7 @@ class SparseMatrix {
   [[nodiscard]] std::size_t nonzeros() const { return nnz_; }
 
   /// Grow the row dimension by `extra` (new rows start empty).
-  void add_rows(int extra) {
-    rows_ += extra;
-    if (row_view_) rows_view_.resize(static_cast<std::size_t>(rows_));
-  }
+  void add_rows(int extra) { rows_ += extra; }
 
   /// Reserve space for future columns (cut logicals).
   void reserve_columns(std::size_t n) { cols_.reserve(n); }
@@ -78,24 +68,10 @@ class SparseMatrix {
     }
   }
 
-  /// Build (or rebuild) the row-wise mirror of the column store. Later
-  /// push() calls keep it in sync, so enabling once on a live matrix is
-  /// enough. The hyper-sparse pricing passes walk rows of the few nonzero
-  /// BTRAN entries instead of dotting every column.
-  void enable_row_view();
-
-  [[nodiscard]] bool row_view_enabled() const { return row_view_; }
-
-  [[nodiscard]] const std::vector<RowEntry>& row(int i) const {
-    return rows_view_[static_cast<std::size_t>(i)];
-  }
-
  private:
   int rows_ = 0;
   std::vector<std::vector<SparseEntry>> cols_;
   std::size_t nnz_ = 0;
-  bool row_view_ = false;
-  std::vector<std::vector<RowEntry>> rows_view_;
 };
 
 }  // namespace hare::opt

@@ -1,22 +1,10 @@
 #include "serve/incremental_replanner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
 namespace hare::serve {
-
-namespace {
-
-/// Perturbation scale: large enough to dominate solver tolerance (1e-9),
-/// small enough that 10^6 weighted seconds of objective shift start times
-/// by far less than any profiled task time.
-constexpr double kDelta = 1e-6;
-
-}  // namespace
-
-double snap_lp_value(double v) { return std::round(v * 1e6) / 1e6; }
 
 void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
                         const profiler::TimeTable& times,
@@ -27,12 +15,11 @@ void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
   // front (rounds + completion per job).
   std::size_t block_vars = 0;
   for (JobId id : batch) block_vars += jobs.job(id).rounds() + 1;
-  const double denom = static_cast<double>(block_vars) + 2.0;
 
   std::size_t pos = 0;
   const auto add_var = [&](double cost, double lower) {
-    const double eps = 1.0 + static_cast<double>(++pos) / denom;
-    const std::size_t var = lp.add_variable(cost + kDelta * eps);
+    const std::size_t var =
+        lp.add_variable(cost + opt::perturbation_cost(++pos, block_vars));
     lp.set_bounds(var, lower, opt::LinearProgram::kInfinity);
     return var;
   };
@@ -88,22 +75,21 @@ bool IncrementalReplanner::relax_batch(const workload::JobSet& jobs,
   append_batch_block(lp, jobs, times, batch, phi_floor, gpus_alive,
                      round_vars);
   opt::LpIterationStats pivots;
-  const opt::LpSolution solution =
-      lp.solve(100000, &pivots, config_.backend);
+  const opt::LpSolution solution = lp.solve(100000, &pivots);
   ++stats_.batches;
   ++stats_.cold_solves;
   stats_.cold_pivots += pivots.total();
   if (!solution.optimal()) return false;
 
   // Hand off: h_i = x_{j,r} + max_m T^c_{j,m} / 2 for every task of the
-  // block, snapped so both backends emit identical h.
+  // block, snapped to the perturbation's 1e-6 grid.
   for (std::size_t b = 0; b < batch.size(); ++b) {
     const workload::Job& job = jobs.job(batch[b]);
     const Time half_tc = times.max_tc(batch[b]) / 2.0;
     const std::uint32_t tpr = job.tasks_per_round();
     for (std::uint32_t r = 0; r < job.rounds(); ++r) {
       const Time mid =
-          snap_lp_value(solution.values[round_vars[b][r]]) + half_tc;
+          opt::snap_lp_value(solution.values[round_vars[b][r]]) + half_tc;
       for (std::uint32_t k = 0; k < tpr; ++k) {
         const TaskId task = job.task_at(r, k);
         h[static_cast<std::size_t>(task.value())] = mid;

@@ -9,11 +9,11 @@
 //   sum_i p_i x_i  >=  ((sum p)^2 - sum p^2) / (2 * alive GPUs),
 //
 // the classic completion-time polymatroid bound with p_i = T_j per task.
-// The objective is sum_j w_j C_j with a deterministic micro-perturbation
-// delta * eps_v (eps_v distinct per block variable) added to every block
-// variable's cost: the perturbed optimum is a unique vertex, so the sparse
-// and dense backends land on the same point, and snapping the extracted
-// values to a 1e-6 grid makes the hand-off bit-identical.
+// The objective is sum_j w_j C_j plus opt::perturbation_cost(k, n) on the
+// k-th of the block's n variables (job-major). Neighbouring perturbed costs
+// differ by 1e-6, ten times the simplex's reduced-cost tolerance, so the
+// perturbed optimum is a unique vertex whatever the pivot path, and
+// opt::snap_lp_value makes the hand-off bit-identical.
 //
 // Blocks of different batches share no row or column, so solving each
 // block alone yields exactly the vertex the block takes inside any program
@@ -38,10 +38,6 @@
 
 namespace hare::serve {
 
-struct ReplannerConfig {
-  opt::LpBackend backend = opt::LpBackend::Auto;
-};
-
 /// Per-batch LP counters. Every batch is one cold two-phase solve of its
 /// own block, so `cold_solves` counts every LP batch and `cold_pivots` all
 /// of their pivots; `warm_solves`, `warm_pivots` and `compactions` are
@@ -57,8 +53,6 @@ struct ReplannerStats {
 
 class IncrementalReplanner {
  public:
-  explicit IncrementalReplanner(ReplannerConfig config) : config_(config) {}
-
   /// Build and solve `batch`'s block, then write the middle completion
   /// time of every task of every batch job into `h` (indexed by TaskId
   /// value; `h` must already span the task array). `phi_floor` is the
@@ -74,7 +68,6 @@ class IncrementalReplanner {
   [[nodiscard]] const ReplannerStats& stats() const { return stats_; }
 
  private:
-  ReplannerConfig config_;
   ReplannerStats stats_;
 };
 
@@ -89,9 +82,5 @@ void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
                         const std::vector<JobId>& batch, Time phi_floor,
                         std::size_t gpus_alive,
                         std::vector<std::vector<std::size_t>>& round_vars);
-
-/// Snap an extracted LP value to the 1e-6 perturbation grid, collapsing
-/// the backends' last-ulp arithmetic differences to identical doubles.
-[[nodiscard]] double snap_lp_value(double v);
 
 }  // namespace hare::serve

@@ -32,8 +32,7 @@ ServeService::ServeService(const cluster::Cluster& cluster,
         hare.relaxation.mode = core::RelaxMode::Fluid;
         hare.sync = core::SyncScheme::Relaxed;
         return hare;
-      }()),
-      replanner_(ReplannerConfig{config.lp_backend}) {
+      }()) {
   HARE_CHECK_MSG(cluster.gpu_count() > 0, "serving needs a non-empty cluster");
   schedule_.sequences.resize(cluster.gpu_count());
   state_.phi.assign(cluster.gpu_count(), 0.0);

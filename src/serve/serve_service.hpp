@@ -36,8 +36,9 @@
 // batch (the JobSet row stays, keeping arrival-index == JobId).
 //
 // Determinism: for a fixed event stream the served schedule is
-// bit-identical across serial and pooled execution and across LP backends
-// (see incremental_replanner.hpp for the perturbation argument).
+// bit-identical across serial and pooled execution, and each LP block's
+// vertex is unique (see incremental_replanner.hpp for the perturbation
+// argument).
 #pragma once
 
 #include <cstddef>
@@ -65,7 +66,6 @@ struct ServeConfig {
   /// Batches up to this many jobs take the incremental-LP path; 0 disables
   /// the LP entirely (every batch plans flat/sharded).
   std::size_t lp_max_batch_jobs = 32;
-  opt::LpBackend lp_backend = opt::LpBackend::Auto;
   /// Non-greedy replans allowed before the greedy fallback takes over
   /// permanently; 0 = unlimited.
   std::size_t replan_budget = 0;

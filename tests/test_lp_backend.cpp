@@ -1,23 +1,21 @@
-// Cross-backend equivalence for the LP core (dense tableau vs sparse
-// revised simplex).
+// The LP engine against an independent oracle, and the unique-vertex
+// contract of the LpCuts relaxation.
 //
-// The two backends share the LinearProgram front end but nothing else:
-// Dense runs the original two-phase tableau with shifted bounds, Sparse
-// runs the LU-factorized revised simplex with native bounded variables.
-// This suite pins the contract between them:
+// opt::RevisedSimplex (behind LinearProgram::solve) is checked against
+// testing::oracle_solve, a cold two-phase dense tableau that shares no code
+// with it:
 //  (a) on randomized LPs (feasible, infeasible, unbounded, degenerate)
-//      both backends report the same status and, when optimal, objectives
-//      within 1e-6;
+//      both report the same status and, when optimal, objectives within
+//      1e-6;
 //  (b) bounded variables (shifted lower bounds, finite uppers, fixed
-//      variables) round-trip identically through both backends;
-//  (c) the Beale cycling LP terminates at the optimum on both backends —
-//      the stall-triggered Bland's-rule regression test for the removed
-//      big-M path;
-//  (d) warm-started cutting-plane loops (IncrementalLpSolver) agree with
-//      each other and with cold re-solves round by round;
-//  (e) the planner corpus produces bit-identical sim::Schedules whichever
-//      backend solves the LpCuts relaxation (the canonicalized vertex is
-//      backend-independent).
+//      variables) round-trip identically through both;
+//  (c) the Beale cycling LP terminates at the optimum on both — the
+//      stall-triggered Bland's-rule regression test;
+//  (d) a warm-started cutting-plane loop (IncrementalLpSolver) agrees with
+//      cold solves and the oracle round by round;
+//  (e) the LpCuts relaxation's warm cut loop reports the same snapped
+//      vertex as a cold solve of its final perturbed program (and as the
+//      oracle), and its objective is the unperturbed optimum.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,42 +24,36 @@
 
 #include "common/rng.hpp"
 #include "core/hare.hpp"
-#include "opt/basis_lu.hpp"
-#include "opt/revised_simplex.hpp"
+#include "lp_oracle.hpp"
 #include "opt/simplex.hpp"
-#include "opt/sparse_matrix.hpp"
 #include "test_util.hpp"
 
 namespace hare {
 namespace {
 
 using opt::LinearProgram;
-using opt::LpBackend;
-using opt::LpIterationStats;
 using opt::LpSolution;
 using opt::LpStatus;
 using opt::Relation;
 
 // --------------------------------------------------- status + objective ----
 
-void expect_backends_agree(const LinearProgram& lp,
+void expect_matches_oracle(const LinearProgram& lp,
                            double value_tolerance = 0.0) {
-  LpIterationStats dense_stats;
-  LpIterationStats sparse_stats;
-  const LpSolution dense = lp.solve(100000, &dense_stats, LpBackend::Dense);
-  const LpSolution sparse = lp.solve(100000, &sparse_stats, LpBackend::Sparse);
+  const LpSolution oracle = testing::oracle_solve(lp);
+  const LpSolution solved = lp.solve();
 
-  ASSERT_EQ(dense.status, sparse.status)
-      << "dense=" << static_cast<int>(dense.status)
-      << " sparse=" << static_cast<int>(sparse.status);
-  if (dense.status != LpStatus::Optimal) return;
+  ASSERT_EQ(oracle.status, solved.status)
+      << "oracle=" << static_cast<int>(oracle.status)
+      << " solver=" << static_cast<int>(solved.status);
+  if (oracle.status != LpStatus::Optimal) return;
 
-  EXPECT_NEAR(dense.objective, sparse.objective,
-              1e-6 * std::max(1.0, std::abs(dense.objective)));
+  EXPECT_NEAR(oracle.objective, solved.objective,
+              1e-6 * std::max(1.0, std::abs(oracle.objective)));
   if (value_tolerance > 0.0) {
-    ASSERT_EQ(dense.values.size(), sparse.values.size());
-    for (std::size_t j = 0; j < dense.values.size(); ++j) {
-      EXPECT_NEAR(dense.values[j], sparse.values[j], value_tolerance)
+    ASSERT_EQ(oracle.values.size(), solved.values.size());
+    for (std::size_t j = 0; j < oracle.values.size(); ++j) {
+      EXPECT_NEAR(oracle.values[j], solved.values[j], value_tolerance)
           << "variable " << j;
     }
   }
@@ -69,7 +61,7 @@ void expect_backends_agree(const LinearProgram& lp,
 
 // Random LP with a planted feasible point: rhs values are derived from a
 // random x* >= 0 so the program is never infeasible by construction (it may
-// still be unbounded, which both backends must then report).
+// still be unbounded, which solver and oracle must then report).
 LinearProgram make_planted_lp(std::uint64_t seed, std::size_t vars,
                               std::size_t rows) {
   common::Rng rng(seed);
@@ -106,8 +98,8 @@ LinearProgram make_planted_lp(std::uint64_t seed, std::size_t vars,
 class LpBackendRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LpBackendRandomTest, PlantedFeasibleAgree) {
-  // Boxed objectives keep most of these bounded; either way both backends
-  // must agree on status and objective.
+  // Boxed objectives keep most of these bounded; either way solver and
+  // oracle must agree on status and objective.
   for (const auto& [vars, rows] : {std::pair<std::size_t, std::size_t>{4, 3},
                                   {6, 8},
                                   {10, 14},
@@ -115,24 +107,23 @@ TEST_P(LpBackendRandomTest, PlantedFeasibleAgree) {
     SCOPED_TRACE(::testing::Message() << "vars=" << vars << " rows=" << rows);
     LinearProgram lp = make_planted_lp(GetParam() * 1000 + vars, vars, rows);
     // Cap every variable so the planted programs are always bounded; this
-    // also exercises finite upper bounds on both backends.
+    // also exercises finite upper bounds on both solvers.
     for (std::size_t j = 0; j < lp.variable_count(); ++j) {
       lp.set_bounds(j, 0.0, 50.0);
     }
-    expect_backends_agree(lp);
+    expect_matches_oracle(lp);
   }
 }
 
 TEST_P(LpBackendRandomTest, UncappedStatusesAgree) {
   // Without the caps some instances are unbounded: statuses must match.
   LinearProgram lp = make_planted_lp(GetParam() * 7919, 8, 6);
-  LpIterationStats stats;
-  const LpSolution dense = lp.solve(100000, &stats, LpBackend::Dense);
-  const LpSolution sparse = lp.solve(100000, &stats, LpBackend::Sparse);
-  ASSERT_EQ(dense.status, sparse.status);
-  if (dense.status == LpStatus::Optimal) {
-    EXPECT_NEAR(dense.objective, sparse.objective,
-                1e-6 * std::max(1.0, std::abs(dense.objective)));
+  const LpSolution oracle = testing::oracle_solve(lp);
+  const LpSolution solved = lp.solve();
+  ASSERT_EQ(oracle.status, solved.status);
+  if (oracle.status == LpStatus::Optimal) {
+    EXPECT_NEAR(oracle.objective, solved.objective,
+                1e-6 * std::max(1.0, std::abs(oracle.objective)));
   }
 }
 
@@ -145,10 +136,8 @@ TEST(LpBackend, InfeasibleAgree) {
   const auto y = lp.add_variable(1.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 1.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 2.0);
-  EXPECT_EQ(lp.solve(100000, nullptr, LpBackend::Dense).status,
-            LpStatus::Infeasible);
-  EXPECT_EQ(lp.solve(100000, nullptr, LpBackend::Sparse).status,
-            LpStatus::Infeasible);
+  EXPECT_EQ(testing::oracle_solve(lp).status, LpStatus::Infeasible);
+  EXPECT_EQ(lp.solve().status, LpStatus::Infeasible);
 }
 
 TEST(LpBackend, InfeasibleBoundsVsRowAgree) {
@@ -157,10 +146,8 @@ TEST(LpBackend, InfeasibleBoundsVsRowAgree) {
   const auto x = lp.add_variable(1.0);
   lp.set_bounds(x, 0.0, 2.0);
   lp.add_constraint({{x, 1.0}}, Relation::GreaterEqual, 3.0);
-  EXPECT_EQ(lp.solve(100000, nullptr, LpBackend::Dense).status,
-            LpStatus::Infeasible);
-  EXPECT_EQ(lp.solve(100000, nullptr, LpBackend::Sparse).status,
-            LpStatus::Infeasible);
+  EXPECT_EQ(testing::oracle_solve(lp).status, LpStatus::Infeasible);
+  EXPECT_EQ(lp.solve().status, LpStatus::Infeasible);
 }
 
 TEST(LpBackend, UnboundedAgree) {
@@ -169,10 +156,8 @@ TEST(LpBackend, UnboundedAgree) {
   const auto x = lp.add_variable(-1.0);
   const auto y = lp.add_variable(-1.0);
   lp.add_constraint({{x, 1.0}, {y, -1.0}}, Relation::LessEqual, 1.0);
-  EXPECT_EQ(lp.solve(100000, nullptr, LpBackend::Dense).status,
-            LpStatus::Unbounded);
-  EXPECT_EQ(lp.solve(100000, nullptr, LpBackend::Sparse).status,
-            LpStatus::Unbounded);
+  EXPECT_EQ(testing::oracle_solve(lp).status, LpStatus::Unbounded);
+  EXPECT_EQ(lp.solve().status, LpStatus::Unbounded);
 }
 
 // ------------------------------------------------------ bounded variables --
@@ -185,8 +170,8 @@ TEST(LpBackend, ShiftedLowerBounds) {
   lp.set_bounds(x, 3.0, LinearProgram::kInfinity);
   lp.set_bounds(y, 1.5, LinearProgram::kInfinity);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 10.0);
-  expect_backends_agree(lp, 1e-7);
-  const LpSolution sol = lp.solve(100000, nullptr, LpBackend::Sparse);
+  expect_matches_oracle(lp, 1e-7);
+  const LpSolution sol = lp.solve();
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.values[x], 3.0, 1e-9);
   EXPECT_NEAR(sol.values[y], 1.5, 1e-9);
@@ -201,8 +186,8 @@ TEST(LpBackend, FiniteUpperBoundsBindAtOptimum) {
   lp.set_bounds(x, 0.0, 2.0);
   lp.set_bounds(y, 0.0, 3.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 4.0);
-  expect_backends_agree(lp, 1e-7);
-  const LpSolution sol = lp.solve(100000, nullptr, LpBackend::Sparse);
+  expect_matches_oracle(lp, 1e-7);
+  const LpSolution sol = lp.solve();
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.objective, -7.0, 1e-9);
   EXPECT_NEAR(sol.values[x], 1.0, 1e-9);
@@ -216,8 +201,8 @@ TEST(LpBackend, FixedVariables) {
   const auto y = lp.add_variable(1.0);
   lp.set_bounds(x, 2.0, 2.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 6.0);
-  expect_backends_agree(lp, 1e-7);
-  const LpSolution sol = lp.solve(100000, nullptr, LpBackend::Sparse);
+  expect_matches_oracle(lp, 1e-7);
+  const LpSolution sol = lp.solve();
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.values[x], 2.0, 1e-12);
   EXPECT_NEAR(sol.values[y], 4.0, 1e-9);
@@ -226,7 +211,7 @@ TEST(LpBackend, FixedVariables) {
 
 TEST(LpBackend, ReleaseStyleBoundsMatchExplicitRows) {
   // The relaxation states x_i >= release_i as bounds; an equivalent program
-  // with explicit >= rows must reach the same objective on both backends.
+  // with explicit >= rows must reach the same objective on both solvers.
   common::Rng rng(42);
   for (int trial = 0; trial < 6; ++trial) {
     SCOPED_TRACE(trial);
@@ -256,9 +241,11 @@ TEST(LpBackend, ReleaseStyleBoundsMatchExplicitRows) {
       rowed.add_constraint(terms, Relation::GreaterEqual, rhs);
     }
 
-    for (const auto backend : {LpBackend::Dense, LpBackend::Sparse}) {
-      const LpSolution b = bounded.solve(100000, nullptr, backend);
-      const LpSolution r = rowed.solve(100000, nullptr, backend);
+    for (const bool oracle : {true, false}) {
+      const LpSolution b =
+          oracle ? testing::oracle_solve(bounded) : bounded.solve();
+      const LpSolution r =
+          oracle ? testing::oracle_solve(rowed) : rowed.solve();
       ASSERT_TRUE(b.optimal());
       ASSERT_TRUE(r.optimal());
       EXPECT_NEAR(b.objective, r.objective,
@@ -272,7 +259,7 @@ TEST(LpBackend, ReleaseStyleBoundsMatchExplicitRows) {
 TEST(LpBackend, BealeCyclingLpTerminates) {
   // Beale's classic cycling example: textbook Dantzig pricing cycles
   // forever. The stall-triggered switch to Bland's rule (which replaced the
-  // old big-M drive) must terminate both backends at the optimum -0.05.
+  // old big-M drive) must terminate solver and oracle at the optimum -0.05.
   LinearProgram lp;
   const auto x1 = lp.add_variable(-0.75);
   const auto x2 = lp.add_variable(150.0);
@@ -283,9 +270,9 @@ TEST(LpBackend, BealeCyclingLpTerminates) {
   lp.add_constraint({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
                     Relation::LessEqual, 0.0);
   lp.add_constraint({{x3, 1.0}}, Relation::LessEqual, 1.0);
-  for (const auto backend : {LpBackend::Dense, LpBackend::Sparse}) {
-    SCOPED_TRACE(opt::lp_backend_name(backend));
-    const LpSolution sol = lp.solve(100000, nullptr, backend);
+  for (const bool oracle : {true, false}) {
+    SCOPED_TRACE(oracle ? "oracle" : "revised simplex");
+    const LpSolution sol = oracle ? testing::oracle_solve(lp) : lp.solve();
     ASSERT_EQ(sol.status, LpStatus::Optimal);
     EXPECT_NEAR(sol.objective, -0.05, 1e-9);
   }
@@ -302,8 +289,8 @@ TEST(LpBackend, DegenerateVertexAgree) {
   lp.add_constraint({{x, 2.0}, {y, 1.0}}, Relation::LessEqual, 3.0);
   lp.add_constraint({{x, 1.0}}, Relation::LessEqual, 1.0);
   lp.add_constraint({{y, 1.0}}, Relation::LessEqual, 1.0);
-  expect_backends_agree(lp, 1e-7);
-  const LpSolution sol = lp.solve(100000, nullptr, LpBackend::Sparse);
+  expect_matches_oracle(lp, 1e-7);
+  const LpSolution sol = lp.solve();
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.objective, -2.0, 1e-9);
 }
@@ -311,45 +298,36 @@ TEST(LpBackend, DegenerateVertexAgree) {
 // --------------------------------------------------------- warm cut loops --
 
 TEST(LpBackend, WarmCutLoopMatchesColdAndAcrossBackends) {
-  // Mimics the LpCuts inner loop: solve, append >=-cuts, re-solve. The warm
-  // dense, warm sparse, and cold re-solve paths must track the same
-  // objective after every round.
+  // Mimics the LpCuts inner loop: solve, append >=-cuts, re-solve. After
+  // every round the warm re-solve must track a cold solve of the same
+  // program and the oracle's solve of it.
   for (const std::uint64_t seed : {5ull, 23ull, 71ull}) {
     SCOPED_TRACE(seed);
     LinearProgram lp = make_planted_lp(seed, 8, 6);
     for (std::size_t j = 0; j < lp.variable_count(); ++j) {
       lp.set_bounds(j, 0.0, 50.0);
     }
-
-    opt::IncrementalLpSolver warm_dense(lp, /*warm_start=*/true,
-                                        LpBackend::Dense);
-    opt::IncrementalLpSolver warm_sparse(lp, /*warm_start=*/true,
-                                         LpBackend::Sparse);
-    opt::IncrementalLpSolver cold(lp, /*warm_start=*/false, LpBackend::Sparse);
-    EXPECT_EQ(warm_dense.backend(), LpBackend::Dense);
-    EXPECT_EQ(warm_sparse.backend(), LpBackend::Sparse);
+    opt::IncrementalLpSolver warm(lp);
 
     common::Rng rng(seed ^ 0xabcdefull);
     for (int round = 0; round < 5; ++round) {
       SCOPED_TRACE(round);
-      const LpSolution a = warm_dense.solve();
-      const LpSolution b = warm_sparse.solve();
-      const LpSolution c = cold.solve();
+      const LpSolution a = warm.solve();
+      const LpSolution c = warm.program().solve();
+      const LpSolution o = testing::oracle_solve(warm.program());
       // A random cut may clash with the planted equality rows and make the
-      // program infeasible; all three paths must then agree on that too.
+      // program infeasible; all three must then agree on that too.
       ASSERT_EQ(a.status, c.status);
-      ASSERT_EQ(b.status, c.status);
+      ASSERT_EQ(o.status, c.status);
       if (c.status != LpStatus::Optimal) break;
       const double tol = 1e-6 * std::max(1.0, std::abs(c.objective));
       EXPECT_NEAR(a.objective, c.objective, tol);
-      EXPECT_NEAR(b.objective, c.objective, tol);
-      EXPECT_EQ(warm_dense.last_solve_was_warm(), round > 0);
-      EXPECT_EQ(warm_sparse.last_solve_was_warm(), round > 0);
-      EXPECT_FALSE(cold.last_solve_was_warm());
+      EXPECT_NEAR(o.objective, c.objective, tol);
+      EXPECT_EQ(warm.last_solve_was_warm(), round > 0);
       if (round > 0) {
         // Warm re-solves price the cut in with dual pivots, not a fresh
         // phase 1.
-        EXPECT_EQ(warm_sparse.last_stats().phase1, 0u);
+        EXPECT_EQ(warm.last_stats().phase1, 0u);
       }
 
       // Cut off the current optimum: sum of a few variables must rise.
@@ -367,38 +345,20 @@ TEST(LpBackend, WarmCutLoopMatchesColdAndAcrossBackends) {
       const double rhs =
           std::min(activity + rng.uniform(0.1, 1.0),
                    50.0 * static_cast<double>(terms.size()) - 1.0);
-      warm_dense.add_ge_constraint(terms, rhs);
-      warm_sparse.add_ge_constraint(terms, rhs);
-      cold.add_ge_constraint(terms, rhs);
+      warm.add_ge_constraint(terms, rhs);
     }
   }
 }
 
-// ------------------------------------------------- planner schedule parity --
+// ------------------------------------------------ LpCuts unique vertex ----
 
-core::HareConfig planner_config(LpBackend backend, bool warm, bool naive) {
-  core::HareConfig config;
-  config.relaxation.mode = core::RelaxMode::LpCuts;
-  config.relaxation.engine.naive = naive;
-  config.relaxation.engine.warm_start_lp = warm;
-  config.relaxation.engine.lp_backend = backend;
-  return config;
-}
-
-void expect_same_schedule(const sim::Schedule& a, const sim::Schedule& b) {
-  ASSERT_EQ(a.sequences.size(), b.sequences.size());
-  for (std::size_t g = 0; g < a.sequences.size(); ++g) {
-    EXPECT_EQ(a.sequences[g], b.sequences[g]) << "gpu " << g;
-  }
-  EXPECT_EQ(a.predicted_start, b.predicted_start);
-  EXPECT_EQ(a.predicted_objective, b.predicted_objective);
-}
-
-TEST(LpBackendSchedule, BackendsProduceIdenticalSchedules) {
-  // The tentpole contract: whichever backend solves the relaxation — dense
-  // or sparse, warm or cold, naive reference or production engine — the
-  // downstream schedule is bit-identical, because every cut round reports
-  // the canonicalized optimal vertex rather than the solver's incumbent.
+TEST(LpCutsVertex, WarmCutLoopMatchesColdSolveOfFinalProgram) {
+  // Every LpCuts round is one warm re-solve of the perturbed program. The
+  // perturbed optimum is a unique vertex, so the x̂ the warm loop reports
+  // must equal, bit for bit after the snap, a cold solve of the final
+  // program — and the oracle's solve of it. The perturbation only breaks
+  // ties: the reported objective is the unperturbed optimum.
+  std::size_t cuts = 0;
   for (const std::uint64_t seed : {3ull, 17ull, 40ull}) {
     for (const auto& [jobs, gpus] : {std::pair<std::size_t, std::size_t>{6, 4},
                                     {10, 6}}) {
@@ -406,343 +366,45 @@ TEST(LpBackendSchedule, BackendsProduceIdenticalSchedules) {
                    << "seed=" << seed << " jobs=" << jobs << " gpus=" << gpus);
       const testing::Instance instance =
           testing::make_random_instance(seed, jobs, gpus);
-      const sched::SchedulerInput input{instance.cluster, instance.jobs,
-                                        instance.times};
+      core::RelaxationConfig config;
+      config.mode = core::RelaxMode::LpCuts;
+      LinearProgram program;
+      const core::RelaxationResult relaxed =
+          core::HareRelaxation(config).solve(instance.cluster, instance.jobs,
+                                             instance.times, {}, nullptr,
+                                             &program);
+      const std::size_t tasks = instance.jobs.task_count();
+      ASSERT_EQ(relaxed.x_hat.size(), tasks);
+      cuts += relaxed.cut_count;
+      EXPECT_EQ(relaxed.canonical_pivots, 0u);
+      EXPECT_EQ(relaxed.lp_rows, program.constraint_count());
+      EXPECT_EQ(relaxed.lp_cols, program.variable_count());
+      EXPECT_EQ(relaxed.lp_nonzeros, program.nonzero_count());
+      ASSERT_EQ(relaxed.lp_rounds.size(), relaxed.lp_solves);
+      for (std::size_t r = 0; r < relaxed.lp_rounds.size(); ++r) {
+        EXPECT_EQ(relaxed.lp_rounds[r].warm, r > 0) << "round " << r;
+      }
 
-      core::HareScheduler naive_dense(
-          planner_config(LpBackend::Dense, /*warm=*/false, /*naive=*/true));
-      const sim::Schedule reference = naive_dense.schedule(input);
+      const LpSolution cold = program.solve();
+      const LpSolution oracle = testing::oracle_solve(program);
+      ASSERT_TRUE(cold.optimal());
+      ASSERT_TRUE(oracle.optimal());
+      for (std::size_t i = 0; i < tasks; ++i) {
+        EXPECT_EQ(relaxed.x_hat[i], opt::snap_lp_value(cold.values[i]))
+            << "task " << i;
+        EXPECT_EQ(relaxed.x_hat[i], opt::snap_lp_value(oracle.values[i]))
+            << "task " << i;
+      }
 
-      core::HareScheduler dense_warm(
-          planner_config(LpBackend::Dense, /*warm=*/true, /*naive=*/false));
-      expect_same_schedule(reference, dense_warm.schedule(input));
-
-      core::HareScheduler sparse_warm(
-          planner_config(LpBackend::Sparse, /*warm=*/true, /*naive=*/false));
-      expect_same_schedule(reference, sparse_warm.schedule(input));
-
-      core::HareScheduler sparse_cold(
-          planner_config(LpBackend::Sparse, /*warm=*/false, /*naive=*/false));
-      expect_same_schedule(reference, sparse_cold.schedule(input));
+      LinearProgram unperturbed = program;
+      for (std::size_t i = 0; i < tasks; ++i) unperturbed.set_objective(i, 0.0);
+      const LpSolution plain = unperturbed.solve();
+      ASSERT_TRUE(plain.optimal());
+      EXPECT_NEAR(relaxed.objective, plain.objective,
+                  1e-6 * std::abs(plain.objective));
     }
   }
-}
-
-TEST(LpBackendSchedule, RelaxationReportsResolvedBackendAndShape) {
-  const testing::Instance instance = testing::make_random_instance(9, 8, 4);
-
-  core::RelaxationConfig config;
-  config.mode = core::RelaxMode::LpCuts;
-  config.engine.lp_backend = LpBackend::Sparse;
-  const core::HareRelaxation sparse_relax(config);
-  const core::RelaxationResult sparse =
-      sparse_relax.solve(instance.cluster, instance.jobs, instance.times);
-  EXPECT_EQ(sparse.lp_backend, LpBackend::Sparse);
-  EXPECT_GT(sparse.lp_rows, 0u);
-  EXPECT_GT(sparse.lp_cols, 0u);
-  EXPECT_GE(sparse.lp_nonzeros, sparse.lp_rows);
-  EXPECT_EQ(sparse.canonical_solves, sparse.lp_solves);
-  EXPECT_GT(sparse.canonical_pivots, 0u);
-
-  config.engine.lp_backend = LpBackend::Dense;
-  const core::HareRelaxation dense_relax(config);
-  const core::RelaxationResult dense =
-      dense_relax.solve(instance.cluster, instance.jobs, instance.times);
-  EXPECT_EQ(dense.lp_backend, LpBackend::Dense);
-  // Identical canonical vertices => identical cut trajectories => identical
-  // final LP shapes.
-  EXPECT_EQ(dense.lp_rows, sparse.lp_rows);
-  EXPECT_EQ(dense.lp_cols, sparse.lp_cols);
-  EXPECT_EQ(dense.lp_nonzeros, sparse.lp_nonzeros);
-  EXPECT_EQ(dense.cut_count, sparse.cut_count);
-  EXPECT_EQ(dense.x_hat, sparse.x_hat);
-  EXPECT_NEAR(dense.objective, sparse.objective,
-              1e-6 * std::max(1.0, std::abs(sparse.objective)));
-
-  // The naive engine pins the dense reference regardless of the knob.
-  core::PlannerEngine engine;
-  engine.naive = true;
-  engine.lp_backend = LpBackend::Sparse;
-  EXPECT_EQ(engine.resolved_lp_backend(), LpBackend::Dense);
-}
-
-// ------------------------------------------------- hyper-sparse LU core ----
-
-/// Random diagonally-dominant sparse basis: columns 0..m-1 carry a strong
-/// diagonal plus a couple of small off-diagonal entries (nonsingular by
-/// dominance), columns m.. are sparse candidates for basis exchanges.
-opt::SparseMatrix make_sparse_basis_matrix(int m, int extra_cols,
-                                           common::Rng& rng) {
-  opt::SparseMatrix A(m);
-  for (int j = 0; j < m + extra_cols; ++j) {
-    A.add_column();
-    std::vector<std::pair<int, double>> entries;
-    if (j < m) {
-      entries.emplace_back(j, rng.uniform(3.0, 5.0));
-      for (int k = 0; k < 2; ++k) {
-        const int r =
-            static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(m)));
-        if (r != j) entries.emplace_back(r, rng.uniform(-0.4, 0.4));
-      }
-    } else {
-      for (int k = 0; k < 3; ++k) {
-        const int r =
-            static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(m)));
-        entries.emplace_back(r, rng.uniform(0.5, 1.5));
-      }
-    }
-    std::sort(entries.begin(), entries.end());
-    int last = -1;
-    for (const auto& [row, value] : entries) {
-      if (row == last) continue;  // columns must be row-sorted and unique
-      last = row;
-      A.push(j, row, value);
-    }
-  }
-  return A;
-}
-
-std::vector<int> identity_basis(int m) {
-  std::vector<int> basis(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) basis[static_cast<std::size_t>(i)] = i;
-  return basis;
-}
-
-TEST(HyperSparseLu, SparseSolvesMatchDenseBitwise) {
-  // The graph-driven FTRAN/BTRAN fire the same elimination steps in the
-  // same ascending order as the dense sweep, so the doubles — not just
-  // their rounding — must agree, and the reported nonzero pattern must be
-  // exactly the dense result's support.
-  for (std::uint64_t seed : {11u, 12u, 13u}) {
-    common::Rng rng(seed);
-    const int m = 48;
-    const opt::SparseMatrix A = make_sparse_basis_matrix(m, 0, rng);
-    opt::BasisLU lu;
-    lu.set_hyper(true);
-    ASSERT_TRUE(lu.factorize(A, identity_basis(m)));
-    ASSERT_TRUE(lu.hyper_ready());
-
-    for (int trial = 0; trial < 8; ++trial) {
-      std::vector<double> v(static_cast<std::size_t>(m), 0.0);
-      std::vector<int> v_rows;
-      const int nnz = 1 + static_cast<int>(rng.uniform_int(3ull));
-      for (int k = 0; k < nnz; ++k) {
-        const int r =
-            static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(m)));
-        if (v[static_cast<std::size_t>(r)] == 0.0) v_rows.push_back(r);
-        v[static_cast<std::size_t>(r)] = rng.uniform(-2.0, 2.0);
-      }
-      std::sort(v_rows.begin(), v_rows.end());
-
-      std::vector<double> dense_out;
-      lu.ftran(v, dense_out);
-      std::vector<double> sparse_out(static_cast<std::size_t>(m), 0.0);
-      std::vector<int> out_pos;
-      lu.ftran_sparse(v, v_rows, sparse_out, out_pos);
-      ASSERT_TRUE(std::is_sorted(out_pos.begin(), out_pos.end()));
-      for (int i = 0; i < m; ++i) {
-        EXPECT_EQ(sparse_out[static_cast<std::size_t>(i)],
-                  dense_out[static_cast<std::size_t>(i)])
-            << "ftran position " << i << " seed " << seed;
-      }
-      for (int i = 0; i < m; ++i) {
-        const bool listed =
-            std::binary_search(out_pos.begin(), out_pos.end(), i);
-        if (!listed) {
-          EXPECT_EQ(sparse_out[static_cast<std::size_t>(i)], 0.0);
-        }
-      }
-
-      std::vector<double> dense_back;
-      lu.btran(v, dense_back);  // v reused as a position-space vector
-      std::vector<double> sparse_back(static_cast<std::size_t>(m), 0.0);
-      std::vector<int> out_rows;
-      lu.btran_sparse(v, v_rows, sparse_back, out_rows);
-      ASSERT_TRUE(std::is_sorted(out_rows.begin(), out_rows.end()));
-      for (int i = 0; i < m; ++i) {
-        EXPECT_EQ(sparse_back[static_cast<std::size_t>(i)],
-                  dense_back[static_cast<std::size_t>(i)])
-            << "btran row " << i << " seed " << seed;
-      }
-    }
-  }
-}
-
-TEST(HyperSparseLu, SparseUpdateMatchesDenseUpdate) {
-  // Two LU objects track the same basis-exchange sequence, one through
-  // update() (dense spike scan) and one through update_sparse() (listed
-  // positions). The etas — and therefore every later solve — must agree
-  // bitwise.
-  common::Rng rng(99);
-  const int m = 32;
-  const int extra = 40;
-  const opt::SparseMatrix A = make_sparse_basis_matrix(m, extra, rng);
-  std::vector<int> basis = identity_basis(m);
-
-  opt::BasisLU lu_dense;
-  opt::BasisLU lu_sparse;
-  lu_dense.set_hyper(true);
-  lu_sparse.set_hyper(true);
-  ASSERT_TRUE(lu_dense.factorize(A, basis));
-  ASSERT_TRUE(lu_sparse.factorize(A, basis));
-
-  int exchanges = 0;
-  for (int q = m; q < m + extra && exchanges < 12; ++q) {
-    std::vector<double> rhs(static_cast<std::size_t>(m), 0.0);
-    std::vector<int> rhs_rows;
-    for (const opt::SparseEntry& e : A.column(q)) {
-      rhs[static_cast<std::size_t>(e.row)] = e.value;
-      rhs_rows.push_back(e.row);
-    }
-    std::vector<double> spike;
-    lu_dense.ftran(rhs, spike);
-    std::vector<double> spike_sparse(static_cast<std::size_t>(m), 0.0);
-    std::vector<int> spike_pos;
-    lu_sparse.ftran_sparse(rhs, rhs_rows, spike_sparse, spike_pos);
-
-    // Largest pivot keeps the exchanged basis comfortably nonsingular.
-    int p = 0;
-    for (int i = 1; i < m; ++i) {
-      if (std::abs(spike[static_cast<std::size_t>(i)]) >
-          std::abs(spike[static_cast<std::size_t>(p)])) {
-        p = i;
-      }
-    }
-    if (std::abs(spike[static_cast<std::size_t>(p)]) < 0.15) continue;
-    if (basis[static_cast<std::size_t>(p)] >= m) continue;  // keep variety
-    ASSERT_TRUE(lu_dense.update(p, spike));
-    ASSERT_TRUE(lu_sparse.update_sparse(p, spike_sparse, spike_pos));
-    basis[static_cast<std::size_t>(p)] = q;
-    ++exchanges;
-
-    std::vector<double> probe(static_cast<std::size_t>(m), 0.0);
-    std::vector<int> probe_rows;
-    const int r =
-        static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(m)));
-    probe[static_cast<std::size_t>(r)] = rng.uniform(0.5, 1.5);
-    probe_rows.push_back(r);
-    std::vector<double> via_dense;
-    lu_dense.ftran(probe, via_dense);
-    std::vector<double> via_sparse(static_cast<std::size_t>(m), 0.0);
-    std::vector<int> via_pos;
-    lu_sparse.ftran_sparse(probe, probe_rows, via_sparse, via_pos);
-    for (int i = 0; i < m; ++i) {
-      ASSERT_EQ(via_sparse[static_cast<std::size_t>(i)],
-                via_dense[static_cast<std::size_t>(i)])
-          << "after exchange " << exchanges << " position " << i;
-    }
-  }
-  ASSERT_GE(exchanges, 6) << "the corpus produced too few usable exchanges";
-  EXPECT_EQ(lu_dense.eta_count(), lu_sparse.eta_count());
-}
-
-TEST(HyperSparseLu, MarkowitzFactorizationSolvesTheSameSystem) {
-  // Markowitz pivoting reorders the elimination, so the doubles may differ
-  // in rounding — but both factorizations must solve B x = v: check the
-  // residual through the original matrix, and the two solutions against
-  // each other at solver tolerance.
-  common::Rng rng(7);
-  const int m = 64;
-  const opt::SparseMatrix A = make_sparse_basis_matrix(m, 0, rng);
-  const std::vector<int> basis = identity_basis(m);
-
-  opt::BasisLU plain;
-  opt::BasisLU markowitz;
-  markowitz.set_markowitz(true);
-  ASSERT_TRUE(plain.factorize(A, basis));
-  ASSERT_TRUE(markowitz.factorize(A, basis));
-
-  for (int trial = 0; trial < 4; ++trial) {
-    std::vector<double> v(static_cast<std::size_t>(m));
-    for (double& x : v) x = rng.uniform(-1.0, 1.0);
-    std::vector<double> x_plain;
-    std::vector<double> x_mark;
-    plain.ftran(v, x_plain);
-    markowitz.ftran(v, x_mark);
-    for (const opt::BasisLU* which : {&plain, &markowitz}) {
-      const std::vector<double>& x = which == &plain ? x_plain : x_mark;
-      std::vector<double> residual = v;
-      for (int i = 0; i < m; ++i) {
-        for (const opt::SparseEntry& e :
-             A.column(basis[static_cast<std::size_t>(i)])) {
-          residual[static_cast<std::size_t>(e.row)] -=
-              e.value * x[static_cast<std::size_t>(i)];
-        }
-      }
-      for (int i = 0; i < m; ++i) {
-        EXPECT_NEAR(residual[static_cast<std::size_t>(i)], 0.0, 1e-9);
-      }
-    }
-    for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(x_plain[static_cast<std::size_t>(i)],
-                  x_mark[static_cast<std::size_t>(i)], 1e-9);
-    }
-  }
-}
-
-// ----------------------------------------------- Classic vs Hyper modes ----
-
-/// Small bounded packing LP with a planted feasible region (0 is always
-/// feasible; finite upper bounds keep it bounded).
-LinearProgram make_mode_corpus_lp(int rows, int cols, std::uint64_t seed) {
-  common::Rng rng(seed);
-  LinearProgram lp;
-  std::vector<std::vector<std::pair<std::size_t, double>>> row_terms(
-      static_cast<std::size_t>(rows));
-  for (int j = 0; j < cols; ++j) {
-    const std::size_t var = lp.add_variable(-rng.uniform(0.5, 2.0));
-    lp.set_bounds(var, 0.0, rng.uniform(0.5, 2.0));
-    for (int k = 0; k < 2; ++k) {
-      const int r =
-          static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(rows)));
-      row_terms[static_cast<std::size_t>(r)].emplace_back(
-          static_cast<std::size_t>(j), rng.uniform(0.2, 1.0));
-    }
-  }
-  for (int i = 0; i < rows; ++i) {
-    lp.add_constraint(row_terms[static_cast<std::size_t>(i)],
-                      Relation::LessEqual, rng.uniform(1.0, 4.0));
-  }
-  return lp;
-}
-
-TEST(HyperSparseMode, ClassicAndHyperAgreeOnObjectiveCorpus) {
-  // Partial pricing changes the pivot trajectory, never the optimum: both
-  // sparse sub-modes must land on the same objective across a randomized
-  // corpus (and both must claim optimality).
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const LinearProgram lp = make_mode_corpus_lp(16, 120, seed);
-    opt::RevisedSimplex classic(lp);
-    classic.set_sparse_mode(opt::SparseMode::Classic);
-    const LpSolution classic_sol = classic.solve(100000);
-    opt::RevisedSimplex hyper(lp);
-    hyper.set_sparse_mode(opt::SparseMode::Hyper);
-    const LpSolution hyper_sol = hyper.solve(100000);
-
-    EXPECT_FALSE(classic.hyper_enabled());
-    EXPECT_TRUE(hyper.hyper_enabled());
-    ASSERT_EQ(classic_sol.status, LpStatus::Optimal) << "seed " << seed;
-    ASSERT_EQ(hyper_sol.status, LpStatus::Optimal) << "seed " << seed;
-    EXPECT_NEAR(classic_sol.objective, hyper_sol.objective,
-                1e-7 * std::max(1.0, std::abs(classic_sol.objective)))
-        << "seed " << seed;
-  }
-}
-
-TEST(HyperSparseMode, AutoHeuristicPicksHyperOnlyForWideLps) {
-  // Auto keeps the classic trajectory unless the LP is wide enough for
-  // partial pricing to pay: >= kHyperMinCols columns and >= 8x wider than
-  // tall (column count includes the per-row logicals).
-  const LinearProgram narrow = make_mode_corpus_lp(16, 120, 42);
-  opt::RevisedSimplex narrow_solver(narrow);
-  (void)narrow_solver.solve(100000);
-  EXPECT_FALSE(narrow_solver.hyper_enabled());
-
-  const LinearProgram wide =
-      make_mode_corpus_lp(8, opt::RevisedSimplex::kHyperMinCols, 43);
-  opt::RevisedSimplex wide_solver(wide);
-  (void)wide_solver.solve(200000);
-  EXPECT_TRUE(wide_solver.hyper_enabled());
+  EXPECT_GT(cuts, 0u) << "the grid must exercise warm re-solves";
 }
 
 }  // namespace

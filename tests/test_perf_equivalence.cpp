@@ -1,10 +1,12 @@
 // Equivalence guarantees for the fast planning pipeline.
 //
-// The engine knobs (warm-started LP cuts, indexed placement, pool-sharded
-// candidate scans, cached TimeTable aggregates) are wall-clock
-// optimizations only. This suite pins that contract:
-//  (a) warm-started LpCuts reaches the same objective and cut count as the
-//      cold-start reference on the Fig 1 toy and on random instances;
+// The engine knobs (indexed placement, pool-sharded candidate scans,
+// incremental separation, cached TimeTable aggregates) are wall-clock
+// optimizations only, and the warm-started LpCuts loop lands on the same
+// vertex a cold solve would. This suite pins that contract:
+//  (a) the warm LpCuts loop reports the vertex of a cold solve of its final
+//      program, in fewer pivots than a cold solve per round, and the naive
+//      engine matches it on the Fig 1 toy and on random instances;
 //  (b) the naive, indexed, and sharded planners emit bit-identical
 //      sim::Schedules (task→GPU sequences and predicted starts) across
 //      seeds, placement rules, and relaxation modes;
@@ -53,27 +55,41 @@ testing::Instance fig1_toy() {
 }
 
 core::RelaxationResult solve_lp(const testing::Instance& instance,
-                                bool warm) {
+                                bool naive,
+                                opt::LinearProgram* program = nullptr) {
   core::RelaxationConfig config;
   config.mode = core::RelaxMode::LpCuts;
-  config.engine.warm_start_lp = warm;
-  config.engine.naive = !warm;  // cold reference = pre-optimization path
+  config.engine.naive = naive;
   const core::HareRelaxation relaxation(config);
-  return relaxation.solve(instance.cluster, instance.jobs, instance.times);
+  return relaxation.solve(instance.cluster, instance.jobs, instance.times, {},
+                          nullptr, program);
+}
+
+/// The program the cut loop solved in round `round`: the final program's
+/// variables and base rows plus the cuts appended up to that round.
+opt::LinearProgram round_program(const core::RelaxationResult& relaxed,
+                                 const opt::LinearProgram& full,
+                                 std::size_t round) {
+  std::size_t later_cuts = 0;
+  for (std::size_t r = round + 1; r < relaxed.lp_rounds.size(); ++r) {
+    later_cuts += relaxed.lp_rounds[r].cuts_added;
+  }
+  opt::LinearProgram lp;
+  for (std::size_t j = 0; j < full.variable_count(); ++j) {
+    lp.add_variable(full.objective(j));
+    lp.set_bounds(j, full.lower_bound(j), full.upper_bound(j));
+  }
+  const std::size_t rows = full.constraint_count() - later_cuts;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const opt::LinearProgram::Row& row = full.rows()[i];
+    lp.add_constraint(row.terms, row.rel, row.rhs);
+  }
+  return lp;
 }
 
 void expect_warm_matches_cold(const testing::Instance& instance) {
-  const core::RelaxationResult cold = solve_lp(instance, false);
-  const core::RelaxationResult warm = solve_lp(instance, true);
-
-  // Every cut round reports the canonicalized optimal vertex, so warm and
-  // cold continuations separate the *same* cut trajectory even when the
-  // optimum is degenerate: identical cut counts, identical x̂, same
-  // objective.
-  EXPECT_NEAR(warm.objective, cold.objective,
-              1e-6 * std::max(1.0, std::abs(cold.objective)));
-  EXPECT_EQ(warm.cut_count, cold.cut_count);
-  EXPECT_EQ(warm.x_hat, cold.x_hat);
+  opt::LinearProgram program;
+  const core::RelaxationResult warm = solve_lp(instance, false, &program);
   EXPECT_GE(warm.cut_count, 1u) << "toy/random instances always need cuts";
 
   // Every re-solve after the first must actually have reused the basis.
@@ -81,14 +97,32 @@ void expect_warm_matches_cold(const testing::Instance& instance) {
   for (std::size_t r = 0; r < warm.lp_rounds.size(); ++r) {
     EXPECT_EQ(warm.lp_rounds[r].warm, r > 0) << "round " << r;
   }
-  for (const auto& round : cold.lp_rounds) EXPECT_FALSE(round.warm);
 
-  // The point of warm starting: the whole cutting-plane run costs fewer
-  // pivots than the cold reference, which pays a full two-phase solve per
-  // round.
-  if (cold.lp_solves > 1) {
-    EXPECT_LT(warm.simplex_pivots, cold.simplex_pivots);
+  // Cold-start reference: a two-phase solve of each round's program from
+  // scratch. The last one lands on the warm loop's vertex (the perturbed
+  // optimum is unique), and the whole warm run costs fewer pivots than
+  // the cold solves together.
+  std::size_t cold_pivots = 0;
+  opt::LpSolution cold;
+  for (std::size_t r = 0; r < warm.lp_rounds.size(); ++r) {
+    opt::LpIterationStats stats;
+    cold = round_program(warm, program, r).solve(100000, &stats);
+    ASSERT_TRUE(cold.optimal()) << "round " << r;
+    cold_pivots += stats.total();
   }
+  for (std::size_t i = 0; i < warm.x_hat.size(); ++i) {
+    EXPECT_EQ(warm.x_hat[i], opt::snap_lp_value(cold.values[i])) << i;
+  }
+  if (warm.lp_solves > 1) {
+    EXPECT_LT(warm.simplex_pivots, cold_pivots);
+  }
+
+  // The naive engine runs the same loop with reference scans and full
+  // separation sorts: same cuts, same vertex, same objective.
+  const core::RelaxationResult naive = solve_lp(instance, true);
+  EXPECT_EQ(warm.cut_count, naive.cut_count);
+  EXPECT_EQ(warm.x_hat, naive.x_hat);
+  EXPECT_EQ(warm.objective, naive.objective);
 }
 
 TEST(WarmStartLp, MatchesColdStartOnFig1Toy) {
@@ -104,13 +138,11 @@ TEST(WarmStartLp, MatchesColdStartOnRandomInstances) {
 
 core::HareConfig engine_config(core::RelaxMode mode, core::Placement place,
                                bool naive, std::size_t threads,
-                               std::size_t scan_min_gpus,
-                               bool warm_start = true) {
+                               std::size_t scan_min_gpus) {
   core::HareConfig config;
   config.relaxation.mode = mode;
   config.placement = place;
   config.relaxation.engine.naive = naive;
-  config.relaxation.engine.warm_start_lp = warm_start;
   config.relaxation.engine.threads = threads;
   config.relaxation.engine.parallel_scan_min_gpus = scan_min_gpus;
   return config;
@@ -141,20 +173,16 @@ TEST(PlannerEquivalence, EnginesAgreeAcrossSeedsAndModes) {
                                           instance.times};
 
         // Every engine must reproduce the naive reference bit-for-bit:
-        // indexed placement, pooling, sharded scans, warm starting, and the
-        // LP backend change wall-clock only (LpCuts rounds report the
-        // canonicalized vertex, so even warm starting cannot drift to a
+        // indexed placement, pooling, sharded scans, and incremental
+        // separation change wall-clock only (LpCuts rounds report the
+        // perturbed program's unique vertex, so no engine can drift to a
         // different optimum).
         core::HareScheduler naive(
             engine_config(mode, place, /*naive=*/true, 1, 192));
         const sim::Schedule reference = naive.schedule(input);
 
-        core::HareScheduler cold_indexed(engine_config(
-            mode, place, /*naive=*/false, 1, 192, /*warm_start=*/false));
-        expect_same_schedule(reference, cold_indexed.schedule(input));
-
-        // The production engine (warm start on): serial, pooled, and
-        // pool-sharded paths must agree with each other for every seed.
+        // The production engine: serial, pooled, and pool-sharded paths
+        // must agree with each other for every seed.
         core::HareScheduler warm_serial(
             engine_config(mode, place, /*naive=*/false, 1, 192));
         const sim::Schedule warm_reference = warm_serial.schedule(input);

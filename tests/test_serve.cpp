@@ -1,18 +1,19 @@
 // hare::serve tests: pull-based trace streaming, arrival-spec parsing,
 // the schedule_jobs_with_h core seam, admission-batch determinism across
-// tick sizes, per-block LP solves against the accumulated-program oracle,
-// sparse-vs-dense served-schedule parity,
-// replan-budget exhaustion fallback, fault-event-driven replanning, and
+// tick sizes, per-block LP solves against the accumulated-program oracle
+// and against the dense LP oracle, replan-budget exhaustion fallback, fault-event-driven replanning, and
 // serial-vs-pooled bit-identity of the sharded serve path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "core/hare_scheduler.hpp"
 #include "fault/fault_plan.hpp"
+#include "lp_oracle.hpp"
 #include "profiler/profiler.hpp"
 #include "serve/serve_service.hpp"
 #include "sim/schedule.hpp"
@@ -244,6 +245,48 @@ TEST(Serve, TickSizesWithIdenticalCoalescingMatchBitForBit) {
   sim::validate_schedule(report.schedule, service.jobs());
 }
 
+/// Writes one flushed batch's middle completion times into the shared `h`
+/// (indexed by TaskId value): (batch, phi_floor).
+using BlockRelaxer = std::function<void(const std::vector<JobId>&, Time)>;
+
+/// Replay a served stream's LP path: the same admission batches, horizons
+/// and scheduler settings as ServeService, with each batch's middle
+/// completion times supplied by `relax` through `h`.
+sim::Schedule replay_lp_path(const cluster::Cluster& cluster,
+                             const serve::ServeService& service,
+                             const std::vector<workload::JobSpec>& arrivals,
+                             Time tick, std::vector<Time>& h,
+                             const BlockRelaxer& relax) {
+  const workload::JobSet& jobs = service.jobs();
+  const sched::SchedulerInput input{cluster, jobs, service.times()};
+  core::HareConfig hare;
+  hare.relaxation.mode = core::RelaxMode::Fluid;
+  hare.sync = core::SyncScheme::Relaxed;
+  core::HareScheduler flat(hare);
+  core::HareScheduler::IncrementalState state;
+  state.phi.assign(cluster.gpu_count(), 0.0);
+  sim::Schedule replay;
+  replay.sequences.resize(cluster.gpu_count());
+  replay.predicted_start.assign(jobs.task_count(), 0.0);
+  h.assign(jobs.task_count(), 0.0);
+
+  serve::AdmissionBatcher batcher(tick);
+  const auto flush = [&] {
+    if (batcher.empty()) return;
+    const std::vector<JobId> batch = batcher.take();
+    relax(batch, *std::min_element(state.phi.begin(), state.phi.end()));
+    std::vector<char> mask(jobs.job_count(), 0);
+    for (JobId id : batch) mask[static_cast<std::size_t>(id.value())] = 1;
+    flat.schedule_jobs_with_h(input, mask, h, state, replay);
+  };
+  for (std::size_t j = 0; j < arrivals.size(); ++j) {
+    if (batcher.should_flush(arrivals[j].arrival)) flush();
+    batcher.admit(JobId(static_cast<int>(j)), arrivals[j].arrival);
+  }
+  flush();
+  return replay;
+}
+
 // Oracle for the per-block LP path: replay the served stream's batches
 // through the replanner and also stack every block into one program (the
 // accumulated LP the service once kept), solved once. Blocks share no row
@@ -262,46 +305,23 @@ TEST(Serve, BlockSolvesMatchAccumulatedProgram) {
   EXPECT_EQ(report.lp.compactions, 0u);
   sim::validate_schedule(report.schedule, service.jobs());
 
-  // Replay the LP path: same batches, horizons and scheduler settings.
   const workload::JobSet& jobs = service.jobs();
   const profiler::TimeTable& times = service.times();
-  const sched::SchedulerInput input{cluster, jobs, times};
-  core::HareConfig hare;
-  hare.relaxation.mode = core::RelaxMode::Fluid;
-  hare.sync = core::SyncScheme::Relaxed;
-  core::HareScheduler flat(hare);
-  core::HareScheduler::IncrementalState state;
-  state.phi.assign(cluster.gpu_count(), 0.0);
-  sim::Schedule replay;
-  replay.sequences.resize(cluster.gpu_count());
-  replay.predicted_start.assign(jobs.task_count(), 0.0);
-  std::vector<Time> h(jobs.task_count(), 0.0);
-  serve::IncrementalReplanner replanner({});
+  std::vector<Time> h;
+  serve::IncrementalReplanner replanner;
   opt::LinearProgram accumulated;
   std::vector<std::vector<JobId>> blocks;
   std::vector<std::vector<std::vector<std::size_t>>> block_vars;
-
-  serve::AdmissionBatcher batcher(config.tick);
-  const auto flush = [&] {
-    if (batcher.empty()) return;
-    blocks.push_back(batcher.take());
-    const std::vector<JobId>& batch = blocks.back();
-    const Time phi_floor =
-        *std::min_element(state.phi.begin(), state.phi.end());
-    EXPECT_TRUE(replanner.relax_batch(jobs, times, batch, phi_floor,
-                                      cluster.gpu_count(), h));
-    block_vars.emplace_back();
-    serve::append_batch_block(accumulated, jobs, times, batch, phi_floor,
-                              cluster.gpu_count(), block_vars.back());
-    std::vector<char> mask(jobs.job_count(), 0);
-    for (JobId id : batch) mask[static_cast<std::size_t>(id.value())] = 1;
-    flat.schedule_jobs_with_h(input, mask, h, state, replay);
-  };
-  for (std::size_t j = 0; j < arrivals.size(); ++j) {
-    if (batcher.should_flush(arrivals[j].arrival)) flush();
-    batcher.admit(JobId(static_cast<int>(j)), arrivals[j].arrival);
-  }
-  flush();
+  const sim::Schedule replay = replay_lp_path(
+      cluster, service, arrivals, config.tick, h,
+      [&](const std::vector<JobId>& batch, Time phi_floor) {
+        blocks.push_back(batch);
+        EXPECT_TRUE(replanner.relax_batch(jobs, times, batch, phi_floor,
+                                          cluster.gpu_count(), h));
+        block_vars.emplace_back();
+        serve::append_batch_block(accumulated, jobs, times, batch, phi_floor,
+                                  cluster.gpu_count(), block_vars.back());
+      });
   ASSERT_EQ(blocks.size(), report.lp_batches);
   EXPECT_TRUE(schedules_identical(report.schedule, replay));
 
@@ -313,8 +333,7 @@ TEST(Serve, BlockSolvesMatchAccumulatedProgram) {
       const Time half_tc = times.max_tc(job.id) / 2.0;
       for (std::uint32_t r = 0; r < job.rounds(); ++r) {
         const Time mid =
-            serve::snap_lp_value(whole.values[block_vars[b][k][r]]) +
-            half_tc;
+            opt::snap_lp_value(whole.values[block_vars[b][k][r]]) + half_tc;
         EXPECT_EQ(h[static_cast<std::size_t>(job.task_at(r, 0).value())],
                   mid)
             << "block " << b << " job " << k << " round " << r;
@@ -323,24 +342,48 @@ TEST(Serve, BlockSolvesMatchAccumulatedProgram) {
   }
 }
 
-TEST(Serve, LpBackendsServeIdenticalSchedules) {
+// Serve versus the dense LP oracle: every batch block solved by the
+// two-phase tableau instead of the revised simplex, snapped the same way,
+// must reproduce the served schedule bit for bit. The perturbed block
+// optimum is a unique vertex, so two unrelated simplex codes agree on it.
+TEST(Serve, LpServeMatchesOracle) {
   const cluster::Cluster cluster = cluster::make_testbed_cluster();
   const auto arrivals = spaced_arrivals(10, 1.5);
-  serve::ServeConfig sparse = small_lp_config();
-  sparse.tick = 4.0;
-  sparse.lp_backend = opt::LpBackend::Sparse;
-  serve::ServeConfig dense = sparse;
-  dense.lp_backend = opt::LpBackend::Dense;
+  serve::ServeConfig config = small_lp_config();
+  config.tick = 4.0;
+  serve::ServeService service(cluster, workload::PerfModel{}, config);
+  const serve::ServeReport report = service.run(arrivals);
+  EXPECT_GT(report.lp_batches, 0u);
 
-  serve::ServeService sparse_service(cluster, workload::PerfModel{}, sparse);
-  const serve::ServeReport sparse_report = sparse_service.run(arrivals);
-  serve::ServeService dense_service(cluster, workload::PerfModel{}, dense);
-  const serve::ServeReport dense_report = dense_service.run(arrivals);
-
-  EXPECT_GT(sparse_report.lp_batches, 0u);
-  EXPECT_EQ(sparse_report.lp_batches, dense_report.lp_batches);
-  EXPECT_TRUE(
-      schedules_identical(sparse_report.schedule, dense_report.schedule));
+  const workload::JobSet& jobs = service.jobs();
+  const profiler::TimeTable& times = service.times();
+  std::size_t oracle_blocks = 0;
+  std::vector<Time> h;
+  const sim::Schedule oracle = replay_lp_path(
+      cluster, service, arrivals, config.tick, h,
+      [&](const std::vector<JobId>& batch, Time phi_floor) {
+        opt::LinearProgram lp;
+        std::vector<std::vector<std::size_t>> round_vars;
+        serve::append_batch_block(lp, jobs, times, batch, phi_floor,
+                                  cluster.gpu_count(), round_vars);
+        const opt::LpSolution solution = testing::oracle_solve(lp);
+        ASSERT_TRUE(solution.optimal());
+        ++oracle_blocks;
+        for (std::size_t b = 0; b < batch.size(); ++b) {
+          const workload::Job& job = jobs.job(batch[b]);
+          const Time half_tc = times.max_tc(batch[b]) / 2.0;
+          for (std::uint32_t r = 0; r < job.rounds(); ++r) {
+            const Time mid =
+                opt::snap_lp_value(solution.values[round_vars[b][r]]) +
+                half_tc;
+            for (std::uint32_t k = 0; k < job.tasks_per_round(); ++k) {
+              h[static_cast<std::size_t>(job.task_at(r, k).value())] = mid;
+            }
+          }
+        }
+      });
+  EXPECT_EQ(oracle_blocks, report.lp_batches);
+  EXPECT_TRUE(schedules_identical(report.schedule, oracle));
 }
 
 TEST(Serve, ReplanBudgetExhaustionFallsBackToGreedy) {
