@@ -15,7 +15,9 @@
 //      cold solves and the oracle round by round;
 //  (e) the LpCuts relaxation's warm cut loop reports the same snapped
 //      vertex as a cold solve of its final perturbed program (and as the
-//      oracle), and its objective is the unperturbed optimum.
+//      oracle), and its objective is the unperturbed optimum;
+//  (f) every planner engine configuration yields the same LP shape and
+//      the same schedule.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -405,6 +407,89 @@ TEST(LpCutsVertex, WarmCutLoopMatchesColdSolveOfFinalProgram) {
     }
   }
   EXPECT_GT(cuts, 0u) << "the grid must exercise warm re-solves";
+}
+
+// ------------------------------------------------- planner schedule parity --
+
+core::HareConfig planner_config(bool naive, std::size_t threads,
+                                bool incremental_separation) {
+  core::HareConfig config;
+  config.relaxation.mode = core::RelaxMode::LpCuts;
+  config.relaxation.engine.naive = naive;
+  config.relaxation.engine.threads = threads;
+  config.relaxation.engine.incremental_separation = incremental_separation;
+  return config;
+}
+
+void expect_same_schedule(const sim::Schedule& a, const sim::Schedule& b) {
+  ASSERT_EQ(a.sequences.size(), b.sequences.size());
+  for (std::size_t g = 0; g < a.sequences.size(); ++g) {
+    EXPECT_EQ(a.sequences[g], b.sequences[g]) << "gpu " << g;
+  }
+  EXPECT_EQ(a.predicted_start, b.predicted_start);
+  EXPECT_EQ(a.predicted_objective, b.predicted_objective);
+}
+
+TEST(LpBackendSchedule, BackendsProduceIdenticalSchedules) {
+  // There is one LP backend, the revised simplex; whichever engine drives
+  // it — the naive reference, the serial production engine, the pooled one,
+  // or full-sort separation — the downstream schedule is bit-identical,
+  // because every cut round reports the snapped unique perturbed vertex.
+  for (const std::uint64_t seed : {3ull, 17ull, 40ull}) {
+    for (const auto& [jobs, gpus] : {std::pair<std::size_t, std::size_t>{6, 4},
+                                    {10, 6}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " jobs=" << jobs << " gpus=" << gpus);
+      const testing::Instance instance =
+          testing::make_random_instance(seed, jobs, gpus);
+      const sched::SchedulerInput input{instance.cluster, instance.jobs,
+                                        instance.times};
+
+      core::HareScheduler naive(planner_config(/*naive=*/true, 1, false));
+      const sim::Schedule reference = naive.schedule(input);
+
+      core::HareScheduler serial(planner_config(/*naive=*/false, 1, true));
+      expect_same_schedule(reference, serial.schedule(input));
+
+      core::HareScheduler pooled(planner_config(/*naive=*/false, 2, true));
+      expect_same_schedule(reference, pooled.schedule(input));
+
+      core::HareScheduler full_sort(planner_config(/*naive=*/false, 1, false));
+      expect_same_schedule(reference, full_sort.schedule(input));
+    }
+  }
+}
+
+TEST(LpBackendSchedule, RelaxationReportsResolvedBackendAndShape) {
+  const testing::Instance instance = testing::make_random_instance(9, 8, 4);
+
+  core::RelaxationConfig config;
+  config.mode = core::RelaxMode::LpCuts;
+  const core::HareRelaxation production_relax(config);
+  const core::RelaxationResult production =
+      production_relax.solve(instance.cluster, instance.jobs, instance.times);
+  EXPECT_GT(production.lp_rows, 0u);
+  EXPECT_GT(production.lp_cols, 0u);
+  EXPECT_GE(production.lp_nonzeros, production.lp_rows);
+  EXPECT_GT(production.lp_solves, 0u);
+  EXPECT_EQ(production.lp_rounds.size(), production.lp_solves);
+  // One solve per round: no second canonicalizing solve.
+  EXPECT_EQ(production.canonical_pivots, 0u);
+
+  // The naive engine resolves to the same backend, so identical vertices
+  // give identical cut trajectories and identical final LP shapes.
+  config.engine.naive = true;
+  const core::HareRelaxation naive_relax(config);
+  const core::RelaxationResult naive =
+      naive_relax.solve(instance.cluster, instance.jobs, instance.times);
+  EXPECT_EQ(naive.lp_rows, production.lp_rows);
+  EXPECT_EQ(naive.lp_cols, production.lp_cols);
+  EXPECT_EQ(naive.lp_nonzeros, production.lp_nonzeros);
+  EXPECT_EQ(naive.lp_solves, production.lp_solves);
+  EXPECT_EQ(naive.cut_count, production.cut_count);
+  EXPECT_EQ(naive.x_hat, production.x_hat);
+  EXPECT_NEAR(naive.objective, production.objective,
+              1e-6 * std::max(1.0, std::abs(production.objective)));
 }
 
 }  // namespace
