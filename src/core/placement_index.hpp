@@ -148,17 +148,90 @@ __attribute__((target("avx2"))) inline std::size_t scan_lanes_avx2(
 
 }  // namespace detail
 
-class PlacementIndex {
- public:
+struct PlacementCandidate {
   static constexpr std::size_t kNoGpu = std::numeric_limits<std::size_t>::max();
 
-  struct Candidate {
-    std::size_t gpu = kNoGpu;
-    Time start = 0.0;
-    Time finish = kTimeInfinity;
+  std::size_t gpu = kNoGpu;
+  Time start = 0.0;
+  Time finish = kTimeInfinity;
 
-    [[nodiscard]] bool valid() const { return gpu != kNoGpu; }
-  };
+  [[nodiscard]] bool valid() const { return gpu != kNoGpu; }
+};
+
+/// Lexicographic argmin of (max(release, φ) + row, gpu) over a flat row of
+/// n cells, +∞ where a GPU cannot take the task. Four (SSE2) or eight
+/// (AVX2) strided incumbent chains, merged in lane order; any lane
+/// decomposition selects the same (finish, gpu) lexicographic minimum as
+/// the serial strict-< scan, because each lane keeps its first strict
+/// minimum and the merge breaks finish ties toward the lower GPU id.
+/// Returns an invalid candidate when every cell is +∞.
+[[nodiscard]] inline PlacementCandidate earliest_finish_scan(
+    const Time* row, const Time* phi, std::size_t n, Time release) {
+  PlacementCandidate chosen;
+  std::size_t g = 0;
+#if defined(__SSE2__)
+  if (n >= 8) {
+    // Branch-free SIMD incumbents; non-fitting GPUs carry +∞ and never
+    // win a strict comparison. AVX2 (8 chains) is picked at runtime.
+    alignas(32) double lane_best[8];
+    alignas(32) double lane_arg[8];
+    std::size_t lanes = 4;
+#if defined(HARE_HAVE_AVX2_DISPATCH)
+    if (n >= 16 && detail::cpu_has_avx2()) {
+      g = detail::scan_lanes_avx2(row, phi, n, release, lane_best, lane_arg);
+      lanes = 8;
+    } else
+#endif
+    {
+      g = detail::scan_lanes_sse2(row, phi, n, release, lane_best, lane_arg);
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (lane_arg[l] < 0.0) continue;  // lane saw only non-fitting GPUs
+      const std::size_t lane_gpu = static_cast<std::size_t>(lane_arg[l]);
+      if (lane_best[l] < chosen.finish ||
+          (lane_best[l] == chosen.finish && lane_gpu < chosen.gpu)) {
+        chosen = PlacementCandidate{lane_gpu, 0.0, lane_best[l]};
+      }
+    }
+  }
+#else
+  {
+    // Portable four-chain unroll: independent incumbents give the
+    // compiler ILP without changing any selected value.
+    Time best[4] = {kTimeInfinity, kTimeInfinity, kTimeInfinity,
+                    kTimeInfinity};
+    constexpr std::size_t kNoGpu = PlacementCandidate::kNoGpu;
+    std::size_t arg[4] = {kNoGpu, kNoGpu, kNoGpu, kNoGpu};
+    for (; g + 4 <= n; g += 4) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        const Time finish = std::max(release, phi[g + l]) + row[g + l];
+        if (finish < best[l]) {
+          best[l] = finish;
+          arg[l] = g + l;
+        }
+      }
+    }
+    for (std::size_t l = 0; l < 4; ++l) {
+      if (arg[l] == kNoGpu) continue;  // lane saw only non-fitting GPUs
+      if (best[l] < chosen.finish ||
+          (best[l] == chosen.finish && arg[l] < chosen.gpu)) {
+        chosen = PlacementCandidate{arg[l], 0.0, best[l]};
+      }
+    }
+  }
+#endif
+  for (; g < n; ++g) {  // tail; indices above every lane winner
+    if (row[g] == kTimeInfinity) continue;  // does not fit device memory
+    const Time finish = std::max(release, phi[g]) + row[g];
+    if (finish < chosen.finish) chosen = PlacementCandidate{g, 0.0, finish};
+  }
+  if (chosen.valid()) chosen.start = std::max(release, phi[chosen.gpu]);
+  return chosen;
+}
+
+class PlacementIndex {
+ public:
+  using Candidate = PlacementCandidate;
 
   /// Builds the masked per-job T^c rows from the fitting matrix.
   /// `initial_phi` may be empty (all GPUs free at 0). With a pool, the
@@ -301,10 +374,8 @@ class PlacementIndex {
   }
 
   /// Lexicographic argmin of (max(release, φ) + T^c, gpu) over fitting
-  /// GPUs. Four strided incumbent chains, merged in lane order; any lane
-  /// decomposition selects the same (finish, gpu) lexicographic minimum as
-  /// the serial strict-< scan, because each lane keeps its first strict
-  /// minimum and the merge breaks finish ties toward the lower GPU id.
+  /// GPUs: the bucketed index when engaged, else earliest_finish_scan over
+  /// the job's masked row.
   [[nodiscard]] Candidate earliest_finish(JobId job, Time release) const {
     const Time* row = masked_row(job);
     if (buckets_) {
@@ -312,68 +383,7 @@ class PlacementIndex {
           buckets_->earliest_finish(row, release);
       return c.valid() ? Candidate{c.gpu, c.start, c.finish} : Candidate{};
     }
-    const Time* phi = phi_.data();
-    const std::size_t n = gpu_count_;
-
-    Candidate chosen;
-    std::size_t g = 0;
-#if defined(__SSE2__)
-    if (n >= 8) {
-      // Branch-free SIMD incumbents; non-fitting GPUs carry +∞ and never
-      // win a strict comparison. AVX2 (8 chains) is picked at runtime.
-      alignas(32) double lane_best[8];
-      alignas(32) double lane_arg[8];
-      std::size_t lanes = 4;
-#if defined(HARE_HAVE_AVX2_DISPATCH)
-      if (n >= 16 && detail::cpu_has_avx2()) {
-        g = detail::scan_lanes_avx2(row, phi, n, release, lane_best, lane_arg);
-        lanes = 8;
-      } else
-#endif
-      {
-        g = detail::scan_lanes_sse2(row, phi, n, release, lane_best, lane_arg);
-      }
-      for (std::size_t l = 0; l < lanes; ++l) {
-        if (lane_arg[l] < 0.0) continue;  // lane saw only non-fitting GPUs
-        const std::size_t lane_gpu = static_cast<std::size_t>(lane_arg[l]);
-        if (lane_best[l] < chosen.finish ||
-            (lane_best[l] == chosen.finish && lane_gpu < chosen.gpu)) {
-          chosen = Candidate{lane_gpu, 0.0, lane_best[l]};
-        }
-      }
-    }
-#else
-    {
-      // Portable four-chain unroll: independent incumbents give the
-      // compiler ILP without changing any selected value.
-      Time best[4] = {kTimeInfinity, kTimeInfinity, kTimeInfinity,
-                      kTimeInfinity};
-      std::size_t arg[4] = {kNoGpu, kNoGpu, kNoGpu, kNoGpu};
-      for (; g + 4 <= n; g += 4) {
-        for (std::size_t l = 0; l < 4; ++l) {
-          const Time finish = std::max(release, phi[g + l]) + row[g + l];
-          if (finish < best[l]) {
-            best[l] = finish;
-            arg[l] = g + l;
-          }
-        }
-      }
-      for (std::size_t l = 0; l < 4; ++l) {
-        if (arg[l] == kNoGpu) continue;  // lane saw only non-fitting GPUs
-        if (best[l] < chosen.finish ||
-            (best[l] == chosen.finish && arg[l] < chosen.gpu)) {
-          chosen = Candidate{arg[l], 0.0, best[l]};
-        }
-      }
-    }
-#endif
-    for (; g < n; ++g) {  // tail; indices above every lane winner
-      if (row[g] == kTimeInfinity) continue;  // does not fit device memory
-      const Time finish = std::max(release, phi[g]) + row[g];
-      if (finish < chosen.finish) chosen = Candidate{g, 0.0, finish};
-    }
-    if (chosen.valid()) chosen.start = std::max(release, phi_[chosen.gpu]);
-    return chosen;
+    return earliest_finish_scan(row, phi_.data(), gpu_count_, release);
   }
 
  private:

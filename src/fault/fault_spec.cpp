@@ -29,7 +29,7 @@ double parse_number(std::string_view text, std::string_view fragment) {
   if (ec != std::errc{} || ptr != text.data() + text.size()) {
     bad_spec("malformed number", fragment);
   }
-  if (std::isinf(value)) bad_spec("number out of range", fragment);
+  if (!std::isfinite(value)) bad_spec("number out of range", fragment);
   return value;
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "core/placement_index.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "workload/feasibility.hpp"
@@ -184,39 +185,43 @@ ReplanResult FaultRunner::replan_greedy(const ReplanRequest& request) {
     return request.jobs[a].job.value() < request.jobs[b].job.value();
   });
 
+  // One masked T^c row per job (+∞ on dead or too-small GPUs) feeds the
+  // planner's earliest-finish scan, which keeps the first strict minimum
+  // in ascending GPU order — the same choice as a per-GPU loop.
+  const std::size_t gpu_count = cluster_.gpu_count();
+  std::vector<Bytes> memory(gpu_count, 0);
+  for (std::size_t g = 0; g < gpu_count; ++g) {
+    if (request.gpu_alive[g]) {
+      memory[g] = cluster_.gpu(GpuId(static_cast<int>(g))).spec().memory;
+    }
+  }
+  std::vector<Time> row(gpu_count);
   for (const std::size_t i : order) {
     const ReplanRequest::JobRequest& jr = request.jobs[i];
     const workload::Job& job = jobs_.job(jr.job);
-    std::vector<GpuId> candidates;
-    for (std::size_t g = 0; g < cluster_.gpu_count(); ++g) {
-      if (!request.gpu_alive[g]) continue;
-      if (workload::task_fits(job, cluster_.gpu(GpuId(static_cast<int>(g))))) {
-        candidates.push_back(GpuId(static_cast<int>(g)));
-      }
+    const Bytes footprint = workload::task_memory_footprint(
+        workload::model_spec(job.spec.model), job.effective_batch_size());
+    const Time* tc = profiled_.tc_row(jr.job);
+    bool fits_any = false;
+    for (std::size_t g = 0; g < gpu_count; ++g) {
+      const bool fits = request.gpu_alive[g] && footprint <= memory[g];
+      row[g] = fits ? tc[g] : kTimeInfinity;
+      fits_any = fits_any || fits;
     }
-    if (candidates.empty()) continue;  // dead-letters via uncovered rounds
+    if (!fits_any) continue;  // dead-letters via uncovered rounds
 
     Time job_ready = jr.release;
     for (std::uint32_t r = static_cast<std::uint32_t>(jr.first_round);
          r < job.rounds(); ++r) {
       Time barrier = job_ready;
       for (std::uint32_t slot = 0; slot < job.tasks_per_round(); ++slot) {
-        GpuId best = candidates.front();
-        Time best_finish = kTimeInfinity;
-        for (const GpuId gpu_id : candidates) {
-          const std::size_t g = static_cast<std::size_t>(gpu_id.value());
-          const Time finish =
-              std::max(phi[g], job_ready) + profiled_.tc(jr.job, gpu_id);
-          if (finish < best_finish) {
-            best_finish = finish;
-            best = gpu_id;
-          }
-        }
-        const std::size_t g = static_cast<std::size_t>(best.value());
-        phi[g] = best_finish;
-        barrier = std::max(barrier, best_finish + profiled_.ts(jr.job, best));
-        result.appended[g].push_back(
-            job.task_at(static_cast<std::uint32_t>(r), slot));
+        const core::PlacementCandidate best = core::earliest_finish_scan(
+            row.data(), phi.data(), gpu_count, job_ready);
+        HARE_CHECK_MSG(best.valid(), "no finite T^c for job " << jr.job);
+        const GpuId gpu_id(static_cast<int>(best.gpu));
+        phi[best.gpu] = best.finish;
+        barrier = std::max(barrier, best.finish + profiled_.ts(jr.job, gpu_id));
+        result.appended[best.gpu].push_back(job.task_at(r, slot));
       }
       job_ready = barrier;
     }

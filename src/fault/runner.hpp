@@ -10,8 +10,10 @@
 // jobs actually plan (empty shards short-circuit; the report's shard
 // counters prove it) — and maps the sub-schedule back to original
 // TaskIds. A bounded replan budget guards planner cost under failure
-// storms: once spent, repairs fall back to a greedy earliest-finish fluid
-// placement over the survivors.
+// storms: once spent, repairs fall back to a greedy WSPT-ordered
+// placement over the survivors that runs each task through the planner's
+// earliest-finish scan (core::earliest_finish_scan) on a masked T^c row —
+// the same placements as a per-GPU loop with a strict-< tie-break.
 //
 // Everything is deterministic: the fault plan comes from a seeded spec,
 // the planner is deterministic, and the simulator orders fault events by
@@ -32,7 +34,7 @@ namespace hare::fault {
 
 struct FaultRunnerConfig {
   FaultSpec spec;
-  /// Base simulator configuration (switching policy, queue backend, ...);
+  /// Base simulator configuration (switching policy, network mode, ...);
   /// the runner fills in the fault plan / retry policy / replan hook.
   sim::SimConfig sim{};
   /// Flat planner configuration (baseline plan and flat replans).

@@ -4,26 +4,19 @@
 // numbers), so floating-point time never causes nondeterministic ordering
 // and identical seeds replay identical simulations.
 //
-// Two backends share the API and the exact pop order (total order by
-// (time, sequence)):
+// The queue is a bucketed calendar/ladder queue tuned for the simulator's
+// access pattern (time advances monotonically; every pop schedules a
+// handful of near-future events). Events land in fixed-width buckets; only
+// the *current* bucket is kept sorted (it doubles as a pop stack), so most
+// pushes are an O(1) bucket append and pops are O(1) amortized. When the
+// bucket window drains, the remaining events are redistributed over a
+// fresh window sized from their actual span — the classic calendar-queue
+// resize, amortized over the events it places.
 //
-//  * Heap — binary heap over a flat vector. The reference structure:
-//    O(log n) push/pop, pop() moves the event out instead of copying
-//    payloads through top(), and reserve() pre-sizes the vector for runs
-//    with known event counts.
-//  * Calendar (default) — a bucketed calendar/ladder queue tuned for the
-//    simulator's access pattern (time advances monotonically; every pop
-//    schedules a handful of near-future events). Events land in
-//    fixed-width buckets; only the *current* bucket is kept sorted (it
-//    doubles as a pop stack), so most pushes are an O(1) bucket append
-//    and pops are O(1) amortized. When the bucket window drains, the
-//    remaining events are redistributed over a fresh window sized from
-//    their actual span — the classic calendar-queue resize, amortized
-//    over the events it places.
-//
-// Both backends are agnostic to push order and tolerate pushes earlier
-// than the last popped time (they sort into the current bucket), although
-// the simulator never produces them.
+// Pop order is the total order by (time, sequence), whatever the push
+// order; pushes earlier than the last popped time sort into the current
+// bucket, although the simulator never produces them. The tests hold the
+// queue to a binary-heap oracle on simulator-shaped traffic.
 #pragma once
 
 #include <algorithm>
@@ -35,8 +28,6 @@
 
 namespace hare::sim {
 
-enum class QueueBackend : std::uint8_t { Calendar, Heap };
-
 template <typename Payload>
 class EventQueue {
  public:
@@ -46,26 +37,16 @@ class EventQueue {
     Payload payload{};
   };
 
-  explicit EventQueue(QueueBackend backend = QueueBackend::Calendar)
-      : backend_(backend) {}
-
-  [[nodiscard]] QueueBackend backend() const { return backend_; }
-
   /// Pre-size internal storage for a run with ~n simultaneously pending
   /// events (no rehash/regrow while the run is hot).
   void reserve(std::size_t n) {
-    if (backend_ == QueueBackend::Heap) {
-      heap_.reserve(n);
-    } else {
-      near_.reserve(std::min<std::size_t>(n, 256));
-      overflow_.reserve(n);
-    }
+    near_.reserve(std::min<std::size_t>(n, 256));
+    overflow_.reserve(n);
   }
 
   /// Drop all events and reset sequence numbering; storage is retained so
   /// a reused queue (SimScratch) allocates nothing on the next run.
   void clear() {
-    heap_.clear();
     near_.clear();
     for (auto& bucket : buckets_) bucket.clear();
     overflow_.clear();
@@ -78,11 +59,6 @@ class EventQueue {
   void push(Time time, Payload payload) {
     Event event{time, next_sequence_++, std::move(payload)};
     ++size_;
-    if (backend_ == QueueBackend::Heap) {
-      heap_.push_back(std::move(event));
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-      return;
-    }
     if (time < near_limit_) {
       // Belongs to the bucket currently being drained (or earlier):
       // sorted-insert so the pop stack stays ordered. The comparator is a
@@ -106,19 +82,12 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const { return size_; }
 
   [[nodiscard]] const Event& top() {
-    if (backend_ == QueueBackend::Heap) return heap_.front();
     settle();
     return near_.back();
   }
 
   Event pop() {
     --size_;
-    if (backend_ == QueueBackend::Heap) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Event event = std::move(heap_.back());
-      heap_.pop_back();
-      return event;
-    }
     settle();
     Event event = std::move(near_.back());
     near_.pop_back();
@@ -199,14 +168,10 @@ class EventQueue {
     window_valid_ = true;
   }
 
-  QueueBackend backend_;
   std::uint64_t next_sequence_ = 0;
   std::size_t size_ = 0;
 
-  // Heap backend.
-  std::vector<Event> heap_;
-
-  // Calendar backend. near_ is sorted descending by (time, sequence) so
+  // near_ is sorted descending by (time, sequence) so
   // the soonest event sits at the back (O(1) pop); it holds every pending
   // event with time < near_limit_.
   std::vector<Event> near_;

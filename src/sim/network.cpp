@@ -26,11 +26,13 @@ NetworkModel::TransferId NetworkModel::start_transfer(MachineId machine,
   advance(link, now);
   const TransferId id = next_id_++;
   link.active.push_back(Transfer{id, bytes});
+  ++active_;
   return id;
 }
 
 Time NetworkModel::next_completion() const {
   Time earliest = kTimeInfinity;
+  if (active_ == 0) return earliest;  // default mode never starts one
   for (const auto& link : uplinks_) {
     earliest = std::min(earliest, link_next_completion(link));
   }
@@ -53,13 +55,8 @@ std::vector<NetworkModel::TransferId> NetworkModel::complete_at(Time t) {
       }
     }
   }
+  active_ -= completed.size();
   return completed;
-}
-
-std::size_t NetworkModel::active_count() const {
-  std::size_t n = 0;
-  for (const auto& link : uplinks_) n += link.active.size();
-  return n;
 }
 
 void NetworkModel::advance(Uplink& link, Time now) {

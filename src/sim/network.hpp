@@ -32,7 +32,8 @@ class NetworkModel {
   /// Pop every transfer completing exactly at `t` (== next_completion()).
   std::vector<TransferId> complete_at(Time t);
 
-  [[nodiscard]] std::size_t active_count() const;
+  /// Transfers in flight across every uplink; O(1).
+  [[nodiscard]] std::size_t active_count() const { return active_; }
 
  private:
   struct Transfer {
@@ -50,6 +51,7 @@ class NetworkModel {
   [[nodiscard]] Time link_next_completion(const Uplink& link) const;
 
   std::vector<Uplink> uplinks_;
+  std::size_t active_ = 0;  ///< Σ active.size() over the uplinks
   TransferId next_id_ = 1;
 };
 

@@ -11,6 +11,7 @@
 #include "fault/fault_spec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 
 namespace hare::sim {
@@ -94,6 +95,9 @@ struct SimScratchImpl {
   std::vector<GpuState> gpus;
   std::vector<JobState> job_states;
   std::vector<JobInfo> job_info;
+  /// Per job: the GPUs that started one of its tasks this run, ascending
+  /// and unique — the only GPUs that can run it or keep its state.
+  std::vector<std::vector<GpuId>> job_gpus;
   std::vector<std::vector<SeqEntry>> seq;
   EventQueue<EventPayload> events;
   std::unordered_map<NetworkModel::TransferId, SyncRef> inflight_syncs;
@@ -220,6 +224,9 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
 
   std::vector<JobState>& job_states = scratch.job_states;
   job_states.resize(jobs_.job_count());
+  auto& job_gpus = scratch.job_gpus;
+  job_gpus.resize(jobs_.job_count());
+  for (auto& started : job_gpus) started.clear();
   for (const auto& job : jobs_.jobs()) {
     auto& js = job_states[static_cast<std::size_t>(job.id.value())];
     js.phase = Phase::Active;
@@ -249,12 +256,8 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
   result.gpus.assign(gpu_count, {});
   if (config_.record_timeline) result.busy_intervals.resize(gpu_count);
 
-  if (scratch.events.backend() != config_.event_queue) {
-    scratch.events = EventQueue<EventPayload>(config_.event_queue);
-  } else {
-    scratch.events.clear();
-  }
   EventQueue<EventPayload>& events = scratch.events;
+  events.clear();
   events.reserve(gpu_count * 2 + 16);
   NetworkModel network(cluster_);
   auto& inflight_syncs = scratch.inflight_syncs;
@@ -281,6 +284,9 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
     if (gpu.memory) {
       gpu.memory->on_task_start(task.job, info.footprint, info.state_bytes);
     }
+    auto& started = job_gpus[static_cast<std::size_t>(task.job.value())];
+    const auto at = std::lower_bound(started.begin(), started.end(), gpu_id);
+    if (at == started.end() || *at != gpu_id) started.insert(at, gpu_id);
 
     const double tc =
         (with_noise
@@ -384,6 +390,16 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
     start_task(gpu_id, task_id, now, ready);
   };
 
+  // A finished or cancelled job's kept state can sit only on GPUs that
+  // started one of its tasks.
+  const auto release_memory = [&](JobId job_id) {
+    for (const GpuId gpu_id :
+         job_gpus[static_cast<std::size_t>(job_id.value())]) {
+      auto& memory = gpus[static_cast<std::size_t>(gpu_id.value())].memory;
+      if (memory) memory->on_job_finished(job_id);
+    }
+  };
+
   auto handle_sync_done = [&](TaskId task_id, std::uint32_t epoch, Time now) {
     const workload::Task& task = jobs_.task(task_id);
     JobState& job_state =
@@ -408,9 +424,7 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
       job_state.phase = Phase::Finished;
       auto& record = result.jobs[static_cast<std::size_t>(task.job.value())];
       record.completion = round.barrier;
-      for (auto& gpu : gpus) {
-        if (gpu.memory) gpu.memory->on_job_finished(task.job);
-      }
+      release_memory(task.job);
     }
     // Wake GPUs whose heads were blocked on this barrier. Their start time
     // is the barrier, which may be earlier than `now` only by sync-ordering
@@ -489,17 +503,20 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
     if (gpu.memory) gpu.memory->on_task_complete(now);
   };
 
-  // Invalidate every placement of a job: running attempts anywhere on the
-  // cluster, queued entries (via the epoch bump), round progress past the
-  // checkpoint, and barrier waiters (freed to re-examine their queues).
+  // Invalidate every placement of a job: running attempts (only GPUs that
+  // started one of its tasks can hold one; visited in ascending order, so
+  // lost compute sums in a fixed order), queued entries (via the epoch
+  // bump), round progress past the checkpoint, and barrier waiters (freed
+  // to re-examine their queues).
   auto kill_placements = [&](JobId job_id, Time now) {
     JobState& js = job_states[static_cast<std::size_t>(job_id.value())];
     ++js.plan_epoch;
-    for (std::size_t g = 0; g < gpu_count; ++g) {
-      GpuState& gpu = gpus[g];
+    for (const GpuId gpu_id :
+         job_gpus[static_cast<std::size_t>(job_id.value())]) {
+      const GpuState& gpu = gpus[static_cast<std::size_t>(gpu_id.value())];
       if (gpu.busy && gpu.current_task.valid() &&
           jobs_.task(gpu.current_task).job == job_id) {
-        kill_running_task(GpuId(static_cast<int>(g)), now);
+        kill_running_task(gpu_id, now);
       }
     }
     const workload::Job& job = jobs_.job(job_id);
@@ -565,16 +582,21 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
                     .tasks[static_cast<std::size_t>(gpu.current_task.value())]
                     .compute_end;
       }
-      // Rough tail estimate: compute time of the live queued entries.
-      const auto& sequence = seq[g];
+      // Rough tail estimate: compute time of the live queued entries. An
+      // entry once stale stays stale (epochs and phases only move forward)
+      // and every reader skips it, so the scan drops stale entries from
+      // the queue and later replans do not walk them again.
+      auto& sequence = seq[g];
+      std::size_t live = gpu.next_index;
       for (std::size_t i = gpu.next_index; i < sequence.size(); ++i) {
         const SeqEntry entry = sequence[i];
         const JobState& js = job_state_of(entry.task);
-        if (js.phase == Phase::Active && entry.epoch == js.plan_epoch) {
-          until += actual_.tc(jobs_.task(entry.task).job,
-                              GpuId(static_cast<int>(g)));
-        }
+        if (js.phase != Phase::Active || entry.epoch != js.plan_epoch) continue;
+        until += actual_.tc(jobs_.task(entry.task).job,
+                            GpuId(static_cast<int>(g)));
+        sequence[live++] = entry;
       }
+      sequence.resize(live);
       request.gpu_busy_until[g] = until;
     }
     std::vector<char> requested(jobs_.job_count(), 0);
@@ -771,9 +793,7 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
         static obs::Counter& cancellations =
             obs::counter("fault.cancellations");
         cancellations.add();
-        for (auto& gpu : gpus) {
-          if (gpu.memory) gpu.memory->on_job_finished(fault_event.job);
-        }
+        release_memory(fault_event.job);
         break;
       }
       case fault::FaultKind::JobComplete:
@@ -805,7 +825,7 @@ SimResult Simulator::run(const Schedule& schedule, SimScratch& state) const {
 
   // Fault events enter first so at equal timestamps a fault pops before
   // the task event it races (lower sequence number), which keeps fault
-  // runs bit-identical across queue backends and sweep parallelism.
+  // runs bit-identical across repeated runs and sweep parallelism.
   if (faulty) {
     for (std::size_t i = 0; i < config_.fault_plan->events.size(); ++i) {
       const fault::FaultEvent& fault_event = config_.fault_plan->events[i];

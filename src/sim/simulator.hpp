@@ -22,7 +22,6 @@
 #include "cluster/cluster.hpp"
 #include "fault/fault_plan.hpp"
 #include "profiler/time_table.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/schedule.hpp"
 #include "switching/switch_model.hpp"
@@ -32,10 +31,6 @@ namespace hare::sim {
 
 struct SimConfig {
   switching::SwitchModelConfig switching{};
-  /// Event-queue backend. Calendar is the optimized bucketed ladder; Heap
-  /// is the reference binary heap. Both pop in identical (time, sequence)
-  /// order, so the choice never changes a result — only wall-clock.
-  QueueBackend event_queue = QueueBackend::Calendar;
   /// Give each GPU a speculative memory manager (only meaningful under the
   /// Hare switch policy; the ablation bench turns it off).
   bool use_memory_manager = true;

@@ -1,6 +1,6 @@
 // hare::exp sweep engine: parallel fan-out must be bit-identical to the
-// serial path, the calendar event queue must pop in exactly the reference
-// heap's order (ties included), worker exceptions must surface loudly,
+// serial path, the calendar event queue must pop in exactly the heap
+// oracle's order (ties included), worker exceptions must surface loudly,
 // and scratch reuse must never change a simulation result.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "common/thread_pool.hpp"
 #include "core/hare.hpp"
 #include "exp/engine.hpp"
+#include "heap_event_queue.hpp"
 #include "sim/event_queue.hpp"
 
 namespace hare {
@@ -178,11 +179,13 @@ TEST(ExpEngine, MapMergesInIndexOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 3 * i + 1);
 }
 
-// --- event queue backends ------------------------------------------------
+// --- event queue vs. the heap oracle --------------------------------------
 
 using IntQueue = sim::EventQueue<int>;
+using HeapQueue = testing::HeapEventQueue<int>;
 
-std::vector<std::pair<Time, int>> drain(IntQueue& queue) {
+template <typename Queue>
+std::vector<std::pair<Time, int>> drain(Queue& queue) {
   std::vector<std::pair<Time, int>> out;
   Time last = -kTimeInfinity;
   std::uint64_t last_sequence = 0;
@@ -204,8 +207,8 @@ std::vector<std::pair<Time, int>> drain(IntQueue& queue) {
 }
 
 TEST(EventQueueBackends, IdenticalOrderUnderEqualTimestamps) {
-  IntQueue calendar(sim::QueueBackend::Calendar);
-  IntQueue heap(sim::QueueBackend::Heap);
+  IntQueue calendar;
+  HeapQueue heap;
   // Heavy ties: insertion order must break them identically in both.
   const double times[] = {5.0, 1.0, 1.0, 1.0, 3.0, 5.0, 0.0, 0.0, 3.0, 1.0};
   int payload = 0;
@@ -218,8 +221,8 @@ TEST(EventQueueBackends, IdenticalOrderUnderEqualTimestamps) {
 }
 
 TEST(EventQueueBackends, IdenticalOrderUnderInterleavedPushPop) {
-  IntQueue calendar(sim::QueueBackend::Calendar);
-  IntQueue heap(sim::QueueBackend::Heap);
+  IntQueue calendar;
+  HeapQueue heap;
   common::Rng rng(99);
   int payload = 0;
   std::vector<std::pair<Time, int>> calendar_out;
@@ -247,8 +250,59 @@ TEST(EventQueueBackends, IdenticalOrderUnderInterleavedPushPop) {
   EXPECT_EQ(drain(calendar), drain(heap));
 }
 
+TEST(EventQueueBackends, MatchesHeapOracleOnSimulatorShapedCorpus) {
+  // A seeded corpus shaped like a simulator run: fault events pushed
+  // first at scattered times, one TryStart per GPU at t = 0, then per pop
+  // a few follow-ups, some at exactly the popped time (equal-time bursts)
+  // and some far in the future (overflow). Each seed runs twice on the
+  // same queues, cleared in between, as a reused SimScratch would.
+  IntQueue calendar;
+  HeapQueue heap;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    for (int reuse = 0; reuse < 2; ++reuse) {
+      calendar.clear();
+      heap.clear();
+      common::Rng rng(seed * 31 + static_cast<std::uint64_t>(reuse));
+      int payload = 0;
+      const auto push = [&](Time t) {
+        calendar.push(t, payload);
+        heap.push(t, payload);
+        ++payload;
+      };
+      const int faults = static_cast<int>(rng.uniform() * 12.0);
+      for (int f = 0; f < faults; ++f) push(rng.uniform() * 500.0);
+      const int gpus = 8 + static_cast<int>(rng.uniform() * 56.0);
+      for (int g = 0; g < gpus; ++g) push(0.0);
+
+      std::size_t pops = 0;
+      while (!calendar.empty() && pops < 3000) {
+        ASSERT_EQ(calendar.size(), heap.size());
+        const auto a = calendar.pop();
+        const auto b = heap.pop();
+        ASSERT_EQ(a.time, b.time) << "seed " << seed << " pop " << pops;
+        ASSERT_EQ(a.sequence, b.sequence) << "seed " << seed << " pop " << pops;
+        ASSERT_EQ(a.payload, b.payload) << "seed " << seed << " pop " << pops;
+        ++pops;
+        if (pops > 2000) continue;  // let the tail drain
+        const int follow_ups = static_cast<int>(rng.uniform() * 3.0);
+        for (int k = 0; k < follow_ups; ++k) {
+          const double draw = rng.uniform();
+          if (draw < 0.25) {
+            push(a.time);  // same-instant wake-up
+          } else if (draw < 0.3) {
+            push(a.time + 1e6 * (1.0 + rng.uniform()));  // far future
+          } else {
+            push(a.time + rng.uniform() * 20.0);
+          }
+        }
+      }
+      EXPECT_EQ(drain(calendar), drain(heap)) << "seed " << seed;
+    }
+  }
+}
+
 TEST(EventQueueBackends, ClearRetainsNothing) {
-  IntQueue queue(sim::QueueBackend::Calendar);
+  IntQueue queue;
   for (int i = 0; i < 50; ++i) queue.push(i * 0.5, i);
   (void)queue.pop();
   queue.clear();
@@ -258,32 +312,6 @@ TEST(EventQueueBackends, ClearRetainsNothing) {
   const auto first = queue.pop();
   EXPECT_EQ(first.payload, 2);
   EXPECT_EQ(first.sequence, 1u);  // numbering restarted
-}
-
-TEST(SimBackends, HeapAndCalendarProduceIdenticalResults) {
-  const auto cluster = cluster::make_simulation_cluster(8);
-  workload::TraceConfig config;
-  config.job_count = 12;
-  const auto jobs = workload::TraceGenerator(5).generate(config);
-
-  auto run_with = [&](sim::QueueBackend backend) {
-    core::HareSystem::Options options;
-    options.sim.event_queue = backend;
-    core::HareSystem system(cluster, options);
-    system.submit_all(jobs);
-    core::HareScheduler scheduler;
-    return system.run(scheduler);
-  };
-  const auto calendar = run_with(sim::QueueBackend::Calendar);
-  const auto heap = run_with(sim::QueueBackend::Heap);
-  EXPECT_EQ(calendar.result.weighted_jct, heap.result.weighted_jct);
-  EXPECT_EQ(calendar.result.makespan, heap.result.makespan);
-  ASSERT_EQ(calendar.result.tasks.size(), heap.result.tasks.size());
-  for (std::size_t i = 0; i < calendar.result.tasks.size(); ++i) {
-    EXPECT_EQ(calendar.result.tasks[i].start, heap.result.tasks[i].start);
-    EXPECT_EQ(calendar.result.tasks[i].compute_end,
-              heap.result.tasks[i].compute_end);
-  }
 }
 
 TEST(SimScratch, ReuseNeverChangesAResult) {

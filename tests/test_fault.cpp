@@ -5,7 +5,9 @@
 // SimResults across repeated runs and across serial vs pooled sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "core/hare.hpp"
@@ -13,6 +15,7 @@
 #include "fault/fault_spec.hpp"
 #include "fault/runner.hpp"
 #include "test_util.hpp"
+#include "workload/feasibility.hpp"
 
 namespace hare {
 namespace {
@@ -176,6 +179,19 @@ TEST(FaultSpec, OverflowValueThrowsNamingTheKey) {
   // Integer counts reject magnitudes past what the integral cast holds.
   EXPECT_THROW((void)fault::parse_fault_spec("gpu_failures=1e30"),
                common::Error);
+  // from_chars parses "nan"; event times, durations and straggler factors
+  // reject it like any other non-finite value.
+  for (const char* spec :
+       {"events=(fail_gpu:0@nan)", "mttr=nan,machine_failures=1",
+        "events=(straggle_gpu:0@0-200:nan)", "mttf=NAN"}) {
+    try {
+      (void)fault::parse_fault_spec(spec);
+      FAIL() << "non-finite value accepted: " << spec;
+    } catch (const common::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << spec;
+    }
+  }
 }
 
 TEST(FaultSpec, TrailingSeparatorThrows) {
@@ -436,6 +452,221 @@ TEST(FaultScenario, ZeroReplanBudgetFallsBackToGreedy) {
   check_completed_job_invariants(inst, report.faulted);
 }
 
+// --------------------------------------------------- greedy repair oracle --
+
+/// The budget-exhausted greedy repair as a plain per-candidate loop: WSPT
+/// order over remaining work, then for every task a scan of the alive GPUs
+/// that fit the job, keeping the first strict earliest finish. The library
+/// runs the same placement through the planner's SIMD scan; this loop is
+/// the reference it must match.
+fault::ReplanFn greedy_oracle(const Instance& inst) {
+  return [&inst](const fault::ReplanRequest& request) {
+    fault::ReplanResult result;
+    result.appended.resize(inst.cluster.gpu_count());
+    std::vector<Time> phi = request.gpu_busy_until;
+    std::vector<std::size_t> order(request.jobs.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::vector<double> priority(request.jobs.size(), 0.0);
+    for (std::size_t i = 0; i < request.jobs.size(); ++i) {
+      const fault::ReplanRequest::JobRequest& jr = request.jobs[i];
+      const workload::Job& job = inst.jobs.job(jr.job);
+      const double remaining_tasks =
+          static_cast<double>(job.rounds() -
+                              static_cast<std::uint32_t>(jr.first_round)) *
+          static_cast<double>(job.tasks_per_round());
+      const double work =
+          std::max(1e-12, remaining_tasks * inst.times.min_total(jr.job));
+      priority[i] = job.spec.weight / work;
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (priority[a] != priority[b]) return priority[a] > priority[b];
+      return request.jobs[a].job.value() < request.jobs[b].job.value();
+    });
+
+    for (const std::size_t i : order) {
+      const fault::ReplanRequest::JobRequest& jr = request.jobs[i];
+      const workload::Job& job = inst.jobs.job(jr.job);
+      std::vector<GpuId> candidates;
+      for (std::size_t g = 0; g < inst.cluster.gpu_count(); ++g) {
+        if (!request.gpu_alive[g]) continue;
+        const GpuId gpu_id(static_cast<int>(g));
+        if (workload::task_fits(job, inst.cluster.gpu(gpu_id))) {
+          candidates.push_back(gpu_id);
+        }
+      }
+      if (candidates.empty()) continue;
+
+      Time job_ready = jr.release;
+      for (std::uint32_t r = static_cast<std::uint32_t>(jr.first_round);
+           r < job.rounds(); ++r) {
+        Time barrier = job_ready;
+        for (std::uint32_t slot = 0; slot < job.tasks_per_round(); ++slot) {
+          GpuId best = candidates.front();
+          Time best_finish = kTimeInfinity;
+          for (const GpuId gpu_id : candidates) {
+            const std::size_t g = static_cast<std::size_t>(gpu_id.value());
+            const Time finish =
+                std::max(phi[g], job_ready) + inst.times.tc(jr.job, gpu_id);
+            if (finish < best_finish) {
+              best_finish = finish;
+              best = gpu_id;
+            }
+          }
+          const std::size_t g = static_cast<std::size_t>(best.value());
+          phi[g] = best_finish;
+          barrier =
+              std::max(barrier, best_finish + inst.times.ts(jr.job, best));
+          result.appended[g].push_back(job.task_at(r, slot));
+        }
+        job_ready = barrier;
+      }
+    }
+    return result;
+  };
+}
+
+/// Batch size that puts one task of `model` at about `target` bytes.
+std::uint32_t batch_for_footprint(workload::ModelType model, Bytes target) {
+  const workload::ModelSpec& spec = workload::model_spec(model);
+  const Bytes base = workload::task_memory_footprint(spec, 0);
+  return static_cast<std::uint32_t>((target - base) /
+                                    spec.activation_bytes_per_sample);
+}
+
+/// Mixed-memory cluster: machine 0 holds the only A100s (40 GiB), then
+/// V100/T4 (16 GiB) and M60 (8 GiB) machines. Job 0 fits only the A100s,
+/// so losing machine 0 leaves it no surviving GPU; job 1 fits only the
+/// 16 GiB-and-up GPUs.
+Instance make_mixed_memory_instance(std::uint64_t seed) {
+  Instance inst;
+  cluster::ClusterBuilder builder;
+  builder.add_machine(cluster::GpuType::A100, 2, 25.0);
+  builder.add_machine(cluster::GpuType::V100, 2, 25.0);
+  builder.add_machine(cluster::GpuType::T4, 2, 25.0);
+  builder.add_machine(cluster::GpuType::M60, 2, 25.0);
+  builder.add_machine(cluster::GpuType::M60, 2, 25.0);
+  inst.cluster = builder.build();
+
+  workload::TraceConfig trace_config;
+  trace_config.job_count = 14;
+  trace_config.base_arrival_rate = 0.3;
+  trace_config.sync_scales = {1, 2, 2, 4};
+  trace_config.rounds_scale_min = 0.05;
+  trace_config.rounds_scale_max = 0.2;
+  const workload::JobSet generated =
+      workload::TraceGenerator(seed).generate(trace_config);
+  for (const workload::Job& job : generated.jobs()) {
+    workload::JobSpec spec = job.spec;
+    if (job.id == JobId(0) || job.id == JobId(1)) {
+      spec.model = workload::ModelType::ResNet50;
+      spec.arrival = 0.0;
+      spec.tasks_per_round = 2;
+      spec.batch_size = batch_for_footprint(
+          spec.model, job.id == JobId(0) ? 24_GiB : 12_GiB);
+    }
+    inst.jobs.add_job(std::move(spec));
+  }
+  profiler::Profiler profiler(workload::PerfModel{},
+                              profiler::ProfilerConfig{}, seed);
+  inst.times = profiler.exact(inst.jobs, inst.cluster);
+  return inst;
+}
+
+TEST(FaultGreedyRepair, MatchesPerCandidateOracle) {
+  for (const std::uint64_t seed : {531u, 532u, 533u, 534u}) {
+    const Instance inst = make_mixed_memory_instance(seed);
+    ASSERT_FALSE(workload::task_fits(inst.jobs.job(JobId(0)),
+                                     inst.cluster.gpu(GpuId(2))));
+    ASSERT_TRUE(workload::task_fits(inst.jobs.job(JobId(1)),
+                                    inst.cluster.gpu(GpuId(2))));
+    ASSERT_FALSE(workload::task_fits(inst.jobs.job(JobId(1)),
+                                     inst.cluster.gpu(GpuId(6))));
+
+    // Fault times scale with the fault-free makespan so every failure
+    // lands while work is still queued.
+    core::HareScheduler scheduler;
+    const sim::Schedule schedule =
+        scheduler.schedule({inst.cluster, inst.jobs, inst.times});
+    const Time span = sim::Simulator(inst.cluster, inst.jobs, inst.times)
+                          .run(schedule)
+                          .makespan;
+    std::ostringstream spec;
+    spec << "replan_budget=0,events=(fail_machine:0@" << 0.05 * span
+         << ";fail_gpu:3@" << 0.2 * span << ";recover_machine:0@"
+         << 0.4 * span << ";recover_gpu:3@" << 0.6 * span << ")";
+    fault::FaultRunnerConfig config;
+    config.spec = fault::parse_fault_spec(spec.str());
+    const fault::FaultRunReport report = run_scenario(inst, config);
+    EXPECT_EQ(report.replans_full, 0u);
+    EXPECT_GE(report.replans_greedy, 2u) << "seed " << seed;
+    EXPECT_EQ(report.faulted.jobs[0].outcome, sim::JobOutcome::DeadLettered)
+        << "seed " << seed;
+
+    const fault::ReplanFn oracle = greedy_oracle(inst);
+    sim::SimConfig oracle_config;
+    oracle_config.fault_plan = &report.plan;
+    oracle_config.retry = config.spec.retry;
+    oracle_config.replan = &oracle;
+    const sim::SimResult expected =
+        sim::Simulator(inst.cluster, inst.jobs, inst.times, oracle_config)
+            .run(report.schedule);
+    EXPECT_TRUE(results_identical(report.faulted, expected)) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------- golden runs --
+
+/// One small scenario that fires a full replan (budget 1) and then greedy
+/// repairs, alongside a cancellation and a straggler window. Its outcome
+/// is pinned bit for bit in both network modes, so a change to the repair,
+/// the event loop or the uplink model that moves any result shows here.
+fault::FaultRunReport run_golden_scenario(bool contention) {
+  const Instance inst = make_random_instance(524, 20, 8);
+  fault::FaultRunnerConfig config;
+  config.sim.model_network_contention = contention;
+  config.spec = fault::parse_fault_spec(
+      "replan_budget=1,max_retries=4,backoff_base=2,"
+      "events=(cancel_job:2@8;straggle_gpu:5@0-120:3;fail_machine:0@20;"
+      "fail_gpu:6@35;recover_machine:0@60;recover_gpu:6@90)");
+  fault::FaultRunReport report = run_scenario(inst, config);
+  EXPECT_EQ(report.replans_full, 1u);
+  EXPECT_EQ(report.replans_greedy, 3u);
+  EXPECT_EQ(report.faulted.faults.cancellations, 1u);
+  return report;
+}
+
+std::vector<std::size_t> resident_hits(const sim::SimResult& result) {
+  std::vector<std::size_t> hits;
+  for (const auto& stat : result.switch_stats) {
+    hits.push_back(stat.resident_hits);
+  }
+  return hits;
+}
+
+TEST(FaultGolden, DefaultNetworkRunIsPinned) {
+  const sim::SimResult r = run_golden_scenario(false).faulted;
+  EXPECT_EQ(r.weighted_completion, 2383.7308510400617);
+  EXPECT_EQ(r.makespan, 265.82031202152768);
+  EXPECT_EQ(r.faults.restarts, 28u);
+  EXPECT_EQ(r.faults.tasks_killed, 7u);
+  EXPECT_EQ(r.faults.dead_letters, 0u);
+  EXPECT_EQ(r.faults.lost_compute, 19.864949612897323);
+  EXPECT_EQ(resident_hits(r),
+            (std::vector<std::size_t>{0, 0, 0, 0, 0, 2, 0, 0, 0}));
+}
+
+TEST(FaultGolden, ContentionNetworkRunIsPinned) {
+  const sim::SimResult r = run_golden_scenario(true).faulted;
+  EXPECT_EQ(r.weighted_completion, 2411.4753079438306);
+  EXPECT_EQ(r.makespan, 270.2513532034647);
+  EXPECT_EQ(r.faults.restarts, 28u);
+  EXPECT_EQ(r.faults.tasks_killed, 7u);
+  EXPECT_EQ(r.faults.dead_letters, 0u);
+  EXPECT_EQ(r.faults.lost_compute, 19.660938666337319);
+  EXPECT_EQ(resident_hits(r),
+            (std::vector<std::size_t>{0, 0, 0, 0, 0, 2, 0, 0, 0}));
+}
+
 // ------------------------------------------------------------ determinism --
 
 fault::FaultRunnerConfig stochastic_config() {
@@ -482,17 +713,6 @@ TEST(FaultDeterminism, SerialAndPooledSweepsAreBitIdentical) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(results_identical(serial[i], pooled[i])) << "cell " << i;
   }
-}
-
-TEST(FaultDeterminism, QueueBackendsAgreeOnFaultRuns) {
-  const Instance inst = make_random_instance(512, 8, 8);
-  fault::FaultRunnerConfig calendar = stochastic_config();
-  calendar.sim.event_queue = sim::QueueBackend::Calendar;
-  fault::FaultRunnerConfig heap = stochastic_config();
-  heap.sim.event_queue = sim::QueueBackend::Heap;
-  const fault::FaultRunReport a = run_scenario(inst, calendar);
-  const fault::FaultRunReport b = run_scenario(inst, heap);
-  EXPECT_TRUE(results_identical(a.faulted, b.faulted));
 }
 
 // --------------------------------------------------------- sharded replan --

@@ -166,6 +166,16 @@ TEST(ArrivalSpec, OverflowValueThrowsNamingTheKey) {
   // Counts reject integer-overflowing magnitudes before the integral cast.
   EXPECT_THROW((void)workload::parse_arrival_spec("jobs=1e30"),
                common::Error);
+  // from_chars parses "nan"; a non-finite value is out of range too.
+  for (const char* spec : {"jobs=5,rate=nan", "jobs=5,rate=-nan", "jobs=nan"}) {
+    try {
+      (void)workload::parse_arrival_spec(spec);
+      FAIL() << "non-finite value accepted: " << spec;
+    } catch (const common::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << spec;
+    }
+  }
 }
 
 TEST(ArrivalSpec, TrailingSeparatorThrows) {

@@ -11,6 +11,7 @@
 #include "sim/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
+#include "workload/model_zoo.hpp"
 
 namespace hare::sim {
 namespace {
@@ -96,6 +97,48 @@ TEST(Network, MachinesAreIndependent) {
   net.start_transfer(MachineId(1), 1e9, 0.0);
   EXPECT_NEAR(net.next_completion(), 1.0, 1e-9);
   EXPECT_EQ(net.complete_at(1.0).size(), 2u);
+}
+
+TEST(Network, IdleModelHasNoCompletion) {
+  const auto cluster = cluster::ClusterBuilder{}
+                           .add_machine(cluster::GpuType::V100, 1, 8.0)
+                           .add_machine(cluster::GpuType::K80, 1, 8.0)
+                           .build();
+  NetworkModel net(cluster);
+  EXPECT_EQ(net.active_count(), 0u);
+  EXPECT_EQ(net.next_completion(), kTimeInfinity);
+  net.start_transfer(MachineId(1), 1e9, 0.0);
+  (void)net.complete_at(net.next_completion());
+  // Drained again: idle, with no completion pending.
+  EXPECT_EQ(net.active_count(), 0u);
+  EXPECT_EQ(net.next_completion(), kTimeInfinity);
+}
+
+TEST(Network, ActiveCountTracksStartsAndCompletionsOnTwoLinks) {
+  const auto cluster = cluster::ClusterBuilder{}
+                           .add_machine(cluster::GpuType::V100, 1, 8.0)
+                           .add_machine(cluster::GpuType::K80, 1, 8.0)
+                           .build();  // 1 GB/s per uplink
+  NetworkModel net(cluster);
+  net.start_transfer(MachineId(0), 1e9, 0.0);  // alone: done at 1
+  net.start_transfer(MachineId(1), 1e9, 0.0);  // shares: done at 3
+  net.start_transfer(MachineId(1), 2e9, 0.0);  // shares, then alone: 3
+  EXPECT_EQ(net.active_count(), 3u);
+  EXPECT_NEAR(net.next_completion(), 1.0, 1e-9);
+  EXPECT_EQ(net.complete_at(net.next_completion()).size(), 1u);
+  EXPECT_EQ(net.active_count(), 2u);
+  net.start_transfer(MachineId(0), 1e9, 1.5);  // done at 2.5
+  EXPECT_EQ(net.active_count(), 3u);
+  EXPECT_NEAR(net.next_completion(), 2.0, 1e-9);  // link 1's first
+  EXPECT_EQ(net.complete_at(net.next_completion()).size(), 1u);
+  EXPECT_EQ(net.active_count(), 2u);
+  EXPECT_NEAR(net.next_completion(), 2.5, 1e-9);
+  EXPECT_EQ(net.complete_at(net.next_completion()).size(), 1u);
+  EXPECT_EQ(net.active_count(), 1u);
+  EXPECT_NEAR(net.next_completion(), 3.0, 1e-9);
+  EXPECT_EQ(net.complete_at(net.next_completion()).size(), 1u);
+  EXPECT_EQ(net.active_count(), 0u);
+  EXPECT_EQ(net.next_completion(), kTimeInfinity);
 }
 
 TEST(Network, RejectsBadTransfers) {
@@ -471,6 +514,58 @@ TEST(Simulator, SwitchCostsOnlyDelayNeverReorder) {
     EXPECT_EQ(costed.tasks[i].gpu, fast.tasks[i].gpu);
   }
   EXPECT_GE(costed.weighted_jct, fast.weighted_jct - 1e-9);
+}
+
+TEST(Simulator, FinishedJobReleasesKeptStateOnEveryGpuItRan) {
+  // Two V100s. GPU 1 runs B0, A0, C0, B1; GPU 0 runs A1, so job A
+  // finishes on GPU 0 while its round-0 state is still kept on GPU 1. A
+  // footprint F with S + F <= 16 GiB < 2S + F (S = kept model state) means
+  // C0 fits beside one kept state, not two. If A's finish releases its
+  // state on GPU 1, C0 evicts nothing and B1 finds B resident; if not, C0
+  // evicts B, the earliest-completed state, and B1 reloads it.
+  const workload::ModelType model = workload::ModelType::ResNet50;
+  const workload::ModelSpec& spec = workload::model_spec(model);
+  const Bytes capacity = cluster::gpu_spec(cluster::GpuType::V100).memory;
+  const Bytes state = workload::model_state_bytes(spec);
+  const Bytes base = workload::task_memory_footprint(spec, 0);
+  const auto batch = static_cast<std::uint32_t>(
+      (capacity - state - state / 2 - base) /
+      spec.activation_bytes_per_sample);
+  const Bytes footprint = workload::task_memory_footprint(spec, batch);
+  ASSERT_LE(state + footprint, capacity);
+  ASSERT_GT(2 * state + footprint, capacity);
+
+  Instance inst;
+  inst.cluster =
+      cluster::ClusterBuilder{}.add_machine(cluster::GpuType::V100, 2).build();
+  const auto add = [&](std::uint32_t rounds, Time arrival) {
+    workload::JobSpec job;
+    job.model = model;
+    job.rounds = rounds;
+    job.batch_size = batch;
+    job.arrival = arrival;
+    return inst.jobs.add_job(job);
+  };
+  const JobId a = add(2, 0.0);
+  const JobId b = add(2, 0.0);
+  const JobId c = add(1, 100.0);  // arrives after A has finished
+  inst.times = profiler::TimeTable(3, 2);
+  for (const JobId job : {a, b, c}) {
+    for (int g = 0; g < 2; ++g) inst.times.set(job, GpuId(g), 1.0, 0.1);
+  }
+  const auto task = [&](JobId job, std::uint32_t round) {
+    return inst.jobs.job(job).task_at(round, 0);
+  };
+  Schedule schedule;
+  schedule.sequences = {{task(a, 1)},
+                        {task(b, 0), task(a, 0), task(c, 0), task(b, 1)}};
+
+  const SimResult result =
+      Simulator(inst.cluster, inst.jobs, inst.times).run(schedule);
+  const TaskRecord& b1 =
+      result.tasks[static_cast<std::size_t>(task(b, 1).value())];
+  EXPECT_EQ(b1.gpu, GpuId(1));
+  EXPECT_TRUE(b1.model_resident);
 }
 
 }  // namespace
