@@ -12,17 +12,17 @@
 // serial sharded plan beats flat super-linearly in S: each sub-instance
 // pays ~(J/S)·(G/S) where flat pays J·G.
 //
-// Part 2 — incremental Queyranne separation. LpCuts relaxations run twice
-// (full per-round re-sort vs incremental separator); the cut trajectories
-// must match exactly (same cuts, same rounds, same x̂, same objective) and
-// the re-sorted-task counter measures the separation sort work actually
-// saved.
+// Part 2 — incremental Queyranne separation. LpCuts relaxations run on a
+// small grid and the relaxation's re-sorted-task counter measures the
+// separation sort work the incremental separator saved against a full
+// per-round re-sort. That both separations give the same cut trajectory is
+// a ctest contract (IncrementalSeparation.IdenticalCutTrajectoryWithSavings).
 //
 // Emits machine-readable BENCH_shard.json which
-// scripts/check_bench_regression.py gates in CI: merge bit-identity,
-// schedule validity, and cut-trajectory identity always; the >= 3x
-// sharded-over-flat speedup floor only when the recorded run had >= 4
-// workers; the >= 50% separation re-sort savings floor in full mode.
+// scripts/check_bench_regression.py gates in CI: merge bit-identity and
+// schedule validity always; the >= 3x sharded-over-flat speedup floor only
+// when the recorded run had >= 4 workers; the >= 50% separation re-sort
+// savings floor in full mode.
 // `--quick` shrinks the grid for smoke runs; `--json <path>` overrides the
 // output location.
 #include <algorithm>
@@ -73,7 +73,6 @@ struct ShardRow {
 struct SepRow {
   std::size_t jobs = 0;
   std::size_t gpus = 0;
-  bool trajectory_identical = false;
   std::size_t sep_tasks_total = 0;
   std::size_t sep_tasks_resorted = 0;
 };
@@ -183,21 +182,12 @@ SepRow run_separation_point(std::uint64_t seed, std::size_t jobs,
   profiler::Profiler profiler(perf, profiler::ProfilerConfig{}, seed);
   instance.times = profiler.exact(instance.jobs, instance.cluster);
 
-  auto solve = [&](bool incremental) {
-    core::RelaxationConfig relax;
-    relax.mode = core::RelaxMode::LpCuts;
-    relax.engine.incremental_separation = incremental;
-    const core::HareRelaxation relaxation(relax);
-    return relaxation.solve(instance.cluster, instance.jobs, instance.times);
-  };
-  const core::RelaxationResult full = solve(false);
-  const core::RelaxationResult inc = solve(true);
-
-  row.trajectory_identical =
-      inc.cut_count == full.cut_count && inc.lp_solves == full.lp_solves &&
-      inc.x_hat == full.x_hat && inc.objective == full.objective;
-  row.sep_tasks_total = inc.sep_tasks_total;
-  row.sep_tasks_resorted = inc.sep_tasks_resorted;
+  core::RelaxationConfig relax;
+  relax.mode = core::RelaxMode::LpCuts;
+  const core::RelaxationResult relaxed = core::HareRelaxation(relax).solve(
+      instance.cluster, instance.jobs, instance.times);
+  row.sep_tasks_total = relaxed.sep_tasks_total;
+  row.sep_tasks_resorted = relaxed.sep_tasks_resorted;
   return row;
 }
 
@@ -207,11 +197,9 @@ SepRow run_separation_point(std::uint64_t seed, std::size_t jobs,
                               bool quick) {
   std::size_t sep_total = 0;
   std::size_t sep_resorted = 0;
-  bool sep_identical = true;
   for (const SepRow& r : sep_rows) {
     sep_total += r.sep_tasks_total;
     sep_resorted += r.sep_tasks_resorted;
-    sep_identical = sep_identical && r.trajectory_identical;
   }
   const double savings =
       sep_total > 0
@@ -242,8 +230,6 @@ SepRow run_separation_point(std::uint64_t seed, std::size_t jobs,
   }
   out << "  ],\n";
   out << "  \"separation\": {\n";
-  out << "    \"trajectory_identical\": "
-      << (sep_identical ? "true" : "false") << ",\n";
   out << "    \"sep_tasks_total\": " << sep_total << ",\n";
   out << "    \"sep_tasks_resorted\": " << sep_resorted << ",\n";
   out << "    \"resort_savings\": " << savings << ",\n";
@@ -251,8 +237,6 @@ SepRow run_separation_point(std::uint64_t seed, std::size_t jobs,
   for (std::size_t i = 0; i < sep_rows.size(); ++i) {
     const SepRow& r = sep_rows[i];
     out << "      {\"jobs\": " << r.jobs << ", \"gpus\": " << r.gpus
-        << ", \"trajectory_identical\": "
-        << (r.trajectory_identical ? "true" : "false")
         << ", \"sep_tasks_total\": " << r.sep_tasks_total
         << ", \"sep_tasks_resorted\": " << r.sep_tasks_resorted << "}"
         << (i + 1 < sep_rows.size() ? "," : "") << "\n";
@@ -330,13 +314,11 @@ int main(int argc, char** argv) {
     sep_rows.push_back(run_separation_point(99, 12, 6));
     sep_rows.push_back(run_separation_point(55, 16, 6));
   }
-  common::Table sep_table(
-      {"jobs", "gpus", "identical", "sort work", "resorted", "savings"});
+  common::Table sep_table({"jobs", "gpus", "sort work", "resorted", "savings"});
   for (const SepRow& r : sep_rows) {
     sep_table.row()
         .cell(r.jobs)
         .cell(r.gpus)
-        .cell(r.trajectory_identical ? "yes" : "NO")
         .cell(r.sep_tasks_total)
         .cell(r.sep_tasks_resorted)
         .cell(r.sep_tasks_total > 0
@@ -352,12 +334,6 @@ int main(int argc, char** argv) {
   for (const ShardRow& r : rows) {
     if (!r.merge_identical || !r.valid) {
       std::cerr << "FAIL: sharded plan broke a correctness contract\n";
-      return 1;
-    }
-  }
-  for (const SepRow& r : sep_rows) {
-    if (!r.trajectory_identical) {
-      std::cerr << "FAIL: incremental separation diverged from full sorts\n";
       return 1;
     }
   }

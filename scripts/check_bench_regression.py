@@ -6,12 +6,11 @@ regression. Two bench formats are understood, dispatched on the "bench"
 field:
 
 bench_planner_scale (BENCH_planner.json):
-  * any engine configuration produced a schedule that differs from its
-    reference (naive vs warm-serial, warm-serial vs pooled) — determinism
-    is a correctness contract, never waived, including in quick mode;
-  * the measured speedups fall below the thresholds. Thresholds are ratios
-    (optimized vs the in-process naive baseline measured in the same run),
-    so they hold across machines; absolute milliseconds are never compared.
+  * a grid point's schedule failed structural validation, or a point lacks
+    its timing — never waived, including in quick mode;
+  * an lp_cuts point never solved an LP, or its reported LP shape is empty.
+    Absolute milliseconds are never compared; identity with the reference
+    planner is a ctest contract (tests/planner_oracle.cpp).
 
 bench_sweep_scale (BENCH_sweep.json):
   * the parallel sweep diverged from the serial reference (bit-identity is
@@ -28,8 +27,6 @@ bench_shard_scale (BENCH_shard.json):
   * the parallel sharded plan is not bit-identical to the serial sharded
     plan, or a plan failed structural validation — correctness contracts,
     never waived, including in quick mode;
-  * the incremental Queyranne separation produced a different cut
-    trajectory than the full per-round re-sort — never waived;
   * full mode: the incremental separator saved < 50% of the separation
     sort work across the lp_cuts grid;
   * full mode: the largest point's sharded-over-flat speedup fell below
@@ -85,12 +82,6 @@ Usage: scripts/check_bench_regression.py [JSON...] [--quick]
 
 import json
 import sys
-
-# Full-run thresholds: the largest fluid grid is the headline number the
-# optimization work is gated on; smaller grids only need to not regress
-# past the naive engine by more than measurement noise.
-LARGE_FLUID_MIN_SPEEDUP = 3.0
-ANY_POINT_MIN_SPEEDUP = 0.7  # noise floor for tiny grids
 
 # Sweep-engine thresholds: the parallel fan-out must beat the serial
 # reference by this much on a machine with enough cores to show it.
@@ -180,58 +171,26 @@ def check_planner(data, quick, path):
 
     errors = 0
     for i, p in enumerate(points):
-        absent = missing_keys(p, ("mode", "jobs", "gpus"))
+        absent = missing_keys(p, ("mode", "jobs", "gpus", "plan_ms", "valid"))
         if absent:
             errors += skip_missing(
                 f"{path} point {i}", absent, "all gates for this point"
             )
             continue
         tag = f"{p['mode']} {p['jobs']}x{p['gpus']}"
-        if not p.get("naive_matches_warm", False):
-            errors += fail(f"{tag}: optimized schedule differs from naive")
-        if not p.get("warm_matches_pooled", False):
-            errors += fail(f"{tag}: pooled schedule differs from warm-serial")
-
-    if not quick:
-        for i, p in enumerate(points):
-            absent = missing_keys(p, ("mode", "jobs", "gpus"))
-            if absent:
-                continue  # already reported above
-            tag = f"{p['mode']} {p['jobs']}x{p['gpus']}"
-            if "speedup_serial" not in p:
-                errors += skip_missing(
-                    tag, ["speedup_serial"], "naive-floor speedup gate"
-                )
-                continue
-            if p["speedup_serial"] < ANY_POINT_MIN_SPEEDUP:
-                errors += fail_floor(
-                    tag, "speedup_serial", p["speedup_serial"],
-                    ANY_POINT_MIN_SPEEDUP,
-                    "optimized engine slower than naive",
-                )
-        fluid = [
-            p
-            for p in points
-            if p.get("mode") == "fluid" and "jobs" in p and "gpus" in p
-        ]
-        if fluid:
-            largest = max(fluid, key=lambda p: p["jobs"] * p["gpus"])
-            if "speedup_serial" not in largest:
-                errors += skip_missing(
-                    f"large fluid grid {largest['jobs']}x{largest['gpus']}",
-                    ["speedup_serial"],
-                    "large-fluid speedup gate",
-                )
-            elif largest["speedup_serial"] < LARGE_FLUID_MIN_SPEEDUP:
-                errors += fail_floor(
-                    f"large fluid grid {largest['jobs']}x{largest['gpus']}",
-                    "speedup_serial", largest["speedup_serial"],
-                    LARGE_FLUID_MIN_SPEEDUP,
-                )
+        if not p["valid"]:
+            errors += fail(f"{tag}: the planned schedule failed validation")
+        if not p["plan_ms"] > 0.0:
+            errors += fail(f"{tag}: plan_ms {p['plan_ms']} is not positive")
+        if p["mode"] == "lp_cuts":
+            if p.get("lp_solves", 0) < 1:
+                errors += fail(f"{tag}: the LpCuts relaxation solved no LP")
+            if p.get("lp_rows", 0) < 1 or p.get("lp_cols", 0) < 1:
+                errors += fail(f"{tag}: the reported LP shape is empty")
 
     if errors:
         return errors
-    mode = "quick (determinism)" if quick else "full"
+    mode = "quick" if quick else "full"
     print(f"OK: {len(points)} grid points pass the {mode} planner gate in {path}")
     return 0
 
@@ -301,14 +260,8 @@ def check_shard(data, quick, path):
         if not p.get("valid", False):
             errors += fail(f"{tag}: a plan failed structural validation")
 
-    sep = data.get("separation", {})
-    if not sep.get("trajectory_identical", False):
-        errors += fail(
-            f"{path}: incremental separation produced a different cut "
-            "trajectory than the full per-round re-sort"
-        )
     if not quick:
-        savings = sep.get("resort_savings", 0.0)
+        savings = data.get("separation", {}).get("resort_savings", 0.0)
         if savings < SHARD_MIN_RESORT_SAVINGS:
             errors += fail_floor(
                 path, "resort_savings", savings, SHARD_MIN_RESORT_SAVINGS,
@@ -338,7 +291,7 @@ def check_shard(data, quick, path):
 
     if errors:
         return errors
-    mode = "quick (determinism/validity/trajectory)" if quick else "full"
+    mode = "quick (determinism/validity)" if quick else "full"
     print(
         f"OK: {len(points)} shard points pass the {mode} shard gate in {path}"
     )

@@ -23,9 +23,10 @@
 //
 // Exactness precondition: the masked T^c row must be constant within every
 // bucket. That holds for ProfileDb / exact tables but *not* for the noisy
-// per-GPU profiler path, so PlacementIndex verifies each job's row at build
-// time and silently keeps the flat scan when any bucket is mixed — the
-// bucketed index is a wall-clock knob, never a semantics change.
+// per-GPU profiler path, so PlacementIndex collapses each job's row to one
+// value per bucket at build time (collapse_row) and silently keeps the flat
+// scan when any bucket is mixed — the bucketed index is a wall-clock knob,
+// never a semantics change.
 #pragma once
 
 #include <algorithm>
@@ -91,14 +92,21 @@ class GpuBucketIndex {
 
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
 
-  /// True when `row` (a masked T^c row, +∞ = does not fit) is constant
-  /// within every bucket — the exactness precondition for queries.
-  [[nodiscard]] bool row_uniform(const Time* row) const {
-    for (const auto& bucket : buckets_) {
-      const Time v = row[bucket.gpus.front()];
-      for (const std::size_t g : bucket.gpus) {
-        if (row[g] != v) return false;
+  /// Collapse a job's masked T^c row (T^c where `fits`, +∞ elsewhere) to
+  /// one value per bucket in `out[0, bucket_count())`. False when a bucket
+  /// mixes values: the exactness precondition for queries does not hold.
+  [[nodiscard]] bool collapse_row(const Time* tc, const std::vector<char>& fits,
+                                  Time* out) const {
+    const auto masked = [&](std::size_t g) {
+      return fits[g] ? tc[g] : kTimeInfinity;
+    };
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      const std::vector<std::size_t>& gpus = buckets_[b].gpus;
+      const Time v = masked(gpus.front());
+      for (const std::size_t g : gpus) {
+        if (masked(g) != v) return false;
       }
+      out[b] = v;
     }
     return true;
   }
@@ -117,12 +125,14 @@ class GpuBucketIndex {
   }
 
   /// Lexicographic argmin of (max(release, φ) + T^c, gpu) over fitting
-  /// GPUs; matches the flat scan bit for bit when row_uniform(row) holds.
-  [[nodiscard]] Candidate earliest_finish(const Time* row,
+  /// GPUs, given the job's collapse_row() values; matches the flat scan bit
+  /// for bit.
+  [[nodiscard]] Candidate earliest_finish(const Time* bucket_tc,
                                           Time release) const {
     Candidate chosen;
-    for (const auto& bucket : buckets_) {
-      const Time tc = row[bucket.gpus.front()];
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      const Bucket& bucket = buckets_[b];
+      const Time tc = bucket_tc[b];
       if (tc == kTimeInfinity) continue;  // bucket does not fit the job
       const auto [phi_min, arg_min] = bucket.root();
       std::size_t pos;
@@ -148,14 +158,15 @@ class GpuBucketIndex {
     return chosen;
   }
 
-  /// Lexicographic argmin of (φ, gpu) over fitting GPUs; start is
-  /// max(release, φ).
-  [[nodiscard]] Candidate earliest_available(const Time* row,
+  /// Lexicographic argmin of (φ, gpu) over fitting GPUs, given the job's
+  /// collapse_row() values; start is max(release, φ).
+  [[nodiscard]] Candidate earliest_available(const Time* bucket_tc,
                                              Time release) const {
     std::size_t best_gpu = kNoGpu;
     Time best_phi = kTimeInfinity;
-    for (const auto& bucket : buckets_) {
-      if (row[bucket.gpus.front()] == kTimeInfinity) continue;
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      const Bucket& bucket = buckets_[b];
+      if (bucket_tc[b] == kTimeInfinity) continue;
       const auto [phi_min, arg_min] = bucket.root();
       const std::size_t gpu = bucket.gpus[arg_min];
       if (phi_min < best_phi || (phi_min == best_phi && gpu < best_gpu)) {

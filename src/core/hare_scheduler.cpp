@@ -6,11 +6,9 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "core/placement_index.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "workload/feasibility.hpp"
 
 namespace hare::core {
 
@@ -29,29 +27,15 @@ struct BuildState {
   std::vector<Time> phi;  ///< GPU available times
   std::vector<std::vector<RoundProgress>> rounds;  ///< [job][round]
   double objective = 0.0;
-  /// Engine acceleration for the relaxed pass: either the masked-row index
-  /// or the pool-sharded scan replaces the naive O(G) candidate loops. The
-  /// index and fitting matrix live in the caller's scratch when one is
-  /// shared with the relaxation (φ-independent, so rebuilt for free via
-  /// reset_phi); the naive engine always builds its own fitting matrix.
-  PlannerScratch* scratch = nullptr;
-  std::vector<std::vector<char>> own_fits;
-  const std::vector<std::vector<char>>* fits_ptr = nullptr;
-  std::optional<PlacementIndex> own_index;
+  /// The fitting matrix and placement index live in the caller's scratch,
+  /// shared with the relaxation (φ-independent, so re-seeded for free).
+  PlannerScratch& scratch;
   PlacementIndex* index = nullptr;
-  common::ThreadPool* pool = nullptr;
-  bool sharded = false;
 
   BuildState(const sched::SchedulerInput& in, const HareConfig& cfg,
-             PlannerScratch* shared)
+             PlannerScratch& shared)
       : input(in), config(cfg), scratch(shared) {
-    if (scratch && !cfg.relaxation.engine.naive) {
-      scratch->sync(in.cluster, in.jobs);
-      fits_ptr = &scratch->fits;
-    } else {
-      own_fits = workload::fitting_matrix(in.cluster, in.jobs);
-      fits_ptr = &own_fits;
-    }
+    scratch.sync(in.cluster, in.jobs);
     schedule.sequences.resize(in.cluster.gpu_count());
     schedule.predicted_start.assign(in.jobs.task_count(), 0.0);
     phi.assign(in.cluster.gpu_count(), 0.0);
@@ -62,34 +46,13 @@ struct BuildState {
   }
 
   [[nodiscard]] const std::vector<std::vector<char>>& fits() const {
-    return *fits_ptr;
+    return scratch.fits;
   }
 
-  /// Pick the candidate-scan strategy for the relaxed pass. Must run after
-  /// `phi` holds the initial horizons (incremental planning seeds them).
-  void enable_engine() {
-    const PlannerEngine& engine = config.relaxation.engine;
-    if (engine.naive) return;
-    pool = engine.pool();
-    sharded = engine.use_sharded_scan(phi.size()) && pool != nullptr;
-    if (sharded) return;
-    if (scratch) {
-      if (scratch->index) {
-        // A cross-batch scratch may lag a grown instance: extend the masked
-        // rows for appended jobs before re-seeding the horizons.
-        scratch->index->append_jobs(input.times, fits());
-        scratch->index->reset_phi(phi);
-      } else {
-        scratch->index.emplace(input.times, phi.size(), fits(), phi, pool,
-                               &input.cluster,
-                               engine.bucketed_index_min_gpus);
-      }
-      index = &*scratch->index;
-    } else {
-      own_index.emplace(input.times, phi.size(), fits(), phi, pool,
-                        &input.cluster, engine.bucketed_index_min_gpus);
-      index = &*own_index;
-    }
+  /// Seed the placement index for the relaxed pass. Must run after `phi`
+  /// holds the initial horizons (incremental planning seeds them).
+  void build_index() {
+    index = &scratch.index_for(input.cluster, input.jobs, input.times, phi);
   }
 
   [[nodiscard]] RoundProgress& progress(JobId job, RoundIndex round) {
@@ -105,42 +68,10 @@ struct BuildState {
     const workload::Task& task = input.jobs.task(task_id);
     const workload::Job& job = input.jobs.job(task.job);
 
-    const auto& job_fits = fits()[static_cast<std::size_t>(task.job.value())];
-    PlacementIndex::Candidate chosen;
-    if (config.placement == Placement::EarliestAvailable) {
-      if (index) {
-        chosen = index->earliest_available(task.job, available);
-      } else if (sharded) {
-        chosen = sharded_earliest_available(available, job_fits, phi, *pool);
-      } else {
-        std::size_t best = phi.size();
-        for (std::size_t g = 0; g < phi.size(); ++g) {
-          if (!job_fits[g]) continue;
-          if (best == phi.size() || phi[g] < phi[best]) best = g;
-        }
-        if (best < phi.size()) {
-          chosen = PlacementIndex::Candidate{
-              best, std::max(available, phi[best]), phi[best]};
-        }
-      }
-    } else {
-      if (index) {
-        chosen = index->earliest_finish(task.job, available);
-      } else if (sharded) {
-        chosen = sharded_earliest_finish(input.times, task.job, available,
-                                         job_fits, phi, *pool);
-      } else {
-        for (std::size_t g = 0; g < phi.size(); ++g) {
-          if (!job_fits[g]) continue;
-          const Time start = std::max(available, phi[g]);
-          const Time finish =
-              start + input.times.tc(task.job, GpuId(static_cast<int>(g)));
-          if (finish < chosen.finish) {
-            chosen = PlacementIndex::Candidate{g, start, finish};
-          }
-        }
-      }
-    }
+    const PlacementIndex::Candidate chosen =
+        config.placement == Placement::EarliestAvailable
+            ? index->earliest_available(task.job, available)
+            : index->earliest_finish(task.job, available);
     HARE_CHECK_MSG(chosen.valid(), "no feasible GPU for task " << task_id);
     const std::size_t best = chosen.gpu;
     const GpuId gpu(static_cast<int>(best));
@@ -152,7 +83,7 @@ struct BuildState {
     schedule.predicted_start[static_cast<std::size_t>(task_id.value())] =
         start;
     phi[best] = start + tc;  // T^s overlaps the GPU's next task (line 16)
-    if (index) index->set_phi(best, phi[best]);
+    index->set_phi(best, phi[best]);
 
     RoundProgress& round = progress(task.job, task.round);
     round.barrier = std::max(round.barrier, start + tc + ts);
@@ -209,20 +140,11 @@ void run_relaxed_pass(BuildState& state, const std::vector<TaskId>& pi) {
 }
 
 /// Line 4: sort π by non-descending H, ids breaking ties (deterministic).
-/// The optimized engine sorts packed (H, id) pairs — the seed's comparator
-/// paid two dependent random loads into h per comparison.
+/// Sorting packed (H, id) pairs keeps each comparison off two dependent
+/// random loads into h.
 void sort_by_middle_completion(std::vector<TaskId>& pi,
-                               const std::vector<Time>& h, bool naive) {
+                               const std::vector<Time>& h) {
   HARE_SPAN("planner", "planner.sort_pi");
-  if (naive) {
-    std::sort(pi.begin(), pi.end(), [&](TaskId a, TaskId b) {
-      const Time ha = h[static_cast<std::size_t>(a.value())];
-      const Time hb = h[static_cast<std::size_t>(b.value())];
-      if (ha != hb) return ha < hb;
-      return a < b;
-    });
-    return;
-  }
   std::vector<std::pair<Time, TaskId>> keyed(pi.size());
   for (std::size_t i = 0; i < pi.size(); ++i) {
     keyed[i] = {h[static_cast<std::size_t>(pi[i].value())], pi[i]};
@@ -239,10 +161,10 @@ void sort_by_middle_completion(std::vector<TaskId>& pi,
 sim::Schedule build_relaxed(const sched::SchedulerInput& input,
                             const HareConfig& config,
                             const std::vector<TaskId>& pi, double* objective,
-                            PlannerScratch* scratch) {
+                            PlannerScratch& scratch) {
   HARE_SPAN("planner", "planner.list_schedule");
   BuildState state(input, config, scratch);
-  state.enable_engine();
+  state.build_index();
   run_relaxed_pass(state, pi);
   *objective = state.objective;
   return std::move(state.schedule);
@@ -251,7 +173,7 @@ sim::Schedule build_relaxed(const sched::SchedulerInput& input,
 sim::Schedule build_strict(const sched::SchedulerInput& input,
                            const HareConfig& config,
                            const std::vector<TaskId>& pi, double* objective,
-                           PlannerScratch* scratch) {
+                           PlannerScratch& scratch) {
   // Strict scale-fixed: whole rounds gang on distinct GPUs with a common
   // start. Rounds are visited in the order their first member appears in π.
   HARE_SPAN("planner", "planner.gang_schedule");
@@ -384,14 +306,13 @@ sim::Schedule HareScheduler::schedule(const sched::SchedulerInput& input) {
   std::vector<TaskId> pi;
   pi.reserve(input.jobs.task_count());
   for (const auto& task : input.jobs.tasks()) pi.push_back(task.id);
-  sort_by_middle_completion(pi, last_relaxation_.h,
-                            config_.relaxation.engine.naive);
+  sort_by_middle_completion(pi, last_relaxation_.h);
 
   double objective = 0.0;
   sim::Schedule result =
       config_.sync == SyncScheme::Relaxed
-          ? build_relaxed(input, config_, pi, &objective, &scratch)
-          : build_strict(input, config_, pi, &objective, &scratch);
+          ? build_relaxed(input, config_, pi, &objective, scratch)
+          : build_strict(input, config_, pi, &objective, scratch);
   result.predicted_objective = objective;
   return result;
 }
@@ -410,10 +331,6 @@ double HareScheduler::schedule_jobs(const sched::SchedulerInput& input,
   const std::size_t gpu_count = input.cluster.gpu_count();
   if (state.phi.empty()) state.phi.assign(gpu_count, 0.0);
   HARE_CHECK_MSG(state.phi.size() == gpu_count, "phi size mismatch");
-  if (schedule.sequences.empty()) {
-    schedule.sequences.resize(gpu_count);
-    schedule.predicted_start.assign(input.jobs.task_count(), 0.0);
-  }
 
   SubProblem sub;
   sub.job_mask = job_mask;
@@ -422,38 +339,10 @@ double HareScheduler::schedule_jobs(const sched::SchedulerInput& input,
   // The scratch rides in the caller's IncrementalState: batch k pays only
   // for the jobs appended since batch k-1 instead of rebuilding the
   // fitting matrix and masked index rows over the whole instance.
-  PlannerScratch& scratch = state.scratch;
-  last_relaxation_ =
-      relaxation.solve(input.cluster, input.jobs, input.times, sub, &scratch);
-
-  std::vector<TaskId> pi;
-  for (const auto& task : input.jobs.tasks()) {
-    if (job_mask[static_cast<std::size_t>(task.job.value())]) {
-      pi.push_back(task.id);
-    }
-  }
-  sort_by_middle_completion(pi, last_relaxation_.h,
-                            config_.relaxation.engine.naive);
-
-  BuildState build(input, config_, &scratch);
-  build.phi = state.phi;
-  build.enable_engine();
-  run_relaxed_pass(build, pi);
-
-  // Append the batch onto the cumulative plan. φ is monotone, so batch
-  // tasks always start at or after every prior commitment on their GPU.
-  for (std::size_t g = 0; g < gpu_count; ++g) {
-    auto& target = schedule.sequences[g];
-    const auto& batch = build.schedule.sequences[g];
-    target.insert(target.end(), batch.begin(), batch.end());
-  }
-  for (TaskId id : pi) {
-    schedule.predicted_start[static_cast<std::size_t>(id.value())] =
-        build.schedule.predicted_start[static_cast<std::size_t>(id.value())];
-  }
-  state.phi = build.phi;
-  schedule.predicted_objective += build.objective;
-  return build.objective;
+  last_relaxation_ = relaxation.solve(input.cluster, input.jobs, input.times,
+                                      sub, &state.scratch);
+  return schedule_jobs_with_h(input, job_mask, last_relaxation_.h, state,
+                              schedule);
 }
 
 double HareScheduler::schedule_jobs_with_h(const sched::SchedulerInput& input,
@@ -482,13 +371,15 @@ double HareScheduler::schedule_jobs_with_h(const sched::SchedulerInput& input,
       pi.push_back(task.id);
     }
   }
-  sort_by_middle_completion(pi, h, config_.relaxation.engine.naive);
+  sort_by_middle_completion(pi, h);
 
-  BuildState build(input, config_, &state.scratch);
+  BuildState build(input, config_, state.scratch);
   build.phi = state.phi;
-  build.enable_engine();
+  build.build_index();
   run_relaxed_pass(build, pi);
 
+  // Append the batch onto the cumulative plan. φ is monotone, so batch
+  // tasks always start at or after every prior commitment on their GPU.
   for (std::size_t g = 0; g < gpu_count; ++g) {
     auto& target = schedule.sequences[g];
     const auto& batch = build.schedule.sequences[g];

@@ -26,13 +26,13 @@
 //    schedule — is bit-identical to the seed loop at a fraction of its
 //    per-element cost.
 //
+// Clusters of kBucketedIndexMinGpus GPUs or more try the bucketed index of
+// gpu_bucket_index.hpp instead, which keeps one masked T^c value per job
+// and (domain, GPU type) bucket rather than a row per GPU.
+//
 // Queries and set_phi are serial-planner operations (one task placed at a
 // time); the lazily built φ-set means the index must not be shared across
-// threads mid-build. `sharded_earliest_finish` / `sharded_earliest_available`
-// are the thread-pool alternative for very wide clusters: shards compute
-// their local lexicographic minimum over a contiguous GPU range and the
-// results merge in shard order, which is again bit-identical to the serial
-// scan.
+// threads mid-build.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +47,6 @@
 #include <immintrin.h>
 #endif
 
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/gpu_bucket_index.hpp"
 #include "profiler/time_table.hpp"
@@ -229,98 +228,78 @@ struct PlacementCandidate {
   return chosen;
 }
 
+/// Cluster width at which PlacementIndex tries the bucketed index. A query
+/// probes every (domain, type) bucket and each placement updates a bucket
+/// tree, so narrow clusters are faster on the flat SIMD scan. On Fluid
+/// plans with two jobs per GPU and exact tables (Release, 4-vCPU x86-64),
+/// buckets cost 6-8% at 128 and 256 GPUs and save 13% at 512 and 27% at
+/// 1,024; the crossover lies between 256 and 512.
+inline constexpr std::size_t kBucketedIndexMinGpus = 512;
+
 class PlacementIndex {
  public:
   using Candidate = PlacementCandidate;
 
-  /// Builds the masked per-job T^c rows from the fitting matrix.
-  /// `initial_phi` may be empty (all GPUs free at 0). With a pool, the
-  /// per-job row builds fan out across workers (each job fills its own
-  /// pre-sized slot — deterministic).
+  /// Builds the per-job T^c rows masked by the fitting matrix.
+  /// `initial_phi` may be empty (all GPUs free at 0).
   ///
-  /// With a `cluster` and `gpu_count >= bucket_min_gpus`, queries go through
-  /// a per-(domain, type) GpuBucketIndex — O(buckets · log B) instead of
-  /// O(G) — provided every job's masked row is bucket-uniform (checked here
-  /// per job; a single mixed bucket falls the whole index back to the flat
-  /// scan, keeping bit-identity unconditional).
+  /// With a `cluster` of at least kBucketedIndexMinGpus GPUs, queries go
+  /// through a per-(domain, type) GpuBucketIndex — O(buckets · log B)
+  /// instead of O(G) — provided every job's masked row is bucket-uniform
+  /// (checked here per job; a single mixed bucket falls the whole index
+  /// back to the flat scan, keeping bit-identity unconditional).
   PlacementIndex(const profiler::TimeTable& times, std::size_t gpu_count,
                  const std::vector<std::vector<char>>& fits,
                  const std::vector<Time>& initial_phi = {},
-                 common::ThreadPool* pool = nullptr,
-                 const cluster::Cluster* cluster = nullptr,
-                 std::size_t bucket_min_gpus = 0)
+                 const cluster::Cluster* cluster = nullptr)
       : times_(&times), gpu_count_(gpu_count), phi_(gpu_count, 0.0) {
     if (!initial_phi.empty()) phi_ = initial_phi;
-
-    const bool try_buckets = cluster != nullptr && bucket_min_gpus > 0 &&
-                             gpu_count >= bucket_min_gpus;
-    if (try_buckets) buckets_.emplace(*cluster, phi_);
-
-    const std::size_t jobs = times.job_count();
-    masked_tc_.resize(jobs * gpu_count);  // every slot written below
-    std::atomic<bool> uniform{try_buckets};
-    auto build_job = [&](std::size_t j) {
-      const Time* tc = times_->tc_row(JobId(static_cast<int>(j)));
-      const auto& job_fits = fits[j];
-      Time* row = masked_tc_.data() + j * gpu_count_;
-      for (std::size_t g = 0; g < gpu_count_; ++g) {
-        row[g] = job_fits[g] ? tc[g] : kTimeInfinity;
-      }
-      if (try_buckets && uniform.load(std::memory_order_relaxed) &&
-          !buckets_->row_uniform(row)) {
-        uniform.store(false, std::memory_order_relaxed);
-      }
-    };
-    if (pool && jobs > 1) {
-      times.precompute();  // aggregate cache must not mutate under readers
-      pool->parallel_for_each(jobs, build_job);
-    } else {
-      for (std::size_t j = 0; j < jobs; ++j) build_job(j);
+    if (cluster != nullptr && gpu_count >= kBucketedIndexMinGpus) {
+      buckets_.emplace(*cluster, phi_);
     }
-    // The memoized profiler keys measurements by (shape, type, uplink),
-    // so same-type cells usually match and buckets survive; mixed uplinks
-    // or hand-built tables still break uniformity, and the flat SIMD scan
-    // stays exact for them.
-    if (try_buckets && !uniform.load(std::memory_order_relaxed)) {
-      buckets_.reset();
-    }
+    append_jobs(times, fits);
   }
 
   /// True when queries run through the bucketed per-(domain, type) index.
   [[nodiscard]] bool bucketed() const { return buckets_.has_value(); }
 
   /// Jobs whose masked rows the index currently holds.
-  [[nodiscard]] std::size_t job_count() const {
-    return gpu_count_ ? masked_tc_.size() / gpu_count_ : 0;
-  }
+  [[nodiscard]] std::size_t job_count() const { return job_count_; }
 
-  /// Extend the job axis in place for streaming callers: masked T^c rows
-  /// are built for jobs [job_count(), times.job_count()) only, so a
-  /// standing index follows a growing instance at append-only cost instead
-  /// of being rebuilt O(jobs × GPUs) per planning batch. Appended rows use
-  /// the same arithmetic as the constructor, so a grown index and a fresh
-  /// build agree bit for bit. Bucket exactness is re-verified for the new
-  /// rows alone (the old verdict still holds); a non-uniform addition drops
-  /// the whole index back to the flat scan, keeping bit-identity
-  /// unconditional.
+  /// Build the masked T^c rows of jobs [job_count(), times.job_count()):
+  /// the constructor's build, and the append-only extension that lets a
+  /// standing index follow a growing instance instead of being rebuilt
+  /// O(jobs × GPUs) per planning batch. A bucketed index keeps one value
+  /// per bucket and job (GpuBucketIndex::collapse_row), not a row per GPU,
+  /// so wide clusters never write the jobs × GPUs matrix. Exactness is
+  /// verified for the new rows alone (the old verdict still holds); a
+  /// non-uniform row drops the whole index back to the flat scan. The
+  /// memoized profiler keys measurements by (shape, type, uplink), so
+  /// same-type cells usually match and buckets survive; mixed uplinks or
+  /// hand-built tables break uniformity, and the flat SIMD scan stays
+  /// exact for them.
   void append_jobs(const profiler::TimeTable& times,
                    const std::vector<std::vector<char>>& fits) {
     times_ = &times;
-    const std::size_t old_jobs = job_count();
+    const std::size_t old_jobs = job_count_;
     const std::size_t jobs = times.job_count();
     if (jobs <= old_jobs) return;
-    masked_tc_.resize(jobs * gpu_count_);
-    bool uniform = buckets_.has_value();
-    for (std::size_t j = old_jobs; j < jobs; ++j) {
-      const Time* tc = times.tc_row(JobId(static_cast<int>(j)));
-      const auto& job_fits = fits[j];
-      Time* row = masked_tc_.data() + j * gpu_count_;
-      for (std::size_t g = 0; g < gpu_count_; ++g) {
-        row[g] = job_fits[g] ? tc[g] : kTimeInfinity;
+    job_count_ = jobs;
+    if (buckets_) {
+      const std::size_t width = buckets_->bucket_count();
+      bucket_tc_.resize(jobs * width);
+      for (std::size_t j = old_jobs; j < jobs; ++j) {
+        if (!buckets_->collapse_row(times.tc_row(JobId(static_cast<int>(j))),
+                                    fits[j], bucket_tc_.data() + j * width)) {
+          buckets_.reset();
+          bucket_tc_ = {};
+          mask_rows(times, fits, 0, jobs);
+          return;
+        }
       }
-      if (uniform && !buckets_->row_uniform(row)) uniform = false;
+      return;
     }
-    if (buckets_ && !uniform) buckets_.reset();
+    mask_rows(times, fits, old_jobs, jobs);
   }
 
   [[nodiscard]] Time phi(std::size_t gpu) const { return phi_[gpu]; }
@@ -357,7 +336,7 @@ class PlacementIndex {
   [[nodiscard]] Candidate earliest_available(JobId job, Time release) const {
     if (buckets_) {
       const GpuBucketIndex::Candidate c =
-          buckets_->earliest_available(masked_row(job), release);
+          buckets_->earliest_available(bucket_row(job), release);
       return c.valid() ? Candidate{c.gpu, c.start, c.finish} : Candidate{};
     }
     if (!phi_set_built_) {
@@ -377,26 +356,49 @@ class PlacementIndex {
   /// GPUs: the bucketed index when engaged, else earliest_finish_scan over
   /// the job's masked row.
   [[nodiscard]] Candidate earliest_finish(JobId job, Time release) const {
-    const Time* row = masked_row(job);
     if (buckets_) {
       const GpuBucketIndex::Candidate c =
-          buckets_->earliest_finish(row, release);
+          buckets_->earliest_finish(bucket_row(job), release);
       return c.valid() ? Candidate{c.gpu, c.start, c.finish} : Candidate{};
     }
-    return earliest_finish_scan(row, phi_.data(), gpu_count_, release);
+    return earliest_finish_scan(masked_row(job), phi_.data(), gpu_count_,
+                                release);
   }
 
  private:
+  /// Flat-scan rows of jobs [from, to): T^c where the job fits, else +∞.
+  void mask_rows(const profiler::TimeTable& times,
+                 const std::vector<std::vector<char>>& fits, std::size_t from,
+                 std::size_t to) {
+    masked_tc_.resize(to * gpu_count_);
+    for (std::size_t j = from; j < to; ++j) {
+      const Time* tc = times.tc_row(JobId(static_cast<int>(j)));
+      const auto& job_fits = fits[j];
+      Time* row = masked_tc_.data() + j * gpu_count_;
+      for (std::size_t g = 0; g < gpu_count_; ++g) {
+        row[g] = job_fits[g] ? tc[g] : kTimeInfinity;
+      }
+    }
+  }
+
   [[nodiscard]] const Time* masked_row(JobId job) const {
     return masked_tc_.data() +
            static_cast<std::size_t>(job.value()) * gpu_count_;
   }
 
+  [[nodiscard]] const Time* bucket_row(JobId job) const {
+    return bucket_tc_.data() +
+           static_cast<std::size_t>(job.value()) * buckets_->bucket_count();
+  }
+
   const profiler::TimeTable* times_;
   std::size_t gpu_count_ = 0;
   std::vector<Time> phi_;
-  /// T^c per (job, gpu); +∞ where the job's task does not fit the GPU.
+  std::size_t job_count_ = 0;
+  /// Flat scan: T^c per (job, gpu); +∞ where the job's task does not fit.
   std::vector<Time> masked_tc_;
+  /// Bucketed index: the same masked T^c per (job, bucket).
+  std::vector<Time> bucket_tc_;
   mutable std::set<std::pair<Time, std::size_t>> by_phi_;
   mutable bool phi_set_built_ = false;
   /// Engaged only when bucket-uniformity verified for every job's row.
@@ -406,12 +408,10 @@ class PlacementIndex {
 /// Reusable φ-independent planning buffers: the memory-fitting matrix and
 /// the placement index (whose job-masked T^c rows are the expensive part).
 /// One planning invocation builds them once; the relaxation's fluid pass
-/// and Algorithm 1's list scheduler both reuse them via reset_phi(). A
+/// and Algorithm 1's list scheduler both reuse them via index_for(). A
 /// scratch may also outlive one invocation — the incremental planners carry
 /// it across batches through HareScheduler::IncrementalState, so a
-/// streaming instance pays append-only cost per batch (sync below). The
-/// naive engine never touches the scratch — it keeps the seed's
-/// build-twice behaviour as the bench baseline.
+/// streaming instance pays append-only cost per batch (sync below).
 struct PlannerScratch {
   std::vector<std::vector<char>> fits;  ///< [job][gpu] memory fit
   std::optional<PlacementIndex> index;
@@ -421,8 +421,7 @@ struct PlannerScratch {
   /// since (the streaming contract: between calls sharing one scratch the
   /// job set may only grow and the cluster is fixed). A scratch that no
   /// longer matches the instance — more rows than jobs, or a different GPU
-  /// axis — starts over from scratch. The standing index's masked rows are
-  /// extended in lock-step by the engine-enable paths via append_jobs.
+  /// axis — starts over from scratch.
   void sync(const cluster::Cluster& cluster, const workload::JobSet& jobs) {
     if (fits.size() > jobs.job_count() ||
         (!fits.empty() && fits.front().size() != cluster.gpu_count())) {
@@ -433,68 +432,22 @@ struct PlannerScratch {
       workload::append_fitting_rows(cluster, jobs, fits);
     }
   }
-};
 
-namespace detail {
-
-template <typename CandidateFn>
-PlacementIndex::Candidate sharded_argmin(std::size_t gpu_count,
-                                         common::ThreadPool& pool,
-                                         CandidateFn&& candidate_of) {
-  const std::size_t shards = std::min(gpu_count, pool.size());
-  std::vector<PlacementIndex::Candidate> local(shards);
-  pool.parallel_for_each(shards, [&](std::size_t s) {
-    const std::size_t lo = s * gpu_count / shards;
-    const std::size_t hi = (s + 1) * gpu_count / shards;
-    PlacementIndex::Candidate best;
-    for (std::size_t g = lo; g < hi; ++g) {
-      const PlacementIndex::Candidate c = candidate_of(g);
-      if (!c.valid()) continue;
-      if (c.finish < best.finish ||
-          (c.finish == best.finish && c.gpu < best.gpu)) {
-        best = c;
-      }
+  /// sync(), then the placement index with its horizons set to `phi`:
+  /// built on first use, else extended for appended jobs and re-seeded.
+  PlacementIndex& index_for(const cluster::Cluster& cluster,
+                            const workload::JobSet& jobs,
+                            const profiler::TimeTable& times,
+                            const std::vector<Time>& phi) {
+    sync(cluster, jobs);
+    if (index) {
+      index->append_jobs(times, fits);
+      index->reset_phi(phi);
+    } else {
+      index.emplace(times, cluster.gpu_count(), fits, phi, &cluster);
     }
-    local[s] = best;
-  });
-  PlacementIndex::Candidate best;
-  for (const auto& c : local) {  // merge in shard order — deterministic
-    if (!c.valid()) continue;
-    if (c.finish < best.finish ||
-        (c.finish == best.finish && c.gpu < best.gpu)) {
-      best = c;
-    }
+    return *index;
   }
-  return best;
-}
-
-}  // namespace detail
-
-/// Pool-sharded earliest-finish scan over the raw φ vector. Same selection
-/// (and bit pattern) as the serial scan; worth it only for very wide
-/// clusters where one task's candidate scan amortizes the fan-out.
-inline PlacementIndex::Candidate sharded_earliest_finish(
-    const profiler::TimeTable& times, JobId job, Time release,
-    const std::vector<char>& fits, const std::vector<Time>& phi,
-    common::ThreadPool& pool) {
-  return detail::sharded_argmin(
-      phi.size(), pool, [&](std::size_t g) -> PlacementIndex::Candidate {
-        if (!fits[g]) return {};
-        const Time start = std::max(release, phi[g]);
-        const Time finish = start + times.tc(job, GpuId(static_cast<int>(g)));
-        return PlacementIndex::Candidate{g, start, finish};
-      });
-}
-
-/// Pool-sharded earliest-available scan (argmin φ, ties to the lower id).
-inline PlacementIndex::Candidate sharded_earliest_available(
-    Time release, const std::vector<char>& fits, const std::vector<Time>& phi,
-    common::ThreadPool& pool) {
-  return detail::sharded_argmin(
-      phi.size(), pool, [&](std::size_t g) -> PlacementIndex::Candidate {
-        if (!fits[g]) return {};
-        return PlacementIndex::Candidate{g, std::max(release, phi[g]), phi[g]};
-      });
-}
+};
 
 }  // namespace hare::core

@@ -1,26 +1,16 @@
 #include "core/relaxation.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <optional>
-#include <queue>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "core/placement_index.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/queyranne.hpp"
 #include "opt/simplex.hpp"
-#include "workload/feasibility.hpp"
 
 namespace hare::core {
-
-common::ThreadPool* PlannerEngine::pool() const {
-  if (naive || threads <= 1) return nullptr;
-  return &common::shared_pool();
-}
 
 namespace {
 
@@ -37,9 +27,9 @@ namespace {
 // 2·T^c_fast < T^c_slow — the relaxed scale-fixed behaviour of Fig 4(b)
 // falls out of the greedy rather than being special-cased.
 //
-// Three engine paths compute the same placement argmin — the naive O(G)
-// scan (reference), the PlacementIndex φ-set walk, and the pool-sharded
-// scan for very wide clusters — and produce bit-identical passes.
+// Placement runs on the PlacementIndex the caller's scratch shares with
+// the list-scheduling pass (tests/planner_oracle.cpp keeps the O(G) scan
+// it must match bit for bit).
 struct FluidPass {
   std::vector<Time> x_hat;
   std::vector<GpuId> y_hat;
@@ -50,13 +40,11 @@ struct FluidPass {
 FluidPass run_fluid_pass(const cluster::Cluster& cluster,
                          const workload::JobSet& jobs,
                          const profiler::TimeTable& times,
-                         const SubProblem& sub, const PlannerEngine& engine,
-                         PlannerScratch* scratch) {
+                         const SubProblem& sub, PlannerScratch& scratch) {
   HARE_SPAN("planner", "planner.fluid_pass");
   const std::size_t task_count = jobs.task_count();
   const std::size_t gpu_count = cluster.gpu_count();
   HARE_CHECK_MSG(gpu_count > 0, "cluster has no GPUs");
-  common::ThreadPool* pool = engine.pool();
 
   FluidPass pass;
   pass.x_hat.assign(task_count, 0.0);
@@ -64,26 +52,15 @@ FluidPass run_fluid_pass(const cluster::Cluster& cluster,
   pass.finish.assign(task_count, 0.0);
 
   // Arrival-adjusted WSPT key: a_n + (minimum possible total work) / w_n.
-  // The cached min_total aggregate turns the per-job O(G) reduction into an
-  // O(1) lookup; the naive path keeps the seed's explicit rescan.
   std::vector<JobId> order;
   order.reserve(jobs.job_count());
   std::vector<double> key(jobs.job_count(), 0.0);
   for (const auto& job : jobs.jobs()) {
     if (!sub.active(job.id)) continue;
-    Time best_round = kTimeInfinity;
-    if (engine.naive) {
-      for (std::size_t g = 0; g < gpu_count; ++g) {
-        best_round = std::min(
-            best_round, times.total(job.id, GpuId(static_cast<int>(g))));
-      }
-    } else {
-      best_round = times.min_total(job.id);
-    }
     key[static_cast<std::size_t>(job.id.value())] =
         job.spec.arrival + static_cast<double>(job.rounds()) *
                                static_cast<double>(job.tasks_per_round()) *
-                               best_round / job.spec.weight;
+                               times.min_total(job.id) / job.spec.weight;
     order.push_back(job.id);
   }
   std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
@@ -93,78 +70,30 @@ FluidPass run_fluid_pass(const cluster::Cluster& cluster,
     return a < b;
   });
 
-  // The fitting matrix and the index's masked T^c rows are φ-independent;
-  // when the caller hands us a scratch, build them once and share them with
-  // the list-scheduling pass. The naive engine keeps the seed's
-  // build-per-pass behaviour.
-  const bool share = scratch != nullptr && !engine.naive;
-  std::vector<std::vector<char>> local_fits;
-  if (share) {
-    scratch->sync(cluster, jobs);
-  } else {
-    local_fits = workload::fitting_matrix(cluster, jobs);
-  }
-  const auto& fits = share ? scratch->fits : local_fits;
+  // The fitting matrix and the index's masked T^c rows are φ-independent:
+  // build them once in the scratch and share them with the list-scheduling
+  // pass.
   std::vector<Time> phi(gpu_count, 0.0);
   for (std::size_t g = 0; g < gpu_count; ++g) phi[g] = sub.phi(g);
-
-  const bool sharded = engine.use_sharded_scan(gpu_count) && pool != nullptr;
-  std::optional<PlacementIndex> local_index;
-  PlacementIndex* index = nullptr;
-  if (!engine.naive && !sharded) {
-    if (share) {
-      if (scratch->index) {
-        // A cross-batch scratch may lag a grown instance: extend the masked
-        // rows for appended jobs before re-seeding the horizons.
-        scratch->index->append_jobs(times, fits);
-        scratch->index->reset_phi(phi);
-      } else {
-        scratch->index.emplace(times, gpu_count, fits, phi, pool, &cluster,
-                               engine.bucketed_index_min_gpus);
-      }
-      index = &*scratch->index;
-    } else {
-      local_index.emplace(times, gpu_count, fits, phi, pool, &cluster,
-                          engine.bucketed_index_min_gpus);
-      index = &*local_index;
-    }
-  }
+  PlacementIndex& index = scratch.index_for(cluster, jobs, times, phi);
 
   for (const JobId job_id : order) {
     const workload::Job& job = jobs.job(job_id);
-    const auto& job_fits = fits[static_cast<std::size_t>(job_id.value())];
     Time release = job.spec.arrival;
     for (std::uint32_t r = 0; r < job.rounds(); ++r) {
       Time barrier = release;
       for (TaskId task_id :
            jobs.round_tasks(job_id, static_cast<RoundIndex>(r))) {
-        PlacementIndex::Candidate chosen;
-        if (engine.naive) {
-          for (std::size_t g = 0; g < gpu_count; ++g) {
-            if (!job_fits[g]) continue;  // task would not fit device memory
-            const Time start = std::max(release, phi[g]);
-            const Time finish =
-                start + times.tc(job_id, GpuId(static_cast<int>(g)));
-            if (finish < chosen.finish) {
-              chosen = PlacementIndex::Candidate{g, start, finish};
-            }
-          }
-        } else if (sharded) {
-          chosen = sharded_earliest_finish(times, job_id, release, job_fits,
-                                           phi, *pool);
-        } else {
-          chosen = index->earliest_finish(job_id, release);
-        }
+        const PlacementIndex::Candidate chosen =
+            index.earliest_finish(job_id, release);
         HARE_CHECK_MSG(chosen.valid(), "no feasible GPU for task");
         const GpuId gpu(static_cast<int>(chosen.gpu));
         const std::size_t idx = static_cast<std::size_t>(task_id.value());
         pass.x_hat[idx] = chosen.start;
         pass.y_hat[idx] = gpu;
         pass.finish[idx] = chosen.start + times.total(job_id, gpu);
-        const Time busy_until =
-            chosen.start + times.tc(job_id, gpu);  // sync overlaps
-        phi[chosen.gpu] = busy_until;
-        if (index) index->set_phi(chosen.gpu, busy_until);
+        // Sync overlaps the GPU's next task.
+        index.set_phi(chosen.gpu, chosen.start + times.tc(job_id, gpu));
         barrier = std::max(barrier, pass.finish[idx]);
       }
       release = barrier;
@@ -176,23 +105,9 @@ FluidPass run_fluid_pass(const cluster::Cluster& cluster,
 
 std::vector<Time> middle_completion_times(const workload::JobSet& jobs,
                                           const profiler::TimeTable& times,
-                                          const std::vector<Time>& x_hat,
-                                          const PlannerEngine& engine) {
+                                          const std::vector<Time>& x_hat) {
   HARE_SPAN("planner", "planner.middle_completion");
   std::vector<Time> h(jobs.task_count(), 0.0);
-  if (engine.naive) {
-    // Seed behaviour: rescan the GPU axis for every task.
-    for (const auto& task : jobs.tasks()) {
-      const std::size_t idx = static_cast<std::size_t>(task.id.value());
-      Time max_tc = times.tc(task.job, GpuId(0));
-      for (std::size_t g = 1; g < times.gpu_count(); ++g) {
-        max_tc = std::max(max_tc,
-                          times.tc(task.job, GpuId(static_cast<int>(g))));
-      }
-      h[idx] = x_hat[idx] + 0.5 * max_tc;
-    }
-    return h;
-  }
   for (const auto& task : jobs.tasks()) {
     const std::size_t idx = static_cast<std::size_t>(task.id.value());
     h[idx] = x_hat[idx] + 0.5 * times.max_tc(task.job);
@@ -212,14 +127,16 @@ RelaxationResult HareRelaxation::solve(const cluster::Cluster& cluster,
   HARE_CHECK_MSG(times.job_count() == jobs.job_count() &&
                      times.gpu_count() == cluster.gpu_count(),
                  "time table does not match instance");
-  // Freeze the aggregate cache before any pool fan-out: every later
-  // min/max/α accessor is then a pure read.
-  if (!config_.engine.naive) times.precompute();
+  // Fill the aggregate cache once: every later min/max accessor is then an
+  // O(1) read.
+  times.precompute();
+  PlannerScratch local;
+  PlannerScratch& shared = scratch ? *scratch : local;
   switch (config_.mode) {
     case RelaxMode::Fluid:
-      return solve_fluid(cluster, jobs, times, sub, scratch);
+      return solve_fluid(cluster, jobs, times, sub, shared);
     case RelaxMode::LpCuts:
-      return solve_lp_cuts(cluster, jobs, times, sub, scratch, program);
+      return solve_lp_cuts(cluster, jobs, times, sub, shared, program);
   }
   HARE_CHECK_MSG(false, "unknown relaxation mode");
   return {};
@@ -228,21 +145,20 @@ RelaxationResult HareRelaxation::solve(const cluster::Cluster& cluster,
 RelaxationResult HareRelaxation::solve_fluid(
     const cluster::Cluster& cluster, const workload::JobSet& jobs,
     const profiler::TimeTable& times, const SubProblem& sub,
-    PlannerScratch* scratch) const {
-  const FluidPass pass =
-      run_fluid_pass(cluster, jobs, times, sub, config_.engine, scratch);
+    PlannerScratch& scratch) const {
+  const FluidPass pass = run_fluid_pass(cluster, jobs, times, sub, scratch);
   RelaxationResult result;
   result.x_hat = pass.x_hat;
   result.y_hat = pass.y_hat;
   result.objective = pass.objective;
-  result.h = middle_completion_times(jobs, times, result.x_hat, config_.engine);
+  result.h = middle_completion_times(jobs, times, result.x_hat);
   return result;
 }
 
 RelaxationResult HareRelaxation::solve_lp_cuts(
     const cluster::Cluster& cluster, const workload::JobSet& jobs,
     const profiler::TimeTable& times, const SubProblem& sub,
-    PlannerScratch* scratch, opt::LinearProgram* program) const {
+    PlannerScratch& scratch, opt::LinearProgram* program) const {
   HARE_SPAN("planner", "planner.lp_cuts");
   static obs::Counter& lp_solve_counter = obs::counter("planner.lp_solves");
   static obs::Counter& pivot_counter = obs::counter("planner.lp_pivots");
@@ -260,11 +176,9 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
                  "use Fluid for online planning");
   // Fix ŷ with the fluid pass, then cut-plane the LP over x, round-end
   // variables E, and job completions C.
-  const FluidPass pass =
-      run_fluid_pass(cluster, jobs, times, sub, config_.engine, scratch);
+  const FluidPass pass = run_fluid_pass(cluster, jobs, times, sub, scratch);
   const std::size_t task_count = jobs.task_count();
   const std::size_t gpu_count = cluster.gpu_count();
-  common::ThreadPool* pool = config_.engine.pool();
 
   obs::Span lp_build_span("planner", "planner.lp_build");
   opt::LinearProgram lp;
@@ -358,67 +272,38 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
                                           solver.last_solve_was_warm()});
   snap(solution);
 
-  // One separation over all machines per round. The per-machine separations
-  // read the same LP point and are independent, so they fan out across the
-  // pool; cuts are then appended in ascending machine order, making the cut
-  // sequence — and every downstream pivot — identical to the serial path.
-  //
-  // With incremental separation each machine retains its sorted order and
-  // last point across rounds (the T^c vector is fixed given ŷ, so it is
-  // built once) and re-sorts only the coordinates the snapped vertex
-  // moved — same cuts, a fraction of the sort work. The per-round work
-  // accounting (total vs. resorted task entries) feeds the savings metric.
-  const bool incremental =
-      config_.engine.incremental_separation && !config_.engine.naive;
-  std::vector<opt::IncrementalSeparator> separators;
-  std::vector<std::vector<double>> machine_point;
-  if (incremental) {
-    separators.resize(gpu_count);
-    machine_point.resize(gpu_count);
-    for (std::size_t g = 0; g < gpu_count; ++g) {
-      const auto& members = machine_tasks[g];
-      if (members.size() < 2) continue;
-      std::vector<double> t(members.size());
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        t[k] = times.tc(jobs.task(members[k]).job,
-                        GpuId(static_cast<int>(g)));
-      }
-      separators[g] = opt::IncrementalSeparator(std::move(t));
-      machine_point[g].resize(members.size());
+  // One separation over all machines per round; cuts are appended in
+  // ascending machine order. Each machine keeps its sorted order and last
+  // point across rounds (the T^c vector is fixed given ŷ, so it is built
+  // once) and re-sorts only the coordinates the snapped vertex moved — the
+  // same cuts as a full per-round sort (tests/planner_oracle.cpp), at a
+  // fraction of the sort work.
+  std::vector<opt::IncrementalSeparator> separators(gpu_count);
+  std::vector<std::vector<double>> machine_point(gpu_count);
+  for (std::size_t g = 0; g < gpu_count; ++g) {
+    const auto& members = machine_tasks[g];
+    if (members.size() < 2) continue;
+    std::vector<double> t(members.size());
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      t[k] = times.tc(jobs.task(members[k]).job, GpuId(static_cast<int>(g)));
     }
+    separators[g] = opt::IncrementalSeparator(std::move(t));
+    machine_point[g].resize(members.size());
   }
 
   std::vector<opt::QueyranneCut> machine_cuts(gpu_count);
-  auto separate_machine = [&](std::size_t g) {
-    machine_cuts[g] = opt::QueyranneCut{};
-    const auto& members = machine_tasks[g];
-    if (members.size() < 2) return;
-    if (incremental) {
-      auto& point = machine_point[g];
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        point[k] = x_snapped[static_cast<std::size_t>(members[k].value())];
-      }
-      machine_cuts[g] = separators[g].separate(point, config_.cut_tolerance);
-      return;
-    }
-    std::vector<double> t(members.size());
-    std::vector<double> point(members.size());
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const workload::Task& task = jobs.task(members[k]);
-      t[k] = times.tc(task.job, GpuId(static_cast<int>(g)));
-      point[k] = x_snapped[static_cast<std::size_t>(members[k].value())];
-    }
-    machine_cuts[g] =
-        opt::separate_queyranne_cut(t, point, config_.cut_tolerance);
-  };
-
   for (std::size_t round = 0; round < config_.max_cut_rounds; ++round) {
     {
       HARE_SPAN_ARG("planner", "planner.separation", "round", round);
-      if (pool) {
-        pool->parallel_for_each(gpu_count, separate_machine);
-      } else {
-        for (std::size_t g = 0; g < gpu_count; ++g) separate_machine(g);
+      for (std::size_t g = 0; g < gpu_count; ++g) {
+        machine_cuts[g] = opt::QueyranneCut{};
+        const auto& members = machine_tasks[g];
+        if (members.size() < 2) continue;
+        auto& point = machine_point[g];
+        for (std::size_t k = 0; k < members.size(); ++k) {
+          point[k] = x_snapped[static_cast<std::size_t>(members[k].value())];
+        }
+        machine_cuts[g] = separators[g].separate(point, config_.cut_tolerance);
       }
     }
     // Separation-work accounting: what a full per-round re-sort would touch
@@ -427,8 +312,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
       const std::size_t members = machine_tasks[g].size();
       if (members < 2) continue;
       result.sep_tasks_total += members;
-      result.sep_tasks_resorted +=
-          incremental ? separators[g].last_resorted() : members;
+      result.sep_tasks_resorted += separators[g].last_resorted();
     }
 
     std::size_t added = 0;
@@ -477,7 +361,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
         job.spec.weight *
         solution.values[c_var[static_cast<std::size_t>(job.id.value())]];
   }
-  result.h = middle_completion_times(jobs, times, result.x_hat, config_.engine);
+  result.h = middle_completion_times(jobs, times, result.x_hat);
 
   result.lp_rows = base_rows + result.cut_count;
   result.lp_cols = cols;

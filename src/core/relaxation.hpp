@@ -32,50 +32,11 @@
 #include "profiler/time_table.hpp"
 #include "workload/job.hpp"
 
-namespace hare::common {
-class ThreadPool;
-}
-
 namespace hare::core {
 
 struct PlannerScratch;  // placement_index.hpp
 
 enum class RelaxMode : std::uint8_t { Fluid, LpCuts };
-
-/// Engine knobs for the planning pipeline, shared by the relaxation solver
-/// and Algorithm 1's list scheduler. Every setting produces bit-identical
-/// schedules (tests assert it); the knobs trade wall-clock only.
-struct PlannerEngine {
-  /// Pre-optimization reference path: O(G) linear candidate scans, full
-  /// separation sorts, no caching shortcuts, no pool. Kept as the perf
-  /// bench baseline and as the equivalence oracle in tests.
-  bool naive = false;
-  /// Worker threads for per-machine separation, per-job preprocessing, and
-  /// sharded candidate scans. 0 or 1 = serial; >= 2 uses the process-wide
-  /// common::shared_pool().
-  std::size_t threads = 1;
-  /// Shard the per-GPU earliest-finish/available scans across the pool only
-  /// when the cluster has at least this many GPUs (below it, the indexed
-  /// lane scan wins and per-task fan-out overhead dominates).
-  std::size_t parallel_scan_min_gpus = 1024;
-  /// LpCuts: keep per-machine separation sort state across cut rounds and
-  /// re-sort only the tasks whose snapped x̂ moved since the previous
-  /// round. Identical cut sequence (the merge uses the full sort's exact
-  /// comparator); wall-clock only. The naive engine always full-sorts.
-  bool incremental_separation = true;
-  /// Route placement queries through the per-(domain, type) bucketed index
-  /// when the cluster has at least this many GPUs (0 disables). Exactness
-  /// is verified per instance at index build; non-type-uniform time tables
-  /// fall back to the flat SIMD scan automatically.
-  std::size_t bucketed_index_min_gpus = 512;
-
-  /// The pool to use under the current knobs, or nullptr for serial.
-  [[nodiscard]] common::ThreadPool* pool() const;
-  /// True when per-GPU candidate scans should shard across the pool.
-  [[nodiscard]] bool use_sharded_scan(std::size_t gpu_count) const {
-    return !naive && threads > 1 && gpu_count >= parallel_scan_min_gpus;
-  }
-};
 
 /// Pivot/cut accounting for one solve→separate→add-cut round (LpCuts).
 struct LpRoundStats {
@@ -107,9 +68,8 @@ struct RelaxationResult {
   std::size_t canonical_pivots = 0;
 
   /// Separation-work accounting (LpCuts): task entries a full per-round
-  /// re-sort would touch vs. the entries actually re-sorted. With
-  /// incremental separation the ratio resorted/total is the measured
-  /// fraction of separation sort work remaining (≈1.0 for full sorts).
+  /// re-sort would touch vs. the entries the incremental separator actually
+  /// re-sorted; resorted/total is the fraction of sort work remaining.
   std::size_t sep_tasks_total = 0;
   std::size_t sep_tasks_resorted = 0;
 };
@@ -120,8 +80,6 @@ struct RelaxationConfig {
   std::size_t max_cut_rounds = 16;
   /// LpCuts: per-machine cut-violation tolerance.
   double cut_tolerance = 1e-6;
-  /// Execution-engine knobs (pool, scan strategy, separation state).
-  PlannerEngine engine{};
 };
 
 /// Optional sub-problem view for incremental (online) planning: only jobs
@@ -147,7 +105,7 @@ class HareRelaxation {
 
   /// `scratch` (optional) shares the φ-independent planning buffers — the
   /// fitting matrix and placement index — with the caller's list-scheduling
-  /// pass; the naive engine ignores it. `program` (optional, LpCuts mode)
+  /// pass. `program` (optional, LpCuts mode)
   /// receives the final LP: perturbed objective and every appended cut.
   /// Its variables are x_i per task (index = task id), then per job its
   /// round ends and its completion C_n.
@@ -162,11 +120,11 @@ class HareRelaxation {
                                              const workload::JobSet& jobs,
                                              const profiler::TimeTable& times,
                                              const SubProblem& sub,
-                                             PlannerScratch* scratch) const;
+                                             PlannerScratch& scratch) const;
   [[nodiscard]] RelaxationResult solve_lp_cuts(
       const cluster::Cluster& cluster, const workload::JobSet& jobs,
       const profiler::TimeTable& times, const SubProblem& sub,
-      PlannerScratch* scratch, opt::LinearProgram* program) const;
+      PlannerScratch& scratch, opt::LinearProgram* program) const;
 
   RelaxationConfig config_;
 };

@@ -126,11 +126,20 @@ Schedule load_schedule(std::istream& is, const workload::JobSet& jobs) {
   Schedule schedule;
   is >> header >> gpu_count >> start_count >> schedule.predicted_objective;
   HARE_CHECK_MSG(header == kPlanHeader, "not a hare plan (bad header)");
-  schedule.sequences.resize(gpu_count);
-  for (auto& sequence : schedule.sequences) {
+  // Size fields come from the file: nothing is allocated from them ahead of
+  // the data they promise, and each is bounded by the job set.
+  const std::size_t task_count = jobs.task_count();
+  HARE_CHECK_MSG(start_count == 0 || start_count == task_count,
+                 "plan has " << start_count << " start times for "
+                             << task_count << " tasks");
+  for (std::size_t g = 0; g < gpu_count; ++g) {
     std::size_t length = 0;
     is >> length;
     HARE_CHECK_MSG(static_cast<bool>(is), "truncated plan (sequence length)");
+    HARE_CHECK_MSG(length <= task_count, "plan sequence of "
+                                             << length << " tasks exceeds the "
+                                             << task_count << "-task job set");
+    std::vector<TaskId>& sequence = schedule.sequences.emplace_back();
     sequence.reserve(length);
     for (std::size_t k = 0; k < length; ++k) {
       int task = -1;

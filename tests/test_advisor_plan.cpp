@@ -125,6 +125,31 @@ TEST(PlanSerialization, RejectsCorruptPlans) {
   EXPECT_THROW((void)sim::load_schedule(bad_header, inst.jobs),
                common::Error);
 
+  // Size fields the file cannot back up are rejected before anything is
+  // allocated from them.
+  auto job_set = [](std::uint32_t tasks) {
+    workload::JobSet jobs;
+    workload::JobSpec spec;
+    spec.rounds = 1;
+    spec.tasks_per_round = tasks;
+    jobs.add_job(spec);
+    return jobs;
+  };
+  const workload::JobSet one_task = job_set(1);
+  for (const char* plan : {
+           "hare-plan-v1 1 1 0\n4611686018427387904 0\n0\n",  // length 2^62
+           "hare-plan-v1 1 1 0\n100000000000 0\n0\n",  // length 1e11
+           "hare-plan-v1 100000000000000 1 0\n1 0\n0\n",  // 1e14 GPUs
+           "hare-plan-v1 1 100000000000000 0\n1 0\n0\n",  // 1e14 starts
+       }) {
+    SCOPED_TRACE(plan);
+    std::stringstream stream(plan);
+    EXPECT_THROW((void)sim::load_schedule(stream, one_task), common::Error);
+  }
+  std::stringstream short_starts("hare-plan-v1 1 1 0\n2 0 1\n0\n");
+  EXPECT_THROW((void)sim::load_schedule(short_starts, job_set(2)),
+               common::Error);
+
   // A structurally valid file for the wrong job set fails validation.
   core::HareScheduler scheduler;
   const sim::Schedule plan =

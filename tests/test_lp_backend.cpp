@@ -28,6 +28,7 @@
 #include "core/hare.hpp"
 #include "lp_oracle.hpp"
 #include "opt/simplex.hpp"
+#include "planner_oracle.hpp"
 #include "test_util.hpp"
 
 namespace hare {
@@ -411,16 +412,6 @@ TEST(LpCutsVertex, WarmCutLoopMatchesColdSolveOfFinalProgram) {
 
 // ------------------------------------------------- planner schedule parity --
 
-core::HareConfig planner_config(bool naive, std::size_t threads,
-                                bool incremental_separation) {
-  core::HareConfig config;
-  config.relaxation.mode = core::RelaxMode::LpCuts;
-  config.relaxation.engine.naive = naive;
-  config.relaxation.engine.threads = threads;
-  config.relaxation.engine.incremental_separation = incremental_separation;
-  return config;
-}
-
 void expect_same_schedule(const sim::Schedule& a, const sim::Schedule& b) {
   ASSERT_EQ(a.sequences.size(), b.sequences.size());
   for (std::size_t g = 0; g < a.sequences.size(); ++g) {
@@ -431,10 +422,13 @@ void expect_same_schedule(const sim::Schedule& a, const sim::Schedule& b) {
 }
 
 TEST(LpBackendSchedule, BackendsProduceIdenticalSchedules) {
-  // There is one LP backend, the revised simplex; whichever engine drives
-  // it — the naive reference, the serial production engine, the pooled one,
-  // or full-sort separation — the downstream schedule is bit-identical,
-  // because every cut round reports the snapped unique perturbed vertex.
+  // There is one LP backend, the revised simplex. Driven by the library's
+  // planner (indexed scans, incremental separation) or by the reference
+  // planner (O(G) scans, full separation sorts), it yields a bit-identical
+  // downstream schedule, because every cut round reports the snapped
+  // unique perturbed vertex.
+  core::HareConfig config;
+  config.relaxation.mode = core::RelaxMode::LpCuts;
   for (const std::uint64_t seed : {3ull, 17ull, 40ull}) {
     for (const auto& [jobs, gpus] : {std::pair<std::size_t, std::size_t>{6, 4},
                                     {10, 6}}) {
@@ -445,17 +439,9 @@ TEST(LpBackendSchedule, BackendsProduceIdenticalSchedules) {
       const sched::SchedulerInput input{instance.cluster, instance.jobs,
                                         instance.times};
 
-      core::HareScheduler naive(planner_config(/*naive=*/true, 1, false));
-      const sim::Schedule reference = naive.schedule(input);
-
-      core::HareScheduler serial(planner_config(/*naive=*/false, 1, true));
-      expect_same_schedule(reference, serial.schedule(input));
-
-      core::HareScheduler pooled(planner_config(/*naive=*/false, 2, true));
-      expect_same_schedule(reference, pooled.schedule(input));
-
-      core::HareScheduler full_sort(planner_config(/*naive=*/false, 1, false));
-      expect_same_schedule(reference, full_sort.schedule(input));
+      core::HareScheduler planner(config);
+      expect_same_schedule(testing::oracle_schedule(input, config),
+                           planner.schedule(input));
     }
   }
 }
@@ -476,19 +462,17 @@ TEST(LpBackendSchedule, RelaxationReportsResolvedBackendAndShape) {
   // One solve per round: no second canonicalizing solve.
   EXPECT_EQ(production.canonical_pivots, 0u);
 
-  // The naive engine resolves to the same backend, so identical vertices
-  // give identical cut trajectories and identical final LP shapes.
-  config.engine.naive = true;
-  const core::HareRelaxation naive_relax(config);
-  const core::RelaxationResult naive =
-      naive_relax.solve(instance.cluster, instance.jobs, instance.times);
-  EXPECT_EQ(naive.lp_rows, production.lp_rows);
-  EXPECT_EQ(naive.lp_cols, production.lp_cols);
-  EXPECT_EQ(naive.lp_nonzeros, production.lp_nonzeros);
-  EXPECT_EQ(naive.lp_solves, production.lp_solves);
-  EXPECT_EQ(naive.cut_count, production.cut_count);
-  EXPECT_EQ(naive.x_hat, production.x_hat);
-  EXPECT_NEAR(naive.objective, production.objective,
+  // The reference planner builds the same program on the same backend, so
+  // identical vertices give identical cut trajectories and final LP shapes.
+  const core::RelaxationResult oracle = testing::oracle_relax(
+      instance.cluster, instance.jobs, instance.times, config);
+  EXPECT_EQ(oracle.lp_rows, production.lp_rows);
+  EXPECT_EQ(oracle.lp_cols, production.lp_cols);
+  EXPECT_EQ(oracle.lp_nonzeros, production.lp_nonzeros);
+  EXPECT_EQ(oracle.lp_solves, production.lp_solves);
+  EXPECT_EQ(oracle.cut_count, production.cut_count);
+  EXPECT_EQ(oracle.x_hat, production.x_hat);
+  EXPECT_NEAR(oracle.objective, production.objective,
               1e-6 * std::max(1.0, std::abs(production.objective)));
 }
 

@@ -1,23 +1,27 @@
 // Equivalence guarantees for the fast planning pipeline.
 //
-// The engine knobs (indexed placement, pool-sharded candidate scans,
-// incremental separation, cached TimeTable aggregates) are wall-clock
-// optimizations only, and the warm-started LpCuts loop lands on the same
-// vertex a cold solve would. This suite pins that contract:
+// The planner's accelerations (indexed and bucketed placement, incremental
+// separation, cached TimeTable aggregates, packed H sort) change wall-clock
+// only, and the warm-started LpCuts loop lands on the same vertex a cold
+// solve would. This suite pins that contract against the reference
+// Algorithm 1 in planner_oracle.cpp:
 //  (a) the warm LpCuts loop reports the vertex of a cold solve of its final
-//      program, in fewer pivots than a cold solve per round, and the naive
-//      engine matches it on the Fig 1 toy and on random instances;
-//  (b) the naive, indexed, and sharded planners emit bit-identical
-//      sim::Schedules (task→GPU sequences and predicted starts) across
-//      seeds, placement rules, and relaxation modes;
+//      program, in fewer pivots than a cold solve per round, and the oracle
+//      matches it on the Fig 1 toy and on random instances;
+//  (b) the library and the oracle emit bit-identical sim::Schedules
+//      (task→GPU sequences, predicted starts, planned objective) across
+//      seeds, placement rules, relaxation modes, and incremental batches,
+//      with the bucketed index engaged and with it falling back;
 //  (c) the cached TimeTable aggregates match naive reductions and survive
 //      invalidation via set().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/hare.hpp"
 #include "core/placement_index.hpp"
+#include "planner_oracle.hpp"
 #include "test_util.hpp"
 #include "workload/feasibility.hpp"
 
@@ -55,11 +59,9 @@ testing::Instance fig1_toy() {
 }
 
 core::RelaxationResult solve_lp(const testing::Instance& instance,
-                                bool naive,
-                                opt::LinearProgram* program = nullptr) {
+                                opt::LinearProgram* program) {
   core::RelaxationConfig config;
   config.mode = core::RelaxMode::LpCuts;
-  config.engine.naive = naive;
   const core::HareRelaxation relaxation(config);
   return relaxation.solve(instance.cluster, instance.jobs, instance.times, {},
                           nullptr, program);
@@ -89,7 +91,7 @@ opt::LinearProgram round_program(const core::RelaxationResult& relaxed,
 
 void expect_warm_matches_cold(const testing::Instance& instance) {
   opt::LinearProgram program;
-  const core::RelaxationResult warm = solve_lp(instance, false, &program);
+  const core::RelaxationResult warm = solve_lp(instance, &program);
   EXPECT_GE(warm.cut_count, 1u) << "toy/random instances always need cuts";
 
   // Every re-solve after the first must actually have reused the basis.
@@ -117,12 +119,15 @@ void expect_warm_matches_cold(const testing::Instance& instance) {
     EXPECT_LT(warm.simplex_pivots, cold_pivots);
   }
 
-  // The naive engine runs the same loop with reference scans and full
-  // separation sorts: same cuts, same vertex, same objective.
-  const core::RelaxationResult naive = solve_lp(instance, true);
-  EXPECT_EQ(warm.cut_count, naive.cut_count);
-  EXPECT_EQ(warm.x_hat, naive.x_hat);
-  EXPECT_EQ(warm.objective, naive.objective);
+  // The oracle runs the same loop with reference scans and full separation
+  // sorts: same cuts, same vertex, same objective.
+  core::RelaxationConfig config;
+  config.mode = core::RelaxMode::LpCuts;
+  const core::RelaxationResult oracle = testing::oracle_relax(
+      instance.cluster, instance.jobs, instance.times, config);
+  EXPECT_EQ(warm.cut_count, oracle.cut_count);
+  EXPECT_EQ(warm.x_hat, oracle.x_hat);
+  EXPECT_EQ(warm.objective, oracle.objective);
 }
 
 TEST(WarmStartLp, MatchesColdStartOnFig1Toy) {
@@ -136,15 +141,10 @@ TEST(WarmStartLp, MatchesColdStartOnRandomInstances) {
   }
 }
 
-core::HareConfig engine_config(core::RelaxMode mode, core::Placement place,
-                               bool naive, std::size_t threads,
-                               std::size_t scan_min_gpus) {
+core::HareConfig planner_config(core::RelaxMode mode, core::Placement place) {
   core::HareConfig config;
   config.relaxation.mode = mode;
   config.placement = place;
-  config.relaxation.engine.naive = naive;
-  config.relaxation.engine.threads = threads;
-  config.relaxation.engine.parallel_scan_min_gpus = scan_min_gpus;
   return config;
 }
 
@@ -153,10 +153,38 @@ void expect_same_schedule(const sim::Schedule& a, const sim::Schedule& b) {
   for (std::size_t g = 0; g < a.sequences.size(); ++g) {
     EXPECT_EQ(a.sequences[g], b.sequences[g]) << "gpu " << g;
   }
-  // Bit-identical, not approximately equal: every engine evaluates the same
+  // Bit-identical, not approximately equal: both planners evaluate the same
   // floating-point candidate expressions.
   EXPECT_EQ(a.predicted_start, b.predicted_start);
   EXPECT_EQ(a.predicted_objective, b.predicted_objective);
+}
+
+/// The library's schedule equals the oracle's for `config` on `input`.
+void expect_matches_oracle(const sched::SchedulerInput& input,
+                           const core::HareConfig& config) {
+  core::HareScheduler planner(config);
+  expect_same_schedule(testing::oracle_schedule(input, config),
+                       planner.schedule(input));
+}
+
+/// A random instance at the bucket threshold, racked into 16 network
+/// domains so same-type GPUs sit in several buckets and cross-bucket
+/// finish ties exercise the merge's lower-id tie-break.
+testing::Instance make_wide_instance(std::uint64_t seed, std::size_t jobs,
+                                     std::size_t gpus =
+                                         core::kBucketedIndexMinGpus) {
+  return testing::make_random_instance(seed, jobs, gpus,
+                                       /*machines_per_domain=*/8);
+}
+
+/// Whether a placement index over `times` engages its buckets.
+bool index_buckets(const cluster::Cluster& cluster,
+                   const workload::JobSet& jobs,
+                   const profiler::TimeTable& times) {
+  const auto fits = workload::fitting_matrix(cluster, jobs);
+  const core::PlacementIndex index(times, cluster.gpu_count(), fits, {},
+                                   &cluster);
+  return index.bucketed();
 }
 
 TEST(PlannerEquivalence, EnginesAgreeAcrossSeedsAndModes) {
@@ -171,54 +199,35 @@ TEST(PlannerEquivalence, EnginesAgreeAcrossSeedsAndModes) {
             testing::make_random_instance(seed, 10, 6);
         const sched::SchedulerInput input{instance.cluster, instance.jobs,
                                           instance.times};
-
-        // Every engine must reproduce the naive reference bit-for-bit:
-        // indexed placement, pooling, sharded scans, and incremental
-        // separation change wall-clock only (LpCuts rounds report the
-        // perturbed program's unique vertex, so no engine can drift to a
-        // different optimum).
-        core::HareScheduler naive(
-            engine_config(mode, place, /*naive=*/true, 1, 192));
-        const sim::Schedule reference = naive.schedule(input);
-
-        // The production engine: serial, pooled, and pool-sharded paths
-        // must agree with each other for every seed.
-        core::HareScheduler warm_serial(
-            engine_config(mode, place, /*naive=*/false, 1, 192));
-        const sim::Schedule warm_reference = warm_serial.schedule(input);
-        expect_same_schedule(reference, warm_reference);
-
-        // Pooled: parallel separation + parallel preprocessing, indexed
-        // scans.
-        core::HareScheduler pooled(
-            engine_config(mode, place, /*naive=*/false, 4, 192));
-        expect_same_schedule(warm_reference, pooled.schedule(input));
-
-        // Pooled with sharded candidate scans forced on (threshold below
-        // the 6-GPU cluster).
-        core::HareScheduler sharded(
-            engine_config(mode, place, /*naive=*/false, 4, 2));
-        expect_same_schedule(warm_reference, sharded.schedule(input));
+        // Indexed placement, cached aggregates, incremental separation and
+        // the packed H sort change wall-clock only (LpCuts rounds report
+        // the perturbed program's unique vertex, so neither planner can
+        // drift to a different optimum).
+        expect_matches_oracle(input, planner_config(mode, place));
       }
     }
   }
 }
 
 TEST(PlacementIndexBuckets, EngageOnExactTablesAndProbeIdentically) {
-  // Direct index-level check: with a type-uniform table the bucketed index
-  // engages, and every query answers exactly like the flat-scan index
-  // through a long interleaved probe/set_phi workload.
-  const testing::Instance instance = testing::make_random_instance(13, 12, 16);
+  // Direct index-level check at the bucket threshold: with a type-uniform
+  // table the bucketed index engages, and every query answers exactly like
+  // the flat-scan index through a long interleaved probe/set_phi workload.
+  const testing::Instance instance = make_wide_instance(13, 12);
   const auto fits =
       workload::fitting_matrix(instance.cluster, instance.jobs);
 
   core::PlacementIndex flat(instance.times, instance.cluster.gpu_count(),
                             fits);
   core::PlacementIndex bucketed(instance.times, instance.cluster.gpu_count(),
-                                fits, {}, nullptr, &instance.cluster,
-                                /*bucket_min_gpus=*/1);
+                                fits, {}, &instance.cluster);
   ASSERT_TRUE(bucketed.bucketed());
   EXPECT_FALSE(flat.bucketed());
+
+  // One GPU narrower, the same kind of table stays on the flat scan.
+  const testing::Instance narrow =
+      make_wide_instance(13, 12, core::kBucketedIndexMinGpus - 1);
+  EXPECT_FALSE(index_buckets(narrow.cluster, narrow.jobs, narrow.times));
 
   common::Rng rng(99);
   for (int probe = 0; probe < 500; ++probe) {
@@ -254,10 +263,7 @@ TEST(PlacementIndexBuckets, EngageOnExactTablesAndProbeIdentically) {
   profiler::Profiler noisy_profiler(perf, profiler::ProfilerConfig{}, 13);
   profiler::TimeTable noisy =
       noisy_profiler.profile(instance.jobs, instance.cluster);
-  core::PlacementIndex from_noisy(noisy, instance.cluster.gpu_count(), fits,
-                                  {}, nullptr, &instance.cluster,
-                                  /*bucket_min_gpus=*/1);
-  EXPECT_TRUE(from_noisy.bucketed());
+  EXPECT_TRUE(index_buckets(instance.cluster, instance.jobs, noisy));
 
   // A genuinely per-GPU perturbation (one instance slower than its type
   // siblings) must still be detected at build time and fall the index back
@@ -277,90 +283,131 @@ TEST(PlacementIndexBuckets, EngageOnExactTablesAndProbeIdentically) {
   ASSERT_TRUE(found);
   noisy.set(bumped_job, bumped_gpu, noisy.tc(bumped_job, bumped_gpu) * 1.5,
             noisy.ts(bumped_job, bumped_gpu));
-  core::PlacementIndex from_perturbed(noisy, instance.cluster.gpu_count(),
-                                      fits, {}, nullptr, &instance.cluster,
-                                      /*bucket_min_gpus=*/1);
-  EXPECT_FALSE(from_perturbed.bucketed());
+  EXPECT_FALSE(index_buckets(instance.cluster, instance.jobs, noisy));
+}
+
+TEST(PlacementIndexBuckets, AppendedRowsKeepOrDropBuckets) {
+  // A bucketed index keeps one masked T^c value per bucket. Appending a
+  // bucket-uniform job keeps the buckets; appending a job whose row mixes
+  // one bucket must fall the whole index back to full per-GPU rows for the
+  // old jobs too. Either way every job probes exactly like a fresh flat
+  // index over the grown table.
+  const testing::Instance instance = make_wide_instance(29, 12);
+  const std::size_t gpus = instance.cluster.gpu_count();
+  std::vector<std::vector<char>> fits =
+      workload::fitting_matrix(instance.cluster, instance.jobs);
+  const JobId source(0);
+  const auto fitting = std::find(fits[0].begin(), fits[0].end(), char{1});
+  ASSERT_NE(fitting, fits[0].end());
+  const GpuId bumped(static_cast<int>(fitting - fits[0].begin()));
+
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "mixed=" << mixed);
+    core::PlacementIndex index(instance.times, gpus, fits, {},
+                               &instance.cluster);
+    ASSERT_TRUE(index.bucketed());
+
+    // The appended job copies job 0's row, with one fitting GPU slower
+    // than its bucket siblings when `mixed`.
+    profiler::TimeTable grown = instance.times;
+    const JobId added(static_cast<int>(grown.append_job()));
+    for (std::size_t g = 0; g < gpus; ++g) {
+      const GpuId gpu(static_cast<int>(g));
+      const double scale = mixed && gpu == bumped ? 1.5 : 1.0;
+      grown.set(added, gpu, instance.times.tc(source, gpu) * scale,
+                instance.times.ts(source, gpu));
+    }
+    std::vector<std::vector<char>> grown_fits = fits;
+    grown_fits.push_back(fits[0]);
+
+    index.append_jobs(grown, grown_fits);
+    EXPECT_EQ(index.bucketed(), !mixed);
+    EXPECT_EQ(index.job_count(), grown.job_count());
+
+    const core::PlacementIndex flat(grown, gpus, grown_fits);
+    common::Rng rng(7);
+    for (std::size_t j = 0; j < grown.job_count(); ++j) {
+      const JobId job(static_cast<int>(j));
+      const Time release = rng.uniform() * 10.0;
+      const auto want = flat.earliest_finish(job, release);
+      const auto got = index.earliest_finish(job, release);
+      ASSERT_EQ(want.gpu, got.gpu) << "job " << j;
+      EXPECT_EQ(want.finish, got.finish);
+      EXPECT_EQ(flat.earliest_available(job, release).gpu,
+                index.earliest_available(job, release).gpu);
+    }
+  }
 }
 
 TEST(PlannerEquivalence, BucketedIndexMatchesFlatScan) {
-  // The per-(domain, type) bucketed placement index is exactness-checked at
-  // build and must answer every earliest-finish / earliest-available query
-  // with the same GPU and the same times as the flat SIMD scan.
+  // On a cluster at the bucket threshold the library plans through the
+  // per-(domain, type) bucketed index; the oracle scans every GPU. Every
+  // placement must still agree.
   for (const std::uint64_t seed : {5ull, 23ull, 61ull}) {
     for (const auto place : {core::Placement::EarliestFinish,
                              core::Placement::EarliestAvailable}) {
       SCOPED_TRACE(::testing::Message()
                    << "seed=" << seed << " place=" << static_cast<int>(place));
-      const testing::Instance instance =
-          testing::make_random_instance(seed, 12, 8);
-      const sched::SchedulerInput input{instance.cluster, instance.jobs,
-                                        instance.times};
-
-      core::HareConfig flat = engine_config(core::RelaxMode::Fluid, place,
-                                            /*naive=*/false, 1, 192);
-      flat.relaxation.engine.bucketed_index_min_gpus = 0;  // disabled
-      core::HareScheduler flat_planner(flat);
-      const sim::Schedule reference = flat_planner.schedule(input);
-
-      core::HareConfig bucketed = flat;
-      bucketed.relaxation.engine.bucketed_index_min_gpus = 1;  // forced on
-      core::HareScheduler bucketed_planner(bucketed);
-      expect_same_schedule(reference, bucketed_planner.schedule(input));
+      const testing::Instance instance = make_wide_instance(seed, 12);
+      ASSERT_TRUE(
+          index_buckets(instance.cluster, instance.jobs, instance.times));
+      expect_matches_oracle({instance.cluster, instance.jobs, instance.times},
+                            planner_config(core::RelaxMode::Fluid, place));
     }
   }
 }
 
 TEST(PlannerEquivalence, BucketedIndexFallsBackOnNoisyTables) {
-  // Per-GPU profiling noise breaks within-type row uniformity; the index
-  // must detect it at build time and fall back to the flat scan without
+  // Per-GPU measurement noise (5% CV on every cell, as from profiling each
+  // GPU separately) breaks within-type row uniformity; the index must
+  // detect it at build time and fall back to the flat scan without
   // changing a single placement.
-  const testing::Instance exact = testing::make_random_instance(31, 10, 8);
-  workload::PerfModel perf;
-  profiler::ProfilerConfig noisy;
-  noisy.measurement_noise_cv = 0.05;
-  profiler::Profiler profiler(perf, noisy, 31);
-  const profiler::TimeTable noisy_times =
-      profiler.profile(exact.jobs, exact.cluster);
-  const sched::SchedulerInput input{exact.cluster, exact.jobs, noisy_times};
-
-  core::HareConfig flat =
-      engine_config(core::RelaxMode::Fluid, core::Placement::EarliestFinish,
-                    /*naive=*/false, 1, 192);
-  flat.relaxation.engine.bucketed_index_min_gpus = 0;
-  core::HareScheduler flat_planner(flat);
-  const sim::Schedule reference = flat_planner.schedule(input);
-
-  core::HareConfig bucketed = flat;
-  bucketed.relaxation.engine.bucketed_index_min_gpus = 1;
-  core::HareScheduler bucketed_planner(bucketed);
-  expect_same_schedule(reference, bucketed_planner.schedule(input));
+  const testing::Instance exact = make_wide_instance(31, 10);
+  ASSERT_TRUE(index_buckets(exact.cluster, exact.jobs, exact.times));
+  profiler::TimeTable noisy_times = exact.times;
+  common::Rng rng(31);
+  for (std::size_t j = 0; j < noisy_times.job_count(); ++j) {
+    for (std::size_t g = 0; g < noisy_times.gpu_count(); ++g) {
+      const JobId job(static_cast<int>(j));
+      const GpuId gpu(static_cast<int>(g));
+      const double factor = std::max(0.5, rng.normal(1.0, 0.05));
+      noisy_times.set(job, gpu, exact.times.tc(job, gpu) * factor,
+                      exact.times.ts(job, gpu) * factor);
+    }
+  }
+  ASSERT_FALSE(index_buckets(exact.cluster, exact.jobs, noisy_times));
+  expect_matches_oracle({exact.cluster, exact.jobs, noisy_times},
+                        planner_config(core::RelaxMode::Fluid,
+                                       core::Placement::EarliestFinish));
 }
 
 TEST(PlannerEquivalence, IncrementalPlanningAgrees) {
   const testing::Instance instance = testing::make_random_instance(11, 10, 6);
   const sched::SchedulerInput input{instance.cluster, instance.jobs,
                                     instance.times};
+  const core::HareConfig config = planner_config(
+      core::RelaxMode::Fluid, core::Placement::EarliestFinish);
 
-  auto run_incremental = [&](bool naive) {
-    core::HareScheduler scheduler(engine_config(
-        core::RelaxMode::Fluid, core::Placement::EarliestFinish, naive, 1,
-        192));
-    core::HareScheduler::IncrementalState state;
-    sim::Schedule schedule;
-    // Two batches: first half of the jobs, then the rest.
-    const std::size_t jobs = instance.jobs.job_count();
-    std::vector<char> first(jobs, 0);
-    std::vector<char> second(jobs, 0);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      (j < jobs / 2 ? first : second)[j] = 1;
-    }
-    scheduler.schedule_jobs(input, first, state, schedule);
-    scheduler.schedule_jobs(input, second, state, schedule);
-    return schedule;
-  };
+  // Two batches: first half of the jobs, then the rest.
+  const std::size_t jobs = instance.jobs.job_count();
+  std::vector<char> first(jobs, 0);
+  std::vector<char> second(jobs, 0);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    (j < jobs / 2 ? first : second)[j] = 1;
+  }
 
-  expect_same_schedule(run_incremental(true), run_incremental(false));
+  core::HareScheduler scheduler(config);
+  core::HareScheduler::IncrementalState state;
+  sim::Schedule planned;
+  std::vector<Time> oracle_phi;
+  sim::Schedule oracle;
+  for (const auto* mask : {&first, &second}) {
+    EXPECT_EQ(scheduler.schedule_jobs(input, *mask, state, planned),
+              testing::oracle_schedule_jobs(input, config, *mask, oracle_phi,
+                                            oracle));
+  }
+  expect_same_schedule(oracle, planned);
+  EXPECT_EQ(state.phi, oracle_phi);
 }
 
 TEST(TimeTableCache, AggregatesMatchNaiveReductions) {

@@ -21,6 +21,7 @@
 #include "core/hare.hpp"
 #include "exp/engine.hpp"
 #include "opt/queyranne.hpp"
+#include "planner_oracle.hpp"
 #include "shard/hierarchical_planner.hpp"
 #include "shard/shard_partition.hpp"
 #include "test_util.hpp"
@@ -517,21 +518,20 @@ TEST(IncrementalSeparator, MatchesFullSortOnDriftingPoints) {
 }
 
 TEST(IncrementalSeparation, IdenticalCutTrajectoryWithSavings) {
+  core::RelaxationConfig config;
+  config.mode = core::RelaxMode::LpCuts;
+  const core::HareRelaxation relaxation(config);
   std::size_t instances_with_cuts = 0;
   for (const std::uint64_t seed : {7ull, 21ull, 99ull}) {
     SCOPED_TRACE(seed);
     const testing::Instance instance =
         testing::make_random_instance(seed, 8, 4);
 
-    auto solve = [&](bool incremental) {
-      core::RelaxationConfig config;
-      config.mode = core::RelaxMode::LpCuts;
-      config.engine.incremental_separation = incremental;
-      const core::HareRelaxation relaxation(config);
-      return relaxation.solve(instance.cluster, instance.jobs, instance.times);
-    };
-    const core::RelaxationResult full = solve(false);
-    const core::RelaxationResult inc = solve(true);
+    // The oracle separates with a full per-round sort of every machine.
+    const core::RelaxationResult full = testing::oracle_relax(
+        instance.cluster, instance.jobs, instance.times, config);
+    const core::RelaxationResult inc =
+        relaxation.solve(instance.cluster, instance.jobs, instance.times);
 
     // Identical trajectory: same cuts, same rounds, same vertex, same
     // objective — incremental separation is wall-clock only.
@@ -540,8 +540,8 @@ TEST(IncrementalSeparation, IdenticalCutTrajectoryWithSavings) {
     EXPECT_EQ(inc.x_hat, full.x_hat);
     EXPECT_EQ(inc.objective, full.objective);
 
-    // The savings metric: the full path re-sorts everything every round;
-    // the incremental path only what the canonical vertex moved.
+    // The savings metric: the full sort re-sorts everything every round;
+    // the incremental separator only what the snapped vertex moved.
     EXPECT_EQ(full.sep_tasks_resorted, full.sep_tasks_total);
     EXPECT_EQ(inc.sep_tasks_total, full.sep_tasks_total);
     EXPECT_LE(inc.sep_tasks_resorted, inc.sep_tasks_total);

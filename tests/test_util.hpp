@@ -19,12 +19,15 @@ struct Instance {
 };
 
 /// Random instance: a small heterogeneous cluster plus a generated trace;
-/// the time table is the exact analytic one.
+/// the time table is the exact analytic one. `machines_per_domain > 0`
+/// groups the 4-GPU machines into network domains of that size.
 inline Instance make_random_instance(std::uint64_t seed,
                                      std::size_t job_count = 12,
-                                     std::size_t gpu_count = 8) {
+                                     std::size_t gpu_count = 8,
+                                     std::size_t machines_per_domain = 0) {
   Instance instance;
-  instance.cluster = cluster::make_simulation_cluster(gpu_count, 25.0, 4);
+  instance.cluster = cluster::make_simulation_cluster(gpu_count, 25.0, 4,
+                                                      machines_per_domain);
 
   workload::TraceConfig config;
   config.job_count = job_count;
