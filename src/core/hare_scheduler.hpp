@@ -38,6 +38,12 @@ struct HareConfig {
   SyncScheme sync = SyncScheme::Relaxed;
 };
 
+/// Commitment horizon parked on a dead GPU: finite (no inf-arithmetic
+/// hazards in the fluid relaxation) but beyond any plannable time, so
+/// earliest-finish placement never selects it while capacity survives
+/// elsewhere. A φ at or above it marks the GPU dead.
+inline constexpr Time kDeadHorizon = 1e18;
+
 class HareScheduler final : public sched::Scheduler {
  public:
   explicit HareScheduler(HareConfig config = {}) : config_(config) {}
@@ -71,9 +77,9 @@ class HareScheduler final : public sched::Scheduler {
   /// Like schedule_jobs, but list-schedule the masked jobs with externally
   /// supplied middle completion times `h` (indexed by TaskId value; only
   /// masked tasks' entries are read) instead of running the relaxation.
-  /// The serving loop's incremental replanner derives h from its own warm
-  /// LP re-solve (or an arrival-keyed greedy order when its replan budget
-  /// is exhausted) and hands the ordering here, so placement semantics stay
+  /// The serving loop derives h from one cold LP solve of the batch's own
+  /// block (or an arrival-keyed greedy order when its replan budget is
+  /// exhausted) and hands the ordering here, so placement semantics stay
   /// identical to every other planner path. Requires relaxed sync.
   double schedule_jobs_with_h(const sched::SchedulerInput& input,
                               const std::vector<char>& job_mask,

@@ -8,6 +8,7 @@
 #include "core/placement_index.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "profiler/time_table.hpp"
 #include "workload/feasibility.hpp"
 
 namespace hare::fault {
@@ -42,12 +43,6 @@ SurvivingCluster surviving_cluster(const cluster::Cluster& cluster,
   result.sub = builder.build();
   return result;
 }
-
-/// A displaced job's remaining work, re-anchored for the sub-instance.
-struct SubJob {
-  JobId global;
-  RoundIndex first_round = 0;
-};
 
 }  // namespace
 
@@ -90,7 +85,8 @@ ReplanResult FaultRunner::replan_with_planner(const ReplanRequest& request) {
   // arriving at its backoff release. Jobs no surviving GPU can hold are
   // left out (the simulator dead-letters what the answer doesn't cover).
   workload::JobSet sub_jobs;
-  std::vector<SubJob> mapping;
+  std::vector<JobId> sub_global;          ///< sub job j <-> sub_global[j]
+  std::vector<RoundIndex> sub_first_round;  ///< its first re-run round
   for (const ReplanRequest::JobRequest& jr : request.jobs) {
     const workload::Job& job = jobs_.job(jr.job);
     const std::uint32_t remaining =
@@ -108,20 +104,15 @@ ReplanResult FaultRunner::replan_with_planner(const ReplanRequest& request) {
     spec.rounds = remaining;
     spec.arrival = jr.release;
     sub_jobs.add_job(std::move(spec));
-    mapping.push_back(SubJob{jr.job, jr.first_round});
+    sub_global.push_back(jr.job);
+    sub_first_round.push_back(jr.first_round);
   }
   if (sub_jobs.empty()) return result;
 
-  profiler::TimeTable sub_times(sub_jobs.job_count(),
-                                survivors.sub.gpu_count());
-  for (std::size_t j = 0; j < mapping.size(); ++j) {
-    for (std::size_t g = 0; g < survivors.global_gpu.size(); ++g) {
-      const GpuId global = survivors.global_gpu[g];
-      sub_times.set(JobId(static_cast<int>(j)), GpuId(static_cast<int>(g)),
-                    profiled_.tc(mapping[j].global, global),
-                    profiled_.ts(mapping[j].global, global));
-    }
-  }
+  profiler::TimeTable sub_times;
+  profiler::GatherBuffers buffers;
+  profiler::gather_sub_table(profiled_, sub_global, survivors.global_gpu,
+                             buffers, sub_times);
 
   const sched::SchedulerInput input{survivors.sub, sub_jobs, sub_times};
   sim::Schedule sub_schedule;
@@ -144,11 +135,10 @@ ReplanResult FaultRunner::replan_with_planner(const ReplanRequest& request) {
     auto& out = result.appended[static_cast<std::size_t>(global.value())];
     for (const TaskId local_task : sub_schedule.sequences[g]) {
       const workload::Task& task = sub_jobs.task(local_task);
-      const SubJob& sub = mapping[static_cast<std::size_t>(task.job.value())];
-      const workload::Job& job = jobs_.job(sub.global);
-      const std::size_t round =
-          static_cast<std::size_t>(sub.first_round) +
-          static_cast<std::size_t>(task.round);
+      const auto j = static_cast<std::size_t>(task.job.value());
+      const workload::Job& job = jobs_.job(sub_global[j]);
+      const std::size_t round = static_cast<std::size_t>(sub_first_round[j]) +
+                                static_cast<std::size_t>(task.round);
       out.push_back(job.task_at(static_cast<std::uint32_t>(round), task.slot));
     }
   }

@@ -110,4 +110,29 @@ void TimeTable::precompute() const {
   if (!row_of_.empty()) (void)alpha();
 }
 
+void gather_sub_table(const TimeTable& from, const std::vector<JobId>& jobs,
+                      const std::vector<GpuId>& gpus, GatherBuffers& buffers,
+                      TimeTable& into) {
+  // Sentinel for "source row not yet gathered".
+  constexpr TimeTable::RowId kUngathered = 0xFFFFFFFFu;
+  into.reset(jobs.size(), gpus.size());
+  buffers.row_map.assign(from.row_count(), kUngathered);
+  buffers.tc.resize(gpus.size());
+  buffers.ts.resize(gpus.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    TimeTable::RowId& row = buffers.row_map[from.row_of(jobs[j])];
+    if (row == kUngathered) {
+      const Time* tc = from.tc_row(jobs[j]);
+      const Time* ts = from.ts_row(jobs[j]);
+      for (std::size_t g = 0; g < gpus.size(); ++g) {
+        const auto source = static_cast<std::size_t>(gpus[g].value());
+        buffers.tc[g] = tc[source];
+        buffers.ts[g] = ts[source];
+      }
+      row = into.intern_row(buffers.tc.data(), buffers.ts.data());
+    }
+    into.bind_row(JobId(static_cast<int>(j)), row);
+  }
+}
+
 }  // namespace hare::profiler

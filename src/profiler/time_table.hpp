@@ -89,8 +89,8 @@ class TimeTable {
   }
 
   /// The interned row a job currently points at. Stable until the next
-  /// set()/bind_row() on that job; use it to deduplicate gathers (e.g. the
-  /// shard planner copies each unique global row into its sub-table once).
+  /// set()/bind_row() on that job; gather_sub_table() keys its
+  /// deduplication on it.
   [[nodiscard]] RowId row_of(JobId job) const {
     return row_of_[static_cast<std::size_t>(job.value())];
   }
@@ -220,5 +220,23 @@ class TimeTable {
   mutable double alpha_ = 1.0;
   mutable bool alpha_valid_ = false;
 };
+
+/// Staging buffers of gather_sub_table(). Keep one per thread and pass it
+/// to every gather: capacity then survives across gathers.
+struct GatherBuffers {
+  std::vector<Time> tc;  ///< one sub-table row being gathered
+  std::vector<Time> ts;  ///< one sub-table row being gathered
+  std::vector<TimeTable::RowId> row_map;  ///< source row → sub-table row
+};
+
+/// Rebuild `into` as the sub-table of `from` over `jobs` × `gpus`: sub job
+/// j reads `jobs[j]`'s times, sub GPU g reads GPU `gpus[g]`. Each distinct
+/// source row is gathered and interned once and every job binds to it, so
+/// with J jobs over U unique rows the cost is O(U·|gpus| + J) and the
+/// sub-table shares rows like its source. Values are copied verbatim: the
+/// result reads cell for cell like a per-cell set() fill.
+void gather_sub_table(const TimeTable& from, const std::vector<JobId>& jobs,
+                      const std::vector<GpuId>& gpus, GatherBuffers& buffers,
+                      TimeTable& into);
 
 }  // namespace hare::profiler

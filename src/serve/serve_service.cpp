@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -11,15 +12,6 @@
 #include "obs/trace.hpp"
 
 namespace hare::serve {
-
-namespace {
-
-/// Horizon parked on a dead GPU: finite (no inf-arithmetic hazards in the
-/// fluid relaxation) but beyond any plannable time, so earliest-finish
-/// placement never selects it while capacity survives elsewhere.
-constexpr Time kDeadHorizon = 1e18;
-
-}  // namespace
 
 ServeService::ServeService(const cluster::Cluster& cluster,
                            workload::PerfModel perf, ServeConfig config)
@@ -162,19 +154,17 @@ void ServeService::flush_batch(AdmissionBatcher& batcher) {
   plan_batch(plannable);
 }
 
-void ServeService::apply_event(const ServeEvent& event,
+void ServeService::apply_event(const fault::FaultEvent& event, GpuId gpu,
                                AdmissionBatcher& batcher) {
   switch (event.kind) {
-    case ServeEventKind::Arrival:
-      HARE_CHECK_MSG(false, "arrivals come from the stream, not the script");
-      break;
-    case ServeEventKind::GpuFail: {
+    case fault::FaultKind::MachineFail:
+    case fault::FaultKind::GpuFail: {
       ++report_.fault_events;
-      const auto g = static_cast<std::size_t>(event.gpu.value());
+      const auto g = static_cast<std::size_t>(gpu.value());
       if (!alive_[g]) break;
       alive_[g] = 0;
       saved_phi_[g] = state_.phi[g];
-      state_.phi[g] = kDeadHorizon;
+      state_.phi[g] = core::kDeadHorizon;
       // Commitments on the dead GPU from the failure instant onward are
       // displaced; each affected job's remaining rounds re-enter as a
       // continuation job arriving now. std::map keeps the continuation
@@ -203,15 +193,16 @@ void ServeService::apply_event(const ServeEvent& event,
       }
       break;
     }
-    case ServeEventKind::GpuRecover: {
+    case fault::FaultKind::MachineRecover:
+    case fault::FaultKind::GpuRecover: {
       ++report_.fault_events;
-      const auto g = static_cast<std::size_t>(event.gpu.value());
+      const auto g = static_cast<std::size_t>(gpu.value());
       if (alive_[g]) break;
       alive_[g] = 1;
       state_.phi[g] = std::max(event.time, saved_phi_[g]);
       break;
     }
-    case ServeEventKind::JobCancel: {
+    case fault::FaultKind::JobCancel: {
       const auto j = static_cast<std::size_t>(event.job.value());
       if (j >= jobs_.job_count()) {
         // Cancel outruns the arrival: drop the job at admission time.
@@ -225,7 +216,7 @@ void ServeService::apply_event(const ServeEvent& event,
       }
       break;
     }
-    case ServeEventKind::JobComplete: {
+    case fault::FaultKind::JobComplete: {
       ++report_.completions;
       const auto j = static_cast<std::size_t>(event.job.value());
       if (j >= jobs_.job_count()) break;  // completion outran the arrival
@@ -264,6 +255,9 @@ void ServeService::apply_event(const ServeEvent& event,
       }
       break;
     }
+    case fault::FaultKind::StragglerStart:
+    case fault::FaultKind::StragglerEnd:
+      break;  // skipped by serve(): no slowdown notion at planning level
   }
 }
 
@@ -276,24 +270,40 @@ ServeReport ServeService::serve(NextSpec&& next_spec,
   static auto& events_counter = obs::counter("serve.events");
   static auto& arrivals_counter = obs::counter("serve.arrivals");
 
-  const std::vector<ServeEvent> scripted =
-      events_from_fault_plan(faults, cluster_);
+  const std::vector<fault::FaultEvent>& scripted = faults.events;
+  const auto straggler = [](const fault::FaultEvent& event) {
+    return event.kind == fault::FaultKind::StragglerStart ||
+           event.kind == fault::FaultKind::StragglerEnd;
+  };
   AdmissionBatcher batcher(config_.tick);
   std::size_t next_event = 0;
   std::optional<workload::JobSpec> pending = next_spec();
-  while (next_event < scripted.size() || pending.has_value()) {
-    // Scripted events carry the lower sequence numbers, so they win ties
-    // against an arrival with the same timestamp.
+  while (true) {
+    while (next_event < scripted.size() && straggler(scripted[next_event])) {
+      ++next_event;
+    }
+    if (next_event == scripted.size() && !pending.has_value()) break;
+    // Scripted events win ties against an arrival with the same timestamp.
     const bool take_scripted =
         next_event < scripted.size() &&
         (!pending.has_value() || scripted[next_event].time <= pending->arrival);
-    events_counter.add();
     if (take_scripted) {
-      // A non-arrival event always closes the open batch first: a failure
-      // must displace against a fully flushed plan.
-      flush_batch(batcher);
-      apply_event(scripted[next_event++], batcher);
+      // Machine events apply one GPU at a time, in the machine's GPU order.
+      // Each GPU or job event first closes the open batch: a failure must
+      // displace against a fully flushed plan.
+      const fault::FaultEvent& event = scripted[next_event++];
+      const bool machine = event.kind == fault::FaultKind::MachineFail ||
+                           event.kind == fault::FaultKind::MachineRecover;
+      const std::span<const GpuId> gpus =
+          machine ? std::span<const GpuId>(cluster_.machine(event.machine).gpus)
+                  : std::span<const GpuId>(&event.gpu, 1);
+      for (const GpuId gpu : gpus) {
+        events_counter.add();
+        flush_batch(batcher);
+        apply_event(event, gpu, batcher);
+      }
     } else {
+      events_counter.add();
       if (batcher.should_flush(pending->arrival)) flush_batch(batcher);
       ++report_.arrivals;
       arrivals_counter.add();

@@ -26,9 +26,11 @@
 //    through the same placement code, so even the fallback is a valid
 //    Algorithm-1 step-2 schedule.
 //
-// Fault semantics are planning-level (no re-simulation): a GPU failure
-// parks its horizon at a dead sentinel (earliest-finish placement then
-// never picks it), tasks committed to it at or after the failure instant
+// Fault semantics are planning-level (no re-simulation): the loop walks
+// the fault::FaultPlan directly (machine events one GPU at a time,
+// stragglers skipped). A GPU failure parks its horizon at
+// core::kDeadHorizon (earliest-finish placement then never picks it, and
+// the sharded path does not count it as shard capacity), tasks committed to it at or after the failure instant
 // count as displaced, and each affected job's remaining rounds re-enter
 // the stream as a *continuation job* arriving at the failure time.
 // Recovery restores max(event time, pre-failure horizon). A cancellation
@@ -51,7 +53,6 @@
 #include "profiler/time_table.hpp"
 #include "serve/admission_batcher.hpp"
 #include "serve/incremental_replanner.hpp"
-#include "serve/serve_event.hpp"
 #include "shard/hierarchical_planner.hpp"
 #include "sim/schedule.hpp"
 #include "workload/perf_model.hpp"
@@ -73,7 +74,7 @@ struct ServeConfig {
   /// planner; 0 = never shard.
   std::size_t shard_min_batch_jobs = 0;
   shard::ShardPlannerConfig shard{};
-  /// Placement/engine knobs for the flat and greedy paths (the relaxation
+  /// Planner configuration for the flat and greedy paths (the relaxation
   /// mode is forced to Fluid, sync to Relaxed).
   core::HareConfig hare{};
 };
@@ -127,7 +128,10 @@ class ServeService {
 
   JobId admit(workload::JobSpec spec, AdmissionBatcher& batcher);
   void flush_batch(AdmissionBatcher& batcher);
-  void apply_event(const ServeEvent& event, AdmissionBatcher& batcher);
+  /// Apply one scripted event; GPU events act on `gpu` (the event's GPU,
+  /// or one GPU of a machine event).
+  void apply_event(const fault::FaultEvent& event, GpuId gpu,
+                   AdmissionBatcher& batcher);
   void plan_batch(const std::vector<JobId>& plannable);
 
   const cluster::Cluster& cluster_;

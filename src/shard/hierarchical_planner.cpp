@@ -17,53 +17,162 @@ namespace {
 
 /// One distinct GPU type inside a shard: a representative global GPU (for
 /// memory-fit and time lookups) plus how many GPUs of the type the shard
-/// holds. Assignment estimates are type-granular — exact for memory fit
-/// (footprint depends on the type alone) and a faithful estimate for times.
+/// holds, and how many of those are alive. Assignment estimates are
+/// type-granular — exact for memory fit (footprint depends on the type
+/// alone) and a faithful estimate for times.
 struct ShardTypeSummary {
   GpuId representative;
   cluster::GpuType type{};
   std::size_t count = 0;
+  std::size_t alive = 0;
 };
 
-std::vector<ShardTypeSummary> summarize_types(const cluster::Cluster& cluster,
-                                              const ShardSpec& shard) {
-  std::vector<ShardTypeSummary> types;
-  for (const GpuId g : shard.gpus) {
-    const cluster::GpuType type = cluster.gpu(g).type;
-    ShardTypeSummary* entry = nullptr;
-    for (auto& t : types) {
-      if (t.type == type) {
-        entry = &t;
-        break;
+/// The fluid view of the shards that level 1 and the migration pass both
+/// judge shards with. A GPU is alive unless its φ sits at the dead horizon
+/// (offline plans pass no φ: every GPU is alive).
+class ShardFit {
+ public:
+  ShardFit(const sched::SchedulerInput& input, const ShardPartition& partition,
+           const std::vector<Time>* phi)
+      : cluster_(input.cluster),
+        times_(input.times),
+        types_(partition.size()) {
+    for (std::size_t s = 0; s < partition.size(); ++s) {
+      for (const GpuId g : partition.shards[s].gpus) {
+        const cluster::GpuType type = cluster_.gpu(g).type;
+        auto it = std::find_if(
+            types_[s].begin(), types_[s].end(),
+            [&](const ShardTypeSummary& t) { return t.type == type; });
+        if (it == types_[s].end()) {
+          it = types_[s].insert(types_[s].end(), ShardTypeSummary{g, type});
+        }
+        ++it->count;
+        if (phi == nullptr ||
+            (*phi)[static_cast<std::size_t>(g.value())] < core::kDeadHorizon) {
+          ++it->alive;
+        }
       }
     }
-    if (entry == nullptr) {
-      types.push_back(ShardTypeSummary{g, type, 0});
-      entry = &types.back();
-    }
-    ++entry->count;
   }
-  return types;
+
+  /// Fluid completion estimate of `job` on shard `s` queued behind `load`:
+  /// the job's work at the cheapest fitting type's round time, spread over
+  /// every GPU it fits on, after max(arrival, load). +∞ when the shard has
+  /// fewer fitting GPUs than the job's sync scale. Only alive GPUs count
+  /// unless `with_dead`.
+  [[nodiscard]] double estimate(const workload::Job& job, std::size_t s,
+                                double load, bool with_dead) const {
+    std::size_t fitting = 0;
+    Time best_round = kTimeInfinity;
+    for (const ShardTypeSummary& t : types_[s]) {
+      const std::size_t usable = with_dead ? t.count : t.alive;
+      if (usable == 0 ||
+          !workload::task_fits(job, cluster_.gpu(t.representative))) {
+        continue;
+      }
+      fitting += usable;
+      best_round = std::min(best_round, times_.total(job.id, t.representative));
+    }
+    if (fitting < job.tasks_per_round()) return kTimeInfinity;
+    const double work = static_cast<double>(job.rounds()) *
+                        static_cast<double>(job.tasks_per_round()) *
+                        best_round;
+    return std::max(job.spec.arrival, load) +
+           work / static_cast<double>(fitting);
+  }
+
+  /// The shard other than `skip` with the earliest estimate on top of
+  /// `load[s]` (strict <: ties stay with the lower shard), with its
+  /// estimate; {shard count, +∞} when no shard fits.
+  [[nodiscard]] std::pair<std::size_t, double> best(
+      const workload::Job& job, const std::vector<double>& load,
+      std::size_t skip, bool with_dead) const {
+    std::size_t best = load.size();
+    double best_est = kTimeInfinity;
+    for (std::size_t s = 0; s < load.size(); ++s) {
+      if (s == skip) continue;
+      const double est = estimate(job, s, load[s], with_dead);
+      if (est < best_est) {
+        best_est = est;
+        best = s;
+      }
+    }
+    return {best, best_est};
+  }
+
+ private:
+  const cluster::Cluster& cluster_;
+  const profiler::TimeTable& times_;
+  std::vector<std::vector<ShardTypeSummary>> types_;
+};
+
+constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
+
+/// Level 1: walk the jobs with `job_mask[id] != 0` (every job when null)
+/// in the fluid relaxation's arrival-adjusted WSPT order — the sequence
+/// level 2 will favour — and give each to the shard with the earliest fluid
+/// estimate on top of `load`, which advances in place. A job no shard has
+/// enough alive fitting GPUs for counts the dead ones too, and so queues
+/// behind their parked horizons as it would on the flat path. Each shard's
+/// job list ends in ascending id order.
+std::vector<std::vector<JobId>> assign_jobs(const sched::SchedulerInput& input,
+                                            const ShardFit& fit,
+                                            const std::vector<char>* job_mask,
+                                            std::vector<double>& load) {
+  HARE_SPAN("shard", "shard.assign");
+  const workload::JobSet& jobs = input.jobs;
+  std::vector<JobId> wspt;
+  wspt.reserve(jobs.job_count());
+  std::vector<double> key(jobs.job_count(), 0.0);
+  for (const auto& job : jobs.jobs()) {
+    const auto j = static_cast<std::size_t>(job.id.value());
+    if (job_mask != nullptr && !(*job_mask)[j]) continue;
+    key[j] = job.spec.arrival + static_cast<double>(job.rounds()) *
+                                    static_cast<double>(job.tasks_per_round()) *
+                                    input.times.min_total(job.id) /
+                                    job.spec.weight;
+    wspt.push_back(job.id);
+  }
+  std::sort(wspt.begin(), wspt.end(), [&](JobId a, JobId b) {
+    const double ka = key[static_cast<std::size_t>(a.value())];
+    const double kb = key[static_cast<std::size_t>(b.value())];
+    if (ka != kb) return ka < kb;
+    return a < b;
+  });
+
+  std::vector<std::vector<JobId>> shard_jobs(load.size());
+  for (const JobId job_id : wspt) {
+    const workload::Job& job = jobs.job(job_id);
+    std::pair<std::size_t, double> pick = fit.best(job, load, kNoShard, false);
+    if (pick.first == load.size()) {
+      pick = fit.best(job, load, kNoShard, true);
+    }
+    HARE_CHECK_MSG(pick.first < load.size(),
+                   "job " << job_id << " fits no shard (sync scale "
+                          << job.tasks_per_round()
+                          << " too large — use fewer shards)");
+    load[pick.first] = pick.second;
+    shard_jobs[pick.first].push_back(job_id);
+  }
+  for (auto& list : shard_jobs) std::sort(list.begin(), list.end());
+  return shard_jobs;
 }
 
-/// Everything one shard's plan hands back to the merge, already translated
-/// to global task ids (the local JobSet dies with the planning call).
+}  // namespace
+
 /// Cache-line aligned: outcome slots are written concurrently by different
 /// pool workers during the fan-out, and sharing a line across slots would
 /// bounce it between cores on every append.
-struct alignas(64) ShardOutcome {
+struct alignas(64) HierarchicalPlanner::ShardOutcome {
   /// [local gpu] → ordered global TaskIds.
   std::vector<std::vector<TaskId>> sequences;
   /// (global task id value, predicted start) for every planned task.
   std::vector<std::pair<std::size_t, Time>> starts;
+  /// Online: [local gpu] → advanced horizon (empty when nothing planned).
+  std::vector<Time> phi;
   double objective = 0.0;
   ShardStats stats;
 };
-
-/// Sentinel for "global row not yet gathered into the local table".
-constexpr std::uint32_t kNoLocalRow = 0xFFFFFFFFu;
-
-}  // namespace
 
 HierarchicalPlanner::WorkerScratch& HierarchicalPlanner::scratch_slot() {
   // Slot 0 belongs to the non-worker caller (serial plans, the order-hook
@@ -77,47 +186,18 @@ HierarchicalPlanner::WorkerScratch& HierarchicalPlanner::scratch_slot() {
   return worker_scratch_[slot];
 }
 
-/// Build `local_times` (a shard-local sub-table over `spec.gpus`) from the
-/// global `times` for the jobs in `shard_jobs`, deduplicating through the
-/// global table's row interning: each distinct *global* row is gathered
-/// (global GPU order → local GPU order) and interned exactly once, then
-/// every job binds its local row by id. With J jobs sharing U unique rows
-/// this is O(U·G_local + J) instead of the old per-cell O(J·G_local) set()
-/// loop — at 100k jobs over a handful of profiles the rebuild cost drops by
-/// orders of magnitude, and the local table shares rows exactly like the
-/// global one (memory stays flat). Values are copied verbatim, so the
-/// resulting table reads bit-identically to the legacy per-cell fill.
-namespace {
-void gather_local_times(const profiler::TimeTable& times,
-                        const std::vector<JobId>& shard_jobs,
-                        const std::vector<GpuId>& shard_gpus,
-                        std::vector<Time>& tc_gather,
-                        std::vector<Time>& ts_gather,
-                        std::vector<std::uint32_t>& row_map,
-                        profiler::TimeTable& local_times) {
-  const std::size_t local_gpus = shard_gpus.size();
-  local_times.reset(shard_jobs.size(), local_gpus);
-  row_map.assign(times.row_count(), kNoLocalRow);
-  tc_gather.resize(local_gpus);
-  ts_gather.resize(local_gpus);
-  for (std::size_t lj = 0; lj < shard_jobs.size(); ++lj) {
-    const JobId global = shard_jobs[lj];
-    std::uint32_t& local_row = row_map[times.row_of(global)];
-    if (local_row == kNoLocalRow) {
-      const Time* gtc = times.tc_row(global);
-      const Time* gts = times.ts_row(global);
-      for (std::size_t lg = 0; lg < local_gpus; ++lg) {
-        const std::size_t gg =
-            static_cast<std::size_t>(shard_gpus[lg].value());
-        tc_gather[lg] = gtc[gg];
-        ts_gather[lg] = gts[gg];
-      }
-      local_row = local_times.intern_row(tc_gather.data(), ts_gather.data());
-    }
-    local_times.bind_row(JobId(static_cast<int>(lj)), local_row);
-  }
+std::unique_ptr<exp::Engine> HierarchicalPlanner::make_engine() {
+  // Nested fan-out guard: already on a pool worker (e.g. inside an exp
+  // sweep cell) → plan inline rather than oversubscribing with a second
+  // pool. Slot 0 is the non-worker caller.
+  const common::ThreadPool* outer = common::ThreadPool::current();
+  auto engine = std::make_unique<exp::Engine>(
+      exp::Engine::Options{config_.workers, config_.serial || outer != nullptr});
+  const std::size_t slots =
+      1 + (outer != nullptr ? outer->size() : engine->workers());
+  if (worker_scratch_.size() < slots) worker_scratch_.resize(slots);
+  return engine;
 }
-}  // namespace
 
 sim::Schedule HierarchicalPlanner::schedule(
     const sched::SchedulerInput& input) {
@@ -130,6 +210,120 @@ sim::Schedule HierarchicalPlanner::schedule_with_order(
   return plan(input, &plan_order);
 }
 
+HierarchicalPlanner::ShardOutcome HierarchicalPlanner::plan_shard(
+    const sched::SchedulerInput& input, const ShardSpec& spec,
+    const std::vector<JobId>& shard_jobs, const std::vector<Time>* phi) {
+  HARE_SPAN_ARG("shard", "shard.plan_one", "shard",
+                static_cast<double>(spec.index));
+  const workload::JobSet& jobs = input.jobs;
+  const std::size_t local_gpus = spec.gpus.size();
+  ShardOutcome outcome;
+  outcome.stats.jobs = shard_jobs.size();
+  outcome.stats.gpus = local_gpus;
+  outcome.sequences.resize(local_gpus);
+  if (shard_jobs.empty()) return outcome;
+
+  // Re-index the shard's jobs and times: local JobId = position in the
+  // ascending global-id list, local tasks map positionally (task ids are
+  // round-major on both sides). The sub-jobset and sub-table live in the
+  // planning thread's scratch slot, so their storage is reused across
+  // every shard that thread plans, across plan calls, migration re-plans
+  // and serve batches.
+  WorkerScratch& scratch = scratch_slot();
+  workload::JobSet& local_jobs = scratch.jobs;
+  local_jobs.clear();
+  for (const JobId global : shard_jobs) {
+    local_jobs.add_job(jobs.job(global).spec);
+  }
+  profiler::TimeTable& local_times = scratch.times;
+  profiler::gather_sub_table(input.times, shard_jobs, spec.gpus,
+                             scratch.gather, local_times);
+
+  core::HareConfig hare = config_.hare;
+  if (phi != nullptr) {
+    hare.relaxation.mode = core::RelaxMode::Fluid;
+    hare.sync = core::SyncScheme::Relaxed;
+  } else if (config_.lp_max_jobs > 0) {
+    hare.relaxation.mode = local_jobs.job_count() <= config_.lp_max_jobs
+                               ? core::RelaxMode::LpCuts
+                               : core::RelaxMode::Fluid;
+  }
+  core::HareScheduler planner(hare);
+  const sched::SchedulerInput local_input{spec.sub, local_jobs, local_times};
+  sim::Schedule local;
+  if (phi == nullptr) {
+    local = planner.schedule(local_input);
+    outcome.objective = local.predicted_objective;
+  } else {
+    core::HareScheduler::IncrementalState state;
+    state.phi.resize(local_gpus);
+    for (std::size_t lg = 0; lg < local_gpus; ++lg) {
+      state.phi[lg] = (*phi)[static_cast<std::size_t>(spec.gpus[lg].value())];
+    }
+    const std::vector<char> all(local_jobs.job_count(), 1);
+    outcome.objective = planner.schedule_jobs(local_input, all, state, local);
+    outcome.phi = std::move(state.phi);
+  }
+  outcome.stats.objective = outcome.objective;
+  outcome.stats.cut_count = planner.last_relaxation().cut_count;
+  outcome.stats.sep_tasks_total = planner.last_relaxation().sep_tasks_total;
+  outcome.stats.sep_tasks_resorted =
+      planner.last_relaxation().sep_tasks_resorted;
+
+  // Translate to global ids while the local JobSet is still alive.
+  auto global_task = [&](TaskId local_task) {
+    const workload::Task& t = local_jobs.task(local_task);
+    const workload::Job& g =
+        jobs.job(shard_jobs[static_cast<std::size_t>(t.job.value())]);
+    return g.task_at(static_cast<std::uint32_t>(t.round), t.slot);
+  };
+  for (std::size_t lg = 0; lg < local_gpus; ++lg) {
+    outcome.sequences[lg].reserve(local.sequences[lg].size());
+    for (const TaskId lt : local.sequences[lg]) {
+      outcome.sequences[lg].push_back(global_task(lt));
+    }
+  }
+  outcome.starts.reserve(local_jobs.task_count());
+  for (const auto& task : local_jobs.tasks()) {
+    outcome.starts.emplace_back(
+        static_cast<std::size_t>(global_task(task.id).value()),
+        local.predicted_start[static_cast<std::size_t>(task.id.value())]);
+  }
+  return outcome;
+}
+
+double HierarchicalPlanner::merge(const ShardPartition& partition,
+                                  std::vector<ShardOutcome>& outcomes,
+                                  sim::Schedule& schedule,
+                                  std::vector<Time>* phi) {
+  HARE_SPAN("shard", "shard.merge");
+  double total = 0.0;
+  for (std::size_t s = 0; s < partition.size(); ++s) {
+    ShardOutcome& outcome = outcomes[s];
+    const ShardSpec& spec = partition.shards[s];
+    for (std::size_t lg = 0; lg < spec.gpus.size(); ++lg) {
+      // Each global GPU lives in exactly one shard.
+      const auto g = static_cast<std::size_t>(spec.gpus[lg].value());
+      auto& target = schedule.sequences[g];
+      auto& source = outcome.sequences[lg];
+      if (target.empty()) {
+        target = std::move(source);
+      } else {
+        target.insert(target.end(), source.begin(), source.end());
+      }
+      if (phi != nullptr && !outcome.phi.empty()) {
+        (*phi)[g] = outcome.phi[lg];
+      }
+    }
+    for (const auto& [task_value, start] : outcome.starts) {
+      schedule.predicted_start[task_value] = start;
+    }
+    total += outcome.objective;
+  }
+  schedule.predicted_objective += total;
+  return total;
+}
+
 double HierarchicalPlanner::schedule_online(const sched::SchedulerInput& input,
                                             const std::vector<char>& job_mask,
                                             std::vector<Time>& phi,
@@ -139,200 +333,49 @@ double HierarchicalPlanner::schedule_online(const sched::SchedulerInput& input,
   static obs::Counter& planned_counter =
       obs::counter("shard.online_shards_planned");
 
-  const cluster::Cluster& cluster = input.cluster;
-  const workload::JobSet& jobs = input.jobs;
-  const profiler::TimeTable& times = input.times;
-  const std::size_t gpu_count = cluster.gpu_count();
+  const std::size_t gpu_count = input.cluster.gpu_count();
   HARE_CHECK_MSG(gpu_count > 0, "cluster has no GPUs");
-  HARE_CHECK_MSG(job_mask.size() == jobs.job_count(), "job mask size mismatch");
+  HARE_CHECK_MSG(job_mask.size() == input.jobs.job_count(),
+                 "job mask size mismatch");
   HARE_CHECK_MSG(phi.size() == gpu_count, "phi size mismatch");
   HARE_CHECK_MSG(schedule.sequences.size() == gpu_count,
                  "schedule does not span the cluster");
-  HARE_CHECK_MSG(schedule.predicted_start.size() >= jobs.task_count(),
+  HARE_CHECK_MSG(schedule.predicted_start.size() >= input.jobs.task_count(),
                  "predicted_start does not span the instance");
-  times.precompute();
+  input.times.precompute();
 
-  const ShardPartition partition = partition_cluster(cluster, config_.shards);
+  const ShardPartition partition =
+      partition_cluster(input.cluster, config_.shards);
   const std::size_t shard_count = partition.size();
+  const std::unique_ptr<exp::Engine> engine = make_engine();
 
-  // One engine for the whole call (nested fan-out guard: already on a pool
-  // worker → plan inline rather than oversubscribing with a second pool),
-  // and scratch slots pre-sized for every thread that may plan a shard.
-  const bool nested = common::ThreadPool::current() != nullptr;
-  exp::Engine engine(
-      exp::Engine::Options{config_.workers, config_.serial || nested});
-  const std::size_t scratch_slots =
-      1 + (nested ? common::ThreadPool::current()->size() : engine.workers());
-  if (worker_scratch_.size() < scratch_slots) {
-    worker_scratch_.resize(scratch_slots);
+  // The horizon a new arrival queues behind: the shard's worst standing
+  // commitment on an alive GPU (a dead GPU's parked horizon would strand
+  // the whole shard until it recovers).
+  std::vector<double> load(shard_count, 0.0);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    for (const GpuId g : partition.shards[s].gpus) {
+      const Time horizon = phi[static_cast<std::size_t>(g.value())];
+      if (horizon < core::kDeadHorizon) load[s] = std::max(load[s], horizon);
+    }
   }
+  const ShardFit fit(input, partition, &phi);
+  const std::vector<std::vector<JobId>> shard_jobs =
+      assign_jobs(input, fit, &job_mask, load);
 
-  // ---- Level 1: assign the batch's jobs, loads seeded from φ -------------
-  std::vector<std::vector<JobId>> shard_jobs(shard_count);
-  {
-    HARE_SPAN("shard", "shard.assign");
-    std::vector<std::vector<ShardTypeSummary>> shard_types(shard_count);
-    std::vector<double> load(shard_count, 0.0);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shard_types[s] = summarize_types(cluster, partition.shards[s]);
-      // The horizon a new arrival queues behind: the shard's worst standing
-      // commitment.
-      for (const GpuId g : partition.shards[s].gpus) {
-        load[s] = std::max(load[s], phi[static_cast<std::size_t>(g.value())]);
-      }
-    }
-
-    std::vector<JobId> wspt;
-    std::vector<double> key(jobs.job_count(), 0.0);
-    for (const auto& job : jobs.jobs()) {
-      if (!job_mask[static_cast<std::size_t>(job.id.value())]) continue;
-      key[static_cast<std::size_t>(job.id.value())] =
-          job.spec.arrival + static_cast<double>(job.rounds()) *
-                                 static_cast<double>(job.tasks_per_round()) *
-                                 times.min_total(job.id) / job.spec.weight;
-      wspt.push_back(job.id);
-    }
-    std::sort(wspt.begin(), wspt.end(), [&](JobId a, JobId b) {
-      const double ka = key[static_cast<std::size_t>(a.value())];
-      const double kb = key[static_cast<std::size_t>(b.value())];
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
-
-    for (const JobId job_id : wspt) {
-      const workload::Job& job = jobs.job(job_id);
-      std::size_t best = shard_count;
-      double best_est = kTimeInfinity;
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        std::size_t fitting = 0;
-        Time best_round = kTimeInfinity;
-        for (const ShardTypeSummary& t : shard_types[s]) {
-          if (!workload::task_fits(job, cluster.gpu(t.representative))) {
-            continue;
-          }
-          fitting += t.count;
-          best_round =
-              std::min(best_round, times.total(job_id, t.representative));
-        }
-        if (fitting < job.tasks_per_round()) continue;
-        const double work = static_cast<double>(job.rounds()) *
-                            static_cast<double>(job.tasks_per_round()) *
-                            best_round;
-        const double est = std::max(job.spec.arrival, load[s]) +
-                           work / static_cast<double>(fitting);
-        if (est < best_est) {  // strict <: ties stay with the lower shard
-          best_est = est;
-          best = s;
-        }
-      }
-      HARE_CHECK_MSG(best < shard_count,
-                     "job " << job_id << " fits no shard (sync scale "
-                            << job.tasks_per_round()
-                            << " too large — use fewer shards)");
-      load[best] = best_est;
-      shard_jobs[best].push_back(job_id);
-    }
-    for (auto& list : shard_jobs) std::sort(list.begin(), list.end());
-  }
-
-  // ---- Level 2: plan only the shards that received batch jobs ------------
-  struct alignas(64) OnlineOutcome {
-    bool planned = false;
-    std::vector<std::vector<TaskId>> sequences;  ///< per local gpu, global ids
-    std::vector<std::pair<std::size_t, Time>> starts;
-    std::vector<Time> phi;  ///< per local gpu, advanced horizons
-    double objective = 0.0;
-  };
-  auto plan_shard = [&](std::size_t s) -> OnlineOutcome {
-    OnlineOutcome outcome;
-    if (shard_jobs[s].empty()) return outcome;
-    HARE_SPAN_ARG("shard", "shard.replan_one", "shard",
-                  static_cast<double>(s));
-    const ShardSpec& spec = partition.shards[s];
-    const std::size_t local_gpus = spec.gpus.size();
-
-    // Batch-local sub-jobset / sub-table in the *calling thread's* scratch
-    // slot: the serve loop replans shards every admission batch, so each
-    // worker reuses its own storage across batches instead of malloc'ing
-    // fresh per replan (and no two workers share a slot).
-    WorkerScratch& scratch = scratch_slot();
-    workload::JobSet& local_jobs = scratch.jobs;
-    local_jobs.clear();
-    for (const JobId global : shard_jobs[s]) {
-      local_jobs.add_job(jobs.job(global).spec);
-    }
-    profiler::TimeTable& local_times = scratch.times;
-    gather_local_times(times, shard_jobs[s], spec.gpus, scratch.tc_gather,
-                       scratch.ts_gather, scratch.row_map, local_times);
-
-    core::HareConfig hare = config_.hare;
-    hare.relaxation.mode = core::RelaxMode::Fluid;
-    hare.sync = core::SyncScheme::Relaxed;
-    core::HareScheduler planner(hare);
-    core::HareScheduler::IncrementalState state;
-    state.phi.resize(local_gpus);
-    for (std::size_t lg = 0; lg < local_gpus; ++lg) {
-      state.phi[lg] =
-          phi[static_cast<std::size_t>(spec.gpus[lg].value())];
-    }
-    const std::vector<char> all(local_jobs.job_count(), 1);
-    sim::Schedule local;
-    const sched::SchedulerInput local_input{spec.sub, local_jobs, local_times};
-    outcome.objective = planner.schedule_jobs(local_input, all, state, local);
-    outcome.planned = true;
-    outcome.phi = std::move(state.phi);
-
-    auto global_task = [&](TaskId local_task) {
-      const workload::Task& t = local_jobs.task(local_task);
-      const workload::Job& g =
-          jobs.job(shard_jobs[s][static_cast<std::size_t>(t.job.value())]);
-      return g.task_at(static_cast<std::uint32_t>(t.round), t.slot);
-    };
-    outcome.sequences.resize(local_gpus);
-    for (std::size_t lg = 0; lg < local_gpus; ++lg) {
-      outcome.sequences[lg].reserve(local.sequences[lg].size());
-      for (const TaskId lt : local.sequences[lg]) {
-        outcome.sequences[lg].push_back(global_task(lt));
-      }
-    }
-    outcome.starts.reserve(local_jobs.task_count());
-    for (const auto& task : local_jobs.tasks()) {
-      outcome.starts.emplace_back(
-          static_cast<std::size_t>(global_task(task.id).value()),
-          local.predicted_start[static_cast<std::size_t>(task.id.value())]);
-    }
-    return outcome;
-  };
-
-  std::vector<OnlineOutcome> outcomes(shard_count);
+  std::vector<ShardOutcome> outcomes;
   {
     HARE_SPAN("shard", "shard.plan_shards");
-    outcomes = engine.map(shard_count, plan_shard);
+    outcomes = engine->map(shard_count, [&](std::size_t s) {
+      return plan_shard(input, partition.shards[s], shard_jobs[s], &phi);
+    });
   }
+  const double total = merge(partition, outcomes, schedule, &phi);
 
-  // ---- Merge (canonical ascending-shard order, append-only) --------------
-  double total = 0.0;
-  std::size_t shards_planned = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    OnlineOutcome& outcome = outcomes[s];
-    if (!outcome.planned) continue;
-    ++shards_planned;
-    const ShardSpec& spec = partition.shards[s];
-    for (std::size_t lg = 0; lg < spec.gpus.size(); ++lg) {
-      const std::size_t g = static_cast<std::size_t>(spec.gpus[lg].value());
-      auto& target = schedule.sequences[g];
-      target.insert(target.end(), outcome.sequences[lg].begin(),
-                    outcome.sequences[lg].end());
-      phi[g] = outcome.phi[lg];
-    }
-    for (const auto& [task_value, start] : outcome.starts) {
-      schedule.predicted_start[task_value] = start;
-    }
-    total += outcome.objective;
-  }
-  schedule.predicted_objective += total;
   replans_counter.add();
-  planned_counter.add(static_cast<double>(shards_planned));
+  planned_counter.add(static_cast<double>(
+      std::count_if(shard_jobs.begin(), shard_jobs.end(),
+                    [](const auto& list) { return !list.empty(); })));
   return total;
 }
 
@@ -361,6 +404,7 @@ sim::Schedule HierarchicalPlanner::plan(
     partition = partition_cluster(cluster, config_.shards);
   }
   const std::size_t shard_count = partition.size();
+  const std::unique_ptr<exp::Engine> engine = make_engine();
 
   last_plan_ = HierarchicalPlanInfo{};
   last_plan_.shard_count = shard_count;
@@ -369,101 +413,17 @@ sim::Schedule HierarchicalPlanner::plan(
     last_plan_.shards[s].gpus = partition.shards[s].gpus.size();
   }
 
-  // One engine for the whole plan — the shard fan-out *and* the migration
-  // re-plan share it, so the pool spins up once per call. Nested fan-out
-  // guard: already on a pool worker (e.g. inside an exp sweep cell) → plan
-  // inline rather than oversubscribing with a second pool. Worker scratch
-  // is pre-sized here for every thread that may plan a shard (slot 0 = the
-  // non-worker caller, used by the serial and order-hook paths).
-  const bool nested = common::ThreadPool::current() != nullptr;
-  exp::Engine engine(
-      exp::Engine::Options{config_.workers, config_.serial || nested});
-  const std::size_t scratch_slots =
-      1 + (nested ? common::ThreadPool::current()->size() : engine.workers());
-  if (worker_scratch_.size() < scratch_slots) {
-    worker_scratch_.resize(scratch_slots);
-  }
-
-  // Type summaries outlive level 1: the migration pass re-evaluates fluid
-  // estimates against them after the per-shard plans land.
-  std::vector<std::vector<ShardTypeSummary>> shard_types(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    shard_types[s] = summarize_types(cluster, partition.shards[s]);
-  }
-  // Fluid-fit pieces of (job, shard): GPUs that can host one task, and the
-  // cheapest per-round task time among the fitting types. Shared verbatim
-  // between the level-1 assignment and the migration pass so both judge
-  // shards with the same arithmetic.
-  auto shard_fit = [&](const workload::Job& job, std::size_t s,
-                       std::size_t& fitting, Time& best_round) {
-    fitting = 0;
-    best_round = kTimeInfinity;
-    for (const ShardTypeSummary& t : shard_types[s]) {
-      if (!workload::task_fits(job, cluster.gpu(t.representative))) continue;
-      fitting += t.count;
-      best_round = std::min(best_round, times.total(job.id, t.representative));
-    }
-  };
-
   // ---- Level 1: fluid inter-shard assignment -----------------------------
-  std::vector<std::vector<JobId>> shard_jobs(shard_count);
+  // The fit outlives level 1: the migration pass re-evaluates fluid
+  // estimates with the same arithmetic after the per-shard plans land.
+  const ShardFit fit(input, partition, nullptr);
+  std::vector<double> load(shard_count, 0.0);
+  std::vector<std::vector<JobId>> shard_jobs =
+      assign_jobs(input, fit, nullptr, load);
   {
-    HARE_SPAN("shard", "shard.assign");
-
-    // Same arrival-adjusted WSPT order as the fluid relaxation pass: the
-    // level-1 assignment sees jobs in the sequence level 2 will favour.
-    std::vector<JobId> wspt;
-    wspt.reserve(jobs.job_count());
-    std::vector<double> key(jobs.job_count(), 0.0);
-    for (const auto& job : jobs.jobs()) {
-      key[static_cast<std::size_t>(job.id.value())] =
-          job.spec.arrival + static_cast<double>(job.rounds()) *
-                                 static_cast<double>(job.tasks_per_round()) *
-                                 times.min_total(job.id) / job.spec.weight;
-      wspt.push_back(job.id);
-    }
-    std::sort(wspt.begin(), wspt.end(), [&](JobId a, JobId b) {
-      const double ka = key[static_cast<std::size_t>(a.value())];
-      const double kb = key[static_cast<std::size_t>(b.value())];
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
-
-    std::vector<double> load(shard_count, 0.0);
-    for (const JobId job_id : wspt) {
-      const workload::Job& job = jobs.job(job_id);
-      std::size_t best = shard_count;
-      double best_est = kTimeInfinity;
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        // Feasibility: enough memory-fitting GPUs for one full round, and
-        // the cheapest fitting type estimates the round time.
-        std::size_t fitting = 0;
-        Time best_round = kTimeInfinity;
-        shard_fit(job, s, fitting, best_round);
-        if (fitting < job.tasks_per_round()) continue;
-        const double work = static_cast<double>(job.rounds()) *
-                            static_cast<double>(job.tasks_per_round()) *
-                            best_round;
-        const double est = std::max(job.spec.arrival, load[s]) +
-                           work / static_cast<double>(fitting);
-        if (est < best_est) {  // strict <: ties stay with the lower shard
-          best_est = est;
-          best = s;
-        }
-      }
-      HARE_CHECK_MSG(best < shard_count,
-                     "job " << job_id << " fits no shard (sync scale "
-                            << job.tasks_per_round()
-                            << " too large — use fewer shards)");
-      load[best] = best_est;
-      shard_jobs[best].push_back(job_id);
-    }
-
     double max_load = 0.0;
     double load_sum = 0.0;
     for (std::size_t s = 0; s < shard_count; ++s) {
-      // Canonical ascending-id order for the shard's sub-jobset.
-      std::sort(shard_jobs[s].begin(), shard_jobs[s].end());
       last_plan_.shards[s].jobs = shard_jobs[s].size();
       last_plan_.shards[s].est_load = load[s];
       max_load = std::max(max_load, load[s]);
@@ -474,71 +434,9 @@ sim::Schedule HierarchicalPlanner::plan(
   }
 
   // ---- Level 2: plan every shard independently ---------------------------
-  auto plan_shard = [&](std::size_t s) -> ShardOutcome {
-    HARE_SPAN_ARG("shard", "shard.plan_one", "shard", static_cast<double>(s));
-    const ShardSpec& spec = partition.shards[s];
-    ShardOutcome outcome;
-    outcome.stats.jobs = shard_jobs[s].size();
-    outcome.stats.gpus = spec.gpus.size();
-    outcome.sequences.resize(spec.gpus.size());
-    if (shard_jobs[s].empty()) return outcome;
-
-    // Re-index the shard's jobs and times: local JobId = position in the
-    // ascending global-id list, local tasks map positionally (task ids are
-    // round-major on both sides). The sub-jobset and sub-table live in the
-    // planning thread's scratch slot, so their storage is reused across
-    // every shard that thread plans, across plan calls, and across
-    // migration re-plans.
-    WorkerScratch& scratch = scratch_slot();
-    workload::JobSet& local_jobs = scratch.jobs;
-    local_jobs.clear();
-    for (const JobId global : shard_jobs[s]) {
-      local_jobs.add_job(jobs.job(global).spec);
-    }
-    const std::size_t local_gpus = spec.gpus.size();
-    profiler::TimeTable& local_times = scratch.times;
-    gather_local_times(times, shard_jobs[s], spec.gpus, scratch.tc_gather,
-                       scratch.ts_gather, scratch.row_map, local_times);
-
-    core::HareConfig hare = config_.hare;
-    if (config_.lp_max_jobs > 0) {
-      hare.relaxation.mode = local_jobs.job_count() <= config_.lp_max_jobs
-                                 ? core::RelaxMode::LpCuts
-                                 : core::RelaxMode::Fluid;
-    }
-    core::HareScheduler planner(hare);
-    const sched::SchedulerInput local_input{spec.sub, local_jobs, local_times};
-    const sim::Schedule local = planner.schedule(local_input);
-
-    outcome.objective = local.predicted_objective;
-    outcome.stats.objective = local.predicted_objective;
-    outcome.stats.cut_count = planner.last_relaxation().cut_count;
-    outcome.stats.sep_tasks_total = planner.last_relaxation().sep_tasks_total;
-    outcome.stats.sep_tasks_resorted =
-        planner.last_relaxation().sep_tasks_resorted;
-
-    // Translate to global ids while the local JobSet is still alive.
-    auto global_task = [&](TaskId local_task) {
-      const workload::Task& t = local_jobs.task(local_task);
-      const workload::Job& g =
-          jobs.job(shard_jobs[s][static_cast<std::size_t>(t.job.value())]);
-      return g.task_at(static_cast<std::uint32_t>(t.round), t.slot);
-    };
-    for (std::size_t lg = 0; lg < local_gpus; ++lg) {
-      outcome.sequences[lg].reserve(local.sequences[lg].size());
-      for (const TaskId lt : local.sequences[lg]) {
-        outcome.sequences[lg].push_back(global_task(lt));
-      }
-    }
-    outcome.starts.reserve(local_jobs.task_count());
-    for (const auto& task : local_jobs.tasks()) {
-      outcome.starts.emplace_back(
-          static_cast<std::size_t>(global_task(task.id).value()),
-          local.predicted_start[static_cast<std::size_t>(task.id.value())]);
-    }
-    return outcome;
+  auto plan_one = [&](std::size_t s) {
+    return plan_shard(input, partition.shards[s], shard_jobs[s], nullptr);
   };
-
   std::vector<ShardOutcome> outcomes(shard_count);
   {
     HARE_SPAN("shard", "shard.plan_shards");
@@ -547,9 +445,9 @@ sim::Schedule HierarchicalPlanner::plan(
       // are indexed by shard, so the merge below cannot see the order.
       HARE_CHECK_MSG(order->size() == shard_count,
                      "plan order must permute the shards");
-      for (const std::size_t s : *order) outcomes[s] = plan_shard(s);
+      for (const std::size_t s : *order) outcomes[s] = plan_one(s);
     } else {
-      outcomes = engine.map(shard_count, plan_shard);
+      outcomes = engine->map(shard_count, plan_one);
     }
   }
 
@@ -597,8 +495,8 @@ sim::Schedule HierarchicalPlanner::plan(
     }
 
     // Candidate ranking: queueing delay — how far the realized plan pushed
-    // the job past its own fluid best case on the donor (arrival + work
-    // over fitting GPUs). Jobs with no delay are not queued and never
+    // the job past its own fluid best case on the donor (the estimate on
+    // an empty donor). Jobs with no delay are not queued and never
     // candidates; the most-delayed jobs are exactly the straddlers the
     // level-1 mirage stranded, so they go first.
     struct Candidate {
@@ -608,15 +506,8 @@ sim::Schedule HierarchicalPlanner::plan(
     std::vector<Candidate> candidates;
     candidates.reserve(shard_jobs[donor].size());
     for (const JobId job_id : shard_jobs[donor]) {
-      const workload::Job& job = jobs.job(job_id);
-      std::size_t fitting = 0;
-      Time best_round = kTimeInfinity;
-      shard_fit(job, donor, fitting, best_round);
-      const double work = static_cast<double>(job.rounds()) *
-                          static_cast<double>(job.tasks_per_round()) *
-                          best_round;
       const double fluid_best =
-          job.spec.arrival + work / static_cast<double>(fitting);
+          fit.estimate(jobs.job(job_id), donor, 0.0, false);
       const double delay =
           completion[static_cast<std::size_t>(job_id.value())] - fluid_best;
       if (delay <= 0.0) continue;
@@ -641,31 +532,10 @@ sim::Schedule HierarchicalPlanner::plan(
       std::size_t to = 0;
     };
     std::vector<Move> moves;
-    std::vector<double> head(shard_count, 0.0);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      head[s] = last_plan_.shards[s].est_load;
-    }
+    std::vector<double> head = load;
     for (const Candidate& c : candidates) {
       if (moves.size() >= config_.migration_max_moves) break;
-      const workload::Job& job = jobs.job(c.job);
-      std::size_t best = shard_count;
-      double best_est = kTimeInfinity;
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        if (s == donor) continue;
-        std::size_t fitting = 0;
-        Time best_round = kTimeInfinity;
-        shard_fit(job, s, fitting, best_round);
-        if (fitting < job.tasks_per_round()) continue;
-        const double work = static_cast<double>(job.rounds()) *
-                            static_cast<double>(job.tasks_per_round()) *
-                            best_round;
-        const double est = std::max(job.spec.arrival, head[s]) +
-                           work / static_cast<double>(fitting);
-        if (est < best_est) {  // strict <: ties stay with the lower shard
-          best_est = est;
-          best = s;
-        }
-      }
+      const auto [best, best_est] = fit.best(jobs.job(c.job), head, donor, false);
       if (best == shard_count ||
           best_est >= completion[static_cast<std::size_t>(c.job.value())]) {
         continue;
@@ -716,11 +586,10 @@ sim::Schedule HierarchicalPlanner::plan(
       {
         HARE_SPAN("shard", "shard.replan_pairs");
         if (order != nullptr) {
-          for (const std::size_t s : replan) outcomes[s] = plan_shard(s);
+          for (const std::size_t s : replan) outcomes[s] = plan_one(s);
         } else {
-          std::vector<ShardOutcome> fresh = engine.map(
-              replan.size(),
-              [&](std::size_t i) { return plan_shard(replan[i]); });
+          std::vector<ShardOutcome> fresh = engine->map(
+              replan.size(), [&](std::size_t i) { return plan_one(replan[i]); });
           for (std::size_t i = 0; i < replan.size(); ++i) {
             outcomes[replan[i]] = std::move(fresh[i]);
           }
@@ -755,30 +624,17 @@ sim::Schedule HierarchicalPlanner::plan(
 
   // ---- Merge in canonical ascending-shard order --------------------------
   sim::Schedule merged;
-  {
-    HARE_SPAN("shard", "shard.merge");
-    merged.sequences.resize(cluster.gpu_count());
-    merged.predicted_start.assign(jobs.task_count(), 0.0);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      ShardOutcome& outcome = outcomes[s];
-      const ShardSpec& spec = partition.shards[s];
-      for (std::size_t lg = 0; lg < spec.gpus.size(); ++lg) {
-        // Each global GPU lives in exactly one shard: plain scatter.
-        merged.sequences[static_cast<std::size_t>(spec.gpus[lg].value())] =
-            std::move(outcome.sequences[lg]);
-      }
-      for (const auto& [task_value, start] : outcome.starts) {
-        merged.predicted_start[task_value] = start;
-      }
-      merged.predicted_objective += outcome.objective;
-      last_plan_.shards[s].objective = outcome.stats.objective;
-      last_plan_.shards[s].cut_count = outcome.stats.cut_count;
-      last_plan_.shards[s].sep_tasks_total = outcome.stats.sep_tasks_total;
-      last_plan_.shards[s].sep_tasks_resorted =
-          outcome.stats.sep_tasks_resorted;
-      last_plan_.sep_tasks_total += outcome.stats.sep_tasks_total;
-      last_plan_.sep_tasks_resorted += outcome.stats.sep_tasks_resorted;
-    }
+  merged.sequences.resize(cluster.gpu_count());
+  merged.predicted_start.assign(jobs.task_count(), 0.0);
+  merge(partition, outcomes, merged, nullptr);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    const ShardStats& stats = outcomes[s].stats;
+    last_plan_.shards[s].objective = stats.objective;
+    last_plan_.shards[s].cut_count = stats.cut_count;
+    last_plan_.shards[s].sep_tasks_total = stats.sep_tasks_total;
+    last_plan_.shards[s].sep_tasks_resorted = stats.sep_tasks_resorted;
+    last_plan_.sep_tasks_total += stats.sep_tasks_total;
+    last_plan_.sep_tasks_resorted += stats.sep_tasks_resorted;
   }
 
   plans_counter.add();

@@ -43,15 +43,23 @@
 // thread-pool worker (e.g. one cell of an exp sweep), the planner detects
 // it via common::ThreadPool::current() and plans shards inline on that
 // worker instead of spinning up a second pool (oversubscription guard).
+//
+// The online entry point runs the same level 1 and level 2 on a masked
+// batch: shard loads start from the standing horizons φ instead of 0, and
+// each shard plans incrementally on its slice of φ instead of from scratch.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/hare_scheduler.hpp"
 #include "sched/scheduler.hpp"
 #include "shard/shard_partition.hpp"
+
+namespace hare::exp {
+class Engine;
+}  // namespace hare::exp
 
 namespace hare::shard {
 
@@ -72,7 +80,7 @@ struct ShardPlannerConfig {
   /// shards are re-planned, and the migration is kept only when the summed
   /// planned objective strictly improves. 0 disables the pass.
   std::size_t migration_max_moves = 8;
-  /// Per-shard planner configuration (placement rule, engine knobs, ...).
+  /// Per-shard planner configuration (relaxation, placement rule, sync).
   core::HareConfig hare{};
 };
 
@@ -120,17 +128,19 @@ class HierarchicalPlanner final : public sched::Scheduler {
       const sched::SchedulerInput& input,
       const std::vector<std::size_t>& plan_order);
 
-  /// Online entry point (shard-local replans — ROADMAP item 2 married to
-  /// the serving loop): plan only the jobs with `job_mask[id] != 0` on top
-  /// of the standing per-GPU commitment horizons `phi`, appending the batch
-  /// onto `schedule`, whose sequences must already span the cluster and
-  /// whose predicted_start must span the instance. Level 1 seeds each
-  /// shard's load with its worst commitment horizon; level 2 plans **only**
-  /// the shards that received a batch job (an arrival replans its shard,
-  /// not the cluster) through the flat incremental contract
-  /// (HareScheduler::schedule_jobs), so the Fluid relaxation is used
-  /// regardless of `lp_max_jobs`. Commitments are never revised and `phi`
-  /// advances in place. Returns the batch's planned weighted-completion
+  /// Online entry point (the serving loop's sharded replan): plan only the
+  /// jobs with `job_mask[id] != 0` on top of the standing per-GPU
+  /// commitment horizons `phi`, appending the batch onto `schedule`, whose
+  /// sequences must already span the cluster and whose predicted_start
+  /// must span the instance. Level 1 is the offline assignment with each
+  /// shard's load seeded from its worst horizon among alive GPUs; GPUs
+  /// whose φ sits at core::kDeadHorizon count as dead, both for the seed
+  /// and for the fitting-GPU count. Level 2 plans **only** the shards that
+  /// received a batch job (an arrival replans its shard, not the cluster)
+  /// through the flat incremental contract (HareScheduler::schedule_jobs),
+  /// so the Fluid relaxation is used regardless of `lp_max_jobs`; there is
+  /// no migration pass. Commitments are never revised and `phi` advances
+  /// in place. Returns the batch's planned weighted-completion
   /// contribution. Bit-identical across serial and pooled shard fan-out.
   double schedule_online(const sched::SchedulerInput& input,
                          const std::vector<char>& job_mask,
@@ -153,13 +163,37 @@ class HierarchicalPlanner final : public sched::Scheduler {
   struct alignas(64) WorkerScratch {
     workload::JobSet jobs;
     profiler::TimeTable times;
-    std::vector<Time> tc_gather;   ///< one local row being gathered
-    std::vector<Time> ts_gather;   ///< one local row being gathered
-    std::vector<std::uint32_t> row_map;  ///< global row id → local row id
+    profiler::GatherBuffers gather;
   };
+
+  /// One shard's plan, already translated to global task ids.
+  struct ShardOutcome;
 
   /// The calling thread's scratch slot (grown on demand; see WorkerScratch).
   [[nodiscard]] WorkerScratch& scratch_slot();
+
+  /// The engine of one call (one pool for the shard fan-out and every
+  /// migration re-plan), with worker scratch pre-sized for every thread
+  /// that may plan a shard.
+  [[nodiscard]] std::unique_ptr<exp::Engine> make_engine();
+
+  /// Level 2 for one shard: re-index its jobs (ascending global ids) and
+  /// times onto the shard, plan them, and map the result back to global
+  /// ids. Offline (`phi` null) plans from scratch with the `lp_max_jobs`
+  /// mode choice; online plans incrementally on the shard's slice of φ.
+  [[nodiscard]] ShardOutcome plan_shard(const sched::SchedulerInput& input,
+                                        const ShardSpec& spec,
+                                        const std::vector<JobId>& shard_jobs,
+                                        const std::vector<Time>* phi);
+
+  /// Merge the outcomes in ascending shard order: each shard's sequences
+  /// are appended after `schedule`'s (a move when the target is empty, as
+  /// in a fresh offline plan), its starts written, and their objective sum
+  /// added once. Online (`phi` non-null) also writes back the advanced
+  /// horizons of the shards that planned. Returns the objective sum.
+  static double merge(const ShardPartition& partition,
+                      std::vector<ShardOutcome>& outcomes,
+                      sim::Schedule& schedule, std::vector<Time>* phi);
 
   [[nodiscard]] sim::Schedule plan(const sched::SchedulerInput& input,
                                    const std::vector<std::size_t>* order);

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
@@ -95,6 +96,53 @@ TEST(TimeTable, InternedRowsShareStorageAndCopyOnWrite) {
   EXPECT_EQ(appended, 3u);
   EXPECT_DOUBLE_EQ(table.tc(JobId(3), GpuId(1)), 0.0);
   EXPECT_DOUBLE_EQ(table.tc(JobId(2), GpuId(1)), 7.0);
+}
+
+TEST(TimeTable, GatheredSubTableMatchesPerCellFillAndSharesRows) {
+  // Source: 5 jobs over 4 GPUs on two shared rows plus one private row.
+  TimeTable source(5, 4);
+  const Time tc_a[4] = {1.0, 2.0, 3.0, 4.0};
+  const Time ts_a[4] = {0.1, 0.2, 0.3, 0.4};
+  const Time tc_b[4] = {5.0, 6.0, 7.0, 8.0};
+  const Time ts_b[4] = {0.5, 0.6, 0.7, 0.8};
+  const TimeTable::RowId a = source.intern_row(tc_a, ts_a);
+  const TimeTable::RowId b = source.intern_row(tc_b, ts_b);
+  for (const int j : {0, 2, 3}) source.bind_row(JobId(j), a);
+  source.bind_row(JobId(1), b);
+  for (int g = 0; g < 4; ++g) source.set(JobId(4), GpuId(g), 9.0 + g, 0.9);
+
+  const std::vector<JobId> jobs{JobId(4), JobId(0), JobId(1), JobId(3)};
+  const std::vector<GpuId> gpus{GpuId(3), GpuId(1)};
+  TimeTable per_cell(jobs.size(), gpus.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (std::size_t g = 0; g < gpus.size(); ++g) {
+      per_cell.set(JobId(static_cast<int>(j)), GpuId(static_cast<int>(g)),
+                   source.tc(jobs[j], gpus[g]), source.ts(jobs[j], gpus[g]));
+    }
+  }
+
+  // Gather twice through the same buffers into the same table: the second
+  // gather must not see the first one's rows.
+  GatherBuffers buffers;
+  TimeTable gathered;
+  gather_sub_table(source, {JobId(2)}, {GpuId(0)}, buffers, gathered);
+  gather_sub_table(source, jobs, gpus, buffers, gathered);
+  ASSERT_EQ(gathered.job_count(), per_cell.job_count());
+  ASSERT_EQ(gathered.gpu_count(), per_cell.gpu_count());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (std::size_t g = 0; g < gpus.size(); ++g) {
+      const JobId job(static_cast<int>(j));
+      const GpuId gpu(static_cast<int>(g));
+      EXPECT_EQ(gathered.tc(job, gpu), per_cell.tc(job, gpu));
+      EXPECT_EQ(gathered.ts(job, gpu), per_cell.ts(job, gpu));
+    }
+  }
+  EXPECT_EQ(gathered.alpha(), per_cell.alpha());
+  // Jobs 0 and 3 share source row `a`, and so share one gathered row: the
+  // zero row plus three distinct rows, against one per job cell by cell.
+  EXPECT_EQ(gathered.row_of(JobId(1)), gathered.row_of(JobId(3)));
+  EXPECT_EQ(gathered.row_count(), 4u);
+  EXPECT_EQ(per_cell.row_count(), 5u);
 }
 
 TEST(TimeTable, ResetReusesCapacityAndRestoresZeroState) {

@@ -551,5 +551,54 @@ TEST(Serve, ShardedServeIsBitIdenticalSerialVsPooled) {
                                   pooled_report.schedule));
 }
 
+TEST(Serve, ShardedServeUsesSurvivorsOfAShardWithADeadGpu) {
+  // Two 16-GPU domains; GPU 0 of shard 0 dies before the first arrival.
+  // Its horizon parks at the dead sentinel, which must neither become
+  // shard 0's load seed nor count as capacity: the 15 survivors keep
+  // taking batch jobs and the served objective stays near the no-failure
+  // stream's, instead of every job queueing on shard 1.
+  const cluster::Cluster cluster =
+      cluster::make_simulation_cluster(32, 25.0, 8, 2);
+  const auto arrivals = spaced_arrivals(80, 0.25);
+  fault::FaultPlan plan;
+  fault::FaultEvent down;
+  down.time = 0.0;
+  down.kind = fault::FaultKind::GpuFail;
+  down.gpu = GpuId(0);
+  plan.events.push_back(down);
+
+  serve::ServeConfig config;
+  config.lp_max_batch_jobs = 0;
+  config.shard_min_batch_jobs = 1;
+  serve::ServeService healthy(cluster, workload::PerfModel{}, config);
+  const serve::ServeReport baseline = healthy.run(arrivals);
+  serve::ServeService faulted(cluster, workload::PerfModel{}, config);
+  const serve::ServeReport report = faulted.run(arrivals, plan);
+
+  EXPECT_EQ(report.sharded_batches, report.batches);
+  sim::validate_schedule(report.schedule, faulted.jobs());
+  EXPECT_TRUE(report.schedule.sequences[0].empty());
+  std::size_t survivor_tasks = 0;
+  for (std::size_t g = 1; g < 16; ++g) {
+    survivor_tasks += report.schedule.sequences[g].size();
+  }
+  EXPECT_GT(survivor_tasks, 0u);
+  EXPECT_LT(report.objective, 1.10 * baseline.objective)
+      << "faulted " << report.objective << " vs healthy "
+      << baseline.objective;
+
+  // With every GPU dead no shard has alive capacity: each job still gets a
+  // shard and queues behind the parked horizons, as on the flat path.
+  fault::FaultPlan blackout;
+  for (const cluster::Machine& machine : cluster.machines()) {
+    fault::FaultEvent event;
+    event.kind = fault::FaultKind::MachineFail;
+    event.machine = machine.id;
+    blackout.events.push_back(event);
+  }
+  serve::ServeService stranded(cluster, workload::PerfModel{}, config);
+  EXPECT_EQ(stranded.run(arrivals, blackout).planned_jobs, arrivals.size());
+}
+
 }  // namespace
 }  // namespace hare

@@ -274,6 +274,41 @@ TEST(HierarchicalPlanner, NestedInvocationFromPoolWorkerAgrees) {
   for (const sim::Schedule& s : schedules) expect_same_schedule(reference, s);
 }
 
+TEST(HierarchicalPlanner, OnlineOnEmptyHorizonsMatchesOffline) {
+  // The online entry point runs the offline plan's level 1 and level 2 on
+  // a masked batch. With every job masked and every horizon at 0 it must
+  // reproduce the offline plan that keeps the Fluid relaxation everywhere
+  // and skips migration.
+  for (const std::uint64_t seed : {3ull, 9ull, 21ull, 40ull}) {
+    for (const bool pooled : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                        << " pooled=" << pooled);
+      const testing::Instance instance = make_domain_instance(seed, 20, 64, 4);
+      const sched::SchedulerInput input{instance.cluster, instance.jobs,
+                                        instance.times};
+      shard::ShardPlannerConfig config;
+      config.shards = 4;
+      config.lp_max_jobs = 0;
+      config.migration_max_moves = 0;
+      config.serial = !pooled;
+      config.workers = pooled ? 4 : 0;
+      shard::HierarchicalPlanner offline(config);
+      const sim::Schedule reference = offline.schedule(input);
+
+      shard::HierarchicalPlanner online(config);
+      sim::Schedule served;
+      served.sequences.resize(instance.cluster.gpu_count());
+      served.predicted_start.assign(instance.jobs.task_count(), 0.0);
+      std::vector<Time> phi(instance.cluster.gpu_count(), 0.0);
+      const std::vector<char> all(instance.jobs.job_count(), 1);
+      const double objective =
+          online.schedule_online(input, all, phi, served);
+      EXPECT_EQ(objective, reference.predicted_objective);
+      expect_same_schedule(reference, served);
+    }
+  }
+}
+
 // ---- Cross-shard migration ------------------------------------------------
 
 /// Adversarial straddling mix. Shard 0 mixes one fast V100 with seven slow
