@@ -16,8 +16,9 @@
 //
 // `generate` synthesizes a workload trace; `schedule` runs one scheduler
 // and reports metrics (optionally an ASCII Gantt chart); `compare` runs
-// Hare and every baseline; `profile` shows the profiled time table and can
-// persist the historical profile database; `sweep` fans a
+// Hare and every baseline; `profile` shows the profiled time table and,
+// with `--db`, warm-starts from and extends the historical profile
+// database; `sweep` fans a
 // (scenario × seed × scheme) grid across the hare::exp engine — results
 // are bit-identical to `--serial`, which runs the same cells one by one;
 // `plan` runs the two-level hierarchical planner (shard the cluster by
@@ -359,17 +360,21 @@ int cmd_profile(const Args& args) {
 
   const std::string db_path = args.get("db");
   if (!db_path.empty()) {
-    // Warm-start from an existing database when present.
+    // Warm-start from an existing database when present: its entries are
+    // served instead of re-measured, and saved back with the new ones.
     std::ifstream probe(db_path);
     if (probe.good()) {
-      profiler::ProfileDb db;
-      db.load_file(db_path);
-      std::cout << "loaded " << db.size() << " profile entries from "
-                << db_path << '\n';
+      system.profile_db().load_file(db_path);
+      std::cout << "loaded " << system.profile_db().size()
+                << " profile entries from " << db_path << '\n';
     }
   }
 
   const profiler::TimeTable& times = system.profiled_times();
+  if (!db_path.empty()) {
+    std::cout << "profile db: " << system.profile_db().hits() << " hits, "
+              << system.profile_db().misses() << " misses\n";
+  }
   common::Table table({"job", "model", "fastest GPU", "T^c there (s)",
                        "T^s there (s)", "T^c max/min"});
   const std::size_t shown = std::min<std::size_t>(jobs.job_count(), 20);

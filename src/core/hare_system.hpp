@@ -65,6 +65,9 @@ class HareSystem {
   [[nodiscard]] const cluster::Cluster& cluster() const { return cluster_; }
   [[nodiscard]] const workload::JobSet& jobs() const { return jobs_; }
   [[nodiscard]] const profiler::ProfileDb& profile_db() const { return db_; }
+  /// The db profiling consults and extends. Load saved entries into it
+  /// before the first run() or profiled_times() to warm-start profiling.
+  [[nodiscard]] profiler::ProfileDb& profile_db() { return db_; }
   [[nodiscard]] const Options& options() const { return options_; }
 
   /// Profiled table the schedulers plan with (profiles if stale).

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
+#include "profiler/gpu_classes.hpp"
 
 namespace hare::profiler {
 
@@ -30,11 +32,11 @@ ShapeKey shape_key(const workload::Job& job) {
           job.spec.batches_per_task};
 }
 
-ProfileKey make_key(const JobShape& shape, const cluster::Gpu& gpu,
+ProfileKey make_key(const JobShape& shape, cluster::GpuType gpu,
                     double network_gbps) {
   ProfileKey key;
   key.model = shape.model;
-  key.gpu = gpu.type;
+  key.gpu = gpu;
   key.batch_size = shape.batch;
   key.batches_per_task = shape.batches_per_task;
   key.network_mbps = static_cast<std::uint32_t>(network_gbps * 1000.0 + 0.5);
@@ -88,6 +90,17 @@ std::vector<JobShape> enumerate_shapes(const workload::JobSet& jobs,
   return shapes;
 }
 
+/// Point every job at its shape's interned row.
+void bind_rows(const workload::JobSet& jobs,
+               const std::vector<std::uint32_t>& shape_of,
+               const std::vector<TimeTable::RowId>& row_of_shape,
+               TimeTable& table) {
+  for (const auto& job : jobs.jobs()) {
+    table.bind_row(job.id, row_of_shape[shape_of[static_cast<std::size_t>(
+                               job.id.value())]]);
+  }
+}
+
 struct ProfilerMetrics {
   obs::Counter& cells = obs::counter("profiler.cells");
   obs::Counter& memo_hits = obs::counter("profiler.memo_hits");
@@ -112,44 +125,39 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
   if (jobs.job_count() == 0 || gpu_count == 0) return table;
 
   // Pass 1 (serial): canonical shape + measurement-key enumeration. Every
-  // (shape, GPU) cell resolves to one entry slot; first-seen keys either
+  // (shape, GPU class) resolves to one entry slot; first-seen keys either
   // hit the db or get a measurement seed drawn *here*, in canonical order,
-  // so the fan-out below cannot perturb the RNG stream.
+  // so the fan-out below cannot perturb the RNG stream. A key's first GPU
+  // is the first GPU of its class and classes run in first-GPU order, so
+  // keys, seeds, uplinks and db lookups come in the order a walk over
+  // every (shape, GPU) cell would meet them.
   std::vector<std::uint32_t> shape_of;
   const std::vector<JobShape> shapes = enumerate_shapes(jobs, shape_of);
+  const GpuClasses classes(cluster);
+  const std::size_t class_count = classes.size();
 
   std::vector<ProfileKey> keys;              // entry slot -> key
   std::vector<ProfileEntry> entries;         // resolved values
   std::vector<char> needs_measure;           // entry slot -> db miss?
   std::vector<std::uint64_t> seeds;          // per-slot measurement seed
   std::vector<double> uplinks;               // per-slot uplink (Gbit/s)
-  std::vector<std::uint32_t> cell_entry(shapes.size() * gpu_count);
+  std::vector<std::uint32_t> class_entry(shapes.size() * class_count);
   std::unordered_map<ProfileKey, std::uint32_t, ProfileKeyHash> slot_of;
   for (std::size_t s = 0; s < shapes.size(); ++s) {
-    for (const auto& gpu : cluster.gpus()) {
-      const double uplink = cluster.machine(gpu.machine).network_gbps;
-      const ProfileKey key = make_key(shapes[s], gpu, uplink);
+    for (std::size_t c = 0; c < class_count; ++c) {
+      const double uplink = classes.uplink_gbps(c);
+      const ProfileKey key = make_key(shapes[s], classes.type(c), uplink);
       const auto [it, inserted] =
           slot_of.try_emplace(key, static_cast<std::uint32_t>(entries.size()));
-      if (inserted) {
-        keys.push_back(key);
-        uplinks.push_back(uplink);
-        if (db != nullptr) {
-          if (const auto hit = db->lookup(key)) {
-            entries.push_back(*hit);
-            needs_measure.push_back(0);
-            seeds.push_back(0);
-            cell_entry[s * gpu_count +
-                       static_cast<std::size_t>(gpu.id.value())] = it->second;
-            continue;
-          }
-        }
-        entries.emplace_back();
-        needs_measure.push_back(1);
-        seeds.push_back(rng_.next_u64());
-      }
-      cell_entry[s * gpu_count + static_cast<std::size_t>(gpu.id.value())] =
-          it->second;
+      class_entry[s * class_count + c] = it->second;
+      if (!inserted) continue;
+      keys.push_back(key);
+      uplinks.push_back(uplink);
+      std::optional<ProfileEntry> hit;
+      if (db != nullptr) hit = db->lookup(key);
+      entries.push_back(hit.value_or(ProfileEntry{}));
+      needs_measure.push_back(hit ? 0 : 1);
+      seeds.push_back(hit ? 0 : rng_.next_u64());
     }
   }
 
@@ -207,21 +215,18 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
   // shape's row. Cost is O(shapes × G), not O(jobs × G).
   {
     HARE_SPAN("profiler", "profiler.build_rows");
+    table.reserve_rows(shapes.size());
     std::vector<Time> tc_row(gpu_count), ts_row(gpu_count);
     std::vector<TimeTable::RowId> row_of_shape(shapes.size());
     for (std::size_t s = 0; s < shapes.size(); ++s) {
-      for (std::size_t g = 0; g < gpu_count; ++g) {
-        const ProfileEntry& entry = entries[cell_entry[s * gpu_count + g]];
-        tc_row[g] = entry.tc;
-        ts_row[g] = entry.ts;
-      }
+      const std::uint32_t* entry_of = class_entry.data() + s * class_count;
+      classes.fill_row(tc_row.data(), ts_row.data(), [&](std::size_t c) {
+        const ProfileEntry& entry = entries[entry_of[c]];
+        return std::pair{entry.tc, entry.ts};
+      });
       row_of_shape[s] = table.intern_row(tc_row.data(), ts_row.data());
     }
-    for (const auto& job : jobs.jobs()) {
-      table.bind_row(job.id,
-                     row_of_shape[shape_of[static_cast<std::size_t>(
-                         job.id.value())]]);
-    }
+    bind_rows(jobs, shape_of, row_of_shape, table);
   }
 
   const std::uint64_t cells =
@@ -249,42 +254,27 @@ TimeTable Profiler::exact(const workload::JobSet& jobs,
 
   std::vector<std::uint32_t> shape_of;
   const std::vector<JobShape> shapes = enumerate_shapes(jobs, shape_of);
+  const GpuClasses classes(cluster);
 
-  // One exact row per shape, fanned across the pool. Each slot is written
-  // by exactly one index and the values are pure perf-model evaluations,
-  // so pooled and serial builds are bit-identical.
-  std::vector<Time> tc_rows(shapes.size() * gpu_count);
-  std::vector<Time> ts_rows(shapes.size() * gpu_count);
+  // One exact row per shape, built on this thread: shapes × classes
+  // perf-model evaluations are too little work to pay for a fan-out.
   {
     HARE_SPAN("profiler", "profiler.build_rows");
-    for_each_index(config_.serial, shapes.size(), [&](std::size_t s) {
+    table.reserve_rows(shapes.size());
+    std::vector<Time> tc_row(gpu_count), ts_row(gpu_count);
+    std::vector<TimeTable::RowId> row_of_shape(shapes.size());
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
       const JobShape& shape = shapes[s];
-      Time* tc = tc_rows.data() + s * gpu_count;
-      Time* ts = ts_rows.data() + s * gpu_count;
-      for (const auto& gpu : cluster.gpus()) {
-        const double uplink = cluster.machine(gpu.machine).network_gbps;
-        const std::size_t g = static_cast<std::size_t>(gpu.id.value());
-        tc[g] = perf_.task_compute_time(shape.model, gpu.type, shape.batch,
-                                        shape.batches_per_task);
-        ts[g] = perf_.sync_time(shape.model, uplink);
-      }
-    });
-  }
-
-  std::vector<TimeTable::RowId> row_of_shape(shapes.size());
-  for (std::size_t s = 0; s < shapes.size(); ++s) {
-    row_of_shape[s] = table.intern_row(tc_rows.data() + s * gpu_count,
-                                       ts_rows.data() + s * gpu_count);
-  }
-  for (const auto& job : jobs.jobs()) {
-    table.bind_row(
-        job.id,
-        row_of_shape[shape_of[static_cast<std::size_t>(job.id.value())]]);
+      exact_row(perf_, classes, shape.model, shape.batch,
+                shape.batches_per_task, tc_row.data(), ts_row.data());
+      row_of_shape[s] = table.intern_row(tc_row.data(), ts_row.data());
+    }
+    bind_rows(jobs, shape_of, row_of_shape, table);
   }
 
   const std::uint64_t cells =
       static_cast<std::uint64_t>(jobs.job_count()) * gpu_count;
-  memo_misses_ = static_cast<std::uint64_t>(shapes.size()) * gpu_count;
+  memo_misses_ = static_cast<std::uint64_t>(shapes.size()) * classes.size();
   memo_hits_ = cells - memo_misses_;
   rows_ = shapes.size();
   auto& metrics = profiler_metrics();

@@ -8,8 +8,8 @@
 // discarded warmups, which is exactly the shape of the real measurement
 // loop, and optionally consults/extends a ProfileDb to skip repeat work.
 //
-// Two scaling mechanisms keep profiling off the critical path at six-figure
-// job counts:
+// Three scaling mechanisms keep profiling off the critical path at
+// six-figure job counts and thousand-GPU clusters:
 //
 //  * **Shape memoization.** A job's (T^c, T^s) row is a pure function of
 //    its shape — (model, effective batch size, batches per task) — given
@@ -19,14 +19,23 @@
 //    call, so a 100k-job trace with a handful of distinct shapes costs a
 //    handful of row builds instead of 100k × G model evaluations.
 //
-//  * **Deterministic parallel row builds.** Unique rows fan out across
-//    common::shared_pool() following the hare::exp engine contract
-//    (HARE_EXP_SERIAL forces the serial path, HARE_JOBS caps workers,
-//    nested calls from a pool worker degrade to inline). Each measurement
-//    key draws a private RNG seed from the profiler stream *serially in
-//    canonical first-seen order* before the fan-out, so serial and pooled
-//    runs produce bit-identical tables: parallelism changes wall-clock
-//    only, never a number.
+//  * **Class memoization.** Within a row, GPUs of one class (GPU type and
+//    exact machine uplink, see gpu_classes.hpp) read identical cells, so
+//    each shape is resolved once per class and broadcast to the class's
+//    GPUs: 10k shapes on a 1,024-GPU, 4-class cluster cost 40k key
+//    lookups, not 10M. Classes are walked in first-GPU order, which keeps
+//    every key, seed and db lookup in the order of a per-GPU walk.
+//
+//  * **Deterministic parallel measurement.** profile()'s measurements fan
+//    out across common::shared_pool() following the hare::exp engine
+//    contract (HARE_EXP_SERIAL forces the serial path, HARE_JOBS caps
+//    workers, nested calls from a pool worker degrade to inline). Each
+//    measurement key draws a private RNG seed from the profiler stream
+//    *serially in canonical first-seen order* before the fan-out, so
+//    serial and pooled runs produce bit-identical tables: parallelism
+//    changes wall-clock only, never a number. exact() always runs on the
+//    calling thread: shapes × classes perf-model evaluations are too
+//    little work to pay for a fan-out.
 //
 // Telemetry (hare::obs): `profiler.exact` / `profiler.profile` spans with
 // `profiler.enumerate` / `profiler.measure` / `profiler.build_rows` stage
@@ -51,7 +60,7 @@ struct ProfilerConfig {
   std::uint32_t sample_batches = 5;
   /// Coefficient of variation of one measured batch (testbed jitter).
   double measurement_noise_cv = 0.03;
-  /// Run row builds and measurements on the calling thread in canonical
+  /// Run profile()'s measurements on the calling thread in canonical
   /// order. ORed with the HARE_EXP_SERIAL environment variable. The result
   /// is bit-identical either way; this is a debugging/TSan escape hatch.
   bool serial = false;
@@ -71,8 +80,8 @@ class Profiler {
                                   ProfileDb* db = nullptr);
 
   /// Exact (noise-free) table straight from the performance model — the
-  /// simulator's ground truth. Shape-memoized and fanned out like
-  /// profile(), minus the measurement noise.
+  /// simulator's ground truth. Shape- and class-memoized like profile(),
+  /// minus the measurement noise, and built on the calling thread.
   [[nodiscard]] TimeTable exact(const workload::JobSet& jobs,
                                 const cluster::Cluster& cluster) const;
 
@@ -81,10 +90,11 @@ class Profiler {
   [[nodiscard]] Time last_profiling_cost() const { return profiling_cost_; }
 
   /// (job, GPU) cells of the last profile()/exact() call that were served
-  /// from an already-resolved measurement key instead of fresh work — the
-  /// in-call memo's savings (ProfileDb hits are counted by the db itself).
+  /// from already-resolved work instead of fresh work — the in-call memo's
+  /// savings (ProfileDb hits are counted by the db itself).
   [[nodiscard]] std::uint64_t last_memo_hits() const { return memo_hits_; }
-  /// First-seen measurement keys of the last call (= cells - memo hits).
+  /// Fresh work of the last call (= cells - memo hits): first-seen
+  /// measurement keys for profile(), shape × class evaluations for exact().
   [[nodiscard]] std::uint64_t last_memo_misses() const { return memo_misses_; }
   /// Unique rows interned by the last call (= distinct job shapes).
   [[nodiscard]] std::uint64_t last_rows_computed() const { return rows_; }

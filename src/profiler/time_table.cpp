@@ -1,53 +1,53 @@
 #include "profiler/time_table.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/error.hpp"
 
 namespace hare::profiler {
 
-TimeTable::RowId TimeTable::allocate_row_copy(RowId src) {
-  RowId row = 0;
-  bool reused = false;
+TimeTable::RowId TimeTable::allocate_row() {
   while (!free_rows_.empty()) {
     const RowId candidate = free_rows_.back();
     free_rows_.pop_back();
     if (owners_[candidate] == 0) {  // stale entries were re-bound; skip them
-      row = candidate;
-      reused = true;
-      break;
+      agg_valid_[candidate] = 0;
+      return candidate;
     }
   }
-  if (!reused) {
-    row = static_cast<RowId>(owners_.size());
-    tc_.resize(tc_.size() + gpu_count_);
-    ts_.resize(ts_.size() + gpu_count_);
-    owners_.push_back(0);
-    agg_.emplace_back();
-    agg_valid_.push_back(0);
-  }
-  const std::size_t dst = static_cast<std::size_t>(row) * gpu_count_;
-  const std::size_t from = static_cast<std::size_t>(src) * gpu_count_;
-  if (gpu_count_ > 0) {
-    std::memmove(tc_.data() + dst, tc_.data() + from,
-                 gpu_count_ * sizeof(Time));
-    std::memmove(ts_.data() + dst, ts_.data() + from,
-                 gpu_count_ * sizeof(Time));
-  }
-  agg_valid_[row] = 0;
+  const auto row = static_cast<RowId>(owners_.size());
+  tc_.resize(tc_.size() + gpu_count_);
+  ts_.resize(ts_.size() + gpu_count_);
+  owners_.push_back(0);
+  agg_.emplace_back();
+  agg_valid_.push_back(0);
   return row;
+}
+
+void TimeTable::copy_row(RowId src, RowId dst) {
+  const std::size_t from = static_cast<std::size_t>(src) * gpu_count_;
+  const std::size_t to = static_cast<std::size_t>(dst) * gpu_count_;
+  std::copy_n(tc_.data() + from, gpu_count_, tc_.data() + to);
+  std::copy_n(ts_.data() + from, gpu_count_, ts_.data() + to);
+  agg_valid_[dst] = 0;
 }
 
 TimeTable::RowId TimeTable::intern_row(const Time* tc, const Time* ts) {
   HARE_CHECK_MSG(!owners_.empty(), "intern_row on an unshaped time table");
-  const RowId row = allocate_row_copy(kZeroRow);
+  const RowId row = allocate_row();
   const std::size_t base = static_cast<std::size_t>(row) * gpu_count_;
-  std::copy(tc, tc + gpu_count_, tc_.data() + base);
-  std::copy(ts, ts + gpu_count_, ts_.data() + base);
-  agg_valid_[row] = 0;
+  std::copy_n(tc, gpu_count_, tc_.data() + base);
+  std::copy_n(ts, gpu_count_, ts_.data() + base);
   alpha_valid_ = false;
   return row;
+}
+
+void TimeTable::reserve_rows(std::size_t rows) {
+  tc_.reserve(tc_.size() + rows * gpu_count_);
+  ts_.reserve(ts_.size() + rows * gpu_count_);
+  owners_.reserve(owners_.size() + rows);
+  agg_.reserve(agg_.size() + rows);
+  agg_valid_.reserve(agg_valid_.size() + rows);
 }
 
 // One pass over the GPU axis fills every aggregate for the row; the old

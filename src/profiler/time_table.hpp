@@ -75,7 +75,8 @@ class TimeTable {
     const std::size_t j = static_cast<std::size_t>(job.value());
     RowId row = row_of_[j];
     if (row == kZeroRow || owners_[row] > 1) {
-      const RowId fresh = allocate_row_copy(row);
+      const RowId fresh = allocate_row();
+      copy_row(row, fresh);
       --owners_[row];
       ++owners_[fresh];
       row_of_[j] = fresh;
@@ -95,10 +96,15 @@ class TimeTable {
     return row_of_[static_cast<std::size_t>(job.value())];
   }
 
-  /// Append a unique row (gpu_count values from each of `tc`/`ts`) to the
-  /// arena and return its id. The row starts with no owners; point jobs at
-  /// it with bind_row(). Reuses a previously freed slot when one exists.
+  /// Append a unique row (gpu_count values from each of `tc`/`ts`, which
+  /// must not point into this table) to the arena and return its id. The
+  /// row starts with no owners; point jobs at it with bind_row(). Reuses a
+  /// previously freed slot when one exists.
   RowId intern_row(const Time* tc, const Time* ts);
+
+  /// Reserve arena room for `rows` more rows, so that many intern_row()
+  /// calls grow each arena array at most once instead of geometrically.
+  void reserve_rows(std::size_t rows);
 
   /// Re-point `job` at arena row `row` (from intern_row or row_of). Owner
   /// counts move with it; a non-zero row left with no owners is recycled by
@@ -200,10 +206,13 @@ class TimeTable {
     return row_base(job) + static_cast<std::size_t>(gpu.value());
   }
 
-  /// Arena slot holding a copy of row `src`, with no owners yet. Pops a
-  /// recycled slot when available (skipping stale free-list entries whose
-  /// row was re-bound in the meantime), else appends.
-  [[nodiscard]] RowId allocate_row_copy(RowId src);
+  /// Arena slot with no owners and unspecified contents, for the caller to
+  /// overwrite. Pops a recycled slot when available (skipping stale
+  /// free-list entries whose row was re-bound in the meantime), else
+  /// appends.
+  [[nodiscard]] RowId allocate_row();
+  /// Copy row `src`'s values into row `dst`.
+  void copy_row(RowId src, RowId dst);
 
   [[nodiscard]] const JobAggregates& aggregates(JobId job) const;
   [[nodiscard]] const JobAggregates& row_aggregates(RowId row) const;

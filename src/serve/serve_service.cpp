@@ -19,6 +19,9 @@ ServeService::ServeService(const cluster::Cluster& cluster,
       perf_(perf),
       config_(config),
       times_(0, cluster.gpu_count()),
+      classes_(cluster),
+      row_tc_(cluster.gpu_count()),
+      row_ts_(cluster.gpu_count()),
       flat_([&] {
         core::HareConfig hare = config.hare;
         hare.relaxation.mode = core::RelaxMode::Fluid;
@@ -41,14 +44,10 @@ JobId ServeService::admit(workload::JobSpec spec, AdmissionBatcher& batcher) {
   const std::size_t j = static_cast<std::size_t>(id.value());
   times_.append_job();
   const workload::Job& job = jobs_.job(id);
-  const auto batch_size = job.effective_batch_size();
-  for (const auto& gpu : cluster_.gpus()) {
-    const double uplink = cluster_.machine(gpu.machine).network_gbps;
-    times_.set(id, gpu.id,
-               perf_.task_compute_time(job.spec.model, gpu.type, batch_size,
-                                       job.spec.batches_per_task),
-               perf_.sync_time(job.spec.model, uplink));
-  }
+  profiler::exact_row(perf_, classes_, job.spec.model,
+                      job.effective_batch_size(), job.spec.batches_per_task,
+                      row_tc_.data(), row_ts_.data());
+  times_.bind_row(id, times_.intern_row(row_tc_.data(), row_ts_.data()));
   canceled_.resize(j + 1, 0);
   planned_.resize(j + 1, 0);
   continued_.resize(j + 1, 0);

@@ -50,6 +50,7 @@
 #include "cluster/cluster.hpp"
 #include "core/hare_scheduler.hpp"
 #include "fault/fault_plan.hpp"
+#include "profiler/gpu_classes.hpp"
 #include "profiler/time_table.hpp"
 #include "serve/admission_batcher.hpp"
 #include "serve/incremental_replanner.hpp"
@@ -140,6 +141,9 @@ class ServeService {
 
   workload::JobSet jobs_;
   profiler::TimeTable times_;
+  profiler::GpuClasses classes_;
+  std::vector<Time> row_tc_;  ///< admission's row being interned
+  std::vector<Time> row_ts_;
   sim::Schedule schedule_;
   core::HareScheduler::IncrementalState state_;
   std::vector<Time> saved_phi_;  ///< pre-failure horizons of dead GPUs

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/bounds.hpp"
@@ -414,6 +417,59 @@ TEST(HareSystem, ProfileDbReusedAcrossRuns) {
   system.submit(spec);  // identical job: no new profiling keys needed
   (void)system.profiled_times();
   EXPECT_EQ(system.profile_db().size(), entries);
+}
+
+TEST(HareSystem, RestoredProfileDbWarmStartsAndSavesTheUnion) {
+  const cluster::Cluster cluster = cluster::make_testbed_cluster();
+  workload::TraceConfig config;
+  config.job_count = 12;
+  const workload::JobSet jobs = workload::TraceGenerator(1).generate(config);
+
+  HareSystem earlier(cluster);
+  earlier.submit_all(jobs);
+  const profiler::TimeTable& earlier_times = earlier.profiled_times();
+  std::stringstream saved;
+  earlier.profile_db().save(saved);
+  const std::string saved_db = saved.str();
+
+  // The same jobs against the restored db: every key is served from it,
+  // nothing is measured, and the table is the one the db was built from.
+  HareSystem restored(cluster);
+  restored.submit_all(jobs);
+  std::istringstream restore_in(saved_db);
+  restored.profile_db().load(restore_in);
+  const std::size_t loaded = restored.profile_db().size();
+  ASSERT_GT(loaded, 0u);
+  const profiler::TimeTable& times = restored.profiled_times();
+  EXPECT_EQ(restored.profile_db().misses(), 0u);
+  EXPECT_GT(restored.profile_db().hits(), 0u);
+  EXPECT_EQ(restored.profile_db().size(), loaded);
+  for (const auto& job : jobs.jobs()) {
+    for (const auto& gpu : cluster.gpus()) {
+      EXPECT_EQ(times.tc(job.id, gpu.id), earlier_times.tc(job.id, gpu.id));
+      EXPECT_EQ(times.ts(job.id, gpu.id), earlier_times.ts(job.id, gpu.id));
+    }
+  }
+
+  // A slower uplink makes every key new: the db the system saves holds
+  // the restored entries and the new ones.
+  const cluster::Cluster slow = cluster::make_testbed_cluster(10.0);
+  HareSystem alone(slow);
+  alone.submit_all(jobs);
+  (void)alone.profiled_times();
+  HareSystem grown(slow);
+  grown.submit_all(jobs);
+  std::istringstream grow_in(saved_db);
+  grown.profile_db().load(grow_in);
+  (void)grown.profiled_times();
+  EXPECT_EQ(grown.profile_db().size(), loaded + alone.profile_db().size());
+  const std::vector<std::string> union_lines =
+      testing::profile_db_lines(grown.profile_db());
+  for (const auto& part : {testing::profile_db_lines(earlier.profile_db()),
+                           testing::profile_db_lines(alone.profile_db())}) {
+    EXPECT_TRUE(std::includes(union_lines.begin(), union_lines.end(),
+                              part.begin(), part.end()));
+  }
 }
 
 }  // namespace

@@ -4,14 +4,18 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "profiler/gpu_classes.hpp"
 #include "profiler/profile_db.hpp"
 #include "profiler/profiler.hpp"
 #include "profiler/time_table.hpp"
+#include "profiler_oracle.hpp"
+#include "test_util.hpp"
 #include "workload/trace.hpp"
 
 namespace hare::profiler {
@@ -369,6 +373,133 @@ TEST(Profiler, ParallelProfileBitIdenticalToSerial) {
     }
   }
   EXPECT_EQ(serial.last_rows_computed(), parallel.last_rows_computed());
+}
+
+// ------------------------------------------------------ profiler oracle --
+
+void expect_tables_identical(const TimeTable& library,
+                             const TimeTable& oracle) {
+  ASSERT_EQ(library.job_count(), oracle.job_count());
+  ASSERT_EQ(library.gpu_count(), oracle.gpu_count());
+  EXPECT_EQ(library.row_count(), oracle.row_count());
+  for (std::size_t j = 0; j < oracle.job_count(); ++j) {
+    const JobId job(static_cast<int>(j));
+    for (std::size_t g = 0; g < oracle.gpu_count(); ++g) {
+      const GpuId gpu(static_cast<int>(g));
+      ASSERT_EQ(library.tc(job, gpu), oracle.tc(job, gpu))
+          << "job " << j << " gpu " << g;
+      ASSERT_EQ(library.ts(job, gpu), oracle.ts(job, gpu))
+          << "job " << j << " gpu " << g;
+    }
+  }
+  EXPECT_EQ(library.alpha(), oracle.alpha());
+}
+
+/// Types interleave across machines and classes repeat: (V100, 25.0)
+/// comes back after three other classes. 25.0002 Gbit/s rounds to the
+/// same 25,000 Mbit/s db key as 25.0 but has its own exact sync time.
+cluster::Cluster interleaved_cluster() {
+  return cluster::ClusterBuilder{}
+      .add_machine(GpuType::T4, 2, 10.0)
+      .add_machine(GpuType::V100, 2, 25.0)
+      .add_machine(GpuType::K80, 1, 25.0002)
+      .add_machine(GpuType::T4, 3, 25.0)
+      .add_machine(GpuType::V100, 1, 25.0002)
+      .add_machine(GpuType::T4, 2, 10.0)
+      .add_machine(GpuType::M60, 2, 25.0)
+      .add_machine(GpuType::V100, 3, 10.0)
+      .add_machine(GpuType::V100, 2, 25.0)
+      .build();
+}
+
+enum class DbState { None, Empty, Warm, Partial };
+
+/// Profile `jobs` twice (one RNG stream) and build the exact table with
+/// the library and with the per-GPU oracle, from identical db copies, and
+/// require every observable to agree bit for bit.
+void expect_profiler_matches_oracle(const cluster::Cluster& cluster,
+                                    const workload::JobSet& jobs,
+                                    DbState state) {
+  const workload::PerfModel perf;
+  ProfileDb seed_db;
+  if (state == DbState::Warm) {
+    Profiler earlier(perf, ProfilerConfig{}, 11);
+    (void)earlier.profile(jobs, cluster, &seed_db);
+  } else if (state == DbState::Partial) {
+    Profiler earlier(perf, ProfilerConfig{}, 11);
+    (void)earlier.profile(make_jobs(6), cluster, &seed_db);
+  }
+  ProfileDb library_db = seed_db;
+  ProfileDb oracle_db = seed_db;
+  ProfileDb* library_db_ptr = state == DbState::None ? nullptr : &library_db;
+  ProfileDb* oracle_db_ptr = state == DbState::None ? nullptr : &oracle_db;
+
+  Profiler library(perf, ProfilerConfig{}, 2024);
+  testing::OracleProfiler oracle(perf, ProfilerConfig{}, 2024);
+  for (int call = 0; call < 2; ++call) {
+    SCOPED_TRACE("profile call " + std::to_string(call));
+    const TimeTable table = library.profile(jobs, cluster, library_db_ptr);
+    const TimeTable reference = oracle.profile(jobs, cluster, oracle_db_ptr);
+    expect_tables_identical(table, reference);
+    EXPECT_EQ(library.last_profiling_cost(), oracle.last_profiling_cost());
+    EXPECT_EQ(library.last_memo_hits(), oracle.last_memo_hits());
+    EXPECT_EQ(library.last_rows_computed(), oracle.last_rows_computed());
+    EXPECT_EQ(testing::profile_db_lines(library_db),
+              testing::profile_db_lines(oracle_db));
+    EXPECT_EQ(library_db.hits(), oracle_db.hits());
+    EXPECT_EQ(library_db.misses(), oracle_db.misses());
+  }
+  if (state == DbState::Partial) {
+    // The partial db must really be partial: some keys served, some not.
+    EXPECT_GT(library_db.hits(), 0u);
+    EXPECT_GT(library_db.misses(), 0u);
+  }
+
+  const TimeTable exact = library.exact(jobs, cluster);
+  expect_tables_identical(exact, oracle.exact(jobs, cluster));
+  EXPECT_EQ(library.last_rows_computed(), oracle.last_rows_computed());
+}
+
+void expect_matches_oracle_for_every_db_state(const cluster::Cluster& cluster,
+                                              const workload::JobSet& jobs) {
+  for (const DbState state :
+       {DbState::None, DbState::Empty, DbState::Warm, DbState::Partial}) {
+    SCOPED_TRACE("db state " + std::to_string(static_cast<int>(state)));
+    expect_profiler_matches_oracle(cluster, jobs, state);
+  }
+}
+
+TEST(ProfilerOracle, SimulationCluster16MatchesPerGpuWalk) {
+  expect_matches_oracle_for_every_db_state(
+      cluster::make_simulation_cluster(16, 25.0, 4), make_jobs(40));
+}
+
+TEST(ProfilerOracle, SimulationCluster1024MatchesPerGpuWalk) {
+  expect_matches_oracle_for_every_db_state(
+      cluster::make_simulation_cluster(1024), make_jobs(40));
+}
+
+TEST(ProfilerOracle, InterleavedMixedUplinkClusterMatchesPerGpuWalk) {
+  expect_matches_oracle_for_every_db_state(interleaved_cluster(),
+                                           make_jobs(40));
+}
+
+TEST(GpuClasses, FirstGpuOrderAndExactUplinks) {
+  const cluster::Cluster cluster = interleaved_cluster();
+  const GpuClasses classes(cluster);
+  // (T4,10) (V100,25) (K80,25.0002) (T4,25) (V100,25.0002) (M60,25)
+  // (V100,10): repeats of an earlier class join it.
+  ASSERT_EQ(classes.size(), 7u);
+  ASSERT_EQ(classes.gpu_count(), cluster.gpu_count());
+  const std::size_t first[] = {0, 2, 4, 5, 8, 11, 13};
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    EXPECT_EQ(classes.representative(c), first[c]);
+    EXPECT_EQ(classes.class_of(first[c]), c);
+  }
+  EXPECT_EQ(classes.class_of(9), 0u);   // T4 at 10 Gbit/s again
+  EXPECT_EQ(classes.class_of(16), 1u);  // V100 at 25 Gbit/s again
+  EXPECT_EQ(classes.uplink_gbps(4), 25.0002);
+  EXPECT_EQ(classes.type(4), GpuType::V100);
 }
 
 TEST(Profiler, MismatchedTableRejectedBySimUsers) {

@@ -456,6 +456,35 @@ TEST(Serve, GpuFailureDisplacesAndSpawnsContinuations) {
                                   again.run(arrivals, plan).schedule));
 }
 
+TEST(Serve, AdmittedRowsMatchExactProfile) {
+  // Admission builds each arrival's row once per GPU class; after a stream
+  // that spawned continuations, every row must still read cell for cell
+  // like the exact profiler's table of the same jobs.
+  const cluster::Cluster cluster = cluster::make_testbed_cluster();
+  const auto arrivals = spaced_arrivals(14, 1.0);
+  serve::ServeConfig config = small_lp_config();
+  config.tick = 2.0;
+  serve::ServeService service(cluster, workload::PerfModel{}, config);
+  const serve::ServeReport report =
+      service.run(arrivals, gpu_blip(0, 6.0, 40.0));
+  ASSERT_GT(report.continuations, 0u);
+
+  const profiler::Profiler profiler(workload::PerfModel{},
+                                    profiler::ProfilerConfig{}, 1);
+  const profiler::TimeTable exact = profiler.exact(service.jobs(), cluster);
+  const profiler::TimeTable& served = service.times();
+  ASSERT_EQ(served.job_count(), exact.job_count());
+  ASSERT_EQ(served.gpu_count(), exact.gpu_count());
+  for (std::size_t j = 0; j < exact.job_count(); ++j) {
+    const JobId job(static_cast<int>(j));
+    for (std::size_t g = 0; g < exact.gpu_count(); ++g) {
+      const GpuId gpu(static_cast<int>(g));
+      EXPECT_EQ(served.tc(job, gpu), exact.tc(job, gpu));
+      EXPECT_EQ(served.ts(job, gpu), exact.ts(job, gpu));
+    }
+  }
+}
+
 TEST(Serve, CancelBeforePlanningSkipsTheJob) {
   const cluster::Cluster cluster = cluster::make_testbed_cluster();
   const auto arrivals = spaced_arrivals(8, 2.0);

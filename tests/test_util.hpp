@@ -1,10 +1,15 @@
 // Shared fixtures and random-instance builders for the test suite.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
+#include "profiler/profile_db.hpp"
 #include "profiler/profiler.hpp"
 #include "profiler/time_table.hpp"
 #include "workload/job.hpp"
@@ -76,6 +81,20 @@ inline Instance make_uniform_instance(std::vector<double> gpu_task_seconds,
     }
   }
   return instance;
+}
+
+/// A profile db's entries as sorted saved lines (header dropped): its
+/// contents, independent of hash order.
+inline std::vector<std::string> profile_db_lines(
+    const profiler::ProfileDb& db) {
+  std::stringstream stream;
+  db.save(stream);
+  std::string header;
+  std::getline(stream, header);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
 }
 
 }  // namespace hare::testing
