@@ -375,6 +375,9 @@ int cmd_profile(const Args& args) {
     std::cout << "profile db: " << system.profile_db().hits() << " hits, "
               << system.profile_db().misses() << " misses\n";
   }
+  std::cout << "time table: " << times.row_count() << " rows x "
+            << times.column_count() << " columns over " << times.gpu_count()
+            << " GPUs\n";
   common::Table table({"job", "model", "fastest GPU", "T^c there (s)",
                        "T^s there (s)", "T^c max/min"});
   const std::size_t shown = std::min<std::size_t>(jobs.job_count(), 20);

@@ -12,14 +12,9 @@ double critical_path_lower_bound(const workload::JobSet& jobs,
                                  const profiler::TimeTable& times) {
   double bound = 0.0;
   for (const auto& job : jobs.jobs()) {
-    Time fastest_round = kTimeInfinity;
-    for (std::size_t g = 0; g < times.gpu_count(); ++g) {
-      fastest_round = std::min(
-          fastest_round, times.total(job.id, GpuId(static_cast<int>(g))));
-    }
     bound += job.spec.weight *
              (job.spec.arrival +
-              static_cast<double>(job.rounds()) * fastest_round);
+              static_cast<double>(job.rounds()) * times.min_total(job.id));
   }
   return bound;
 }

@@ -1,13 +1,14 @@
-// Per-(network-domain, GPU-type) bucketed GPU index: sublinear placement
-// lookups for very wide clusters.
+// Per-(network domain, GPU type, table column) bucketed GPU index:
+// sublinear placement lookups for very wide clusters.
 //
 // The flat earliest-finish scan is O(G) per task no matter how clever its
 // SIMD lanes are. But the candidate expression max(release, φ_g) + T^c only
-// depends on g through φ_g and T^c_{i,g}, and on profiled clusters T^c is a
-// function of the GPU *type* alone (the ProfileDb key is (model, type,
-// batch, batches/task, uplink)). Group the GPUs into buckets keyed by
-// (machine network domain, GPU type) — T^c and the memory fit are constant
-// within a bucket — and the per-task argmin decomposes into one O(log B)
+// depends on g through φ_g and T^c_{i,g}, and a time table stores T^c per
+// column (one per GPU class on profiled tables, see time_table.hpp), not
+// per GPU. Group the GPUs into buckets keyed by (machine network domain,
+// GPU type, table column) — the column fixes T^c and the type fixes the
+// memory fit, so every job's masked T^c is one value per bucket by
+// construction — and the per-task argmin decomposes into one O(log B)
 // segment-tree query per bucket plus a merge over the handful of buckets:
 //
 //  * earliest_finish: inside a bucket every GPU shares T^c, so the bucket's
@@ -21,17 +22,16 @@
 //  * earliest_available: the bucket winner is its root (φ_min, argmin-id);
 //    merge on (φ, gpu).
 //
-// Exactness precondition: the masked T^c row must be constant within every
-// bucket. That holds for ProfileDb / exact tables but *not* for the noisy
-// per-GPU profiler path, so PlacementIndex collapses each job's row to one
-// value per bucket at build time (collapse_row) and silently keeps the flat
-// scan when any bucket is mixed — the bucketed index is a wall-clock knob,
-// never a semantics change.
+// The buckets hold for one column map. A table whose columns are split
+// after the buckets were built (a per-cell set() on a shared column) needs
+// new buckets; PlacementIndex rebuilds them when it sees the map change.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -53,62 +53,48 @@ class GpuBucketIndex {
 
   GpuBucketIndex() = default;
 
-  /// Bucket the cluster's GPUs by (machine domain, GPU type), ascending GPU
-  /// id within each bucket, and seed every φ horizon (empty = all 0).
-  explicit GpuBucketIndex(const cluster::Cluster& cluster,
-                          const std::vector<Time>& initial_phi = {}) {
-    const std::size_t n = cluster.gpu_count();
+  /// Bucket GPU g by (sites[g], column_of[g]) — sites from gpu_sites() —
+  /// ascending GPU id within each bucket, and seed every φ horizon.
+  GpuBucketIndex(const std::vector<std::uint32_t>& sites,
+                 const std::vector<std::uint32_t>& column_of,
+                 const std::vector<Time>& phi) {
+    const std::size_t n = sites.size();
     gpu_bucket_.assign(n, 0);
     gpu_pos_.assign(n, 0);
-
-    // Assign bucket ids in first-appearance order over ascending GPU id —
+    // Bucket ids in first-appearance order over ascending GPU id —
     // deterministic, and bucket-major iteration visits GPUs in an order
     // that merges back to the global lexicographic minimum.
-    struct Key {
-      std::size_t domain;
-      cluster::GpuType type;
-      bool operator==(const Key&) const = default;
-    };
-    std::vector<Key> keys;
-    for (const auto& gpu : cluster.gpus()) {
-      const Key key{cluster.machine(gpu.machine).domain, gpu.type};
-      std::size_t b = 0;
-      for (; b < keys.size(); ++b) {
-        if (keys[b] == key) break;
-      }
-      if (b == keys.size()) {
-        keys.push_back(key);
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> ids;
+    for (std::size_t g = 0; g < n; ++g) {
+      const auto [it, inserted] =
+          ids.try_emplace({sites[g], column_of[g]},
+                          static_cast<std::uint32_t>(buckets_.size()));
+      if (inserted) {
         buckets_.emplace_back();
+        buckets_.back().column = column_of[g];
       }
-      auto& bucket = buckets_[b];
-      const auto g = static_cast<std::size_t>(gpu.id.value());
-      gpu_bucket_[g] = static_cast<std::uint32_t>(b);
+      Bucket& bucket = buckets_[it->second];
+      gpu_bucket_[g] = it->second;
       gpu_pos_[g] = static_cast<std::uint32_t>(bucket.gpus.size());
       bucket.gpus.push_back(g);
     }
     for (auto& bucket : buckets_) bucket.build_tree();
-    reset_phi(initial_phi.empty() ? std::vector<Time>(n, 0.0) : initial_phi);
+    reset_phi(phi);
   }
 
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
 
-  /// Collapse a job's masked T^c row (T^c where `fits`, +∞ elsewhere) to
-  /// one value per bucket in `out[0, bucket_count())`. False when a bucket
-  /// mixes values: the exactness precondition for queries does not hold.
-  [[nodiscard]] bool collapse_row(const Time* tc, const std::vector<char>& fits,
-                                  Time* out) const {
-    const auto masked = [&](std::size_t g) {
-      return fits[g] ? tc[g] : kTimeInfinity;
-    };
+  /// A job's masked T^c per bucket into `out[0, bucket_count())`: its
+  /// column's value where the bucket's GPUs fit the job, else +∞. `fits`
+  /// must be a function of the GPU type (device memory), as fitting
+  /// matrices are, so that each bucket's first GPU speaks for all of it.
+  void collapse_row(const Time* columns, const std::vector<char>& fits,
+                    Time* out) const {
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      const std::vector<std::size_t>& gpus = buckets_[b].gpus;
-      const Time v = masked(gpus.front());
-      for (const std::size_t g : gpus) {
-        if (masked(g) != v) return false;
-      }
-      out[b] = v;
+      const Bucket& bucket = buckets_[b];
+      out[b] = fits[bucket.gpus.front()] ? columns[bucket.column]
+                                          : kTimeInfinity;
     }
-    return true;
   }
 
   void set_phi(std::size_t gpu, Time value) {
@@ -185,6 +171,7 @@ class GpuBucketIndex {
   /// resolve toward the left child, i.e. the lower GPU id.
   struct Bucket {
     std::vector<std::size_t> gpus;  ///< global ids, ascending
+    std::uint32_t column = 0;       ///< table column every GPU reads
     std::vector<Time> tree_phi;
     std::vector<std::uint32_t> tree_arg;
     std::size_t base = 1;
@@ -244,5 +231,20 @@ class GpuBucketIndex {
   std::vector<std::uint32_t> gpu_bucket_;
   std::vector<std::uint32_t> gpu_pos_;
 };
+
+/// Per GPU, an id of its (machine network domain, GPU type) pair, in
+/// first-appearance order: the cluster half of a GpuBucketIndex key.
+[[nodiscard]] inline std::vector<std::uint32_t> gpu_sites(
+    const cluster::Cluster& cluster) {
+  std::vector<std::uint32_t> sites(cluster.gpu_count());
+  std::map<std::pair<std::size_t, cluster::GpuType>, std::uint32_t> ids;
+  for (const auto& gpu : cluster.gpus()) {
+    const auto key = std::pair{cluster.machine(gpu.machine).domain, gpu.type};
+    sites[static_cast<std::size_t>(gpu.id.value())] =
+        ids.try_emplace(key, static_cast<std::uint32_t>(ids.size()))
+            .first->second;
+  }
+  return sites;
+}
 
 }  // namespace hare::core

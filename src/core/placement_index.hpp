@@ -17,18 +17,19 @@
 //    independent per-GPU orders (φ and T^c); in the congested regime the
 //    planner lives in, every pruned tree walk degenerates to visiting most
 //    GPUs through cache-hostile pointer chasing. Instead the index
-//    precomputes a masked T^c row per job (+∞ where the task does not fit
-//    device memory) and runs a branch-free 4-lane strided scan over the
-//    flat (φ, masked T^c) arrays: four independent incumbent chains give
-//    the compiler ILP/SIMD freedom while each lane preserves the serial
-//    scan's first-strict-< tie-break; the lane merge compares (finish, gpu)
-//    lexicographically, so the selected candidate — and therefore the whole
-//    schedule — is bit-identical to the seed loop at a fraction of its
-//    per-element cost.
+//    expands a masked T^c row per job from its table columns (+∞ where the
+//    task does not fit device memory) and runs a branch-free 4-lane
+//    strided scan over the flat (φ, masked T^c) arrays: four independent
+//    incumbent chains give the compiler ILP/SIMD freedom while each lane
+//    preserves the serial scan's first-strict-< tie-break; the lane merge
+//    compares (finish, gpu) lexicographically, so the selected candidate —
+//    and therefore the whole schedule — is bit-identical to the seed loop
+//    at a fraction of its per-element cost.
 //
-// Clusters of kBucketedIndexMinGpus GPUs or more try the bucketed index of
-// gpu_bucket_index.hpp instead, which keeps one masked T^c value per job
-// and (domain, GPU type) bucket rather than a row per GPU.
+// Clusters of kBucketedIndexMinGpus GPUs or more, whose tables have few
+// columns (profiled tables have one per GPU class), use the bucketed index
+// of gpu_bucket_index.hpp instead, which keeps one masked T^c value per job
+// and (domain, GPU type, table column) bucket rather than a row per GPU.
 //
 // Queries and set_phi are serial-planner operations (one task placed at a
 // time); the lazily built φ-set means the index must not be shared across
@@ -229,12 +230,23 @@ struct PlacementCandidate {
 }
 
 /// Cluster width at which PlacementIndex tries the bucketed index. A query
-/// probes every (domain, type) bucket and each placement updates a bucket
-/// tree, so narrow clusters are faster on the flat SIMD scan. On Fluid
-/// plans with two jobs per GPU and exact tables (Release, 4-vCPU x86-64),
-/// buckets cost 6-8% at 128 and 256 GPUs and save 13% at 512 and 27% at
-/// 1,024; the crossover lies between 256 and 512.
+/// probes every bucket and each placement updates a bucket tree, so narrow
+/// clusters are faster on the flat SIMD scan. On Fluid plans with two jobs
+/// per GPU, exact tables and 64-GPU domains (Release, 4-vCPU x86-64),
+/// buckets save ~20% at 512 GPUs and ~32% at 1,024, and ~10-15% at 256
+/// and 384; at 128 the two are within host noise.
 inline constexpr std::size_t kBucketedIndexMinGpus = 512;
+
+/// Fewest GPUs per bucket, on average, at which PlacementIndex keeps the
+/// bucketed index: a table with about as many columns as GPUs (the dense
+/// layout, or one split cell by cell) makes small buckets, whose probes
+/// cost more than the flat scan's SIMD lanes. On the same Fluid plans at
+/// 1,024 GPUs with columns of k GPUs, buckets cost 2.4x the flat scan at
+/// k = 8, 1.5x at k = 16 and 1.25x at k = 24, break even at k = 32 and
+/// save 25-30% at k = 48-64. 24 rather than 32 keeps buckets on racked
+/// clusters of 16 domains (512 GPUs in 19 buckets), where the
+/// (domain, type) index always ran them.
+inline constexpr std::size_t kBucketedIndexMinGpusPerBucket = 24;
 
 class PlacementIndex {
  public:
@@ -244,23 +256,23 @@ class PlacementIndex {
   /// `initial_phi` may be empty (all GPUs free at 0).
   ///
   /// With a `cluster` of at least kBucketedIndexMinGpus GPUs, queries go
-  /// through a per-(domain, type) GpuBucketIndex — O(buckets · log B)
-  /// instead of O(G) — provided every job's masked row is bucket-uniform
-  /// (checked here per job; a single mixed bucket falls the whole index
-  /// back to the flat scan, keeping bit-identity unconditional).
+  /// through a per-(domain, type, column) GpuBucketIndex — O(buckets ·
+  /// log B) instead of O(G) — when its buckets average at least
+  /// kBucketedIndexMinGpusPerBucket GPUs.
   PlacementIndex(const profiler::TimeTable& times, std::size_t gpu_count,
                  const std::vector<std::vector<char>>& fits,
                  const std::vector<Time>& initial_phi = {},
                  const cluster::Cluster* cluster = nullptr)
-      : times_(&times), gpu_count_(gpu_count), phi_(gpu_count, 0.0) {
+      : gpu_count_(gpu_count), phi_(gpu_count, 0.0) {
     if (!initial_phi.empty()) phi_ = initial_phi;
     if (cluster != nullptr && gpu_count >= kBucketedIndexMinGpus) {
-      buckets_.emplace(*cluster, phi_);
+      sites_ = gpu_sites(*cluster);
+      build_buckets(times);
     }
     append_jobs(times, fits);
   }
 
-  /// True when queries run through the bucketed per-(domain, type) index.
+  /// True when queries run through the bucketed index.
   [[nodiscard]] bool bucketed() const { return buckets_.has_value(); }
 
   /// Jobs whose masked rows the index currently holds.
@@ -271,16 +283,16 @@ class PlacementIndex {
   /// standing index follow a growing instance instead of being rebuilt
   /// O(jobs × GPUs) per planning batch. A bucketed index keeps one value
   /// per bucket and job (GpuBucketIndex::collapse_row), not a row per GPU,
-  /// so wide clusters never write the jobs × GPUs matrix. Exactness is
-  /// verified for the new rows alone (the old verdict still holds); a
-  /// non-uniform row drops the whole index back to the flat scan. The
-  /// memoized profiler keys measurements by (shape, type, uplink), so
-  /// same-type cells usually match and buckets survive; mixed uplinks or
-  /// hand-built tables break uniformity, and the flat SIMD scan stays
-  /// exact for them.
+  /// so wide clusters never write the jobs × GPUs matrix. When the table's
+  /// column map changed since the buckets were built (a split column), the
+  /// buckets are rebuilt for the new map and every job's values re-read,
+  /// so no query probes a stale map.
   void append_jobs(const profiler::TimeTable& times,
                    const std::vector<std::vector<char>>& fits) {
-    times_ = &times;
+    if (buckets_ && times.column_map() != bucket_columns_) {
+      job_count_ = 0;
+      build_buckets(times);
+    }
     const std::size_t old_jobs = job_count_;
     const std::size_t jobs = times.job_count();
     if (jobs <= old_jobs) return;
@@ -289,13 +301,8 @@ class PlacementIndex {
       const std::size_t width = buckets_->bucket_count();
       bucket_tc_.resize(jobs * width);
       for (std::size_t j = old_jobs; j < jobs; ++j) {
-        if (!buckets_->collapse_row(times.tc_row(JobId(static_cast<int>(j))),
-                                    fits[j], bucket_tc_.data() + j * width)) {
-          buckets_.reset();
-          bucket_tc_ = {};
-          mask_rows(times, fits, 0, jobs);
-          return;
-        }
+        buckets_->collapse_row(times.tc_columns(JobId(static_cast<int>(j))),
+                               fits[j], bucket_tc_.data() + j * width);
       }
       return;
     }
@@ -366,17 +373,33 @@ class PlacementIndex {
   }
 
  private:
-  /// Flat-scan rows of jobs [from, to): T^c where the job fits, else +∞.
+  /// Bucket the GPUs by (site, column of `times`) when the buckets are
+  /// wide enough to pay, else drop them for the flat scan.
+  void build_buckets(const profiler::TimeTable& times) {
+    buckets_.reset();
+    bucket_tc_ = {};
+    bucket_columns_ = {};
+    GpuBucketIndex index(sites_, times.column_map(), phi_);
+    if (index.bucket_count() * kBucketedIndexMinGpusPerBucket > gpu_count_) {
+      return;
+    }
+    buckets_.emplace(std::move(index));
+    bucket_columns_ = times.column_map();
+  }
+
+  /// Flat-scan rows of jobs [from, to): T^c where the job fits, else +∞,
+  /// expanded from the job's table columns.
   void mask_rows(const profiler::TimeTable& times,
                  const std::vector<std::vector<char>>& fits, std::size_t from,
                  std::size_t to) {
     masked_tc_.resize(to * gpu_count_);
+    const std::uint32_t* column_of = times.column_map().data();
     for (std::size_t j = from; j < to; ++j) {
-      const Time* tc = times.tc_row(JobId(static_cast<int>(j)));
+      const Time* tc = times.tc_columns(JobId(static_cast<int>(j)));
       const auto& job_fits = fits[j];
       Time* row = masked_tc_.data() + j * gpu_count_;
       for (std::size_t g = 0; g < gpu_count_; ++g) {
-        row[g] = job_fits[g] ? tc[g] : kTimeInfinity;
+        row[g] = job_fits[g] ? tc[column_of[g]] : kTimeInfinity;
       }
     }
   }
@@ -391,7 +414,6 @@ class PlacementIndex {
            static_cast<std::size_t>(job.value()) * buckets_->bucket_count();
   }
 
-  const profiler::TimeTable* times_;
   std::size_t gpu_count_ = 0;
   std::vector<Time> phi_;
   std::size_t job_count_ = 0;
@@ -401,8 +423,13 @@ class PlacementIndex {
   std::vector<Time> bucket_tc_;
   mutable std::set<std::pair<Time, std::size_t>> by_phi_;
   mutable bool phi_set_built_ = false;
-  /// Engaged only when bucket-uniformity verified for every job's row.
+  /// Per GPU, its (domain, type) site; empty on narrow or cluster-less
+  /// indexes, which never bucket.
+  std::vector<std::uint32_t> sites_;
+  /// Engaged on wide clusters with few enough buckets.
   std::optional<GpuBucketIndex> buckets_;
+  /// The column map buckets_ was built for.
+  std::vector<std::uint32_t> bucket_columns_;
 };
 
 /// Reusable φ-independent planning buffers: the memory-fitting matrix and

@@ -175,9 +175,10 @@ ReplanResult FaultRunner::replan_greedy(const ReplanRequest& request) {
     return request.jobs[a].job.value() < request.jobs[b].job.value();
   });
 
-  // One masked T^c row per job (+∞ on dead or too-small GPUs) feeds the
-  // planner's earliest-finish scan, which keeps the first strict minimum
-  // in ascending GPU order — the same choice as a per-GPU loop.
+  // One masked T^c row per job (+∞ on dead or too-small GPUs), expanded
+  // from the table's columns, feeds the planner's earliest-finish scan,
+  // which keeps the first strict minimum in ascending GPU order — the same
+  // choice as a per-GPU loop.
   const std::size_t gpu_count = cluster_.gpu_count();
   std::vector<Bytes> memory(gpu_count, 0);
   for (std::size_t g = 0; g < gpu_count; ++g) {
@@ -186,16 +187,17 @@ ReplanResult FaultRunner::replan_greedy(const ReplanRequest& request) {
     }
   }
   std::vector<Time> row(gpu_count);
+  const std::vector<std::uint32_t>& column_of = profiled_.column_map();
   for (const std::size_t i : order) {
     const ReplanRequest::JobRequest& jr = request.jobs[i];
     const workload::Job& job = jobs_.job(jr.job);
     const Bytes footprint = workload::task_memory_footprint(
         workload::model_spec(job.spec.model), job.effective_batch_size());
-    const Time* tc = profiled_.tc_row(jr.job);
+    const Time* tc = profiled_.tc_columns(jr.job);
     bool fits_any = false;
     for (std::size_t g = 0; g < gpu_count; ++g) {
       const bool fits = request.gpu_alive[g] && footprint <= memory[g];
-      row[g] = fits ? tc[g] : kTimeInfinity;
+      row[g] = fits ? tc[column_of[g]] : kTimeInfinity;
       fits_any = fits_any || fits;
     }
     if (!fits_any) continue;  // dead-letters via uncovered rounds

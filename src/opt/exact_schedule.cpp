@@ -147,12 +147,7 @@ ExactScheduleResult solve_exact_schedule(const cluster::Cluster& cluster,
   for (const auto& job : jobs.jobs()) {
     const auto j = static_cast<std::size_t>(job.id.value());
     search.progress[j].release = job.spec.arrival;
-    Time fastest = kTimeInfinity;
-    for (std::size_t g = 0; g < cluster.gpu_count(); ++g) {
-      fastest = std::min(fastest,
-                         times.total(job.id, GpuId(static_cast<int>(g))));
-    }
-    search.min_round[j] = fastest;
+    search.min_round[j] = times.min_total(job.id);
   }
   search.current_gpu.resize(jobs.task_count());
   search.current_start.resize(jobs.task_count(), 0.0);

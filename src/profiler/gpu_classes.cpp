@@ -25,11 +25,11 @@ GpuClasses::GpuClasses(const cluster::Cluster& cluster) {
 void exact_row(const workload::PerfModel& perf, const GpuClasses& classes,
                workload::ModelType model, std::uint32_t batch_size,
                std::uint32_t batches_per_task, Time* tc, Time* ts) {
-  classes.fill_row(tc, ts, [&](std::size_t c) {
-    return std::pair{perf.task_compute_time(model, classes.type(c), batch_size,
-                                            batches_per_task),
-                     perf.sync_time(model, classes.uplink_gbps(c))};
-  });
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    tc[c] = perf.task_compute_time(model, classes.type(c), batch_size,
+                                   batches_per_task);
+    ts[c] = perf.sync_time(model, classes.uplink_gbps(c));
+  }
 }
 
 }  // namespace hare::profiler

@@ -119,7 +119,8 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
                             const cluster::Cluster& cluster, ProfileDb* db) {
   HARE_SPAN("profiler", "profiler.profile");
   const std::size_t gpu_count = cluster.gpu_count();
-  TimeTable table(jobs.job_count(), gpu_count);
+  const GpuClasses classes(cluster);
+  TimeTable table(jobs.job_count(), classes.class_map());
   profiling_cost_ = 0.0;
   memo_hits_ = memo_misses_ = rows_ = 0;
   if (jobs.job_count() == 0 || gpu_count == 0) return table;
@@ -133,7 +134,6 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
   // every (shape, GPU) cell would meet them.
   std::vector<std::uint32_t> shape_of;
   const std::vector<JobShape> shapes = enumerate_shapes(jobs, shape_of);
-  const GpuClasses classes(cluster);
   const std::size_t class_count = classes.size();
 
   std::vector<ProfileKey> keys;              // entry slot -> key
@@ -211,19 +211,18 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
     if (db != nullptr) db->store(keys[i], entries[i]);
   }
 
-  // Pass 4 (serial): intern one row per shape and point every job at its
-  // shape's row. Cost is O(shapes × G), not O(jobs × G).
+  // Pass 4 (serial): intern one class row per shape and point every job at
+  // its shape's row. Cost is O(shapes × classes), not O(jobs × G).
   {
     HARE_SPAN("profiler", "profiler.build_rows");
-    table.reserve_rows(shapes.size());
-    std::vector<Time> tc_row(gpu_count), ts_row(gpu_count);
+    std::vector<Time> tc_row(class_count), ts_row(class_count);
     std::vector<TimeTable::RowId> row_of_shape(shapes.size());
     for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const std::uint32_t* entry_of = class_entry.data() + s * class_count;
-      classes.fill_row(tc_row.data(), ts_row.data(), [&](std::size_t c) {
-        const ProfileEntry& entry = entries[entry_of[c]];
-        return std::pair{entry.tc, entry.ts};
-      });
+      for (std::size_t c = 0; c < class_count; ++c) {
+        const ProfileEntry& entry = entries[class_entry[s * class_count + c]];
+        tc_row[c] = entry.tc;
+        ts_row[c] = entry.ts;
+      }
       row_of_shape[s] = table.intern_row(tc_row.data(), ts_row.data());
     }
     bind_rows(jobs, shape_of, row_of_shape, table);
@@ -248,20 +247,19 @@ TimeTable Profiler::exact(const workload::JobSet& jobs,
                           const cluster::Cluster& cluster) const {
   HARE_SPAN("profiler", "profiler.exact");
   const std::size_t gpu_count = cluster.gpu_count();
-  TimeTable table(jobs.job_count(), gpu_count);
+  const GpuClasses classes(cluster);
+  TimeTable table(jobs.job_count(), classes.class_map());
   memo_hits_ = memo_misses_ = rows_ = 0;
   if (jobs.job_count() == 0 || gpu_count == 0) return table;
 
   std::vector<std::uint32_t> shape_of;
   const std::vector<JobShape> shapes = enumerate_shapes(jobs, shape_of);
-  const GpuClasses classes(cluster);
 
   // One exact row per shape, built on this thread: shapes × classes
   // perf-model evaluations are too little work to pay for a fan-out.
   {
     HARE_SPAN("profiler", "profiler.build_rows");
-    table.reserve_rows(shapes.size());
-    std::vector<Time> tc_row(gpu_count), ts_row(gpu_count);
+    std::vector<Time> tc_row(classes.size()), ts_row(classes.size());
     std::vector<TimeTable::RowId> row_of_shape(shapes.size());
     for (std::size_t s = 0; s < shapes.size(); ++s) {
       const JobShape& shape = shapes[s];

@@ -21,10 +21,11 @@
 //
 //  * **Class memoization.** Within a row, GPUs of one class (GPU type and
 //    exact machine uplink, see gpu_classes.hpp) read identical cells, so
-//    each shape is resolved once per class and broadcast to the class's
-//    GPUs: 10k shapes on a 1,024-GPU, 4-class cluster cost 40k key
-//    lookups, not 10M. Classes are walked in first-GPU order, which keeps
-//    every key, seed and db lookup in the order of a per-GPU walk.
+//    each shape is resolved once per class and the table stores one column
+//    per class: 10k shapes on a 1,024-GPU, 4-class cluster cost 40k key
+//    lookups and 40k cells, not 10M. Classes are walked in first-GPU
+//    order, which keeps every key, seed and db lookup in the order of a
+//    per-GPU walk.
 //
 //  * **Deterministic parallel measurement.** profile()'s measurements fan
 //    out across common::shared_pool() following the hare::exp engine
@@ -98,8 +99,6 @@ class Profiler {
   [[nodiscard]] std::uint64_t last_memo_misses() const { return memo_misses_; }
   /// Unique rows interned by the last call (= distinct job shapes).
   [[nodiscard]] std::uint64_t last_rows_computed() const { return rows_; }
-
-  [[nodiscard]] const workload::PerfModel& perf_model() const { return perf_; }
 
  private:
   workload::PerfModel perf_;

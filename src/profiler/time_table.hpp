@@ -6,19 +6,30 @@
 // exposes α = max_i max{T^c max/min, T^s max/min}, the heterogeneity ratio
 // in the α(2+α) approximation bound (Lemma 3 / Theorem 4).
 //
-// Storage is struct-of-arrays with **row interning**: the G-wide (T^c, T^s)
-// row of a job is a pure function of its shape (model, batch size, batches
-// per task) given a cluster, so the many identical jobs a trace emits can
-// share one physical row. Jobs hold a 32-bit row index into an append-only
-// row arena; `intern_row()` adds a unique row and `bind_row()` points a job
-// at it. The classic per-job mutators still work: `set()` copies a shared
-// (or the canonical zero) row on write, so callers that fill tables cell by
-// cell see exactly the old dense semantics while interned tables stay
-// interned. At the 100k-job × 8k-GPU bench point this is the difference
-// between a 13 GB dense matrix and a few hundred KB of unique rows.
+// Storage is factored twice, once along each axis:
+//
+//  * **Columns.** A cell depends on the GPU only through its type (T^c) and
+//    its machine's uplink (T^s), so GPUs that agree on both share one
+//    column: a row holds one (T^c, T^s) pair per column, and a GPU → column
+//    map resolves tc(job, gpu) to row[column(gpu)]. A table built on a
+//    cluster's GpuClasses has one column per class (4 on a 1,024-GPU
+//    simulation cluster); TimeTable(jobs, gpus) is the dense layout with
+//    one column per GPU. Every column has at least one GPU.
+//  * **Rows.** A job's row is a pure function of its shape (model, batch
+//    size, batches per task) given a cluster, so the many identical jobs a
+//    trace emits share one physical row. Jobs hold a 32-bit row index into
+//    an append-only row arena; `intern_row()` adds a unique row and
+//    `bind_row()` points a job at it.
+//
+// The per-cell `set()` keeps the dense semantics on any layout: a GPU that
+// shares its column is first split into a column of its own (every row
+// keeps its values), then the write goes copy-on-write to a private row.
+// A table perturbed cell by cell degrades to the dense layout, never to a
+// wrong read. A 10k-shape × 1,024-GPU table over 4 classes takes 640 KB
+// instead of 164 MB.
 //
 // Per-row reductions (min/max T^c, min/max T^s, min total, fastest GPU) are
-// cached: a single O(G) pass per row fills every aggregate, so the H_i
+// cached: one O(columns) pass per row fills every aggregate, so the H_i
 // computation and alpha() cost O(1) per lookup instead of rescanning the
 // GPU axis inside the planner's O(T) loops. `set()` invalidates only the
 // touched row's cache (plus α). Lazy recomputation mutates the cache from
@@ -43,15 +54,31 @@ class TimeTable {
   static constexpr RowId kZeroRow = 0;
 
   TimeTable() = default;
+  /// Dense layout: one column per GPU.
   TimeTable(std::size_t job_count, std::size_t gpu_count) {
     reset(job_count, gpu_count);
   }
+  /// Column layout `column_of` (per GPU; see reset()).
+  TimeTable(std::size_t job_count,
+            const std::vector<std::uint32_t>& column_of) {
+    reset(job_count, column_of);
+  }
 
   [[nodiscard]] std::size_t job_count() const { return row_of_.size(); }
-  [[nodiscard]] std::size_t gpu_count() const { return gpu_count_; }
+  [[nodiscard]] std::size_t gpu_count() const { return column_of_.size(); }
+  /// Values per row: one per column, not per GPU.
+  [[nodiscard]] std::size_t column_count() const { return first_gpu_.size(); }
   /// Physical rows in the arena (including the zero row). The memory
-  /// footprint scales with this, not with job_count().
+  /// footprint is row_count() × column_count(), not jobs × GPUs.
   [[nodiscard]] std::size_t row_count() const { return owners_.size(); }
+
+  /// Column GPU `gpu` reads (indexed by GpuId value), and the whole map.
+  [[nodiscard]] std::uint32_t column_of(GpuId gpu) const {
+    return column_of_[static_cast<std::size_t>(gpu.value())];
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& column_map() const {
+    return column_of_;
+  }
 
   [[nodiscard]] Time tc(JobId job, GpuId gpu) const {
     return tc_[index(job, gpu)];
@@ -59,35 +86,21 @@ class TimeTable {
   [[nodiscard]] Time ts(JobId job, GpuId gpu) const {
     return ts_[index(job, gpu)];
   }
-  /// Contiguous T^c row of a job (indexed by GpuId value), for the planner's
-  /// hot candidate scans. Values are the exact doubles tc() returns.
-  [[nodiscard]] const Time* tc_row(JobId job) const {
+  /// A job's column_count() T^c values (indexed by column), for the hot
+  /// candidate scans; GPU g reads entry column_of(g). Stable until the next
+  /// set() or reshape.
+  [[nodiscard]] const Time* tc_columns(JobId job) const {
     return tc_.data() + row_base(job);
   }
-  [[nodiscard]] const Time* ts_row(JobId job) const {
+  [[nodiscard]] const Time* ts_columns(JobId job) const {
     return ts_.data() + row_base(job);
   }
 
-  /// Write one (job, GPU) cell. Copy-on-write: a job sharing its row with
-  /// other jobs (or sitting on the zero row) is detached onto a private
-  /// copy first, so the write never leaks into neighbours.
-  void set(JobId job, GpuId gpu, Time compute, Time sync) {
-    const std::size_t j = static_cast<std::size_t>(job.value());
-    RowId row = row_of_[j];
-    if (row == kZeroRow || owners_[row] > 1) {
-      const RowId fresh = allocate_row();
-      copy_row(row, fresh);
-      --owners_[row];
-      ++owners_[fresh];
-      row_of_[j] = fresh;
-      row = fresh;
-    }
-    const std::size_t base = static_cast<std::size_t>(row) * gpu_count_;
-    tc_[base + static_cast<std::size_t>(gpu.value())] = compute;
-    ts_[base + static_cast<std::size_t>(gpu.value())] = sync;
-    agg_valid_[row] = 0;
-    alpha_valid_ = false;
-  }
+  /// Write one (job, GPU) cell and nothing else: a GPU sharing its column
+  /// is split off into its own column first, and a job sharing its row
+  /// with other jobs (or sitting on the zero row) is detached onto a
+  /// private copy, so the write never leaks into neighbours.
+  void set(JobId job, GpuId gpu, Time compute, Time sync);
 
   /// The interned row a job currently points at. Stable until the next
   /// set()/bind_row() on that job; gather_sub_table() keys its
@@ -96,15 +109,11 @@ class TimeTable {
     return row_of_[static_cast<std::size_t>(job.value())];
   }
 
-  /// Append a unique row (gpu_count values from each of `tc`/`ts`, which
-  /// must not point into this table) to the arena and return its id. The
-  /// row starts with no owners; point jobs at it with bind_row(). Reuses a
-  /// previously freed slot when one exists.
+  /// Append a unique row (column_count() values from each of `tc`/`ts`,
+  /// which must not point into this table) to the arena and return its id.
+  /// The row starts with no owners; point jobs at it with bind_row().
+  /// Reuses a previously freed slot when one exists.
   RowId intern_row(const Time* tc, const Time* ts);
-
-  /// Reserve arena room for `rows` more rows, so that many intern_row()
-  /// calls grow each arena array at most once instead of geometrically.
-  void reserve_rows(std::size_t rows);
 
   /// Re-point `job` at arena row `row` (from intern_row or row_of). Owner
   /// counts move with it; a non-zero row left with no owners is recycled by
@@ -119,38 +128,25 @@ class TimeTable {
     alpha_valid_ = false;
   }
 
-  /// Re-shape in place to a zero-filled (job_count × gpu_count) table,
-  /// reusing the underlying storage. The per-shard planners rebuild a local
-  /// sub-table for every plan; resetting a standing table lets the
-  /// allocation survive across shard plans and migration re-plans instead
-  /// of being malloc'd fresh each time. Every cached aggregate (and α) is
-  /// dropped and every job points back at the zero row.
-  void reset(std::size_t job_count, std::size_t gpu_count) {
-    gpu_count_ = gpu_count;
-    row_of_.assign(job_count, kZeroRow);
-    tc_.assign(gpu_count, 0.0);
-    ts_.assign(gpu_count, 0.0);
-    owners_.assign(1, static_cast<std::uint32_t>(job_count));
-    agg_.assign(1, JobAggregates{});
-    agg_valid_.assign(1, 0);
-    free_rows_.clear();
-    alpha_valid_ = false;
-  }
+  /// Re-shape in place to a zero-filled dense (job_count × gpu_count)
+  /// table, reusing the underlying storage. Every cached aggregate (and α)
+  /// is dropped and every job points back at the zero row.
+  void reset(std::size_t job_count, std::size_t gpu_count);
+
+  /// Same, with GPU g reading column `column_of[g]`. Columns must be
+  /// numbered 0..C-1 with every one used by some GPU. The per-shard
+  /// planners rebuild a local sub-table for every plan; resetting a
+  /// standing table lets the allocation survive across shard plans and
+  /// migration re-plans instead of being malloc'd fresh each time.
+  void reset(std::size_t job_count,
+             const std::vector<std::uint32_t>& column_of);
 
   /// Grow the job axis by one job on the zero row (the streaming-admission
   /// path: a served arrival profiles into the row its JobId was just
   /// assigned). Returns the new job's index. Existing rows and their cached
   /// aggregates are untouched; α is invalidated.
   std::size_t append_job() {
-    if (owners_.empty()) {
-      // Degenerate table grown from the default constructor: materialize
-      // the zero row first so the new job has something to point at.
-      tc_.assign(gpu_count_, 0.0);
-      ts_.assign(gpu_count_, 0.0);
-      owners_.assign(1, 0);
-      agg_.assign(1, JobAggregates{});
-      agg_valid_.assign(1, 0);
-    }
+    if (owners_.empty()) reset(0, column_of_);  // default-constructed
     row_of_.push_back(kZeroRow);
     ++owners_[kZeroRow];
     alpha_valid_ = false;
@@ -173,7 +169,7 @@ class TimeTable {
     return aggregates(job).min_total;
   }
 
-  /// GPU with the smallest T^c for this job.
+  /// Lowest-id GPU with the smallest T^c for this job.
   [[nodiscard]] GpuId fastest_gpu(JobId job) const {
     return aggregates(job).fastest;
   }
@@ -184,7 +180,7 @@ class TimeTable {
   /// Force every per-row aggregate (and α) into the cache. After this, all
   /// aggregate accessors are pure reads until the next set()/bind_row() —
   /// required before concurrent readers share the table. Cost is O(rows ×
-  /// G), not O(jobs × G): interned tables precompute in microseconds.
+  /// columns), not O(jobs × G).
   void precompute() const;
 
  private:
@@ -200,27 +196,31 @@ class TimeTable {
   [[nodiscard]] std::size_t row_base(JobId job) const {
     return static_cast<std::size_t>(
                row_of_[static_cast<std::size_t>(job.value())]) *
-           gpu_count_;
+           column_count();
   }
   [[nodiscard]] std::size_t index(JobId job, GpuId gpu) const {
-    return row_base(job) + static_cast<std::size_t>(gpu.value());
+    return row_base(job) + column_of(gpu);
   }
+
+  /// Move GPU `gpu` out of its shared column into a new last column that
+  /// starts as a copy of the old one in every row.
+  void split_column(std::size_t gpu);
 
   /// Arena slot with no owners and unspecified contents, for the caller to
   /// overwrite. Pops a recycled slot when available (skipping stale
   /// free-list entries whose row was re-bound in the meantime), else
   /// appends.
   [[nodiscard]] RowId allocate_row();
-  /// Copy row `src`'s values into row `dst`.
-  void copy_row(RowId src, RowId dst);
 
   [[nodiscard]] const JobAggregates& aggregates(JobId job) const;
   [[nodiscard]] const JobAggregates& row_aggregates(RowId row) const;
 
-  std::size_t gpu_count_ = 0;
+  std::vector<std::uint32_t> column_of_;  ///< per GPU: its column
+  std::vector<std::uint32_t> column_gpus_;  ///< per column: GPUs reading it
+  std::vector<GpuId> first_gpu_;          ///< per column: lowest GPU id
   std::vector<RowId> row_of_;          ///< per job: arena row index
-  std::vector<Time> tc_;               ///< arena, row-major, rows × G
-  std::vector<Time> ts_;               ///< arena, row-major, rows × G
+  std::vector<Time> tc_;               ///< arena, row-major, rows × columns
+  std::vector<Time> ts_;               ///< arena, row-major, rows × columns
   std::vector<std::uint32_t> owners_;  ///< per row: jobs pointing at it
   std::vector<RowId> free_rows_;       ///< zero-owner rows ready for reuse
 
@@ -236,13 +236,18 @@ struct GatherBuffers {
   std::vector<Time> tc;  ///< one sub-table row being gathered
   std::vector<Time> ts;  ///< one sub-table row being gathered
   std::vector<TimeTable::RowId> row_map;  ///< source row → sub-table row
+  std::vector<std::uint32_t> column_of;   ///< sub GPU → sub column
+  std::vector<std::uint32_t> source_column;  ///< sub column → source column
+  std::vector<std::uint32_t> column_map;  ///< source column → sub column
 };
 
 /// Rebuild `into` as the sub-table of `from` over `jobs` × `gpus`: sub job
-/// j reads `jobs[j]`'s times, sub GPU g reads GPU `gpus[g]`. Each distinct
-/// source row is gathered and interned once and every job binds to it, so
-/// with J jobs over U unique rows the cost is O(U·|gpus| + J) and the
-/// sub-table shares rows like its source. Values are copied verbatim: the
+/// j reads `jobs[j]`'s times, sub GPU g reads GPU `gpus[g]`. The sub-table
+/// keeps only the source columns some chosen GPU reads, renumbered in
+/// first-use order, so a class with no GPU in `gpus` adds nothing to any
+/// min, max, fastest GPU or α. Each distinct source row is gathered and
+/// interned once and every job binds to it: with J jobs over U unique rows
+/// the cost is O(U·columns + J + |gpus|). Values are copied verbatim: the
 /// result reads cell for cell like a per-cell set() fill.
 void gather_sub_table(const TimeTable& from, const std::vector<JobId>& jobs,
                       const std::vector<GpuId>& gpus, GatherBuffers& buffers,

@@ -18,10 +18,8 @@ ServeService::ServeService(const cluster::Cluster& cluster,
     : cluster_(cluster),
       perf_(perf),
       config_(config),
-      times_(0, cluster.gpu_count()),
       classes_(cluster),
-      row_tc_(cluster.gpu_count()),
-      row_ts_(cluster.gpu_count()),
+      times_(0, classes_.class_map()),
       flat_([&] {
         core::HareConfig hare = config.hare;
         hare.relaxation.mode = core::RelaxMode::Fluid;
@@ -44,10 +42,17 @@ JobId ServeService::admit(workload::JobSpec spec, AdmissionBatcher& batcher) {
   const std::size_t j = static_cast<std::size_t>(id.value());
   times_.append_job();
   const workload::Job& job = jobs_.job(id);
-  profiler::exact_row(perf_, classes_, job.spec.model,
-                      job.effective_batch_size(), job.spec.batches_per_task,
-                      row_tc_.data(), row_ts_.data());
-  times_.bind_row(id, times_.intern_row(row_tc_.data(), row_ts_.data()));
+  const auto [shape, first] = row_of_shape_.try_emplace(
+      {static_cast<int>(job.spec.model), job.effective_batch_size(),
+       job.spec.batches_per_task});
+  if (first) {
+    std::vector<Time> tc(classes_.size()), ts(classes_.size());
+    profiler::exact_row(perf_, classes_, job.spec.model,
+                        job.effective_batch_size(), job.spec.batches_per_task,
+                        tc.data(), ts.data());
+    shape->second = times_.intern_row(tc.data(), ts.data());
+  }
+  times_.bind_row(id, shape->second);
   canceled_.resize(j + 1, 0);
   planned_.resize(j + 1, 0);
   continued_.resize(j + 1, 0);

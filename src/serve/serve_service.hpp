@@ -44,7 +44,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -140,10 +143,13 @@ class ServeService {
   ServeConfig config_;
 
   workload::JobSet jobs_;
-  profiler::TimeTable times_;
   profiler::GpuClasses classes_;
-  std::vector<Time> row_tc_;  ///< admission's row being interned
-  std::vector<Time> row_ts_;
+  profiler::TimeTable times_;  ///< one column per GPU class
+  /// Interned row of each admitted shape (model, effective batch size,
+  /// batches per task): a repeat shape binds to it instead of a new row.
+  std::map<std::tuple<int, std::uint32_t, std::uint32_t>,
+           profiler::TimeTable::RowId>
+      row_of_shape_;
   sim::Schedule schedule_;
   core::HareScheduler::IncrementalState state_;
   std::vector<Time> saved_phi_;  ///< pre-failure horizons of dead GPUs

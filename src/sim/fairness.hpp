@@ -38,13 +38,8 @@ namespace hare::sim {
   std::vector<double> slowdowns;
   slowdowns.reserve(jobs.job_count());
   for (const auto& job : jobs.jobs()) {
-    Time fastest_round = kTimeInfinity;
-    for (std::size_t g = 0; g < times.gpu_count(); ++g) {
-      fastest_round = std::min(
-          fastest_round, times.total(job.id, GpuId(static_cast<int>(g))));
-    }
     const double ideal =
-        static_cast<double>(job.rounds()) * fastest_round;
+        static_cast<double>(job.rounds()) * times.min_total(job.id);
     const double jct =
         result.jobs[static_cast<std::size_t>(job.id.value())].jct();
     slowdowns.push_back(ideal > 0.0 ? jct / ideal : 1.0);

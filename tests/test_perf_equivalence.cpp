@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/hare.hpp"
@@ -209,18 +210,65 @@ TEST(PlannerEquivalence, EnginesAgreeAcrossSeedsAndModes) {
   }
 }
 
+/// Interleaved probe/set_phi workload: every earliest-finish and
+/// earliest-available query of `index` answers exactly like `flat`'s, with
+/// each earliest-finish winner busied on both, as the list scheduler does.
+void expect_probes_identical(core::PlacementIndex& flat,
+                             core::PlacementIndex& index, std::size_t jobs,
+                             std::uint64_t seed, int probes = 500) {
+  common::Rng rng(seed);
+  for (int probe = 0; probe < probes; ++probe) {
+    const JobId job(static_cast<int>(
+        rng.uniform_int(static_cast<std::uint64_t>(jobs))));
+    const Time release = rng.uniform() * 10.0;
+    const auto ff = flat.earliest_finish(job, release);
+    const auto bf = index.earliest_finish(job, release);
+    ASSERT_EQ(ff.gpu, bf.gpu) << "probe " << probe;
+    EXPECT_EQ(ff.start, bf.start);
+    EXPECT_EQ(ff.finish, bf.finish);
+
+    const auto fa = flat.earliest_available(job, release);
+    const auto ba = index.earliest_available(job, release);
+    ASSERT_EQ(fa.gpu, ba.gpu) << "probe " << probe;
+    EXPECT_EQ(fa.start, ba.start);
+
+    if (ff.valid()) {
+      flat.set_phi(ff.gpu, ff.finish);
+      index.set_phi(ff.gpu, ff.finish);
+    }
+    if (probe % 97 == 96) {
+      flat.reset_phi({});
+      index.reset_phi({});
+    }
+  }
+}
+
+/// A (job, GPU) cell whose GPU can hold the job.
+std::pair<JobId, GpuId> first_fitting_cell(
+    const std::vector<std::vector<char>>& fits) {
+  for (std::size_t j = 0; j < fits.size(); ++j) {
+    for (std::size_t g = 0; g < fits[j].size(); ++g) {
+      if (fits[j][g]) {
+        return {JobId(static_cast<int>(j)), GpuId(static_cast<int>(g))};
+      }
+    }
+  }
+  ADD_FAILURE() << "no job fits any GPU";
+  return {};
+}
+
 TEST(PlacementIndexBuckets, EngageOnExactTablesAndProbeIdentically) {
-  // Direct index-level check at the bucket threshold: with a type-uniform
+  // Direct index-level check at the bucket threshold: on a class-column
   // table the bucketed index engages, and every query answers exactly like
   // the flat-scan index through a long interleaved probe/set_phi workload.
   const testing::Instance instance = make_wide_instance(13, 12);
+  const std::size_t gpus = instance.cluster.gpu_count();
   const auto fits =
       workload::fitting_matrix(instance.cluster, instance.jobs);
 
-  core::PlacementIndex flat(instance.times, instance.cluster.gpu_count(),
-                            fits);
-  core::PlacementIndex bucketed(instance.times, instance.cluster.gpu_count(),
-                                fits, {}, &instance.cluster);
+  core::PlacementIndex flat(instance.times, gpus, fits);
+  core::PlacementIndex bucketed(instance.times, gpus, fits, {},
+                                &instance.cluster);
   ASSERT_TRUE(bucketed.bucketed());
   EXPECT_FALSE(flat.bucketed());
 
@@ -229,69 +277,39 @@ TEST(PlacementIndexBuckets, EngageOnExactTablesAndProbeIdentically) {
       make_wide_instance(13, 12, core::kBucketedIndexMinGpus - 1);
   EXPECT_FALSE(index_buckets(narrow.cluster, narrow.jobs, narrow.times));
 
-  common::Rng rng(99);
-  for (int probe = 0; probe < 500; ++probe) {
-    const JobId job(static_cast<int>(rng.uniform_int(
-        static_cast<std::uint64_t>(instance.jobs.job_count()))));
-    const Time release = rng.uniform() * 10.0;
-    const auto ff = flat.earliest_finish(job, release);
-    const auto bf = bucketed.earliest_finish(job, release);
-    ASSERT_EQ(ff.gpu, bf.gpu) << "probe " << probe;
-    EXPECT_EQ(ff.start, bf.start);
-    EXPECT_EQ(ff.finish, bf.finish);
+  expect_probes_identical(flat, bucketed, instance.jobs.job_count(), 99);
 
-    const auto fa = flat.earliest_available(job, release);
-    const auto ba = bucketed.earliest_available(job, release);
-    ASSERT_EQ(fa.gpu, ba.gpu) << "probe " << probe;
-    EXPECT_EQ(fa.start, ba.start);
-
-    // Busy the winner, as the list scheduler does.
-    if (ff.valid()) {
-      flat.set_phi(ff.gpu, ff.finish);
-      bucketed.set_phi(ff.gpu, ff.finish);
-    }
-    if (probe % 97 == 96) {
-      flat.reset_phi({});
-      bucketed.reset_phi({});
-    }
-  }
-
-  // Measurements are memoized per (shape, GPU type, uplink), so even the
-  // noisy no-db profiler now produces within-type-uniform rows and the
-  // bucketed index may engage on them.
+  // The noisy profiler also stores one column per GPU class, so the
+  // bucketed index engages on its tables too.
   workload::PerfModel perf;
   profiler::Profiler noisy_profiler(perf, profiler::ProfilerConfig{}, 13);
   profiler::TimeTable noisy =
       noisy_profiler.profile(instance.jobs, instance.cluster);
   EXPECT_TRUE(index_buckets(instance.cluster, instance.jobs, noisy));
 
-  // A genuinely per-GPU perturbation (one instance slower than its type
-  // siblings) must still be detected at build time and fall the index back
-  // to the flat scan — bit-identity stays unconditional.
-  JobId bumped_job{};
-  GpuId bumped_gpu{};
-  bool found = false;
-  for (std::size_t j = 0; j < fits.size() && !found; ++j) {
-    for (std::size_t g = 0; g < fits[j].size() && !found; ++g) {
-      if (fits[j][g]) {
-        bumped_job = JobId(static_cast<int>(j));
-        bumped_gpu = GpuId(static_cast<int>(g));
-        found = true;
-      }
-    }
-  }
-  ASSERT_TRUE(found);
+  // A genuinely per-GPU perturbation (one instance slower than its class
+  // siblings) splits that GPU into a column of its own. The buckets follow
+  // the table's columns, so they may stay engaged, and every query must
+  // still answer like the flat scan over the bumped table.
+  const auto [bumped_job, bumped_gpu] = first_fitting_cell(fits);
+  const std::size_t columns = noisy.column_count();
   noisy.set(bumped_job, bumped_gpu, noisy.tc(bumped_job, bumped_gpu) * 1.5,
             noisy.ts(bumped_job, bumped_gpu));
-  EXPECT_FALSE(index_buckets(instance.cluster, instance.jobs, noisy));
+  EXPECT_EQ(noisy.column_count(), columns + 1);
+  core::PlacementIndex bumped_flat(noisy, gpus, fits);
+  core::PlacementIndex bumped(noisy, gpus, fits, {}, &instance.cluster);
+  EXPECT_TRUE(bumped.bucketed());
+  expect_probes_identical(bumped_flat, bumped, instance.jobs.job_count(), 98);
 }
 
 TEST(PlacementIndexBuckets, AppendedRowsKeepOrDropBuckets) {
-  // A bucketed index keeps one masked T^c value per bucket. Appending a
-  // bucket-uniform job keeps the buckets; appending a job whose row mixes
-  // one bucket must fall the whole index back to full per-GPU rows for the
-  // old jobs too. Either way every job probes exactly like a fresh flat
-  // index over the grown table.
+  // A bucketed index keeps one masked T^c value per bucket and table
+  // column. Appending a job on an interned class row keeps the buckets;
+  // appending one with a single slower GPU splits that GPU's column, and
+  // the index rebuilds its buckets for the new column map; appending one
+  // filled cell by cell degrades the table to one column per GPU, and the
+  // index drops to the flat scan. Every job then probes exactly like a
+  // fresh flat index over the grown table.
   const testing::Instance instance = make_wide_instance(29, 12);
   const std::size_t gpus = instance.cluster.gpu_count();
   std::vector<std::vector<char>> fits =
@@ -301,27 +319,37 @@ TEST(PlacementIndexBuckets, AppendedRowsKeepOrDropBuckets) {
   ASSERT_NE(fitting, fits[0].end());
   const GpuId bumped(static_cast<int>(fitting - fits[0].begin()));
 
-  for (const bool mixed : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "mixed=" << mixed);
+  enum class Append { ClassRow, OneSlowGpu, PerCellFill };
+  for (const Append append :
+       {Append::ClassRow, Append::OneSlowGpu, Append::PerCellFill}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "append=" << static_cast<int>(append));
     core::PlacementIndex index(instance.times, gpus, fits, {},
                                &instance.cluster);
     ASSERT_TRUE(index.bucketed());
 
-    // The appended job copies job 0's row, with one fitting GPU slower
-    // than its bucket siblings when `mixed`.
     profiler::TimeTable grown = instance.times;
     const JobId added(static_cast<int>(grown.append_job()));
-    for (std::size_t g = 0; g < gpus; ++g) {
-      const GpuId gpu(static_cast<int>(g));
-      const double scale = mixed && gpu == bumped ? 1.5 : 1.0;
-      grown.set(added, gpu, instance.times.tc(source, gpu) * scale,
-                instance.times.ts(source, gpu));
+    if (append == Append::PerCellFill) {
+      for (std::size_t g = 0; g < gpus; ++g) {
+        const GpuId gpu(static_cast<int>(g));
+        grown.set(added, gpu, instance.times.tc(source, gpu),
+                  instance.times.ts(source, gpu));
+      }
+    } else {
+      grown.bind_row(added, grown.row_of(source));
+      if (append == Append::OneSlowGpu) {
+        grown.set(added, bumped, instance.times.tc(source, bumped) * 1.5,
+                  instance.times.ts(source, bumped));
+      }
     }
     std::vector<std::vector<char>> grown_fits = fits;
     grown_fits.push_back(fits[0]);
 
     index.append_jobs(grown, grown_fits);
-    EXPECT_EQ(index.bucketed(), !mixed);
+    EXPECT_EQ(index.bucketed(), append != Append::PerCellFill);
+    EXPECT_EQ(grown.column_count() == instance.times.column_count(),
+              append == Append::ClassRow);
     EXPECT_EQ(index.job_count(), grown.job_count());
 
     const core::PlacementIndex flat(grown, gpus, grown_fits);
@@ -337,6 +365,32 @@ TEST(PlacementIndexBuckets, AppendedRowsKeepOrDropBuckets) {
                 index.earliest_available(job, release).gpu);
     }
   }
+}
+
+TEST(PlacementIndexBuckets, ColumnSplitAfterBuildProbesLikeFreshFlatIndex) {
+  // The index is built, then a cell of an already indexed job is bumped:
+  // the table splits that GPU into a new column. The next append (no new
+  // jobs) must rebuild the buckets over the new map and re-read every job,
+  // so the index answers like a flat index built on the table as it is now.
+  const testing::Instance instance = make_wide_instance(41, 12);
+  const std::size_t gpus = instance.cluster.gpu_count();
+  const auto fits =
+      workload::fitting_matrix(instance.cluster, instance.jobs);
+  profiler::TimeTable times = instance.times;
+  core::PlacementIndex index(times, gpus, fits, {}, &instance.cluster);
+  ASSERT_TRUE(index.bucketed());
+
+  const auto [job, gpu] = first_fitting_cell(fits);
+  // Make the bumped GPU the job's unique fastest, so a stale index would
+  // answer differently.
+  times.set(job, gpu, times.min_tc(job) * 0.5, times.ts(job, gpu));
+  index.append_jobs(times, fits);
+  EXPECT_TRUE(index.bucketed());
+
+  core::PlacementIndex flat(times, gpus, fits);
+  EXPECT_EQ(index.earliest_finish(job, 0.0).gpu,
+            static_cast<std::size_t>(gpu.value()));
+  expect_probes_identical(flat, index, instance.jobs.job_count(), 41);
 }
 
 TEST(PlannerEquivalence, BucketedIndexMatchesFlatScan) {

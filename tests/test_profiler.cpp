@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -206,6 +208,179 @@ TEST(TimeTable, RebindRecyclesOrphanedRows) {
   table.bind_row(JobId(0), c);
   EXPECT_DOUBLE_EQ(table.tc(JobId(0), GpuId(0)), 5.0);
   EXPECT_DOUBLE_EQ(table.tc(JobId(1), GpuId(1)), 4.0);
+}
+
+/// Every (job, GPU) cell of `table`, job-major.
+std::vector<std::pair<Time, Time>> cells(const TimeTable& table) {
+  std::vector<std::pair<Time, Time>> out;
+  for (std::size_t j = 0; j < table.job_count(); ++j) {
+    for (std::size_t g = 0; g < table.gpu_count(); ++g) {
+      const JobId job(static_cast<int>(j));
+      const GpuId gpu(static_cast<int>(g));
+      out.emplace_back(table.tc(job, gpu), table.ts(job, gpu));
+    }
+  }
+  return out;
+}
+
+/// Aggregates of `table` against explicit scans over its GPUs: min/max
+/// T^c and T^s, min total, and the lowest-id GPU with the minimum T^c.
+void expect_aggregates_match_gpu_scan(const TimeTable& table) {
+  for (std::size_t j = 0; j < table.job_count(); ++j) {
+    const JobId job(static_cast<int>(j));
+    Time min_tc = kTimeInfinity, max_tc = 0.0, min_ts = kTimeInfinity;
+    Time max_ts = 0.0, min_total = kTimeInfinity;
+    GpuId fastest{};
+    for (std::size_t g = 0; g < table.gpu_count(); ++g) {
+      const GpuId gpu(static_cast<int>(g));
+      if (table.tc(job, gpu) < min_tc) {
+        min_tc = table.tc(job, gpu);
+        fastest = gpu;
+      }
+      max_tc = std::max(max_tc, table.tc(job, gpu));
+      min_ts = std::min(min_ts, table.ts(job, gpu));
+      max_ts = std::max(max_ts, table.ts(job, gpu));
+      min_total = std::min(min_total, table.total(job, gpu));
+    }
+    EXPECT_EQ(table.min_tc(job), min_tc) << "job " << j;
+    EXPECT_EQ(table.max_tc(job), max_tc) << "job " << j;
+    EXPECT_EQ(table.min_ts(job), min_ts) << "job " << j;
+    EXPECT_EQ(table.max_ts(job), max_ts) << "job " << j;
+    EXPECT_EQ(table.min_total(job), min_total) << "job " << j;
+    EXPECT_EQ(table.fastest_gpu(job), fastest) << "job " << j;
+  }
+}
+
+TEST(TimeTable, ClassColumnsStoreOneValuePerColumn) {
+  // Six GPUs in two interleaved columns: each row holds two pairs.
+  TimeTable table(2, std::vector<std::uint32_t>{0, 1, 0, 1, 1, 0});
+  EXPECT_EQ(table.gpu_count(), 6u);
+  EXPECT_EQ(table.column_count(), 2u);
+  const Time tc[2] = {3.0, 1.0};
+  const Time ts[2] = {0.3, 0.1};
+  table.bind_row(JobId(0), table.intern_row(tc, ts));
+  EXPECT_EQ(table.tc(JobId(0), GpuId(2)), 3.0);
+  EXPECT_EQ(table.ts(JobId(0), GpuId(4)), 0.1);
+  EXPECT_EQ(table.fastest_gpu(JobId(0)), GpuId(1));
+  EXPECT_EQ(table.tc(JobId(1), GpuId(5)), 0.0);  // zero row
+  EXPECT_DOUBLE_EQ(table.alpha(), 3.0);
+  // A column no GPU reads is rejected.
+  EXPECT_THROW(TimeTable(1, std::vector<std::uint32_t>{0, 2}), common::Error);
+}
+
+TEST(TimeTable, SetOnSharedColumnChangesExactlyOneCell) {
+  // Three jobs on two interned class rows over 5 GPUs in 2 columns.
+  TimeTable table(3, std::vector<std::uint32_t>{0, 0, 1, 1, 0});
+  const Time tc_a[2] = {4.0, 2.0};
+  const Time ts_a[2] = {0.4, 0.2};
+  const Time tc_b[2] = {6.0, 5.0};
+  const Time ts_b[2] = {0.6, 0.5};
+  const TimeTable::RowId a = table.intern_row(tc_a, ts_a);
+  const TimeTable::RowId b = table.intern_row(tc_b, ts_b);
+  table.bind_row(JobId(0), a);
+  table.bind_row(JobId(1), a);
+  table.bind_row(JobId(2), b);
+  table.precompute();
+  const auto before = cells(table);
+
+  table.set(JobId(0), GpuId(1), 9.0, 0.9);
+  EXPECT_EQ(table.column_count(), 3u);  // GPU 1 split off column 0
+  const auto after = cells(table);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const std::size_t job = i / table.gpu_count();
+    const std::size_t gpu = i % table.gpu_count();
+    if (job == 0 && gpu == 1) {
+      EXPECT_EQ(after[i], std::pair(9.0, 0.9));
+    } else {
+      EXPECT_EQ(after[i], before[i]) << "job " << job << " gpu " << gpu;
+    }
+  }
+  // Job 1 still shares nothing with job 0's private row; job 2 is intact.
+  EXPECT_NE(table.row_of(JobId(0)), table.row_of(JobId(1)));
+  EXPECT_EQ(table.row_of(JobId(1)), a);
+  EXPECT_EQ(table.row_of(JobId(2)), b);
+  expect_aggregates_match_gpu_scan(table);
+  EXPECT_DOUBLE_EQ(table.alpha(), 9.0 / 2.0);
+}
+
+TEST(TimeTable, FastestGpuIsLowestIdOnTiesAfterOutOfOrderSplit) {
+  // Columns {0, 2} and {1, 3}; column 1 is faster, so GPU 1 leads.
+  TimeTable table(1, std::vector<std::uint32_t>{0, 1, 0, 1});
+  const Time tc[2] = {3.0, 1.0};
+  const Time ts[2] = {0.1, 0.1};
+  table.bind_row(JobId(0), table.intern_row(tc, ts));
+  EXPECT_EQ(table.fastest_gpu(JobId(0)), GpuId(1));
+
+  // GPU 2 splits off into column 2, appended after column 1, and ties it:
+  // GPU 1 still leads. Once GPU 1 leaves column 1 too, the tie between
+  // column 1 (now GPU 3) and column 2 goes to GPU 2, the lower id, though
+  // its column comes later. GPU 0 then joins the tie and wins.
+  table.set(JobId(0), GpuId(2), 1.0, 0.1);
+  EXPECT_EQ(table.fastest_gpu(JobId(0)), GpuId(1));
+  table.set(JobId(0), GpuId(1), 2.0, 0.1);  // GPU 1 leaves column 1
+  EXPECT_EQ(table.fastest_gpu(JobId(0)), GpuId(2));
+  table.set(JobId(0), GpuId(0), 1.0, 0.05);
+  EXPECT_EQ(table.column_count(), 4u);
+  EXPECT_EQ(table.fastest_gpu(JobId(0)), GpuId(0));
+  expect_aggregates_match_gpu_scan(table);
+}
+
+TEST(TimeTable, MinTotalMatchesPerGpuScanWithSplitColumnsAndTies) {
+  // Interleaved class columns, two shared rows, then per-cell writes that
+  // split columns out of GPU order and create ties in T^c + T^s.
+  TimeTable table(4, std::vector<std::uint32_t>{0, 1, 2, 0, 1, 2, 0, 1});
+  const Time tc_a[3] = {2.0, 1.5, 3.0};
+  const Time ts_a[3] = {0.5, 1.0, 0.25};
+  const Time tc_b[3] = {1.0, 1.0, 4.0};
+  const Time ts_b[3] = {1.0, 1.0, 0.5};
+  const TimeTable::RowId a = table.intern_row(tc_a, ts_a);
+  const TimeTable::RowId b = table.intern_row(tc_b, ts_b);
+  table.bind_row(JobId(0), a);
+  table.bind_row(JobId(1), a);
+  table.bind_row(JobId(2), b);
+  table.bind_row(JobId(3), b);
+  table.set(JobId(1), GpuId(6), 2.25, 0.25);  // ties column 0's 2.5 total
+  table.set(JobId(3), GpuId(4), 0.5, 1.5);    // ties b's 2.0 total
+  table.set(JobId(2), GpuId(7), 0.75, 0.0);   // new unique minimum
+  EXPECT_EQ(table.column_count(), 6u);
+  expect_aggregates_match_gpu_scan(table);
+}
+
+TEST(TimeTable, GatherOmittingAClassAggregatesOverPresentGpusOnly) {
+  // Classes A (GPUs 0, 3), B (1, 4), C (2, 5). A is the fastest and has the
+  // smallest sync time; the subset leaves all of A out.
+  TimeTable source(2, std::vector<std::uint32_t>{0, 1, 2, 0, 1, 2});
+  const Time tc[3] = {1.0, 5.0, 2.0};
+  const Time ts[3] = {0.1, 0.5, 0.3};
+  source.bind_row(JobId(0), source.intern_row(tc, ts));
+  source.bind_row(JobId(1), source.row_of(JobId(0)));
+
+  const std::vector<JobId> jobs{JobId(1)};
+  const std::vector<GpuId> gpus{GpuId(4), GpuId(2), GpuId(5), GpuId(1)};
+  GatherBuffers buffers;
+  TimeTable gathered;
+  gather_sub_table(source, jobs, gpus, buffers, gathered);
+  EXPECT_EQ(gathered.gpu_count(), 4u);
+  EXPECT_EQ(gathered.column_count(), 2u);  // B and C only
+
+  TimeTable per_cell(1, gpus.size());
+  for (std::size_t g = 0; g < gpus.size(); ++g) {
+    per_cell.set(JobId(0), GpuId(static_cast<int>(g)),
+                 source.tc(jobs[0], gpus[g]), source.ts(jobs[0], gpus[g]));
+  }
+  const JobId job(0);
+  EXPECT_EQ(gathered.min_tc(job), 2.0);
+  EXPECT_EQ(gathered.max_tc(job), 5.0);
+  EXPECT_EQ(gathered.min_ts(job), 0.3);
+  EXPECT_EQ(gathered.max_ts(job), 0.5);
+  EXPECT_EQ(gathered.fastest_gpu(job), GpuId(1));  // source GPU 2
+  EXPECT_EQ(gathered.alpha(), std::max(5.0 / 2.0, 0.5 / 0.3));
+  EXPECT_EQ(gathered.min_tc(job), per_cell.min_tc(job));
+  EXPECT_EQ(gathered.max_ts(job), per_cell.max_ts(job));
+  EXPECT_EQ(gathered.fastest_gpu(job), per_cell.fastest_gpu(job));
+  EXPECT_EQ(gathered.alpha(), per_cell.alpha());
+  expect_aggregates_match_gpu_scan(gathered);
 }
 
 TEST(Profiler, ExactMatchesPerfModel) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -14,6 +16,7 @@
 #include "core/hare_scheduler.hpp"
 #include "fault/fault_plan.hpp"
 #include "lp_oracle.hpp"
+#include "profiler/gpu_classes.hpp"
 #include "profiler/profiler.hpp"
 #include "serve/serve_service.hpp"
 #include "sim/schedule.hpp"
@@ -483,6 +486,39 @@ TEST(Serve, AdmittedRowsMatchExactProfile) {
       EXPECT_EQ(served.ts(job, gpu), exact.ts(job, gpu));
     }
   }
+}
+
+TEST(Serve, RepeatShapesShareOneRow) {
+  // A default-trace stream repeats a handful of job shapes (model,
+  // effective batch, batches per task): admission binds a repeat to the
+  // shape's row, so the table holds one row per shape plus the zero row,
+  // like Profiler::exact() over the same jobs.
+  const cluster::Cluster cluster = cluster::make_simulation_cluster(256);
+  workload::TraceConfig trace;
+  trace.job_count = 500;
+  const workload::JobSet generated =
+      workload::TraceGenerator(3).generate(trace);
+  std::vector<workload::JobSpec> arrivals;
+  for (const workload::Job& job : generated.jobs()) {
+    arrivals.push_back(job.spec);
+  }
+  serve::ServeService service(cluster, workload::PerfModel{},
+                              serve::ServeConfig{});
+  (void)service.run(arrivals);
+
+  std::set<std::tuple<int, std::uint32_t, std::uint32_t>> shapes;
+  for (const workload::Job& job : service.jobs().jobs()) {
+    shapes.emplace(static_cast<int>(job.spec.model), job.effective_batch_size(),
+                   job.spec.batches_per_task);
+  }
+  EXPECT_LT(shapes.size(), 50u);
+  EXPECT_EQ(service.times().row_count(), shapes.size() + 1);
+  EXPECT_EQ(service.times().column_count(),
+            profiler::GpuClasses(cluster).size());
+  const profiler::Profiler profiler(workload::PerfModel{},
+                                    profiler::ProfilerConfig{}, 1);
+  EXPECT_EQ(service.times().row_count(),
+            profiler.exact(service.jobs(), cluster).row_count());
 }
 
 TEST(Serve, CancelBeforePlanningSkipsTheJob) {
