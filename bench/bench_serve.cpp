@@ -98,9 +98,7 @@ bool blocks_match_accumulated(const cluster::Cluster& cluster,
     block_vars.emplace_back();
     serve::append_batch_block(accumulated, jobs, times, batch, phi_floor,
                               cluster.gpu_count(), block_vars.back());
-    std::vector<char> mask(jobs.job_count(), 0);
-    for (JobId id : batch) mask[static_cast<std::size_t>(id.value())] = 1;
-    (void)flat.schedule_jobs_with_h({cluster, jobs, times}, mask, h, state,
+    (void)flat.schedule_jobs_with_h({cluster, jobs, times}, batch, h, state,
                                     replay);
   };
   for (std::size_t j = 0; j < jobs.job_count(); ++j) {

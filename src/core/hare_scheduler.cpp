@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 #include <optional>
 
 #include "common/error.hpp"
@@ -14,36 +13,24 @@ namespace hare::core {
 
 namespace {
 
-struct RoundProgress {
-  int scheduled = 0;       ///< tasks of the round placed so far
-  Time barrier = 0.0;      ///< max realized x̃ + T̃^c + T̃^s
-  std::vector<TaskId> waiting;  ///< deferred tasks blocked on this round
-};
+using RoundTable = std::vector<std::vector<RoundProgress>>;
 
+/// One list-scheduling pass. Placements go straight into `schedule`, the
+/// horizons into `phi` and round progress into `rounds`, all owned by the
+/// caller: call-local buffers for an offline plan, the IncrementalState
+/// and the caller's cumulative plan for a batch.
 struct BuildState {
   const sched::SchedulerInput& input;
   const HareConfig& config;
-  sim::Schedule schedule;
-  std::vector<Time> phi;  ///< GPU available times
-  std::vector<std::vector<RoundProgress>> rounds;  ///< [job][round]
-  double objective = 0.0;
+  sim::Schedule& schedule;
+  std::vector<Time>& phi;  ///< GPU available times
+  RoundTable& rounds;      ///< [job][round]
   /// The fitting matrix and placement index live in the caller's scratch,
   /// shared with the relaxation (φ-independent, so re-seeded for free).
   PlannerScratch& scratch;
   PlacementIndex* index = nullptr;
-
-  BuildState(const sched::SchedulerInput& in, const HareConfig& cfg,
-             PlannerScratch& shared)
-      : input(in), config(cfg), scratch(shared) {
-    scratch.sync(in.cluster, in.jobs);
-    schedule.sequences.resize(in.cluster.gpu_count());
-    schedule.predicted_start.assign(in.jobs.task_count(), 0.0);
-    phi.assign(in.cluster.gpu_count(), 0.0);
-    rounds.resize(in.jobs.job_count());
-    for (const auto& job : in.jobs.jobs()) {
-      rounds[static_cast<std::size_t>(job.id.value())].resize(job.rounds());
-    }
-  }
+  double objective = 0.0;
+  std::size_t placed = 0;  ///< tasks placed by this pass
 
   [[nodiscard]] const std::vector<std::vector<char>>& fits() const {
     return scratch.fits;
@@ -63,8 +50,6 @@ struct BuildState {
   /// Algorithm 1 lines 12-16 for one task with availability t_i. Returns
   /// the deferred tasks unblocked by any round completion this causes.
   std::vector<TaskId> place_task(TaskId task_id, Time available) {
-    static obs::Counter& placed_counter = obs::counter("planner.tasks_placed");
-    placed_counter.add();
     const workload::Task& task = input.jobs.task(task_id);
     const workload::Job& job = input.jobs.job(task.job);
 
@@ -84,6 +69,7 @@ struct BuildState {
         start;
     phi[best] = start + tc;  // T^s overlaps the GPU's next task (line 16)
     index->set_phi(best, phi[best]);
+    ++placed;
 
     RoundProgress& round = progress(task.job, task.round);
     round.barrier = std::max(round.barrier, start + tc + ts);
@@ -114,9 +100,29 @@ struct BuildState {
   }
 };
 
+/// The call-local buffers of an offline plan: an empty plan spanning the
+/// instance, every GPU free at 0, and a fresh round table.
+struct OfflineBuffers {
+  sim::Schedule schedule;
+  std::vector<Time> phi;
+  RoundTable rounds;
+
+  OfflineBuffers(const sched::SchedulerInput& in, PlannerScratch& scratch) {
+    scratch.sync(in.cluster, in.jobs);
+    schedule.sequences.resize(in.cluster.gpu_count());
+    schedule.predicted_start.assign(in.jobs.task_count(), 0.0);
+    phi.assign(in.cluster.gpu_count(), 0.0);
+    rounds.resize(in.jobs.job_count());
+    for (const auto& job : in.jobs.jobs()) {
+      rounds[static_cast<std::size_t>(job.id.value())].resize(job.rounds());
+    }
+  }
+};
+
 /// Algorithm 1's main loop over a π sequence, with deferral for tasks
 /// whose previous round is not yet fully placed.
 void run_relaxed_pass(BuildState& state, const std::vector<TaskId>& pi) {
+  static obs::Counter& placed_counter = obs::counter("planner.tasks_placed");
   std::deque<TaskId> queue;
   std::size_t pi_cursor = 0;
   while (pi_cursor < pi.size() || !queue.empty()) {
@@ -137,6 +143,7 @@ void run_relaxed_pass(BuildState& state, const std::vector<TaskId>& pi) {
       queue.push_back(unblocked);
     }
   }
+  placed_counter.add(state.placed);  // once per pass, not per task
 }
 
 /// Line 4: sort π by non-descending H, ids breaking ties (deterministic).
@@ -163,11 +170,13 @@ sim::Schedule build_relaxed(const sched::SchedulerInput& input,
                             const std::vector<TaskId>& pi, double* objective,
                             PlannerScratch& scratch) {
   HARE_SPAN("planner", "planner.list_schedule");
-  BuildState state(input, config, scratch);
+  OfflineBuffers buffers(input, scratch);
+  BuildState state{input,          config,         buffers.schedule,
+                   buffers.phi,    buffers.rounds, scratch};
   state.build_index();
   run_relaxed_pass(state, pi);
   *objective = state.objective;
-  return std::move(state.schedule);
+  return std::move(buffers.schedule);
 }
 
 sim::Schedule build_strict(const sched::SchedulerInput& input,
@@ -177,7 +186,10 @@ sim::Schedule build_strict(const sched::SchedulerInput& input,
   // Strict scale-fixed: whole rounds gang on distinct GPUs with a common
   // start. Rounds are visited in the order their first member appears in π.
   HARE_SPAN("planner", "planner.gang_schedule");
-  BuildState state(input, config, scratch);
+  static obs::Counter& placed_counter = obs::counter("planner.tasks_placed");
+  OfflineBuffers buffers(input, scratch);
+  BuildState state{input,          config,         buffers.schedule,
+                   buffers.phi,    buffers.rounds, scratch};
   const auto& jobs = input.jobs;
 
   struct RoundKey {
@@ -253,6 +265,7 @@ sim::Schedule build_strict(const sched::SchedulerInput& input,
       state.phi[order[i]] = start + tc;
       round.barrier = std::max(round.barrier, start + tc + ts);
       ++round.scheduled;
+      ++state.placed;
     }
     if (static_cast<std::uint32_t>(key.round) + 1 == job.rounds()) {
       state.objective += job.spec.weight * round.barrier;
@@ -284,8 +297,9 @@ sim::Schedule build_strict(const sched::SchedulerInput& input,
       queue.push_back(unblocked);
     }
   }
+  placed_counter.add(state.placed);
   *objective = state.objective;
-  return std::move(state.schedule);
+  return std::move(buffers.schedule);
 }
 
 }  // namespace
@@ -317,8 +331,33 @@ sim::Schedule HareScheduler::schedule(const sched::SchedulerInput& input) {
   return result;
 }
 
+namespace {
+
+/// Size the incremental state and the cumulative plan for a grown
+/// instance: φ and the sequences on first use, then append-only growth of
+/// the per-task starts and the per-job round rows. Amortized O(1) per job
+/// and task admitted since the last call, plus the O(1) checks.
+void follow_instance(const sched::SchedulerInput& input,
+                     HareScheduler::IncrementalState& state,
+                     sim::Schedule& schedule) {
+  const std::size_t gpu_count = input.cluster.gpu_count();
+  if (state.phi.empty()) state.phi.assign(gpu_count, 0.0);
+  HARE_CHECK_MSG(state.phi.size() == gpu_count, "phi size mismatch");
+  if (schedule.sequences.empty()) schedule.sequences.resize(gpu_count);
+  HARE_CHECK_MSG(schedule.sequences.size() == gpu_count,
+                 "schedule does not span the cluster");
+  if (schedule.predicted_start.size() < input.jobs.task_count()) {
+    schedule.predicted_start.resize(input.jobs.task_count(), 0.0);
+  }
+  for (std::size_t j = state.rounds.size(); j < input.jobs.job_count(); ++j) {
+    state.rounds.emplace_back(input.jobs.job(JobId(static_cast<int>(j))).rounds());
+  }
+}
+
+}  // namespace
+
 double HareScheduler::schedule_jobs(const sched::SchedulerInput& input,
-                                    const std::vector<char>& job_mask,
+                                    std::span<const JobId> batch,
                                     IncrementalState& state,
                                     sim::Schedule& schedule) {
   HARE_SPAN("planner", "planner.schedule_incremental");
@@ -326,70 +365,55 @@ double HareScheduler::schedule_jobs(const sched::SchedulerInput& input,
                  "incremental planning requires the Fluid relaxation");
   HARE_CHECK_MSG(config_.sync == SyncScheme::Relaxed,
                  "incremental planning requires relaxed sync");
-  HARE_CHECK_MSG(job_mask.size() == input.jobs.job_count(),
-                 "job mask size mismatch");
-  const std::size_t gpu_count = input.cluster.gpu_count();
-  if (state.phi.empty()) state.phi.assign(gpu_count, 0.0);
-  HARE_CHECK_MSG(state.phi.size() == gpu_count, "phi size mismatch");
+  check_batch(input.jobs, batch);
+  follow_instance(input, state, schedule);
+  if (batch.empty()) return 0.0;  // an empty sub-problem means every job
 
-  SubProblem sub;
-  sub.job_mask = job_mask;
-  sub.initial_phi = state.phi;
-  const HareRelaxation relaxation(config_.relaxation);
   // The scratch rides in the caller's IncrementalState: batch k pays only
   // for the jobs appended since batch k-1 instead of rebuilding the
   // fitting matrix and masked index rows over the whole instance.
-  last_relaxation_ = relaxation.solve(input.cluster, input.jobs, input.times,
-                                      sub, &state.scratch);
-  return schedule_jobs_with_h(input, job_mask, last_relaxation_.h, state,
+  const HareRelaxation relaxation(config_.relaxation);
+  relaxation.solve_batch(input.cluster, input.jobs, input.times,
+                         SubProblem{batch, state.phi}, state.scratch,
+                         state.relaxation);
+  return schedule_jobs_with_h(input, batch, state.relaxation.h, state,
                               schedule);
 }
 
 double HareScheduler::schedule_jobs_with_h(const sched::SchedulerInput& input,
-                                           const std::vector<char>& job_mask,
+                                           std::span<const JobId> batch,
                                            const std::vector<Time>& h,
                                            IncrementalState& state,
                                            sim::Schedule& schedule) {
   HARE_SPAN("planner", "planner.schedule_with_h");
   HARE_CHECK_MSG(config_.sync == SyncScheme::Relaxed,
                  "incremental planning requires relaxed sync");
-  HARE_CHECK_MSG(job_mask.size() == input.jobs.job_count(),
-                 "job mask size mismatch");
+  check_batch(input.jobs, batch);
   HARE_CHECK_MSG(h.size() >= input.jobs.task_count(),
                  "middle completion times must span the task array");
-  const std::size_t gpu_count = input.cluster.gpu_count();
-  if (state.phi.empty()) state.phi.assign(gpu_count, 0.0);
-  HARE_CHECK_MSG(state.phi.size() == gpu_count, "phi size mismatch");
-  if (schedule.sequences.empty()) {
-    schedule.sequences.resize(gpu_count);
-    schedule.predicted_start.assign(input.jobs.task_count(), 0.0);
-  }
+  follow_instance(input, state, schedule);
+  if (batch.empty()) return 0.0;
 
+  // π: the batch jobs' contiguous task ranges, then the H sort. Their
+  // round rows start over, so nothing earlier batches left can leak in.
   std::vector<TaskId> pi;
-  for (const auto& task : input.jobs.tasks()) {
-    if (job_mask[static_cast<std::size_t>(task.job.value())]) {
-      pi.push_back(task.id);
+  for (const JobId id : batch) {
+    const workload::Job& job = input.jobs.job(id);
+    for (const TaskId task : job.task_ids()) pi.push_back(task);
+    for (RoundProgress& round : state.rounds[static_cast<std::size_t>(
+             id.value())]) {
+      round = RoundProgress{};
     }
   }
   sort_by_middle_completion(pi, h);
 
-  BuildState build(input, config_, state.scratch);
-  build.phi = state.phi;
+  // Placements land directly on the cumulative plan: φ is monotone, so
+  // batch tasks always start at or after every prior commitment on their
+  // GPU, and appending keeps each sequence in start order.
+  BuildState build{input,     config_,      schedule,
+                   state.phi, state.rounds, state.scratch};
   build.build_index();
   run_relaxed_pass(build, pi);
-
-  // Append the batch onto the cumulative plan. φ is monotone, so batch
-  // tasks always start at or after every prior commitment on their GPU.
-  for (std::size_t g = 0; g < gpu_count; ++g) {
-    auto& target = schedule.sequences[g];
-    const auto& batch = build.schedule.sequences[g];
-    target.insert(target.end(), batch.begin(), batch.end());
-  }
-  for (TaskId id : pi) {
-    schedule.predicted_start[static_cast<std::size_t>(id.value())] =
-        build.schedule.predicted_start[static_cast<std::size_t>(id.value())];
-  }
-  state.phi = build.phi;
   schedule.predicted_objective += build.objective;
   return build.objective;
 }

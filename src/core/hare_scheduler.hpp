@@ -16,7 +16,20 @@
 //  * Sync::Strict — disable the relaxed scale-fixed scheme: a round's
 //    tasks gang on |D_r| distinct GPUs with a common start (what Tiresias/
 //    Gandiva-style scale-fixed systems do, Fig 4(a)).
+//
+// Incremental planning (the online extension): schedule_jobs and
+// schedule_jobs_with_h plan one batch — a strictly ascending list of JobIds
+// — on top of the per-GPU commitment horizons φ an IncrementalState carries
+// across calls. π is built from the batch jobs' contiguous task ranges,
+// and the relaxation outputs, the per-round progress table and the plan's
+// predicted starts grow by appending, with a call writing only its batch's
+// entries; so a batch costs O(batch tasks × placement + G) however many
+// jobs were planned before it. Offline schedule() plans the whole instance
+// from φ = 0 with call-local buffers.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "core/placement_index.hpp"
 #include "core/relaxation.hpp"
@@ -38,6 +51,13 @@ struct HareConfig {
   SyncScheme sync = SyncScheme::Relaxed;
 };
 
+/// Algorithm 1's progress on one round of one job while list scheduling.
+struct RoundProgress {
+  int scheduled = 0;       ///< tasks of the round placed so far
+  Time barrier = 0.0;      ///< max realized x̃ + T̃^c + T̃^s
+  std::vector<TaskId> waiting;  ///< deferred tasks blocked on this round
+};
+
 /// Commitment horizon parked on a dead GPU: finite (no inf-arithmetic
 /// hazards in the fluid relaxation) but beyond any plannable time, so
 /// earliest-finish placement never selects it while capacity survives
@@ -53,36 +73,51 @@ class HareScheduler final : public sched::Scheduler {
       const sched::SchedulerInput& input) override;
 
   /// Incremental planning state for the online extension: per-GPU
-  /// commitment horizons carried across planning rounds, plus the
-  /// φ-independent planning buffers (fitting matrix, placement index).
-  /// Carrying the scratch across batches means a streaming caller pays
-  /// append-only cost per batch — only jobs added since the previous call
-  /// get new rows — instead of rebuilding O(jobs × GPUs) state every time.
-  /// The instance behind one state may therefore only grow between calls:
-  /// jobs are append-only and the cluster is fixed (the φ size check
-  /// enforces the latter; PlannerScratch::sync rebuilds on a shrink).
+  /// commitment horizons carried across planning rounds, the φ-independent
+  /// planning buffers (fitting matrix, placement index), and the
+  /// job- and task-indexed tables a batch writes into. Everything here
+  /// grows by appending and a call resets and writes only its batch's
+  /// entries, so a streaming caller pays for the batch — its tasks, their
+  /// placements and one O(G) re-seed of the index — never for the jobs
+  /// admitted before it. The instance behind one state may therefore only
+  /// grow between calls: jobs are append-only and the cluster is fixed
+  /// (the φ size check enforces the latter; PlannerScratch::sync rebuilds
+  /// on a shrink).
   struct IncrementalState {
     std::vector<Time> phi;
     PlannerScratch scratch;
+    /// schedule_jobs' Fluid relaxation: task-indexed x̂, ŷ and h of every
+    /// batch it planned (h is what it list-schedules with), and the last
+    /// batch's relaxed objective.
+    RelaxationResult relaxation;
+    /// [job][round] list-scheduling progress.
+    std::vector<std::vector<RoundProgress>> rounds;
   };
 
-  /// Plan only the jobs with `job_mask[id] != 0` on top of `state` (prior
-  /// commitments), appending to `schedule`. Used by OnlineHareScheduler;
-  /// requires the Fluid relaxation mode and relaxed sync. Returns the
-  /// planned weighted-completion contribution of the batch.
+  /// Plan only the `batch` jobs (ids strictly ascending, checked) on top
+  /// of `state` (prior commitments): relax them into `state.relaxation`,
+  /// then list-schedule them with its h. Placements are appended to
+  /// `schedule`'s per-GPU sequences (sized to the cluster when empty) and
+  /// their starts written into `predicted_start`, which grows to span the
+  /// instance. Used by OnlineHareScheduler, the serving loop's flat path
+  /// and the sharded online path; requires the Fluid relaxation mode and
+  /// relaxed sync. Costs O(batch tasks × placement + G): nothing outside
+  /// the batch is read or written. Returns the planned weighted-completion
+  /// contribution of the batch (0 for an empty batch).
   double schedule_jobs(const sched::SchedulerInput& input,
-                       const std::vector<char>& job_mask,
-                       IncrementalState& state, sim::Schedule& schedule);
+                       std::span<const JobId> batch, IncrementalState& state,
+                       sim::Schedule& schedule);
 
-  /// Like schedule_jobs, but list-schedule the masked jobs with externally
-  /// supplied middle completion times `h` (indexed by TaskId value; only
-  /// masked tasks' entries are read) instead of running the relaxation.
-  /// The serving loop derives h from one cold LP solve of the batch's own
-  /// block (or an arrival-keyed greedy order when its replan budget is
-  /// exhausted) and hands the ordering here, so placement semantics stay
-  /// identical to every other planner path. Requires relaxed sync.
+  /// Like schedule_jobs, but list-schedule the batch with externally
+  /// supplied middle completion times `h` (indexed by TaskId value and
+  /// spanning the task array; only the batch tasks' entries are read)
+  /// instead of running the relaxation. The serving loop derives h from
+  /// one cold LP solve of the batch's own block (or an arrival-keyed
+  /// greedy order when its replan budget is exhausted) and hands the
+  /// ordering here, so placement semantics stay identical to every other
+  /// planner path. Requires relaxed sync.
   double schedule_jobs_with_h(const sched::SchedulerInput& input,
-                              const std::vector<char>& job_mask,
+                              std::span<const JobId> batch,
                               const std::vector<Time>& h,
                               IncrementalState& state,
                               sim::Schedule& schedule);

@@ -11,7 +11,10 @@ HareSystem::HareSystem(cluster::Cluster cluster)
     : HareSystem(std::move(cluster), Options()) {}
 
 HareSystem::HareSystem(cluster::Cluster cluster, Options options)
-    : cluster_(std::move(cluster)), options_(options) {}
+    : cluster_(std::move(cluster)),
+      options_(options),
+      profiler_(workload::PerfModel(options_.perf), options_.profiler,
+                options_.seed) {}
 
 JobId HareSystem::submit(workload::JobSpec spec) {
   profiled_fresh_ = false;
@@ -24,11 +27,9 @@ void HareSystem::submit_all(const workload::JobSet& jobs) {
 
 void HareSystem::ensure_profiled() {
   if (profiled_fresh_) return;
-  const workload::PerfModel perf(options_.perf);
-  profiler::Profiler profiler(perf, options_.profiler, options_.seed);
-  profiled_ =
-      profiler.profile(jobs_, cluster_, options_.use_profile_db ? &db_ : nullptr);
-  actual_ = profiler.exact(jobs_, cluster_);
+  profiler_.profile_appended(jobs_, cluster_, profiled_, profiled_rows_,
+                             options_.use_profile_db ? &db_ : nullptr);
+  profiler_.exact_appended(jobs_, cluster_, actual_, actual_rows_);
   profiled_fresh_ = true;
 }
 

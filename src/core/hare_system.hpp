@@ -50,7 +50,9 @@ class HareSystem {
   /// Submit a whole trace.
   void submit_all(const workload::JobSet& jobs);
 
-  /// Profile (re)runs lazily before the first run() after a submission.
+  /// Profiling runs lazily before the first run() after a submission and
+  /// covers only the jobs submitted since the previous one: the tables
+  /// read exactly as one profile()/exact() of every submitted job.
   [[nodiscard]] RunReport run(sched::Scheduler& scheduler);
 
   /// Same, reusing `scratch`'s simulator buffers (the sweep engine keeps
@@ -82,8 +84,13 @@ class HareSystem {
   Options options_;
   workload::JobSet jobs_;
   profiler::ProfileDb db_;
+  /// One profiler for the system's lifetime: its seed stream continues
+  /// across incremental profiling calls.
+  profiler::Profiler profiler_;
   profiler::TimeTable profiled_;
   profiler::TimeTable actual_;
+  profiler::ShapeRows profiled_rows_;  ///< shape → row of profiled_
+  profiler::ShapeRows actual_rows_;    ///< shape → row of actual_
   bool profiled_fresh_ = false;
 };
 

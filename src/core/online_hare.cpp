@@ -29,21 +29,24 @@ sim::Schedule OnlineHareScheduler::schedule(
   planning_rounds_ = 0;
 
   std::size_t cursor = 0;
+  std::vector<JobId> batch;
   while (cursor < by_arrival.size()) {
-    // One batch: every job arriving within the window of the first.
+    // One batch: every job arriving within the window of the first, in
+    // ascending id order (the planner's batch contract).
     const Time batch_open = jobs.job(by_arrival[cursor]).spec.arrival;
-    std::vector<char> mask(jobs.job_count(), 0);
+    batch.clear();
     while (cursor < by_arrival.size() &&
            jobs.job(by_arrival[cursor]).spec.arrival <=
                batch_open + config_.batching_window_s) {
-      mask[static_cast<std::size_t>(by_arrival[cursor].value())] = 1;
+      batch.push_back(by_arrival[cursor]);
       ++cursor;
     }
+    std::sort(batch.begin(), batch.end());
     // Plan the batch on top of the standing commitments. Per-job release
     // times inside the planner already prevent anything from starting
     // before its arrival; commitments of earlier batches are never
     // revised.
-    (void)planner.schedule_jobs(input, mask, state, schedule);
+    (void)planner.schedule_jobs(input, batch, state, schedule);
     ++planning_rounds_;
   }
   return schedule;

@@ -41,6 +41,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -327,11 +328,11 @@ class PlacementIndex {
   /// Re-seed every GPU horizon at once (empty = all free at 0). Lets one
   /// index — and its job-masked T^c rows, the expensive part — serve both
   /// the relaxation's fluid pass and Algorithm 1's list-scheduling pass.
-  void reset_phi(const std::vector<Time>& initial_phi) {
+  void reset_phi(std::span<const Time> initial_phi) {
     if (initial_phi.empty()) {
       std::fill(phi_.begin(), phi_.end(), 0.0);
     } else {
-      phi_ = initial_phi;
+      phi_.assign(initial_phi.begin(), initial_phi.end());
     }
     if (buckets_) buckets_->reset_phi(phi_);
     by_phi_.clear();
@@ -465,13 +466,14 @@ struct PlannerScratch {
   PlacementIndex& index_for(const cluster::Cluster& cluster,
                             const workload::JobSet& jobs,
                             const profiler::TimeTable& times,
-                            const std::vector<Time>& phi) {
+                            std::span<const Time> phi) {
     sync(cluster, jobs);
     if (index) {
       index->append_jobs(times, fits);
       index->reset_phi(phi);
     } else {
-      index.emplace(times, cluster.gpu_count(), fits, phi, &cluster);
+      index.emplace(times, cluster.gpu_count(), fits,
+                    std::vector<Time>(phi.begin(), phi.end()), &cluster);
     }
     return *index;
   }

@@ -1,6 +1,7 @@
 #include "core/relaxation.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -30,55 +31,28 @@ namespace {
 // Placement runs on the PlacementIndex the caller's scratch shares with
 // the list-scheduling pass (tests/planner_oracle.cpp keeps the O(G) scan
 // it must match bit for bit).
-struct FluidPass {
-  std::vector<Time> x_hat;
-  std::vector<GpuId> y_hat;
-  std::vector<Time> finish;  ///< x̂ + T^c + T^s per task
-  double objective = 0.0;
-};
-
-FluidPass run_fluid_pass(const cluster::Cluster& cluster,
-                         const workload::JobSet& jobs,
-                         const profiler::TimeTable& times,
-                         const SubProblem& sub, PlannerScratch& scratch) {
+/// Runs the pass over `sub`'s jobs (every job for a whole sub-problem),
+/// writing x̂, ŷ and h of exactly those jobs' tasks into `out`, whose arrays
+/// must already span the task array, and returns the relaxed Σ w_n C_n of
+/// those jobs. Jobs own contiguous task ranges, so nothing outside the
+/// batch is visited.
+double run_fluid_pass(const cluster::Cluster& cluster,
+                      const workload::JobSet& jobs,
+                      const profiler::TimeTable& times, const SubProblem& sub,
+                      PlannerScratch& scratch, RelaxationResult& out) {
   HARE_SPAN("planner", "planner.fluid_pass");
-  const std::size_t task_count = jobs.task_count();
-  const std::size_t gpu_count = cluster.gpu_count();
-  HARE_CHECK_MSG(gpu_count > 0, "cluster has no GPUs");
-
-  FluidPass pass;
-  pass.x_hat.assign(task_count, 0.0);
-  pass.y_hat.assign(task_count, GpuId{});
-  pass.finish.assign(task_count, 0.0);
-
-  // Arrival-adjusted WSPT key: a_n + (minimum possible total work) / w_n.
-  std::vector<JobId> order;
-  order.reserve(jobs.job_count());
-  std::vector<double> key(jobs.job_count(), 0.0);
-  for (const auto& job : jobs.jobs()) {
-    if (!sub.active(job.id)) continue;
-    key[static_cast<std::size_t>(job.id.value())] =
-        job.spec.arrival + static_cast<double>(job.rounds()) *
-                               static_cast<double>(job.tasks_per_round()) *
-                               times.min_total(job.id) / job.spec.weight;
-    order.push_back(job.id);
-  }
-  std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-    const double ka = key[static_cast<std::size_t>(a.value())];
-    const double kb = key[static_cast<std::size_t>(b.value())];
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
+  HARE_CHECK_MSG(cluster.gpu_count() > 0, "cluster has no GPUs");
 
   // The fitting matrix and the index's masked T^c rows are φ-independent:
   // build them once in the scratch and share them with the list-scheduling
   // pass.
-  std::vector<Time> phi(gpu_count, 0.0);
-  for (std::size_t g = 0; g < gpu_count; ++g) phi[g] = sub.phi(g);
-  PlacementIndex& index = scratch.index_for(cluster, jobs, times, phi);
+  PlacementIndex& index =
+      scratch.index_for(cluster, jobs, times, sub.initial_phi);
 
-  for (const JobId job_id : order) {
+  double objective = 0.0;
+  for (const JobId job_id : wspt_order(jobs, times, sub.jobs)) {
     const workload::Job& job = jobs.job(job_id);
+    const Time half_tc = 0.5 * times.max_tc(job_id);
     Time release = job.spec.arrival;
     for (std::uint32_t r = 0; r < job.rounds(); ++r) {
       Time barrier = release;
@@ -89,33 +63,81 @@ FluidPass run_fluid_pass(const cluster::Cluster& cluster,
         HARE_CHECK_MSG(chosen.valid(), "no feasible GPU for task");
         const GpuId gpu(static_cast<int>(chosen.gpu));
         const std::size_t idx = static_cast<std::size_t>(task_id.value());
-        pass.x_hat[idx] = chosen.start;
-        pass.y_hat[idx] = gpu;
-        pass.finish[idx] = chosen.start + times.total(job_id, gpu);
+        out.x_hat[idx] = chosen.start;
+        out.y_hat[idx] = gpu;
+        out.h[idx] = chosen.start + half_tc;
         // Sync overlaps the GPU's next task.
         index.set_phi(chosen.gpu, chosen.start + times.tc(job_id, gpu));
-        barrier = std::max(barrier, pass.finish[idx]);
+        barrier = std::max(barrier, chosen.start + times.total(job_id, gpu));
       }
       release = barrier;
     }
-    pass.objective += job.spec.weight * release;
+    objective += job.spec.weight * release;
   }
-  return pass;
+  return objective;
 }
 
-std::vector<Time> middle_completion_times(const workload::JobSet& jobs,
-                                          const profiler::TimeTable& times,
-                                          const std::vector<Time>& x_hat) {
-  HARE_SPAN("planner", "planner.middle_completion");
-  std::vector<Time> h(jobs.task_count(), 0.0);
-  for (const auto& task : jobs.tasks()) {
-    const std::size_t idx = static_cast<std::size_t>(task.id.value());
-    h[idx] = x_hat[idx] + 0.5 * times.max_tc(task.job);
-  }
-  return h;
+/// The table must match the instance; then fill its aggregate cache once,
+/// so every later min/max accessor is an O(1) read.
+void check_instance(const cluster::Cluster& cluster,
+                    const workload::JobSet& jobs,
+                    const profiler::TimeTable& times) {
+  HARE_CHECK_MSG(times.job_count() == jobs.job_count() &&
+                     times.gpu_count() == cluster.gpu_count(),
+                 "time table does not match instance");
+  times.precompute();
+}
+
+/// Grow `result`'s task-indexed arrays to span the task array; entries
+/// already there are kept.
+void span_tasks(const workload::JobSet& jobs, RelaxationResult& result) {
+  const std::size_t task_count = jobs.task_count();
+  result.x_hat.resize(task_count, 0.0);
+  result.y_hat.resize(task_count, GpuId{});
+  result.h.resize(task_count, 0.0);
 }
 
 }  // namespace
+
+std::vector<JobId> wspt_order(const workload::JobSet& jobs,
+                              const profiler::TimeTable& times,
+                              std::span<const JobId> batch) {
+  const std::size_t n = batch.empty() ? jobs.job_count() : batch.size();
+  const auto id_at = [&](std::size_t i) {
+    return batch.empty() ? JobId(static_cast<int>(i)) : batch[i];
+  };
+  std::vector<double> key(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const workload::Job& job = jobs.job(id_at(i));
+    key[i] = job.spec.arrival + static_cast<double>(job.rounds()) *
+                                    static_cast<double>(job.tasks_per_round()) *
+                                    times.min_total(job.id) / job.spec.weight;
+  }
+  // Positions ascend with ids (the batch is strictly ascending), so the
+  // position breaks key ties exactly as the id does.
+  std::vector<std::uint32_t> position(n);
+  std::iota(position.begin(), position.end(), 0u);
+  std::sort(position.begin(), position.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              if (key[a] != key[b]) return key[a] < key[b];
+              return a < b;
+            });
+  std::vector<JobId> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = id_at(position[i]);
+  return order;
+}
+
+void check_batch(const workload::JobSet& jobs, std::span<const JobId> batch) {
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    HARE_CHECK_MSG(batch[b].value() >= 0 &&
+                       static_cast<std::size_t>(batch[b].value()) <
+                           jobs.job_count(),
+                   "batch names unknown job " << batch[b]);
+    HARE_CHECK_MSG(b == 0 || batch[b - 1] < batch[b],
+                   "batch job ids must be strictly ascending (job "
+                       << batch[b] << " after " << batch[b - 1] << ")");
+  }
+}
 
 RelaxationResult HareRelaxation::solve(const cluster::Cluster& cluster,
                                        const workload::JobSet& jobs,
@@ -123,36 +145,32 @@ RelaxationResult HareRelaxation::solve(const cluster::Cluster& cluster,
                                        const SubProblem& sub,
                                        PlannerScratch* scratch,
                                        opt::LinearProgram* program) const {
-  HARE_SPAN("planner", "planner.relaxation");
-  HARE_CHECK_MSG(times.job_count() == jobs.job_count() &&
-                     times.gpu_count() == cluster.gpu_count(),
-                 "time table does not match instance");
-  // Fill the aggregate cache once: every later min/max accessor is then an
-  // O(1) read.
-  times.precompute();
   PlannerScratch local;
   PlannerScratch& shared = scratch ? *scratch : local;
-  switch (config_.mode) {
-    case RelaxMode::Fluid:
-      return solve_fluid(cluster, jobs, times, sub, shared);
-    case RelaxMode::LpCuts:
-      return solve_lp_cuts(cluster, jobs, times, sub, shared, program);
+  if (config_.mode == RelaxMode::LpCuts) {
+    HARE_SPAN("planner", "planner.relaxation");
+    check_instance(cluster, jobs, times);
+    return solve_lp_cuts(cluster, jobs, times, sub, shared, program);
   }
-  HARE_CHECK_MSG(false, "unknown relaxation mode");
-  return {};
+  RelaxationResult result;
+  solve_batch(cluster, jobs, times, sub, shared, result);
+  return result;
 }
 
-RelaxationResult HareRelaxation::solve_fluid(
-    const cluster::Cluster& cluster, const workload::JobSet& jobs,
-    const profiler::TimeTable& times, const SubProblem& sub,
-    PlannerScratch& scratch) const {
-  const FluidPass pass = run_fluid_pass(cluster, jobs, times, sub, scratch);
-  RelaxationResult result;
-  result.x_hat = pass.x_hat;
-  result.y_hat = pass.y_hat;
-  result.objective = pass.objective;
-  result.h = middle_completion_times(jobs, times, result.x_hat);
-  return result;
+void HareRelaxation::solve_batch(const cluster::Cluster& cluster,
+                                 const workload::JobSet& jobs,
+                                 const profiler::TimeTable& times,
+                                 const SubProblem& sub,
+                                 PlannerScratch& scratch,
+                                 RelaxationResult& result) const {
+  HARE_SPAN("planner", "planner.relaxation");
+  HARE_CHECK_MSG(config_.mode == RelaxMode::Fluid,
+                 "batch relaxation requires the Fluid mode");
+  check_instance(cluster, jobs, times);
+  check_batch(jobs, sub.jobs);
+  span_tasks(jobs, result);
+  result.objective =
+      run_fluid_pass(cluster, jobs, times, sub, scratch, result);
 }
 
 RelaxationResult HareRelaxation::solve_lp_cuts(
@@ -171,12 +189,15 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   static obs::Gauge& cols_gauge = obs::gauge("planner.lp_cols");
   static obs::Gauge& nonzeros_gauge = obs::gauge("planner.lp_nonzeros");
   static obs::Gauge& density_gauge = obs::gauge("planner.lp_density");
-  HARE_CHECK_MSG(sub.job_mask.empty() && sub.initial_phi.empty(),
+  HARE_CHECK_MSG(sub.whole() && sub.initial_phi.empty(),
                  "LpCuts mode does not support incremental sub-problems; "
                  "use Fluid for online planning");
   // Fix ŷ with the fluid pass, then cut-plane the LP over x, round-end
   // variables E, and job completions C.
-  const FluidPass pass = run_fluid_pass(cluster, jobs, times, sub, scratch);
+  RelaxationResult result;
+  span_tasks(jobs, result);
+  (void)run_fluid_pass(cluster, jobs, times, sub, scratch, result);
+  const std::vector<GpuId>& y_hat = result.y_hat;
   const std::size_t task_count = jobs.task_count();
   const std::size_t gpu_count = cluster.gpu_count();
 
@@ -202,7 +223,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   auto assigned_total = [&](TaskId id) {
     const workload::Task& task = jobs.task(id);
     return times.total(task.job,
-                       pass.y_hat[static_cast<std::size_t>(id.value())]);
+                       y_hat[static_cast<std::size_t>(id.value())]);
   };
 
   for (const auto& job : jobs.jobs()) {
@@ -234,13 +255,10 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   std::vector<std::vector<TaskId>> machine_tasks(gpu_count);
   for (const auto& task : jobs.tasks()) {
     machine_tasks[static_cast<std::size_t>(
-                      pass.y_hat[static_cast<std::size_t>(task.id.value())]
+                      y_hat[static_cast<std::size_t>(task.id.value())]
                           .value())]
         .push_back(task.id);
   }
-
-  RelaxationResult result;
-  result.y_hat = pass.y_hat;
 
   const std::size_t base_rows = lp.constraint_count();
   const std::size_t base_nonzeros = lp.nonzero_count();
@@ -361,7 +379,10 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
         job.spec.weight *
         solution.values[c_var[static_cast<std::size_t>(job.id.value())]];
   }
-  result.h = middle_completion_times(jobs, times, result.x_hat);
+  for (const auto& task : jobs.tasks()) {
+    const std::size_t idx = static_cast<std::size_t>(task.id.value());
+    result.h[idx] = result.x_hat[idx] + 0.5 * times.max_tc(task.job);
+  }
 
   result.lp_rows = base_rows + result.cut_count;
   result.lp_cols = cols;

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -82,22 +83,31 @@ struct RelaxationConfig {
   double cut_tolerance = 1e-6;
 };
 
-/// Optional sub-problem view for incremental (online) planning: only jobs
-/// with job_mask[id] != 0 are scheduled, and every GPU m is unavailable
-/// before initial_phi[m] (prior commitments). Empty vectors mean
-/// "all jobs" / "all GPUs free at 0".
+/// Optional sub-problem view for incremental (online) planning: only the
+/// batch `jobs` are scheduled, and every GPU m is unavailable before
+/// initial_phi[m] (prior commitments). The batch lists job ids in strictly
+/// ascending order; jobs own contiguous task ranges, so a batch's tasks are
+/// reached without a scan of the instance. Empty spans mean "all jobs" /
+/// "all GPUs free at 0". Both spans are views: the caller keeps the batch
+/// and the horizons alive for the call.
 struct SubProblem {
-  std::vector<char> job_mask;
-  std::vector<Time> initial_phi;
+  std::span<const JobId> jobs;
+  std::span<const Time> initial_phi;
 
-  [[nodiscard]] bool active(JobId job) const {
-    return job_mask.empty() ||
-           job_mask[static_cast<std::size_t>(job.value())] != 0;
-  }
-  [[nodiscard]] Time phi(std::size_t gpu) const {
-    return initial_phi.empty() ? 0.0 : initial_phi[gpu];
-  }
+  [[nodiscard]] bool whole() const { return jobs.empty(); }
 };
+
+/// The fluid pass's job order over `batch` (every job when empty):
+/// arrival-adjusted WSPT, a_n + (minimum possible total work) / w_n
+/// ascending, ids breaking ties. The sharded planner's level 1 walks jobs
+/// in the same order. O(batch log batch).
+[[nodiscard]] std::vector<JobId> wspt_order(const workload::JobSet& jobs,
+                                            const profiler::TimeTable& times,
+                                            std::span<const JobId> batch);
+
+/// Throws common::Error unless `batch` is strictly ascending (so free of
+/// duplicates) and every id names a job of `jobs`. O(batch).
+void check_batch(const workload::JobSet& jobs, std::span<const JobId> batch);
 
 class HareRelaxation {
  public:
@@ -108,19 +118,27 @@ class HareRelaxation {
   /// pass. `program` (optional, LpCuts mode)
   /// receives the final LP: perturbed objective and every appended cut.
   /// Its variables are x_i per task (index = task id), then per job its
-  /// round ends and its completion C_n.
+  /// round ends and its completion C_n. A batch sub-problem (Fluid only)
+  /// returns task-indexed arrays that span the instance with only the
+  /// batch's entries written; incremental planners use solve_batch instead.
   [[nodiscard]] RelaxationResult solve(
       const cluster::Cluster& cluster, const workload::JobSet& jobs,
       const profiler::TimeTable& times, const SubProblem& sub = {},
       PlannerScratch* scratch = nullptr,
       opt::LinearProgram* program = nullptr) const;
 
+  /// Fluid relaxation of `sub`'s batch into a standing `result`: its
+  /// task-indexed x̂, ŷ and h grow (by appending) to span the instance and
+  /// only the batch tasks' entries are written; every other entry keeps
+  /// what earlier batches wrote. `result.objective` becomes the batch's
+  /// relaxed objective. Costs O(batch tasks × placement + G) plus the
+  /// append-only growth, never O(instance).
+  void solve_batch(const cluster::Cluster& cluster,
+                   const workload::JobSet& jobs,
+                   const profiler::TimeTable& times, const SubProblem& sub,
+                   PlannerScratch& scratch, RelaxationResult& result) const;
+
  private:
-  [[nodiscard]] RelaxationResult solve_fluid(const cluster::Cluster& cluster,
-                                             const workload::JobSet& jobs,
-                                             const profiler::TimeTable& times,
-                                             const SubProblem& sub,
-                                             PlannerScratch& scratch) const;
   [[nodiscard]] RelaxationResult solve_lp_cuts(
       const cluster::Cluster& cluster, const workload::JobSet& jobs,
       const profiler::TimeTable& times, const SubProblem& sub,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
@@ -17,6 +16,8 @@ namespace hare::profiler {
 
 namespace {
 
+using ShapeKey = ShapeRows::key_type;
+
 /// One distinct job shape: everything a (T^c, T^s) row depends on besides
 /// the cluster itself.
 struct JobShape {
@@ -24,8 +25,6 @@ struct JobShape {
   std::uint32_t batch = 0;
   std::uint32_t batches_per_task = 0;
 };
-
-using ShapeKey = std::tuple<int, std::uint32_t, std::uint32_t>;
 
 ShapeKey shape_key(const workload::Job& job) {
   return {static_cast<int>(job.spec.model), job.effective_batch_size(),
@@ -69,35 +68,61 @@ void for_each_index(bool serial, std::size_t n, Fn&& fn) {
   for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
-/// Canonical first-seen shape enumeration: shapes[] in job order, plus each
-/// job's shape slot. The order is a pure function of the jobset, so every
-/// later pass (seed draws, interning, binding) is deterministic.
-std::vector<JobShape> enumerate_shapes(const workload::JobSet& jobs,
-                                       std::vector<std::uint32_t>& shape_of) {
+/// The shapes jobs [first, end) use, resolved against `rows`: each job's
+/// map entry, and the entries of the shapes `rows` did not hold yet in
+/// first-seen job order (their rows still to be interned). The order is a
+/// pure function of the jobset, so every later pass (seed draws,
+/// interning, binding) is deterministic, and a jobset enumerated in
+/// several appended slices meets its shapes in the order one whole
+/// enumeration would.
+struct ShapeSlots {
+  std::vector<ShapeRows::iterator> of_job;  ///< per job from `first`
+  std::vector<ShapeRows::iterator> fresh;   ///< new shapes, first-seen
+};
+
+ShapeSlots enumerate_shapes(const workload::JobSet& jobs, std::size_t first,
+                            ShapeRows& rows) {
   HARE_SPAN("profiler", "profiler.enumerate");
-  std::vector<JobShape> shapes;
-  shape_of.resize(jobs.job_count());
-  std::map<ShapeKey, std::uint32_t> seen;
-  for (const auto& job : jobs.jobs()) {
+  ShapeSlots slots;
+  slots.of_job.reserve(jobs.job_count() - first);
+  for (std::size_t j = first; j < jobs.job_count(); ++j) {
+    const workload::Job& job = jobs.job(JobId(static_cast<int>(j)));
     const auto [it, inserted] =
-        seen.try_emplace(shape_key(job), static_cast<std::uint32_t>(shapes.size()));
-    if (inserted) {
-      shapes.push_back(JobShape{job.spec.model, job.effective_batch_size(),
-                                job.spec.batches_per_task});
-    }
-    shape_of[static_cast<std::size_t>(job.id.value())] = it->second;
+        rows.try_emplace(shape_key(job), TimeTable::kZeroRow);
+    if (inserted) slots.fresh.push_back(it);
+    slots.of_job.push_back(it);
   }
-  return shapes;
+  return slots;
 }
 
-/// Point every job at its shape's interned row.
-void bind_rows(const workload::JobSet& jobs,
-               const std::vector<std::uint32_t>& shape_of,
-               const std::vector<TimeTable::RowId>& row_of_shape,
-               TimeTable& table) {
-  for (const auto& job : jobs.jobs()) {
-    table.bind_row(job.id, row_of_shape[shape_of[static_cast<std::size_t>(
-                               job.id.value())]]);
+JobShape shape_of(const ShapeRows::iterator& slot) {
+  const auto& [model, batch, batches_per_task] = slot->first;
+  return JobShape{static_cast<workload::ModelType>(model), batch,
+                  batches_per_task};
+}
+
+/// Shape an empty table on the cluster's classes with every job of `jobs`,
+/// or grow a shaped one's job axis to cover them. Returns the first job the
+/// table did not cover.
+std::size_t extend_jobs(const workload::JobSet& jobs,
+                        const GpuClasses& classes, TimeTable& table) {
+  if (table.job_count() == 0 && table.gpu_count() == 0) {
+    table.reset(jobs.job_count(), classes.class_map());
+    return 0;
+  }
+  HARE_CHECK_MSG(table.gpu_count() == classes.class_map().size(),
+                 "profiled table does not match the cluster");
+  const std::size_t first = table.job_count();
+  HARE_CHECK_MSG(first <= jobs.job_count(),
+                 "profiled table holds more jobs than the jobset");
+  for (std::size_t j = first; j < jobs.job_count(); ++j) table.append_job();
+  return first;
+}
+
+/// Point every job from `first` on at its shape's interned row.
+void bind_rows(std::size_t first, const ShapeSlots& slots, TimeTable& table) {
+  for (std::size_t k = 0; k < slots.of_job.size(); ++k) {
+    table.bind_row(JobId(static_cast<int>(first + k)), slots.of_job[k]->second);
   }
 }
 
@@ -117,13 +142,23 @@ ProfilerMetrics& profiler_metrics() {
 
 TimeTable Profiler::profile(const workload::JobSet& jobs,
                             const cluster::Cluster& cluster, ProfileDb* db) {
+  TimeTable table;
+  ShapeRows rows;
+  profile_appended(jobs, cluster, table, rows, db);
+  return table;
+}
+
+void Profiler::profile_appended(const workload::JobSet& jobs,
+                                const cluster::Cluster& cluster,
+                                TimeTable& table, ShapeRows& rows,
+                                ProfileDb* db) {
   HARE_SPAN("profiler", "profiler.profile");
   const std::size_t gpu_count = cluster.gpu_count();
   const GpuClasses classes(cluster);
-  TimeTable table(jobs.job_count(), classes.class_map());
+  const std::size_t first = extend_jobs(jobs, classes, table);
   profiling_cost_ = 0.0;
   memo_hits_ = memo_misses_ = rows_ = 0;
-  if (jobs.job_count() == 0 || gpu_count == 0) return table;
+  if (first == jobs.job_count() || gpu_count == 0) return;
 
   // Pass 1 (serial): canonical shape + measurement-key enumeration. Every
   // (shape, GPU class) resolves to one entry slot; first-seen keys either
@@ -132,8 +167,7 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
   // is the first GPU of its class and classes run in first-GPU order, so
   // keys, seeds, uplinks and db lookups come in the order a walk over
   // every (shape, GPU) cell would meet them.
-  std::vector<std::uint32_t> shape_of;
-  const std::vector<JobShape> shapes = enumerate_shapes(jobs, shape_of);
+  const ShapeSlots slots = enumerate_shapes(jobs, first, rows);
   const std::size_t class_count = classes.size();
 
   std::vector<ProfileKey> keys;              // entry slot -> key
@@ -141,12 +175,13 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
   std::vector<char> needs_measure;           // entry slot -> db miss?
   std::vector<std::uint64_t> seeds;          // per-slot measurement seed
   std::vector<double> uplinks;               // per-slot uplink (Gbit/s)
-  std::vector<std::uint32_t> class_entry(shapes.size() * class_count);
+  std::vector<std::uint32_t> class_entry(slots.fresh.size() * class_count);
   std::unordered_map<ProfileKey, std::uint32_t, ProfileKeyHash> slot_of;
-  for (std::size_t s = 0; s < shapes.size(); ++s) {
+  for (std::size_t s = 0; s < slots.fresh.size(); ++s) {
+    const JobShape shape = shape_of(slots.fresh[s]);
     for (std::size_t c = 0; c < class_count; ++c) {
       const double uplink = classes.uplink_gbps(c);
-      const ProfileKey key = make_key(shapes[s], classes.type(c), uplink);
+      const ProfileKey key = make_key(shape, classes.type(c), uplink);
       const auto [it, inserted] =
           slot_of.try_emplace(key, static_cast<std::uint32_t>(entries.size()));
       class_entry[s * class_count + c] = it->second;
@@ -216,70 +251,74 @@ TimeTable Profiler::profile(const workload::JobSet& jobs,
   {
     HARE_SPAN("profiler", "profiler.build_rows");
     std::vector<Time> tc_row(class_count), ts_row(class_count);
-    std::vector<TimeTable::RowId> row_of_shape(shapes.size());
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
+    for (std::size_t s = 0; s < slots.fresh.size(); ++s) {
       for (std::size_t c = 0; c < class_count; ++c) {
         const ProfileEntry& entry = entries[class_entry[s * class_count + c]];
         tc_row[c] = entry.tc;
         ts_row[c] = entry.ts;
       }
-      row_of_shape[s] = table.intern_row(tc_row.data(), ts_row.data());
+      slots.fresh[s]->second = table.intern_row(tc_row.data(), ts_row.data());
     }
-    bind_rows(jobs, shape_of, row_of_shape, table);
+    bind_rows(first, slots, table);
   }
 
   const std::uint64_t cells =
-      static_cast<std::uint64_t>(jobs.job_count()) * gpu_count;
+      static_cast<std::uint64_t>(jobs.job_count() - first) * gpu_count;
   std::uint64_t measured = 0;
   for (const char m : needs_measure) measured += static_cast<std::uint64_t>(m);
   memo_misses_ = entries.size();
   memo_hits_ = cells - memo_misses_;
-  rows_ = shapes.size();
+  rows_ = slots.fresh.size();
   auto& metrics = profiler_metrics();
   metrics.cells.add(cells);
   metrics.memo_hits.add(memo_hits_);
   metrics.measurements.add(measured);
   metrics.rows_computed.add(rows_);
-  return table;
 }
 
 TimeTable Profiler::exact(const workload::JobSet& jobs,
                           const cluster::Cluster& cluster) const {
+  TimeTable table;
+  ShapeRows rows;
+  exact_appended(jobs, cluster, table, rows);
+  return table;
+}
+
+void Profiler::exact_appended(const workload::JobSet& jobs,
+                              const cluster::Cluster& cluster,
+                              TimeTable& table, ShapeRows& rows) const {
   HARE_SPAN("profiler", "profiler.exact");
   const std::size_t gpu_count = cluster.gpu_count();
   const GpuClasses classes(cluster);
-  TimeTable table(jobs.job_count(), classes.class_map());
+  const std::size_t first = extend_jobs(jobs, classes, table);
   memo_hits_ = memo_misses_ = rows_ = 0;
-  if (jobs.job_count() == 0 || gpu_count == 0) return table;
+  if (first == jobs.job_count() || gpu_count == 0) return;
 
-  std::vector<std::uint32_t> shape_of;
-  const std::vector<JobShape> shapes = enumerate_shapes(jobs, shape_of);
+  const ShapeSlots slots = enumerate_shapes(jobs, first, rows);
 
   // One exact row per shape, built on this thread: shapes × classes
   // perf-model evaluations are too little work to pay for a fan-out.
   {
     HARE_SPAN("profiler", "profiler.build_rows");
     std::vector<Time> tc_row(classes.size()), ts_row(classes.size());
-    std::vector<TimeTable::RowId> row_of_shape(shapes.size());
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const JobShape& shape = shapes[s];
+    for (const ShapeRows::iterator& slot : slots.fresh) {
+      const JobShape shape = shape_of(slot);
       exact_row(perf_, classes, shape.model, shape.batch,
                 shape.batches_per_task, tc_row.data(), ts_row.data());
-      row_of_shape[s] = table.intern_row(tc_row.data(), ts_row.data());
+      slot->second = table.intern_row(tc_row.data(), ts_row.data());
     }
-    bind_rows(jobs, shape_of, row_of_shape, table);
+    bind_rows(first, slots, table);
   }
 
   const std::uint64_t cells =
-      static_cast<std::uint64_t>(jobs.job_count()) * gpu_count;
-  memo_misses_ = static_cast<std::uint64_t>(shapes.size()) * classes.size();
+      static_cast<std::uint64_t>(jobs.job_count() - first) * gpu_count;
+  memo_misses_ = static_cast<std::uint64_t>(slots.fresh.size()) * classes.size();
   memo_hits_ = cells - memo_misses_;
-  rows_ = shapes.size();
+  rows_ = slots.fresh.size();
   auto& metrics = profiler_metrics();
   metrics.cells.add(cells);
   metrics.memo_hits.add(memo_hits_);
   metrics.rows_computed.add(rows_);
-  return table;
 }
 
 }  // namespace hare::profiler

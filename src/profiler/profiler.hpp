@@ -46,6 +46,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <tuple>
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
@@ -67,6 +69,12 @@ struct ProfilerConfig {
   bool serial = false;
 };
 
+/// Shape (model, effective batch size, batches per task) → the interned
+/// row of one table that Profiler::profile_appended() or exact_appended()
+/// keeps extending.
+using ShapeRows =
+    std::map<std::tuple<int, std::uint32_t, std::uint32_t>, TimeTable::RowId>;
+
 class Profiler {
  public:
   Profiler(workload::PerfModel perf, ProfilerConfig config, std::uint64_t seed)
@@ -86,8 +94,26 @@ class Profiler {
   [[nodiscard]] TimeTable exact(const workload::JobSet& jobs,
                                 const cluster::Cluster& cluster) const;
 
+  /// Incremental profile(): extend `table` — empty, or built by earlier
+  /// calls over a prefix of `jobs` with the same `rows` — with the jobs
+  /// appended since. Shapes already in `rows` bind to their row; only new
+  /// shapes are measured, their seeds drawn from this profiler's stream in
+  /// first-seen order. A profiler that profiles a growing jobset slice by
+  /// slice therefore leaves `table` (every cell and α) and `db` exactly as
+  /// one profile() of the whole jobset by a profiler with the same seed
+  /// would. Costs O(appended jobs + new shapes × classes).
+  void profile_appended(const workload::JobSet& jobs,
+                        const cluster::Cluster& cluster, TimeTable& table,
+                        ShapeRows& rows, ProfileDb* db = nullptr);
+
+  /// Incremental exact(), on the same contract as profile_appended().
+  void exact_appended(const workload::JobSet& jobs,
+                      const cluster::Cluster& cluster, TimeTable& table,
+                      ShapeRows& rows) const;
+
   /// Total simulated profiling cost in GPU-seconds of the last profile()
-  /// call (what the ProfileDb saves on repeat submissions).
+  /// or profile_appended() call (what the ProfileDb saves on repeat
+  /// submissions).
   [[nodiscard]] Time last_profiling_cost() const { return profiling_cost_; }
 
   /// (job, GPU) cells of the last profile()/exact() call that were served

@@ -35,6 +35,7 @@ void TimeTable::reset(std::size_t job_count,
   owners_.assign(1, static_cast<std::uint32_t>(job_count));
   agg_.assign(1, JobAggregates{});
   agg_valid_.assign(1, 0);
+  stale_rows_.assign(1, kZeroRow);
   free_rows_.clear();
   alpha_valid_ = false;
 }
@@ -56,7 +57,7 @@ void TimeTable::set(JobId job, GpuId gpu, Time compute, Time sync) {
   }
   tc_[row * width + column_of_[g]] = compute;
   ts_[row * width + column_of_[g]] = sync;
-  agg_valid_[row] = 0;
+  invalidate_row(row);
   alpha_valid_ = false;
 }
 
@@ -94,7 +95,7 @@ TimeTable::RowId TimeTable::allocate_row() {
     const RowId candidate = free_rows_.back();
     free_rows_.pop_back();
     if (owners_[candidate] == 0) {  // stale entries were re-bound; skip them
-      agg_valid_[candidate] = 0;
+      invalidate_row(candidate);
       return candidate;
     }
   }
@@ -104,6 +105,7 @@ TimeTable::RowId TimeTable::allocate_row() {
   owners_.push_back(0);
   agg_.emplace_back();
   agg_valid_.push_back(0);
+  stale_rows_.push_back(row);
   return row;
 }
 
@@ -113,8 +115,7 @@ TimeTable::RowId TimeTable::intern_row(const Time* tc, const Time* ts) {
   const std::size_t base = static_cast<std::size_t>(row) * column_count();
   std::copy_n(tc, column_count(), tc_.data() + base);
   std::copy_n(ts, column_count(), ts_.data() + base);
-  alpha_valid_ = false;
-  return row;
+  return row;  // ownerless until bound, so α is unchanged
 }
 
 // One pass over the columns fills every aggregate for the row. Columns are
@@ -154,28 +155,30 @@ const TimeTable::JobAggregates& TimeTable::aggregates(JobId job) const {
   return row_aggregates(row_of_[j]);
 }
 
+void TimeTable::fold_alpha(RowId row) const {
+  const JobAggregates& agg = row_aggregates(row);
+  if (agg.min_tc > 0.0) alpha_ = std::max(alpha_, agg.max_tc / agg.min_tc);
+  if (agg.min_ts > 0.0) alpha_ = std::max(alpha_, agg.max_ts / agg.min_ts);
+}
+
 double TimeTable::alpha() const {
   if (alpha_valid_) return alpha_;
-  double alpha = 1.0;
   // Each owned row contributes its ratio once — the max over jobs equals
   // the max over distinct rows, and rows nobody points at are dead values.
+  // max is exact, so folding rows in as they gain owners (bind_row) gives
+  // the same value as this rescan.
+  alpha_ = 1.0;
   for (std::size_t r = 0; r < owners_.size(); ++r) {
-    if (owners_[r] == 0) continue;
-    const JobAggregates& agg = row_aggregates(static_cast<RowId>(r));
-    if (agg.min_tc > 0.0) alpha = std::max(alpha, agg.max_tc / agg.min_tc);
-    if (agg.min_ts > 0.0) alpha = std::max(alpha, agg.max_ts / agg.min_ts);
+    if (owners_[r] != 0) fold_alpha(static_cast<RowId>(r));
   }
-  alpha_ = alpha;
   alpha_valid_ = true;
   return alpha_;
 }
 
 void TimeTable::precompute() const {
   if (column_of_.empty()) return;
-  for (std::size_t r = 0; r < owners_.size(); ++r) {
-    if (owners_[r] == 0 && r != kZeroRow) continue;
-    (void)row_aggregates(static_cast<RowId>(r));
-  }
+  for (const RowId row : stale_rows_) (void)row_aggregates(row);
+  stale_rows_.clear();
   if (!row_of_.empty()) (void)alpha();
 }
 

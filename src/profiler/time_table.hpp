@@ -122,10 +122,13 @@ class TimeTable {
     const std::size_t j = static_cast<std::size_t>(job.value());
     const RowId old = row_of_[j];
     if (old == row) return;
-    if (--owners_[old] == 0 && old != kZeroRow) free_rows_.push_back(old);
-    ++owners_[row];
+    if (--owners_[old] == 0 && old != kZeroRow) {
+      free_rows_.push_back(old);
+      alpha_valid_ = false;  // α may drop: recompute on demand
+    }
+    // A row's first owner can only raise α: fold it into a valid cache.
+    if (owners_[row]++ == 0 && alpha_valid_) fold_alpha(row);
     row_of_[j] = row;
-    alpha_valid_ = false;
   }
 
   /// Re-shape in place to a zero-filled dense (job_count × gpu_count)
@@ -143,13 +146,12 @@ class TimeTable {
 
   /// Grow the job axis by one job on the zero row (the streaming-admission
   /// path: a served arrival profiles into the row its JobId was just
-  /// assigned). Returns the new job's index. Existing rows and their cached
-  /// aggregates are untouched; α is invalidated.
+  /// assigned). Returns the new job's index. Existing rows, their cached
+  /// aggregates and α are untouched.
   std::size_t append_job() {
     if (owners_.empty()) reset(0, column_of_);  // default-constructed
     row_of_.push_back(kZeroRow);
-    ++owners_[kZeroRow];
-    alpha_valid_ = false;
+    ++owners_[kZeroRow];  // the all-zero row never contributes to α
     return row_of_.size() - 1;
   }
 
@@ -179,8 +181,12 @@ class TimeTable {
 
   /// Force every per-row aggregate (and α) into the cache. After this, all
   /// aggregate accessors are pure reads until the next set()/bind_row() —
-  /// required before concurrent readers share the table. Cost is O(rows ×
-  /// columns), not O(jobs × G).
+  /// required before concurrent readers share the table. Only rows whose
+  /// cache went stale since the last call (new, recycled or set() rows)
+  /// are visited, and α is kept up to date as rows gain owners, so a
+  /// growing table pays O(new rows × columns) per call, not O(rows); a
+  /// row losing its last owner (or a set()) makes the next call rescan α
+  /// over the rows.
   void precompute() const;
 
  private:
@@ -214,6 +220,13 @@ class TimeTable {
 
   [[nodiscard]] const JobAggregates& aggregates(JobId job) const;
   [[nodiscard]] const JobAggregates& row_aggregates(RowId row) const;
+  /// Mark `row`'s cached aggregates stale.
+  void invalidate_row(RowId row) {
+    if (agg_valid_[row]) stale_rows_.push_back(row);
+    agg_valid_[row] = 0;
+  }
+  /// Raise alpha_ to `row`'s T^c and T^s ratios.
+  void fold_alpha(RowId row) const;
 
   std::vector<std::uint32_t> column_of_;  ///< per GPU: its column
   std::vector<std::uint32_t> column_gpus_;  ///< per column: GPUs reading it
@@ -226,6 +239,9 @@ class TimeTable {
 
   mutable std::vector<JobAggregates> agg_;  ///< per row
   mutable std::vector<char> agg_valid_;
+  /// Every row whose agg_valid_ is 0 (possibly plus rows filled lazily
+  /// since): what precompute() visits.
+  mutable std::vector<RowId> stale_rows_;
   mutable double alpha_ = 1.0;
   mutable bool alpha_valid_ = false;
 };

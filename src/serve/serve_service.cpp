@@ -76,8 +76,6 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
   static auto& greedy_fallbacks = obs::counter("serve.greedy_fallbacks");
   const auto started = std::chrono::steady_clock::now();
 
-  std::vector<char> mask(jobs_.job_count(), 0);
-  for (JobId id : plannable) mask[static_cast<std::size_t>(id.value())] = 1;
   const sched::SchedulerInput input{cluster_, jobs_, times_};
 
   const bool budget_left = config_.replan_budget == 0 ||
@@ -92,7 +90,7 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
         h_[static_cast<std::size_t>(task.value())] = job.spec.arrival;
       }
     }
-    flat_.schedule_jobs_with_h(input, mask, h_, state_, schedule_);
+    flat_.schedule_jobs_with_h(input, plannable, h_, state_, schedule_);
     ++report_.greedy_batches;
     greedy_fallbacks.add();
     planned = true;
@@ -109,7 +107,7 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
       if (gpus_alive == 0) phi_floor = 0.0;
       if (replanner_.relax_batch(jobs_, times_, plannable, phi_floor,
                                  gpus_alive, h_)) {
-        flat_.schedule_jobs_with_h(input, mask, h_, state_, schedule_);
+        flat_.schedule_jobs_with_h(input, plannable, h_, state_, schedule_);
         ++report_.lp_batches;
         lp_batches.add();
         planned = true;
@@ -117,10 +115,10 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
     }
     if (!planned) {
       if (sharded_ && plannable.size() >= config_.shard_min_batch_jobs) {
-        sharded_->schedule_online(input, mask, state_.phi, schedule_);
+        sharded_->schedule_online(input, plannable, state_.phi, schedule_);
         ++report_.sharded_batches;
       } else {
-        flat_.schedule_jobs(input, mask, state_, schedule_);
+        flat_.schedule_jobs(input, plannable, state_, schedule_);
         ++report_.flat_batches;
       }
       planned = true;

@@ -108,40 +108,21 @@ class ShardFit {
 
 constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
-/// Level 1: walk the jobs with `job_mask[id] != 0` (every job when null)
-/// in the fluid relaxation's arrival-adjusted WSPT order — the sequence
-/// level 2 will favour — and give each to the shard with the earliest fluid
-/// estimate on top of `load`, which advances in place. A job no shard has
-/// enough alive fitting GPUs for counts the dead ones too, and so queues
-/// behind their parked horizons as it would on the flat path. Each shard's
-/// job list ends in ascending id order.
+/// Level 1: walk the `batch` jobs (every job when empty) in the fluid
+/// relaxation's arrival-adjusted WSPT order — the sequence level 2 will
+/// favour — and give each to the shard with the earliest fluid estimate on
+/// top of `load`, which advances in place. A job no shard has enough alive
+/// fitting GPUs for counts the dead ones too, and so queues behind their
+/// parked horizons as it would on the flat path. Each shard's job list ends
+/// in ascending id order.
 std::vector<std::vector<JobId>> assign_jobs(const sched::SchedulerInput& input,
                                             const ShardFit& fit,
-                                            const std::vector<char>* job_mask,
+                                            std::span<const JobId> batch,
                                             std::vector<double>& load) {
   HARE_SPAN("shard", "shard.assign");
   const workload::JobSet& jobs = input.jobs;
-  std::vector<JobId> wspt;
-  wspt.reserve(jobs.job_count());
-  std::vector<double> key(jobs.job_count(), 0.0);
-  for (const auto& job : jobs.jobs()) {
-    const auto j = static_cast<std::size_t>(job.id.value());
-    if (job_mask != nullptr && !(*job_mask)[j]) continue;
-    key[j] = job.spec.arrival + static_cast<double>(job.rounds()) *
-                                    static_cast<double>(job.tasks_per_round()) *
-                                    input.times.min_total(job.id) /
-                                    job.spec.weight;
-    wspt.push_back(job.id);
-  }
-  std::sort(wspt.begin(), wspt.end(), [&](JobId a, JobId b) {
-    const double ka = key[static_cast<std::size_t>(a.value())];
-    const double kb = key[static_cast<std::size_t>(b.value())];
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
-
   std::vector<std::vector<JobId>> shard_jobs(load.size());
-  for (const JobId job_id : wspt) {
+  for (const JobId job_id : core::wspt_order(jobs, input.times, batch)) {
     const workload::Job& job = jobs.job(job_id);
     std::pair<std::size_t, double> pick = fit.best(job, load, kNoShard, false);
     if (pick.first == load.size()) {
@@ -260,7 +241,10 @@ HierarchicalPlanner::ShardOutcome HierarchicalPlanner::plan_shard(
     for (std::size_t lg = 0; lg < local_gpus; ++lg) {
       state.phi[lg] = (*phi)[static_cast<std::size_t>(spec.gpus[lg].value())];
     }
-    const std::vector<char> all(local_jobs.job_count(), 1);
+    std::vector<JobId> all(local_jobs.job_count());
+    for (std::size_t j = 0; j < all.size(); ++j) {
+      all[j] = JobId(static_cast<int>(j));
+    }
     outcome.objective = planner.schedule_jobs(local_input, all, state, local);
     outcome.phi = std::move(state.phi);
   }
@@ -325,7 +309,7 @@ double HierarchicalPlanner::merge(const ShardPartition& partition,
 }
 
 double HierarchicalPlanner::schedule_online(const sched::SchedulerInput& input,
-                                            const std::vector<char>& job_mask,
+                                            std::span<const JobId> batch,
                                             std::vector<Time>& phi,
                                             sim::Schedule& schedule) {
   HARE_SPAN("shard", "shard.replan_online");
@@ -335,8 +319,8 @@ double HierarchicalPlanner::schedule_online(const sched::SchedulerInput& input,
 
   const std::size_t gpu_count = input.cluster.gpu_count();
   HARE_CHECK_MSG(gpu_count > 0, "cluster has no GPUs");
-  HARE_CHECK_MSG(job_mask.size() == input.jobs.job_count(),
-                 "job mask size mismatch");
+  core::check_batch(input.jobs, batch);
+  if (batch.empty()) return 0.0;  // an empty list would mean every job
   HARE_CHECK_MSG(phi.size() == gpu_count, "phi size mismatch");
   HARE_CHECK_MSG(schedule.sequences.size() == gpu_count,
                  "schedule does not span the cluster");
@@ -361,7 +345,7 @@ double HierarchicalPlanner::schedule_online(const sched::SchedulerInput& input,
   }
   const ShardFit fit(input, partition, &phi);
   const std::vector<std::vector<JobId>> shard_jobs =
-      assign_jobs(input, fit, &job_mask, load);
+      assign_jobs(input, fit, batch, load);
 
   std::vector<ShardOutcome> outcomes;
   {
@@ -419,7 +403,7 @@ sim::Schedule HierarchicalPlanner::plan(
   const ShardFit fit(input, partition, nullptr);
   std::vector<double> load(shard_count, 0.0);
   std::vector<std::vector<JobId>> shard_jobs =
-      assign_jobs(input, fit, nullptr, load);
+      assign_jobs(input, fit, {}, load);
   {
     double max_load = 0.0;
     double load_sum = 0.0;

@@ -44,13 +44,15 @@
 // it via common::ThreadPool::current() and plans shards inline on that
 // worker instead of spinning up a second pool (oversubscription guard).
 //
-// The online entry point runs the same level 1 and level 2 on a masked
-// batch: shard loads start from the standing horizons φ instead of 0, and
-// each shard plans incrementally on its slice of φ instead of from scratch.
+// The online entry point runs the same level 1 and level 2 on one batch, a
+// strictly ascending list of JobIds: shard loads start from the standing
+// horizons φ instead of 0, and each shard plans incrementally on its slice
+// of φ instead of from scratch, touching only the batch's jobs.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/hare_scheduler.hpp"
@@ -129,22 +131,25 @@ class HierarchicalPlanner final : public sched::Scheduler {
       const std::vector<std::size_t>& plan_order);
 
   /// Online entry point (the serving loop's sharded replan): plan only the
-  /// jobs with `job_mask[id] != 0` on top of the standing per-GPU
-  /// commitment horizons `phi`, appending the batch onto `schedule`, whose
-  /// sequences must already span the cluster and whose predicted_start
-  /// must span the instance. Level 1 is the offline assignment with each
-  /// shard's load seeded from its worst horizon among alive GPUs; GPUs
-  /// whose φ sits at core::kDeadHorizon count as dead, both for the seed
-  /// and for the fitting-GPU count. Level 2 plans **only** the shards that
-  /// received a batch job (an arrival replans its shard, not the cluster)
-  /// through the flat incremental contract (HareScheduler::schedule_jobs),
-  /// so the Fluid relaxation is used regardless of `lp_max_jobs`; there is
-  /// no migration pass. Commitments are never revised and `phi` advances
-  /// in place. Returns the batch's planned weighted-completion
-  /// contribution. Bit-identical across serial and pooled shard fan-out.
+  /// `batch` jobs (ids strictly ascending, checked) on top of the standing
+  /// per-GPU commitment horizons `phi`, appending the batch onto
+  /// `schedule`, whose sequences must already span the cluster and whose
+  /// predicted_start must span the instance. Level 1 is the offline
+  /// assignment, over the batch only, with each shard's load seeded from
+  /// its worst horizon among alive GPUs; GPUs whose φ sits at
+  /// core::kDeadHorizon count as dead, both for the seed and for the
+  /// fitting-GPU count. Level 2 plans **only** the shards that received a
+  /// batch job (an arrival replans its shard, not the cluster) through the
+  /// flat incremental contract (HareScheduler::schedule_jobs), so the
+  /// Fluid relaxation is used regardless of `lp_max_jobs`; there is no
+  /// migration pass. Commitments are never revised and `phi` advances in
+  /// place. A call costs O(batch + G) plus the planned shards' work on the
+  /// batch's jobs, not O(instance). Returns the batch's planned
+  /// weighted-completion contribution. Bit-identical across serial and
+  /// pooled shard fan-out.
   double schedule_online(const sched::SchedulerInput& input,
-                         const std::vector<char>& job_mask,
-                         std::vector<Time>& phi, sim::Schedule& schedule);
+                         std::span<const JobId> batch, std::vector<Time>& phi,
+                         sim::Schedule& schedule);
 
   [[nodiscard]] const HierarchicalPlanInfo& last_plan() const {
     return last_plan_;

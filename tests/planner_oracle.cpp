@@ -49,6 +49,12 @@ Candidate scan_earliest_available(Time release, const std::vector<char>& fits,
   return chosen;
 }
 
+/// Whether the sub-problem plans `job`: a linear search of its batch.
+bool active(const core::SubProblem& sub, JobId job) {
+  return sub.whole() ||
+         std::find(sub.jobs.begin(), sub.jobs.end(), job) != sub.jobs.end();
+}
+
 struct FluidPass {
   std::vector<Time> x_hat;
   std::vector<GpuId> y_hat;
@@ -70,7 +76,7 @@ FluidPass fluid_pass(const cluster::Cluster& cluster,
   std::vector<JobId> order;
   std::vector<double> key(jobs.job_count(), 0.0);
   for (const auto& job : jobs.jobs()) {
-    if (!sub.active(job.id)) continue;
+    if (!active(sub, job.id)) continue;
     Time best_round = kTimeInfinity;
     for (std::size_t g = 0; g < gpu_count; ++g) {
       best_round =
@@ -91,7 +97,9 @@ FluidPass fluid_pass(const cluster::Cluster& cluster,
 
   const auto fits = workload::fitting_matrix(cluster, jobs);
   std::vector<Time> phi(gpu_count, 0.0);
-  for (std::size_t g = 0; g < gpu_count; ++g) phi[g] = sub.phi(g);
+  for (std::size_t g = 0; g < gpu_count; ++g) {
+    phi[g] = sub.initial_phi.empty() ? 0.0 : sub.initial_phi[g];
+  }
 
   for (const JobId job_id : order) {
     const workload::Job& job = jobs.job(job_id);
@@ -354,7 +362,7 @@ core::RelaxationResult oracle_relax(const cluster::Cluster& cluster,
                                     const core::RelaxationConfig& config,
                                     const core::SubProblem& sub) {
   if (config.mode == core::RelaxMode::LpCuts) {
-    HARE_CHECK_MSG(sub.job_mask.empty() && sub.initial_phi.empty(),
+    HARE_CHECK_MSG(sub.whole() && sub.initial_phi.empty(),
                    "LpCuts oracle plans whole instances only");
     return lp_cuts(cluster, jobs, times, config);
   }
@@ -387,28 +395,25 @@ sim::Schedule oracle_schedule(const sched::SchedulerInput& input,
 
 double oracle_schedule_jobs(const sched::SchedulerInput& input,
                             const core::HareConfig& config,
-                            const std::vector<char>& job_mask,
+                            const std::vector<JobId>& batch,
                             std::vector<Time>& phi, sim::Schedule& schedule) {
   HARE_CHECK_MSG(config.relaxation.mode == core::RelaxMode::Fluid &&
                      config.sync == core::SyncScheme::Relaxed,
                  "incremental oracle needs Fluid relaxation, relaxed sync");
   const std::size_t gpu_count = input.cluster.gpu_count();
   if (phi.empty()) phi.assign(gpu_count, 0.0);
-  if (schedule.sequences.empty()) {
-    schedule.sequences.resize(gpu_count);
-    schedule.predicted_start.assign(input.jobs.task_count(), 0.0);
-  }
+  if (schedule.sequences.empty()) schedule.sequences.resize(gpu_count);
+  schedule.predicted_start.resize(input.jobs.task_count(), 0.0);
+  if (batch.empty()) return 0.0;
   core::SubProblem sub;
-  sub.job_mask = job_mask;
+  sub.jobs = batch;
   sub.initial_phi = phi;
   const core::RelaxationResult relaxed = oracle_relax(
       input.cluster, input.jobs, input.times, config.relaxation, sub);
 
   std::vector<TaskId> pi;
   for (const auto& task : input.jobs.tasks()) {
-    if (job_mask[static_cast<std::size_t>(task.job.value())]) {
-      pi.push_back(task.id);
-    }
+    if (active(sub, task.job)) pi.push_back(task.id);
   }
   sort_by_h(pi, relaxed.h);
   const double objective = list_schedule(input, config, pi, phi, schedule);

@@ -34,13 +34,14 @@ namespace hare::testing {
 [[nodiscard]] sim::Schedule oracle_schedule(const sched::SchedulerInput& input,
                                             const core::HareConfig& config);
 
-/// Reference core::HareScheduler::schedule_jobs: plan the jobs with
-/// `job_mask[id] != 0` on top of the per-GPU horizons `phi` (empty = all
-/// free at 0), append them to `schedule`, and advance `phi`. Returns the
-/// batch's planned weighted completion.
+/// Reference core::HareScheduler::schedule_jobs: plan the `batch` jobs
+/// (ascending ids) on top of the per-GPU horizons `phi` (empty = all free
+/// at 0), append them to `schedule`, and advance `phi`. It relaxes into
+/// fresh instance-wide arrays and builds π by a scan of every task, the
+/// O(instance) way. Returns the batch's planned weighted completion.
 double oracle_schedule_jobs(const sched::SchedulerInput& input,
                             const core::HareConfig& config,
-                            const std::vector<char>& job_mask,
+                            const std::vector<JobId>& batch,
                             std::vector<Time>& phi, sim::Schedule& schedule);
 
 }  // namespace hare::testing

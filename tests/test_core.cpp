@@ -419,6 +419,46 @@ TEST(HareSystem, ProfileDbReusedAcrossRuns) {
   EXPECT_EQ(system.profile_db().size(), entries);
 }
 
+// Profiling after each single submit covers only the new job, and the
+// tables and db end up exactly as one profile()/exact() of every job.
+TEST(HareSystem, SubmitByOneProfilesLikeOneWholeProfile) {
+  const cluster::Cluster cluster = cluster::make_testbed_cluster();
+  workload::TraceConfig config;
+  config.job_count = 40;
+  const workload::JobSet jobs = workload::TraceGenerator(5).generate(config);
+
+  HareSystem system(cluster);
+  for (const auto& job : jobs.jobs()) {
+    system.submit(job.spec);
+    // Reading α each time keeps it cached, so later jobs must update it.
+    (void)system.profiled_times().alpha();
+    (void)system.actual_times().alpha();
+  }
+
+  const HareSystem::Options& options = system.options();
+  profiler::Profiler whole(workload::PerfModel(options.perf), options.profiler,
+                           options.seed);
+  profiler::ProfileDb db;
+  const profiler::TimeTable profiled = whole.profile(jobs, cluster, &db);
+  const profiler::TimeTable exact = whole.exact(jobs, cluster);
+
+  for (const auto& [incremental, reference] :
+       {std::pair{&system.profiled_times(), &profiled},
+        std::pair{&system.actual_times(), &exact}}) {
+    ASSERT_EQ(incremental->job_count(), reference->job_count());
+    EXPECT_EQ(incremental->row_count(), reference->row_count());
+    EXPECT_EQ(incremental->alpha(), reference->alpha());
+    for (const auto& job : jobs.jobs()) {
+      for (const auto& gpu : cluster.gpus()) {
+        EXPECT_EQ(incremental->tc(job.id, gpu.id), reference->tc(job.id, gpu.id));
+        EXPECT_EQ(incremental->ts(job.id, gpu.id), reference->ts(job.id, gpu.id));
+      }
+    }
+  }
+  EXPECT_EQ(testing::profile_db_lines(system.profile_db()),
+            testing::profile_db_lines(db));
+}
+
 TEST(HareSystem, RestoredProfileDbWarmStartsAndSavesTheUnion) {
   const cluster::Cluster cluster = cluster::make_testbed_cluster();
   workload::TraceConfig config;

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "core/online_hare.hpp"
+#include "obs/metrics.hpp"
 #include "sched/gavel_fifo.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -103,12 +104,16 @@ TEST(OnlineHare, IncrementalStateAccumulatesMonotonically) {
   HareScheduler::IncrementalState state;
   sim::Schedule schedule;
 
+  // The placement counter is bumped once per pass by the tasks it placed.
+  const obs::Counter& placed = obs::counter("planner.tasks_placed");
   std::vector<Time> previous_phi(inst.cluster.gpu_count(), 0.0);
   for (std::size_t j = 0; j < inst.jobs.job_count(); ++j) {
-    std::vector<char> mask(inst.jobs.job_count(), 0);
-    mask[j] = 1;
-    (void)planner.schedule_jobs({inst.cluster, inst.jobs, inst.times}, mask,
+    const JobId id(static_cast<int>(j));
+    const std::vector<JobId> batch{id};
+    const std::uint64_t placed_before = placed.value();
+    (void)planner.schedule_jobs({inst.cluster, inst.jobs, inst.times}, batch,
                                 state, schedule);
+    EXPECT_EQ(placed.value() - placed_before, inst.jobs.job(id).task_count());
     for (std::size_t g = 0; g < previous_phi.size(); ++g) {
       EXPECT_GE(state.phi[g], previous_phi[g]);
     }
@@ -116,6 +121,33 @@ TEST(OnlineHare, IncrementalStateAccumulatesMonotonically) {
   }
   EXPECT_EQ(schedule.task_count(), inst.jobs.task_count());
   EXPECT_NO_THROW(sim::validate_schedule(schedule, inst.jobs));
+
+  const std::uint64_t placed_before = placed.value();
+  (void)planner.schedule({inst.cluster, inst.jobs, inst.times});
+  EXPECT_EQ(placed.value() - placed_before, inst.jobs.task_count());
+}
+
+TEST(OnlineHare, RejectsMalformedBatches) {
+  const Instance inst = make_random_instance(250, 6, 4);
+  const sched::SchedulerInput input{inst.cluster, inst.jobs, inst.times};
+  HareScheduler planner;
+  const std::vector<Time> h(inst.jobs.task_count(), 0.0);
+  const std::vector<std::vector<JobId>> malformed = {
+      {JobId(2), JobId(1)},             // unsorted
+      {JobId(0), JobId(3), JobId(3)},   // duplicate
+      {JobId(0), JobId(static_cast<int>(inst.jobs.job_count()))},  // unknown
+  };
+  for (const std::vector<JobId>& batch : malformed) {
+    HareScheduler::IncrementalState state;
+    sim::Schedule schedule;
+    EXPECT_THROW((void)planner.schedule_jobs(input, batch, state, schedule),
+                 common::Error);
+    EXPECT_THROW((void)planner.schedule_jobs_with_h(input, batch, h, state,
+                                                    schedule),
+                 common::Error);
+    // Nothing was planned before the check fired.
+    EXPECT_EQ(schedule.task_count(), 0u);
+  }
 }
 
 TEST(OnlineHare, RejectsUnsupportedModes) {
@@ -125,9 +157,10 @@ TEST(OnlineHare, RejectsUnsupportedModes) {
   HareScheduler planner(config);
   HareScheduler::IncrementalState state;
   sim::Schedule schedule;
-  std::vector<char> mask(inst.jobs.job_count(), 1);
+  std::vector<JobId> batch;
+  for (const auto& job : inst.jobs.jobs()) batch.push_back(job.id);
   EXPECT_THROW((void)planner.schedule_jobs(
-                   {inst.cluster, inst.jobs, inst.times}, mask, state,
+                   {inst.cluster, inst.jobs, inst.times}, batch, state,
                    schedule),
                common::Error);
 }

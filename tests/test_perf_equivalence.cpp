@@ -444,10 +444,10 @@ TEST(PlannerEquivalence, IncrementalPlanningAgrees) {
 
   // Two batches: first half of the jobs, then the rest.
   const std::size_t jobs = instance.jobs.job_count();
-  std::vector<char> first(jobs, 0);
-  std::vector<char> second(jobs, 0);
+  std::vector<JobId> first;
+  std::vector<JobId> second;
   for (std::size_t j = 0; j < jobs; ++j) {
-    (j < jobs / 2 ? first : second)[j] = 1;
+    (j < jobs / 2 ? first : second).push_back(JobId(static_cast<int>(j)));
   }
 
   core::HareScheduler scheduler(config);
@@ -455,13 +455,106 @@ TEST(PlannerEquivalence, IncrementalPlanningAgrees) {
   sim::Schedule planned;
   std::vector<Time> oracle_phi;
   sim::Schedule oracle;
-  for (const auto* mask : {&first, &second}) {
-    EXPECT_EQ(scheduler.schedule_jobs(input, *mask, state, planned),
-              testing::oracle_schedule_jobs(input, config, *mask, oracle_phi,
+  for (const auto* batch : {&first, &second}) {
+    EXPECT_EQ(scheduler.schedule_jobs(input, *batch, state, planned),
+              testing::oracle_schedule_jobs(input, config, *batch, oracle_phi,
                                             oracle));
   }
   expect_same_schedule(oracle, planned);
   EXPECT_EQ(state.phi, oracle_phi);
+}
+
+/// Plan a growing instance the way a serving loop does, with the library
+/// and with the oracle on the same batches: jobs are appended a few at a
+/// time (the table grows through Profiler::exact_appended), each batch
+/// reverses its jobs' arrivals against their ids, every seventh job waits
+/// for a later batch, and every tenth batch admits a continuation — a
+/// shortened copy of an earlier job arriving at the latest arrival so far. Objectives must agree batch by batch and the
+/// plans and horizons at the end bit for bit. Returns the batch count.
+std::size_t expect_growing_instance_matches_oracle(
+    const testing::Instance& pool, const core::HareConfig& config,
+    bool expect_bucketed) {
+  const cluster::Cluster& cluster = pool.cluster;
+  workload::JobSet jobs;
+  profiler::TimeTable times;
+  profiler::ShapeRows rows;
+  const profiler::Profiler profiler(workload::PerfModel{}, {}, 1);
+
+  core::HareScheduler scheduler(config);
+  core::HareScheduler::IncrementalState state;
+  sim::Schedule planned;
+  std::vector<Time> oracle_phi;
+  sim::Schedule oracle;
+
+  common::Rng rng(pool.jobs.job_count());
+  std::vector<JobId> deferred;
+  std::size_t next = 0;
+  std::size_t batches = 0;
+  Time latest_arrival = 0.0;
+  while (next < pool.jobs.job_count() || !deferred.empty()) {
+    std::vector<JobId> batch = std::move(deferred);
+    deferred.clear();
+    const std::size_t admit = std::min<std::size_t>(
+        1 + rng.uniform_int(3), pool.jobs.job_count() - next);
+    for (std::size_t k = 0; k < admit; ++k) {
+      workload::JobSpec spec = pool.jobs.job(JobId(static_cast<int>(next + k))).spec;
+      spec.arrival =
+          pool.jobs.job(JobId(static_cast<int>(next + admit - 1 - k))).spec.arrival;
+      latest_arrival = std::max(latest_arrival, spec.arrival);
+      const JobId id = jobs.add_job(std::move(spec));
+      (id.value() % 7 == 6 ? deferred : batch).push_back(id);
+    }
+    next += admit;
+    if (batches % 10 == 9) {
+      const workload::Job& earlier =
+          jobs.job(JobId(static_cast<int>(jobs.job_count() / 2)));
+      workload::JobSpec spec = earlier.spec;
+      spec.rounds = std::max<std::uint32_t>(1, earlier.rounds() / 2);
+      spec.arrival = latest_arrival;
+      spec.name += "+cont";
+      batch.push_back(jobs.add_job(std::move(spec)));
+    }
+    std::sort(batch.begin(), batch.end());
+    profiler.exact_appended(jobs, cluster, times, rows);
+
+    const sched::SchedulerInput input{cluster, jobs, times};
+    EXPECT_EQ(scheduler.schedule_jobs(input, batch, state, planned),
+              testing::oracle_schedule_jobs(input, config, batch, oracle_phi,
+                                            oracle))
+        << "batch " << batches;
+    ++batches;
+  }
+  EXPECT_EQ(state.scratch.index->bucketed(), expect_bucketed);
+  expect_same_schedule(oracle, planned);
+  EXPECT_EQ(state.phi, oracle_phi);
+  EXPECT_EQ(planned.task_count(), jobs.task_count());
+  EXPECT_NO_THROW(sim::validate_schedule(planned, jobs));
+  return batches;
+}
+
+TEST(PlannerEquivalence, GrowingInstanceInManyBatchesMatchesOracle) {
+  const testing::Instance pool = testing::make_random_instance(17, 150, 24);
+  for (const core::Placement placement :
+       {core::Placement::EarliestFinish, core::Placement::EarliestAvailable}) {
+    SCOPED_TRACE(placement == core::Placement::EarliestFinish
+                     ? "earliest finish"
+                     : "earliest available");
+    EXPECT_GE(expect_growing_instance_matches_oracle(
+                  pool, planner_config(core::RelaxMode::Fluid, placement),
+                  false),
+              50u);
+  }
+}
+
+TEST(PlannerEquivalence, GrowingInstanceOnBucketedIndexMatchesOracle) {
+  const testing::Instance pool = make_wide_instance(23, 150);
+  ASSERT_TRUE(index_buckets(pool.cluster, pool.jobs, pool.times));
+  EXPECT_GE(expect_growing_instance_matches_oracle(
+                pool,
+                planner_config(core::RelaxMode::Fluid,
+                               core::Placement::EarliestFinish),
+                true),
+            50u);
 }
 
 TEST(TimeTableCache, AggregatesMatchNaiveReductions) {

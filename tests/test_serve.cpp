@@ -197,20 +197,21 @@ TEST(ScheduleWithH, ReproducesScheduleJobsGivenItsH) {
   const profiler::Profiler profiler({}, {}, 3);
   const profiler::TimeTable times = profiler.exact(jobs, cluster);
   const sched::SchedulerInput input{cluster, jobs, times};
-  const std::vector<char> mask(jobs.job_count(), 1);
+  std::vector<JobId> batch;
+  for (const auto& job : jobs.jobs()) batch.push_back(job.id);
 
   core::HareConfig config;
   config.relaxation.mode = core::RelaxMode::Fluid;
   core::HareScheduler planner(config);
   core::HareScheduler::IncrementalState state_a;
   sim::Schedule a;
-  const double obj_a = planner.schedule_jobs(input, mask, state_a, a);
+  const double obj_a = planner.schedule_jobs(input, batch, state_a, a);
 
   core::HareScheduler replayer(config);
   core::HareScheduler::IncrementalState state_b;
   sim::Schedule b;
   const double obj_b = replayer.schedule_jobs_with_h(
-      input, mask, planner.last_relaxation().h, state_b, b);
+      input, batch, state_a.relaxation.h, state_b, b);
 
   EXPECT_EQ(obj_a, obj_b);
   EXPECT_TRUE(schedules_identical(a, b));
@@ -288,9 +289,7 @@ sim::Schedule replay_lp_path(const cluster::Cluster& cluster,
     if (batcher.empty()) return;
     const std::vector<JobId> batch = batcher.take();
     relax(batch, *std::min_element(state.phi.begin(), state.phi.end()));
-    std::vector<char> mask(jobs.job_count(), 0);
-    for (JobId id : batch) mask[static_cast<std::size_t>(id.value())] = 1;
-    flat.schedule_jobs_with_h(input, mask, h, state, replay);
+    flat.schedule_jobs_with_h(input, batch, h, state, replay);
   };
   for (std::size_t j = 0; j < arrivals.size(); ++j) {
     if (batcher.should_flush(arrivals[j].arrival)) flush();

@@ -18,6 +18,7 @@
 #include <random>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/hare.hpp"
 #include "exp/engine.hpp"
 #include "opt/queyranne.hpp"
@@ -276,7 +277,7 @@ TEST(HierarchicalPlanner, NestedInvocationFromPoolWorkerAgrees) {
 
 TEST(HierarchicalPlanner, OnlineOnEmptyHorizonsMatchesOffline) {
   // The online entry point runs the offline plan's level 1 and level 2 on
-  // a masked batch. With every job masked and every horizon at 0 it must
+  // a batch. With every job in the batch and every horizon at 0 it must
   // reproduce the offline plan that keeps the Fluid relaxation everywhere
   // and skips migration.
   for (const std::uint64_t seed : {3ull, 9ull, 21ull, 40ull}) {
@@ -300,12 +301,33 @@ TEST(HierarchicalPlanner, OnlineOnEmptyHorizonsMatchesOffline) {
       served.sequences.resize(instance.cluster.gpu_count());
       served.predicted_start.assign(instance.jobs.task_count(), 0.0);
       std::vector<Time> phi(instance.cluster.gpu_count(), 0.0);
-      const std::vector<char> all(instance.jobs.job_count(), 1);
+      std::vector<JobId> all;
+      for (const auto& job : instance.jobs.jobs()) all.push_back(job.id);
       const double objective =
           online.schedule_online(input, all, phi, served);
       EXPECT_EQ(objective, reference.predicted_objective);
       expect_same_schedule(reference, served);
     }
+  }
+}
+
+TEST(HierarchicalPlanner, OnlineRejectsMalformedBatches) {
+  const testing::Instance instance = make_domain_instance(3, 20, 64, 4);
+  const sched::SchedulerInput input{instance.cluster, instance.jobs,
+                                    instance.times};
+  shard::ShardPlannerConfig config;
+  config.shards = 4;
+  config.serial = true;
+  shard::HierarchicalPlanner online(config);
+  for (const std::vector<JobId>& batch :
+       {std::vector<JobId>{JobId(1), JobId(0)},
+        std::vector<JobId>{JobId(2), JobId(2)}}) {
+    sim::Schedule served;
+    served.sequences.resize(instance.cluster.gpu_count());
+    served.predicted_start.assign(instance.jobs.task_count(), 0.0);
+    std::vector<Time> phi(instance.cluster.gpu_count(), 0.0);
+    EXPECT_THROW((void)online.schedule_online(input, batch, phi, served),
+                 common::Error);
   }
 }
 
