@@ -86,9 +86,9 @@ std::string scenario_spec(const Instance& inst, Time horizon) {
 }
 
 fault::FaultRunReport run_scenario(const Instance& inst,
-                                   const std::string& spec_text) {
+                                   const fault::FaultSpec& spec) {
   fault::FaultRunnerConfig config;
-  config.spec = fault::parse_fault_spec(spec_text);
+  config.spec = spec;
   fault::FaultRunner runner(inst.cluster, inst.jobs, inst.times, inst.times,
                             config);
   return runner.run();
@@ -195,9 +195,10 @@ bool export_traced_run(const std::string& trace_path) {
   obs::Tracer::instance().enable();
   {
     const Instance inst = make_instance(/*quick=*/true);
-    const fault::FaultRunReport probe = run_scenario(inst, "");
+    const fault::FaultRunReport probe = run_scenario(inst, fault::FaultSpec{});
     const fault::FaultRunReport traced = run_scenario(
-        inst, scenario_spec(inst, probe.fault_free.makespan));
+        inst, fault::parse_fault_spec(
+                  scenario_spec(inst, probe.fault_free.makespan)));
     static_cast<void>(traced);
   }
   obs::Tracer::instance().disable();
@@ -245,13 +246,14 @@ int main(int argc, char** argv) {
   const Instance inst = make_instance(quick);
 
   // Fix the scenario timeline off the fault-free makespan, then run it.
-  const fault::FaultRunReport probe = run_scenario(inst, "");
+  const fault::FaultRunReport probe = run_scenario(inst, fault::FaultSpec{});
   const std::string spec_text =
       scenario_spec(inst, probe.fault_free.makespan);
+  const fault::FaultSpec spec = fault::parse_fault_spec(spec_text);
   std::cout << "scenario: " << spec_text << "\n";
 
   const auto start = std::chrono::steady_clock::now();
-  const fault::FaultRunReport report = run_scenario(inst, spec_text);
+  const fault::FaultRunReport report = run_scenario(inst, spec);
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
                              .count();
@@ -260,10 +262,10 @@ int main(int argc, char** argv) {
   // replicas must all be bit-identical to the first run.
   bool deterministic =
       results_identical(report.faulted,
-                        run_scenario(inst, spec_text).faulted);
+                        run_scenario(inst, spec).faulted);
   exp::Engine engine;
   const auto replicas = engine.map(4, [&](std::size_t) {
-    return run_scenario(inst, spec_text).faulted;
+    return run_scenario(inst, spec).faulted;
   });
   for (const auto& replica : replicas) {
     deterministic = deterministic && results_identical(report.faulted, replica);

@@ -106,6 +106,7 @@ struct PointResult {
   std::size_t lp_solves = 0;
   std::size_t cuts = 0;
   std::size_t pivots = 0;
+  std::size_t factorizations = 0;  ///< basis LU factorizations, all solves
   // Final LP shape of the relaxation (base rows + cuts).
   std::size_t lp_rows = 0;
   std::size_t lp_cols = 0;
@@ -130,6 +131,7 @@ PointResult run_point(const GridPoint& point, int repeats) {
   result.lp_solves = plan.relaxation.lp_solves;
   result.cuts = plan.relaxation.cut_count;
   result.pivots = plan.relaxation.simplex_pivots;
+  result.factorizations = plan.relaxation.lp_factorizations;
   result.lp_rows = plan.relaxation.lp_rows;
   result.lp_cols = plan.relaxation.lp_cols;
   result.lp_nonzeros = plan.relaxation.lp_nonzeros;
@@ -160,6 +162,7 @@ PointResult run_point(const GridPoint& point, int repeats) {
         << ", \"lp_solves\": " << r.lp_solves    //
         << ", \"cuts\": " << r.cuts              //
         << ", \"pivots\": " << r.pivots          //
+        << ", \"factorizations\": " << r.factorizations  //
         << ", \"lp_rows\": " << r.lp_rows        //
         << ", \"lp_cols\": " << r.lp_cols        //
         << ", \"lp_nonzeros\": " << r.lp_nonzeros  //
@@ -263,7 +266,8 @@ int main(int argc, char** argv) {
   }
 
   common::Table table({"mode", "jobs", "gpus", "tasks", "plan ms", "solves",
-                       "cuts", "pivots", "lp rxc (nnz)", "valid"});
+                       "cuts", "pivots", "factors", "lp rxc (nnz)",
+                       "valid"});
   for (const auto& r : rows) {
     auto row = table.row();
     row.cell(mode_name(r.point.mode));
@@ -274,6 +278,7 @@ int main(int argc, char** argv) {
     row.cell(r.lp_solves);
     row.cell(r.cuts);
     row.cell(r.pivots);
+    row.cell(r.factorizations);
     row.cell(std::to_string(r.lp_rows) + "x" + std::to_string(r.lp_cols) +
              " (" + std::to_string(r.lp_nonzeros) + ")");
     row.cell(r.valid ? "yes" : "NO");

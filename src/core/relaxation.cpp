@@ -180,6 +180,8 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   HARE_SPAN("planner", "planner.lp_cuts");
   static obs::Counter& lp_solve_counter = obs::counter("planner.lp_solves");
   static obs::Counter& pivot_counter = obs::counter("planner.lp_pivots");
+  static obs::Counter& factorization_counter =
+      obs::counter("planner.lp_factorizations");
   static obs::Counter& cut_counter = obs::counter("planner.cuts_added");
   static obs::Counter& sep_total_counter =
       obs::counter("planner.sep_tasks_total");
@@ -284,8 +286,10 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   HARE_CHECK_MSG(solution.optimal(), "relaxation LP is infeasible/unbounded");
   ++result.lp_solves;
   result.simplex_pivots += solver.last_stats().total();
+  result.lp_factorizations += solver.last_stats().factorizations;
   lp_solve_counter.add();
   pivot_counter.add(solver.last_stats().total());
+  factorization_counter.add(solver.last_stats().factorizations);
   result.lp_rounds.push_back(LpRoundStats{0, solver.last_stats().total(),
                                           solver.last_solve_was_warm()});
   snap(solution);
@@ -366,8 +370,10 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
     HARE_CHECK_MSG(solution.optimal(), "cut LP became infeasible");
     ++result.lp_solves;
     result.simplex_pivots += solver.last_stats().total();
+    result.lp_factorizations += solver.last_stats().factorizations;
     lp_solve_counter.add();
     pivot_counter.add(solver.last_stats().total());
+    factorization_counter.add(solver.last_stats().factorizations);
     result.lp_rounds.push_back(LpRoundStats{added, solver.last_stats().total(),
                                             solver.last_solve_was_warm()});
     snap(solution);

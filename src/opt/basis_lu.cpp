@@ -1,6 +1,8 @@
 #include "opt/basis_lu.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/error.hpp"
 
@@ -16,73 +18,86 @@ constexpr double kDropTol = 1e-12;
 bool BasisLU::factorize(const SparseMatrix& A, const std::vector<int>& basis) {
   m_ = static_cast<int>(basis.size());
   HARE_CHECK_MSG(m_ == A.rows(), "basis size must match row count");
-  prow_.assign(static_cast<std::size_t>(m_), -1);
-  udiag_.assign(static_cast<std::size_t>(m_), 0.0);
-  lcol_.resize(static_cast<std::size_t>(m_));
-  ucol_.resize(static_cast<std::size_t>(m_));
-  for (int k = 0; k < m_; ++k) {
-    lcol_[static_cast<std::size_t>(k)].clear();
-    ucol_[static_cast<std::size_t>(k)].clear();
+  const auto m = static_cast<std::size_t>(m_);
+  prow_.assign(m, -1);
+  udiag_.assign(m, 0.0);
+  lcol_.resize(m);
+  ucol_.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    lcol_[k].clear();
+    ucol_[k].clear();
   }
   etas_.clear();
-  work_.assign(static_cast<std::size_t>(m_), 0.0);
+  work_.assign(m, 0.0);
+  step_of_.assign(m, -1);
+  seen_.assign(m, -1);
 
-  std::vector<char> pivoted(static_cast<std::size_t>(m_), 0);
-  std::vector<int> touched;
-  touched.reserve(static_cast<std::size_t>(m_));
   for (int k = 0; k < m_; ++k) {
-    // Scatter basis column k into the dense scratch.
-    touched.clear();
+    // A row is touched once per column: a pivoted row queues its step, an
+    // unpivoted one joins the pivot candidates. The heap is empty here:
+    // every column drains it.
+    rows_.clear();
+    const auto touch = [&](int r) {
+      if (seen_[static_cast<std::size_t>(r)] == k) return;
+      seen_[static_cast<std::size_t>(r)] = k;
+      const int step = step_of_[static_cast<std::size_t>(r)];
+      if (step < 0) {
+        rows_.push_back(r);
+      } else {
+        heap_.push_back(step);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+      }
+    };
     for (const SparseEntry& e : A.column(basis[static_cast<std::size_t>(k)])) {
       work_[static_cast<std::size_t>(e.row)] = e.value;
-      touched.push_back(e.row);
+      touch(e.row);
     }
-    // Left-looking elimination: apply the L columns of all prior steps.
-    for (int j = 0; j < k; ++j) {
-      const double t = work_[static_cast<std::size_t>(prow_[j])];
+    // Left-looking elimination over the steps the column reaches, in
+    // ascending order: step j's L column holds only rows pivoted after j
+    // (or not yet), so this is the dense j = 0..k-1 sweep minus its
+    // t == 0 steps. Step j's pivot row is final once j pops, and is its
+    // U entry.
+    auto& uc = ucol_[static_cast<std::size_t>(k)];
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const int j = heap_.back();
+      heap_.pop_back();
+      double& pivot_entry = work_[static_cast<std::size_t>(prow_[j])];
+      const double t = pivot_entry;
+      pivot_entry = 0.0;
       if (t == 0.0) continue;
+      if (std::abs(t) > kDropTol) uc.push_back(SparseEntry{j, t});
       for (const SparseEntry& e : lcol_[static_cast<std::size_t>(j)]) {
-        if (work_[static_cast<std::size_t>(e.row)] == 0.0) {
-          touched.push_back(e.row);
-        }
+        touch(e.row);
         work_[static_cast<std::size_t>(e.row)] -= t * e.value;
       }
     }
-    // Partial pivoting over unpivoted rows; lowest row index breaks ties so
-    // the factorization — and everything downstream — is deterministic.
+    // Partial pivoting over the touched unpivoted rows (untouched ones are
+    // exactly 0); the lowest row index breaks ties so the factorization —
+    // and everything downstream — is deterministic.
+    std::sort(rows_.begin(), rows_.end());
     int pivot_row = -1;
     double pivot_mag = 0.0;
-    for (int i = 0; i < m_; ++i) {
-      if (pivoted[static_cast<std::size_t>(i)]) continue;
+    for (int i : rows_) {
       const double mag = std::abs(work_[static_cast<std::size_t>(i)]);
       if (mag > pivot_mag + kDropTol) {
         pivot_mag = mag;
         pivot_row = i;
       }
     }
-    if (pivot_row < 0 || pivot_mag < kSingularTol) {
-      for (int r : touched) work_[static_cast<std::size_t>(r)] = 0.0;
-      return false;
-    }
+    if (pivot_row < 0 || pivot_mag < kSingularTol) return false;
     const double pivot = work_[static_cast<std::size_t>(pivot_row)];
     prow_[static_cast<std::size_t>(k)] = pivot_row;
     udiag_[static_cast<std::size_t>(k)] = pivot;
-    pivoted[static_cast<std::size_t>(pivot_row)] = 1;
-    // U entries live on already-pivoted rows; L entries on the rest.
-    auto& uc = ucol_[static_cast<std::size_t>(k)];
+    step_of_[static_cast<std::size_t>(pivot_row)] = k;
     auto& lc = lcol_[static_cast<std::size_t>(k)];
-    for (int j = 0; j < k; ++j) {
-      const double v = work_[static_cast<std::size_t>(prow_[j])];
-      if (std::abs(v) > kDropTol) uc.push_back(SparseEntry{j, v});
-    }
-    for (int i = 0; i < m_; ++i) {
-      if (pivoted[static_cast<std::size_t>(i)]) continue;
+    for (int i : rows_) {
       const double v = work_[static_cast<std::size_t>(i)];
-      if (std::abs(v) > kDropTol) lc.push_back(SparseEntry{i, v / pivot});
+      work_[static_cast<std::size_t>(i)] = 0.0;
+      if (i != pivot_row && std::abs(v) > kDropTol) {
+        lc.push_back(SparseEntry{i, v / pivot});
+      }
     }
-    for (int r : touched) work_[static_cast<std::size_t>(r)] = 0.0;
-    // Dense clear of rows touched twice is already handled: duplicates in
-    // `touched` just re-zero an entry.
   }
   return true;
 }

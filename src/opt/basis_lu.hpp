@@ -13,6 +13,13 @@
 // update pivot is too small to be stable — the classic cadence that keeps
 // both FTRAN cost and numerical drift bounded.
 //
+// The factorization is left-looking and sparse: each basis column is
+// eliminated only by the earlier steps whose pivot rows it reaches, popped
+// in ascending step order from a min-heap, and the pivot search scans only
+// the rows it touched. That is O(nnz + fill + reach·log reach) per
+// refactorization, with the same pivots and factors, bit for bit, as the
+// dense O(m²) sweep kept as the test oracle (tests/lp_oracle.hpp).
+//
 // Index spaces: FTRAN maps a row-indexed vector to a basis-position-indexed
 // one; BTRAN maps positions back to rows. Eta updates act purely on the
 // position space.
@@ -67,6 +74,11 @@ class BasisLU {
   std::vector<std::vector<SparseEntry>> ucol_;  ///< U entries (step j<k, value)
   std::vector<Eta> etas_;
   mutable std::vector<double> work_;  ///< dense scratch, row-indexed
+  // factorize() scratch, kept so a warm refactorization allocates nothing.
+  std::vector<int> step_of_;  ///< elimination step per row, -1 unpivoted
+  std::vector<int> seen_;     ///< last basis column that touched each row
+  std::vector<int> heap_;     ///< min-heap of steps the column reaches
+  std::vector<int> rows_;     ///< touched unpivoted rows of the column
 };
 
 }  // namespace hare::opt

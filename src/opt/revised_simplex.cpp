@@ -74,7 +74,10 @@ double RevisedSimplex::nonbasic_value(int j) const {
              : lower_[static_cast<std::size_t>(j)];
 }
 
-bool RevisedSimplex::refactorize() { return lu_.factorize(A_, basis_); }
+bool RevisedSimplex::refactorize() {
+  if (factorizations_) ++*factorizations_;
+  return lu_.factorize(A_, basis_);
+}
 
 void RevisedSimplex::compute_xb() {
   // B x_B = b − Σ_nonbasic a_j x̄_j.
@@ -495,6 +498,7 @@ LpSolution RevisedSimplex::extract() const {
 
 LpSolution RevisedSimplex::solve(std::size_t max_iterations,
                                  LpIterationStats* stats) {
+  factorizations_ = stats ? &stats->factorizations : nullptr;
   basis_valid_ = false;
   rows_appended_ = false;
   const int cols = total_cols();
@@ -564,6 +568,7 @@ void RevisedSimplex::add_ge_row(
 LpSolution RevisedSimplex::resolve(std::size_t max_iterations,
                                    LpIterationStats* stats) {
   if (!basis_valid_ || vstat_.empty()) return solve(max_iterations, stats);
+  factorizations_ = stats ? &stats->factorizations : nullptr;
   if (rows_appended_) {
     if (!refactorize()) return solve(max_iterations, stats);
     compute_xb();

@@ -81,6 +81,8 @@ class RevisedSimplex {
   std::vector<double> dual_;      ///< reduced costs per column
   std::vector<double> devex_;     ///< Devex reference weights per column
   BasisLU lu_;
+  /// Factorization count of the running solve()/resolve() call, or null.
+  std::size_t* factorizations_ = nullptr;
   bool basis_valid_ = false;
   bool rows_appended_ = false;
 

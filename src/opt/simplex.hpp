@@ -66,6 +66,8 @@ struct LpIterationStats {
   std::size_t phase1 = 0;  ///< feasibility pivots (cold solve only)
   std::size_t phase2 = 0;  ///< primal optimality pivots
   std::size_t dual = 0;    ///< dual pivots restoring feasibility after cuts
+  /// Basis LU factorizations (initial, warm-start and periodic); not pivots.
+  std::size_t factorizations = 0;
 
   [[nodiscard]] std::size_t total() const { return phase1 + phase2 + dual; }
 };

@@ -1,8 +1,11 @@
 #include "lp_oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace hare::testing {
 
@@ -206,6 +209,162 @@ LpSolution oracle_solve(const LinearProgram& lp, std::size_t max_iterations,
     solution.objective += lp.objective(j) * solution.values[j];
   }
   return solution;
+}
+
+// ------------------------------------------------------- dense basis LU --
+
+namespace {
+
+// The library's tolerances (src/opt/basis_lu.cpp); bit-identity needs them.
+constexpr double kLuSingularTol = 1e-11;
+constexpr double kLuUpdatePivotTol = 1e-8;
+constexpr double kLuDropTol = 1e-12;
+
+}  // namespace
+
+bool DenseBasisLU::factorize(const opt::SparseMatrix& A,
+                             const std::vector<int>& basis) {
+  m_ = static_cast<int>(basis.size());
+  HARE_CHECK_MSG(m_ == A.rows(), "basis size must match row count");
+  const auto m = static_cast<std::size_t>(m_);
+  prow_.assign(m, -1);
+  udiag_.assign(m, 0.0);
+  lcol_.assign(m, {});
+  ucol_.assign(m, {});
+  etas_.clear();
+  work_.assign(m, 0.0);
+
+  std::vector<char> pivoted(m, 0);
+  std::vector<char> reached(m, 0);
+  for (int k = 0; k < m_; ++k) {
+    std::fill(reached.begin(), reached.end(), 0);
+    for (const opt::SparseEntry& e :
+         A.column(basis[static_cast<std::size_t>(k)])) {
+      work_[static_cast<std::size_t>(e.row)] = e.value;
+      reached[static_cast<std::size_t>(e.row)] = 1;
+    }
+    // Left-looking elimination: apply the L columns of all prior steps.
+    for (int j = 0; j < k; ++j) {
+      const auto pr = static_cast<std::size_t>(prow_[j]);
+      const double t = work_[pr];
+      if (t == 0.0) {
+        if (reached[pr]) ++cancellations_;
+        continue;
+      }
+      for (const opt::SparseEntry& e : lcol_[static_cast<std::size_t>(j)]) {
+        reached[static_cast<std::size_t>(e.row)] = 1;
+        work_[static_cast<std::size_t>(e.row)] -= t * e.value;
+      }
+    }
+    // Partial pivoting over unpivoted rows; lowest row index breaks ties.
+    int pivot_row = -1;
+    double pivot_mag = 0.0;
+    for (int i = 0; i < m_; ++i) {
+      if (pivoted[static_cast<std::size_t>(i)]) continue;
+      const double mag = std::abs(work_[static_cast<std::size_t>(i)]);
+      if (mag > pivot_mag + kLuDropTol) {
+        pivot_mag = mag;
+        pivot_row = i;
+      }
+    }
+    if (pivot_row < 0 || pivot_mag < kLuSingularTol) {
+      std::fill(work_.begin(), work_.end(), 0.0);
+      return false;
+    }
+    const double pivot = work_[static_cast<std::size_t>(pivot_row)];
+    prow_[static_cast<std::size_t>(k)] = pivot_row;
+    udiag_[static_cast<std::size_t>(k)] = pivot;
+    pivoted[static_cast<std::size_t>(pivot_row)] = 1;
+    // U entries live on already-pivoted rows; L entries on the rest.
+    auto& uc = ucol_[static_cast<std::size_t>(k)];
+    auto& lc = lcol_[static_cast<std::size_t>(k)];
+    for (int j = 0; j < k; ++j) {
+      const double v = work_[static_cast<std::size_t>(prow_[j])];
+      if (std::abs(v) > kLuDropTol) uc.push_back(opt::SparseEntry{j, v});
+    }
+    for (int i = 0; i < m_; ++i) {
+      if (pivoted[static_cast<std::size_t>(i)]) continue;
+      const double v = work_[static_cast<std::size_t>(i)];
+      if (std::abs(v) > kLuDropTol) {
+        lc.push_back(opt::SparseEntry{i, v / pivot});
+      }
+    }
+    std::fill(work_.begin(), work_.end(), 0.0);
+  }
+  return true;
+}
+
+void DenseBasisLU::ftran(const std::vector<double>& v,
+                         std::vector<double>& out) const {
+  work_ = v;
+  for (int k = 0; k < m_; ++k) {
+    const double t = work_[static_cast<std::size_t>(prow_[k])];
+    if (t == 0.0) continue;
+    for (const opt::SparseEntry& e : lcol_[static_cast<std::size_t>(k)]) {
+      work_[static_cast<std::size_t>(e.row)] -= t * e.value;
+    }
+  }
+  out.assign(static_cast<std::size_t>(m_), 0.0);
+  for (int k = m_ - 1; k >= 0; --k) {
+    const double y = work_[static_cast<std::size_t>(prow_[k])] /
+                     udiag_[static_cast<std::size_t>(k)];
+    out[static_cast<std::size_t>(k)] = y;
+    if (y == 0.0) continue;
+    for (const opt::SparseEntry& e : ucol_[static_cast<std::size_t>(k)]) {
+      work_[static_cast<std::size_t>(prow_[e.row])] -= e.value * y;
+    }
+  }
+  for (const Eta& eta : etas_) {
+    double& wp = out[static_cast<std::size_t>(eta.position)];
+    if (wp == 0.0) continue;
+    wp /= eta.pivot;
+    for (const opt::SparseEntry& e : eta.other) {
+      out[static_cast<std::size_t>(e.row)] -= e.value * wp;
+    }
+  }
+}
+
+void DenseBasisLU::btran(const std::vector<double>& v,
+                         std::vector<double>& out) const {
+  work_ = v;
+  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+    double s = work_[static_cast<std::size_t>(it->position)];
+    for (const opt::SparseEntry& e : it->other) {
+      s -= e.value * work_[static_cast<std::size_t>(e.row)];
+    }
+    work_[static_cast<std::size_t>(it->position)] = s / it->pivot;
+  }
+  out.assign(static_cast<std::size_t>(m_), 0.0);
+  for (int k = 0; k < m_; ++k) {
+    double s = work_[static_cast<std::size_t>(k)];
+    for (const opt::SparseEntry& e : ucol_[static_cast<std::size_t>(k)]) {
+      s -= e.value * out[static_cast<std::size_t>(prow_[e.row])];
+    }
+    out[static_cast<std::size_t>(prow_[k])] =
+        s / udiag_[static_cast<std::size_t>(k)];
+  }
+  for (int k = m_ - 1; k >= 0; --k) {
+    double s = 0.0;
+    for (const opt::SparseEntry& e : lcol_[static_cast<std::size_t>(k)]) {
+      s += e.value * out[static_cast<std::size_t>(e.row)];
+    }
+    out[static_cast<std::size_t>(prow_[k])] -= s;
+  }
+}
+
+bool DenseBasisLU::update(int p, const std::vector<double>& spike) {
+  const double pivot = spike[static_cast<std::size_t>(p)];
+  if (std::abs(pivot) < kLuUpdatePivotTol) return false;
+  Eta eta;
+  eta.position = p;
+  eta.pivot = pivot;
+  for (int i = 0; i < m_; ++i) {
+    if (i == p) continue;
+    const double v = spike[static_cast<std::size_t>(i)];
+    if (std::abs(v) > kLuDropTol) eta.other.push_back(opt::SparseEntry{i, v});
+  }
+  etas_.push_back(std::move(eta));
+  return true;
 }
 
 }  // namespace hare::testing

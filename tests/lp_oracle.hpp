@@ -9,11 +9,18 @@
 // over after 64 non-improving pivots, so degenerate programs such as
 // Beale's cycling example terminate. There is no warm start: every call
 // solves from the all-slack basis.
+//
+// DenseBasisLU is the reference for opt::BasisLU: the same factors built
+// by the plain dense left-looking sweep (every earlier step and every row,
+// per column), with the library's FTRAN/BTRAN/update copied verbatim. The
+// library's sparse factorization must match it bit for bit.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "opt/simplex.hpp"
+#include "opt/sparse_matrix.hpp"
 
 namespace hare::testing {
 
@@ -21,5 +28,38 @@ namespace hare::testing {
 [[nodiscard]] opt::LpSolution oracle_solve(const opt::LinearProgram& lp,
                                            std::size_t max_iterations = 100000,
                                            std::size_t* pivots = nullptr);
+
+class DenseBasisLU {
+ public:
+  /// Θ(m²) dense sweep; same contract as opt::BasisLU::factorize.
+  [[nodiscard]] bool factorize(const opt::SparseMatrix& A,
+                               const std::vector<int>& basis);
+  void ftran(const std::vector<double>& v, std::vector<double>& out) const;
+  void btran(const std::vector<double>& v, std::vector<double>& out) const;
+  [[nodiscard]] bool update(int p, const std::vector<double>& spike);
+
+  /// Elimination steps, over every factorize() so far, whose pivot row the
+  /// column reached but which the sweep skipped because the value had
+  /// cancelled to exactly 0.0 — evidence that a test covers that case.
+  [[nodiscard]] std::size_t exact_cancellations() const {
+    return cancellations_;
+  }
+
+ private:
+  struct Eta {
+    int position = 0;
+    double pivot = 0.0;
+    std::vector<opt::SparseEntry> other;
+  };
+
+  int m_ = 0;
+  std::vector<int> prow_;
+  std::vector<double> udiag_;
+  std::vector<std::vector<opt::SparseEntry>> lcol_;
+  std::vector<std::vector<opt::SparseEntry>> ucol_;
+  std::vector<Eta> etas_;
+  mutable std::vector<double> work_;
+  std::size_t cancellations_ = 0;
+};
 
 }  // namespace hare::testing

@@ -17,17 +17,30 @@
 //      vertex as a cold solve of its final perturbed program (and as the
 //      oracle), and its objective is the unperturbed optimum;
 //  (f) every planner engine configuration yields the same LP shape and
-//      the same schedule.
+//      the same schedule;
+//  (g) opt::BasisLU (sparse factorization) matches testing::DenseBasisLU
+//      (the dense sweep) bit for bit: factorize's verdict, and FTRAN/BTRAN
+//      before and after product-form updates, on random, cancelling,
+//      singular and LpCuts bases;
+//  (h) golden pins on LpCuts plans of seeded testbed batches: any change
+//      that moves the vertex, the pivot path or the refactorization
+//      cadence fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/hare.hpp"
 #include "lp_oracle.hpp"
+#include "obs/metrics.hpp"
+#include "opt/basis_lu.hpp"
 #include "opt/simplex.hpp"
+#include "opt/sparse_matrix.hpp"
 #include "planner_oracle.hpp"
 #include "test_util.hpp"
 
@@ -474,6 +487,343 @@ TEST(LpBackendSchedule, RelaxationReportsResolvedBackendAndShape) {
   EXPECT_EQ(oracle.x_hat, production.x_hat);
   EXPECT_NEAR(oracle.objective, production.objective,
               1e-6 * std::max(1.0, std::abs(production.objective)));
+}
+
+// ------------------------------------------------------- basis LU oracle --
+
+using opt::BasisLU;
+using opt::SparseMatrix;
+
+struct LuTally {
+  std::size_t nonsingular = 0;
+  std::size_t singular = 0;
+  std::size_t updates = 0;
+  std::size_t cancellations = 0;  ///< exact 0.0 pivot-row values skipped
+};
+
+/// Bit-for-bit equality: tells -0.0 from 0.0 and compares NaN payloads.
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b, const char* what,
+                      int index) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      ADD_FAILURE() << what << " of vector " << index << ", entry " << i
+                    << ": " << a[i] << " (library) vs " << b[i] << " (dense)";
+      return;
+    }
+  }
+}
+
+/// FTRAN and BTRAN of every unit vector and of a few random ones.
+void expect_same_solves(const BasisLU& lu, const testing::DenseBasisLU& dense,
+                        int m, common::Rng& rng) {
+  const auto size = static_cast<std::size_t>(m);
+  std::vector<double> v;
+  std::vector<double> got;
+  std::vector<double> want;
+  for (int i = 0; i < m + 4; ++i) {
+    v.assign(size, 0.0);
+    if (i < m) {
+      v[static_cast<std::size_t>(i)] = 1.0;
+    } else {
+      for (double& x : v) x = rng.bernoulli(0.5) ? rng.uniform(-3.0, 3.0) : 0.0;
+    }
+    lu.ftran(v, got);
+    dense.ftran(v, want);
+    expect_same_bits(got, want, "ftran", i);
+    lu.btran(v, got);
+    dense.btran(v, want);
+    expect_same_bits(got, want, "btran", i);
+  }
+}
+
+/// Factorize `basis` on both sides (the library's `lu` is reused across
+/// calls, so stale scratch would show), compare, then exchange up to
+/// `updates` random entering columns at their largest spike entry and
+/// compare after each.
+void expect_same_lu(BasisLU& lu, const SparseMatrix& A,
+                    const std::vector<int>& basis, common::Rng& rng,
+                    std::size_t updates, LuTally& tally) {
+  testing::DenseBasisLU dense;
+  const bool ok = lu.factorize(A, basis);
+  ASSERT_EQ(ok, dense.factorize(A, basis)) << "factorize verdicts differ";
+  tally.cancellations += dense.exact_cancellations();
+  if (!ok) {
+    ++tally.singular;
+    return;
+  }
+  ++tally.nonsingular;
+  const int m = A.rows();
+  expect_same_solves(lu, dense, m, rng);
+  std::vector<double> column;
+  std::vector<double> spike;
+  std::vector<double> dense_spike;
+  for (std::size_t u = 0; u < updates; ++u) {
+    const int q = static_cast<int>(
+        rng.uniform_int(static_cast<std::uint64_t>(A.cols())));
+    column.assign(static_cast<std::size_t>(m), 0.0);
+    A.scatter_column(q, 1.0, column);
+    lu.ftran(column, spike);
+    dense.ftran(column, dense_spike);
+    expect_same_bits(spike, dense_spike, "entering spike", q);
+    int p = 0;
+    for (int i = 1; i < m; ++i) {
+      if (std::abs(spike[static_cast<std::size_t>(i)]) >
+          std::abs(spike[static_cast<std::size_t>(p)])) {
+        p = i;
+      }
+    }
+    const bool stable = lu.update(p, spike);
+    ASSERT_EQ(stable, dense.update(p, spike));
+    if (!stable) return;
+    ++tally.updates;
+    expect_same_solves(lu, dense, m, rng);
+  }
+}
+
+/// `structurals` random columns of 1-3 entries over `m` rows, then the m
+/// logical (identity) columns, as the revised simplex lays them out.
+/// Integer entries in {±1, ±2} make pivot ties and exact cancellation
+/// common; real entries exercise rounding in the eliminations.
+SparseMatrix random_columns(common::Rng& rng, int m, int structurals,
+                            bool integer) {
+  SparseMatrix A(m);
+  for (int j = 0; j < structurals; ++j) {
+    const int col = A.add_column();
+    const auto nnz = 1 + rng.uniform_int(3);
+    std::vector<int> rows;
+    while (rows.size() < nnz) {
+      const int r = static_cast<int>(
+          rng.uniform_int(static_cast<std::uint64_t>(m)));
+      if (std::find(rows.begin(), rows.end(), r) == rows.end()) {
+        rows.push_back(r);
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const int r : rows) {
+      const double magnitude = integer
+                                   ? static_cast<double>(1 + rng.uniform_int(2))
+                                   : rng.uniform(0.1, 5.0);
+      A.push(col, r, rng.bernoulli(0.5) ? magnitude : -magnitude);
+    }
+  }
+  for (int i = 0; i < m; ++i) A.push(A.add_column(), i, 1.0);
+  return A;
+}
+
+/// The all-logical basis with each position i swapped, with probability
+/// `share`, for a distinct random structural column with an entry in row
+/// i. The swaps keep a full transversal, so most such bases are
+/// nonsingular; cancellation still makes some singular.
+std::vector<int> random_basis(common::Rng& rng, const SparseMatrix& A,
+                              double share) {
+  const int m = A.rows();
+  const int structurals = A.cols() - m;
+  std::vector<std::vector<int>> row_columns(static_cast<std::size_t>(m));
+  for (int j = 0; j < structurals; ++j) {
+    for (const opt::SparseEntry& e : A.column(j)) {
+      row_columns[static_cast<std::size_t>(e.row)].push_back(j);
+    }
+  }
+  std::vector<int> basis(static_cast<std::size_t>(m));
+  std::vector<char> used(static_cast<std::size_t>(structurals), 0);
+  for (int i = 0; i < m; ++i) {
+    basis[static_cast<std::size_t>(i)] = structurals + i;
+    const auto& candidates = row_columns[static_cast<std::size_t>(i)];
+    if (candidates.empty() || !rng.bernoulli(share)) continue;
+    const int j = candidates[rng.uniform_int(candidates.size())];
+    if (used[static_cast<std::size_t>(j)]) continue;
+    used[static_cast<std::size_t>(j)] = 1;
+    basis[static_cast<std::size_t>(i)] = j;
+  }
+  return basis;
+}
+
+TEST(BasisLuOracle, RandomSparseBasesMatchDenseSweep) {
+  LuTally tally;
+  BasisLU lu;
+  for (const bool integer : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " integer=" << integer);
+      common::Rng rng(seed * 7919 + (integer ? 1 : 0));
+      const int m = static_cast<int>(8 + rng.uniform_int(40));
+      const SparseMatrix A = random_columns(rng, m, 2 * m, integer);
+      for (int b = 0; b < 4; ++b) {
+        const std::vector<int> basis =
+            random_basis(rng, A, 0.25 * static_cast<double>(b + 1));
+        expect_same_lu(lu, A, basis, rng, 6, tally);
+      }
+    }
+  }
+  EXPECT_GT(tally.nonsingular, 100u);
+  EXPECT_GT(tally.singular, 0u);
+  EXPECT_GT(tally.updates, 100u);
+  EXPECT_GT(tally.cancellations, 0u)
+      << "integer bases must hit exact cancellation";
+}
+
+TEST(BasisLuOracle, ExactCancellationMidElimination) {
+  // Column 2 = [2, 1, 1, 1]: step 0 (pivot row 0, L = {1: .5, 2: .5})
+  // cancels row 2 — step 1's pivot row — to exactly 0.0, so step 1 is
+  // reached but skipped; row 1 also cancels and row 3 takes the pivot.
+  SparseMatrix A(4);
+  const std::vector<std::vector<double>> dense = {
+      {2, 1, 1, 0}, {0, 1, 3, 0}, {2, 1, 1, 1}, {0, 0, 1, 2}};
+  for (const auto& values : dense) {
+    const int col = A.add_column();
+    for (int r = 0; r < 4; ++r) {
+      A.push(col, r, values[static_cast<std::size_t>(r)]);
+    }
+  }
+  BasisLU lu;
+  common::Rng rng(5);
+  LuTally tally;
+  expect_same_lu(lu, A, {0, 1, 2, 3}, rng, 3, tally);
+  EXPECT_EQ(tally.nonsingular, 1u);
+  EXPECT_GT(tally.cancellations, 0u);
+}
+
+TEST(BasisLuOracle, SingularBasesFailOnBothSides) {
+  // Columns over 4 rows: e0+e1, e1+e2, their exact sum, a duplicate of the
+  // first, an all-but-zero column, an empty one, then the logicals 6..9.
+  SparseMatrix A(4);
+  const std::vector<std::vector<double>> dense = {
+      {1, 1, 0, 0}, {0, 1, 1, 0}, {1, 2, 1, 0},
+      {1, 1, 0, 0}, {0, 0, 1e-13, 0}, {0, 0, 0, 0}};
+  for (const auto& values : dense) {
+    const int col = A.add_column();
+    for (int r = 0; r < 4; ++r) {
+      A.push(col, r, values[static_cast<std::size_t>(r)]);
+    }
+  }
+  for (int i = 0; i < 4; ++i) A.push(A.add_column(), i, 1.0);
+
+  BasisLU lu;
+  common::Rng rng(11);
+  LuTally tally;
+  for (const std::vector<int>& basis :
+       std::vector<std::vector<int>>{{0, 1, 2, 9},  // linear combination
+                                     {0, 3, 8, 9},  // duplicate column
+                                     {6, 7, 4, 9},  // pivot below 1e-11
+                                     {6, 5, 8, 9},  // empty column
+                                     {0, 1, 8, 9},  // nonsingular again
+                                     {0, 1, 2, 9}}) {
+    expect_same_lu(lu, A, basis, rng, 2, tally);
+  }
+  EXPECT_EQ(tally.singular, 5u);
+  EXPECT_EQ(tally.nonsingular, 1u);
+}
+
+TEST(BasisLuOracle, LpCutsProgramBasesMatchDenseSweep) {
+  // Bases over a real relaxation program (base rows plus appended cuts),
+  // laid out as the revised simplex stores it: structural columns from
+  // the rows, then one logical per row.
+  LuTally tally;
+  BasisLU lu;
+  for (const std::uint64_t seed : {3ull, 17ull, 40ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const testing::Instance instance =
+        testing::make_random_instance(seed, 8, 4);
+    core::RelaxationConfig config;
+    config.mode = core::RelaxMode::LpCuts;
+    LinearProgram program;
+    (void)core::HareRelaxation(config).solve(instance.cluster, instance.jobs,
+                                             instance.times, {}, nullptr,
+                                             &program);
+    const int m = static_cast<int>(program.constraint_count());
+    const int n = static_cast<int>(program.variable_count());
+    SparseMatrix A(m);
+    for (int j = 0; j < n; ++j) A.add_column();
+    for (int i = 0; i < m; ++i) {
+      const auto& row = program.rows()[static_cast<std::size_t>(i)];
+      for (const auto& [var, coeff] : row.terms) {
+        A.push(static_cast<int>(var), i, coeff);
+      }
+    }
+    for (int i = 0; i < m; ++i) A.push(A.add_column(), i, 1.0);
+
+    common::Rng rng(seed);
+    for (int b = 0; b < 24; ++b) {
+      expect_same_lu(lu, A, random_basis(rng, A, 0.1 + 0.03 * b), rng, 4,
+                     tally);
+    }
+  }
+  EXPECT_GT(tally.nonsingular, 10u);
+  EXPECT_GT(tally.updates, 10u);
+}
+
+// ------------------------------------------------------ LpCuts golden pins --
+
+/// One 8-job batch on the 15-GPU testbed, in the shape of perfbench's
+/// testbed_lpcuts batches, planned on a noise-free table.
+struct GoldenPlan {
+  double predicted_objective = 0.0;
+  double relaxation_objective = 0.0;
+  std::size_t lp_solves = 0;
+  std::size_t simplex_pivots = 0;
+  std::size_t cut_count = 0;
+  std::size_t lp_factorizations = 0;
+};
+
+GoldenPlan plan_testbed_batch(std::uint64_t seed) {
+  workload::TraceConfig trace;
+  trace.job_count = 8;
+  trace.base_arrival_rate = 0.2;
+  trace.sync_scales = {1, 2, 2, 4};
+  trace.rounds_scale_min = 0.05;
+  trace.rounds_scale_max = 0.15;
+  trace.weight_odds = {1.0, 1.0, 1.0};
+  const cluster::Cluster cluster = cluster::make_testbed_cluster();
+  const workload::JobSet jobs = workload::TraceGenerator(seed).generate(trace);
+  profiler::ProfilerConfig profile;
+  profile.serial = true;
+  profiler::TimeTable times =
+      profiler::Profiler(workload::PerfModel{}, profile, seed)
+          .exact(jobs, cluster);
+  times.precompute();
+
+  core::HareConfig config;
+  config.relaxation.mode = core::RelaxMode::LpCuts;
+  core::HareScheduler scheduler(config);
+  const sim::Schedule plan = scheduler.schedule({cluster, jobs, times});
+  const core::RelaxationResult& relaxed = scheduler.last_relaxation();
+  return GoldenPlan{plan.predicted_objective, relaxed.objective,
+                    relaxed.lp_solves,        relaxed.simplex_pivots,
+                    relaxed.cut_count,        relaxed.lp_factorizations};
+}
+
+TEST(LpCutsGolden, TestbedBatchesArePinned) {
+  // Values recorded before the sparse basis factorization replaced the
+  // dense sweep; they must not move. Seed 1 solves once, seeds 9, 24 and
+  // 36 add cuts, and 36 runs all 16 cut rounds.
+  struct Pin {
+    std::uint64_t seed;
+    GoldenPlan want;
+  };
+  const std::vector<Pin> pins = {
+      {1, {593.60571312943944, 516.79447138236435, 1, 82, 0, 2}},
+      {9, {403.84589580079546, 373.68755293889558, 2, 62, 3, 2}},
+      {24, {281.11035528356922, 250.89961422455471, 2, 79, 6, 3}},
+      {36, {516.58816055706518, 509.96551811391754, 17, 93, 17, 18}},
+  };
+  // The planner counter adds each LP solve's factorizations.
+  const obs::Counter& factorizations =
+      obs::counter("planner.lp_factorizations");
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << pin.seed);
+    const std::uint64_t counted_before = factorizations.value();
+    const GoldenPlan got = plan_testbed_batch(pin.seed);
+    EXPECT_EQ(factorizations.value() - counted_before, got.lp_factorizations);
+    EXPECT_EQ(got.predicted_objective, pin.want.predicted_objective);
+    EXPECT_EQ(got.relaxation_objective, pin.want.relaxation_objective);
+    EXPECT_EQ(got.lp_solves, pin.want.lp_solves);
+    EXPECT_EQ(got.simplex_pivots, pin.want.simplex_pivots);
+    EXPECT_EQ(got.cut_count, pin.want.cut_count);
+    EXPECT_EQ(got.lp_factorizations, pin.want.lp_factorizations);
+  }
 }
 
 }  // namespace
