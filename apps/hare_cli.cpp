@@ -32,8 +32,8 @@
 // Every command accepts `--trace-out FILE` (Chrome trace_event JSON for
 // chrome://tracing), `--metrics-out FILE` (hare::obs counters/gauges/
 // histograms as JSON), and `--flame-out FILE` (plain-text span summary).
-// With `--trace-out`, `schedule` also replays the plan on the threaded
-// executor runtime so the trace covers all four instrumented layers.
+// Tracing only observes: a traced run plans and simulates exactly what an
+// untraced one does.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -47,7 +47,6 @@
 #include "exp/engine.hpp"
 #include "fault/runner.hpp"
 #include "obs/obs.hpp"
-#include "runtime/runtime.hpp"
 #include "serve/serve_service.hpp"
 #include "shard/hierarchical_planner.hpp"
 #include "sim/gantt.hpp"
@@ -217,6 +216,7 @@ core::RunReport run_one(const Args& args, const cluster::Cluster& cluster,
   options.sim.switching.policy = hare_like ? switching::SwitchPolicy::Hare
                                            : switching::SwitchPolicy::Default;
   options.sim.use_memory_manager = hare_like;
+  options.sim.record_timeline = args.flag("gantt");
   core::HareSystem system(cluster, options);
   system.submit_all(jobs);
   return system.run(scheduler);
@@ -263,11 +263,7 @@ int cmd_schedule(const Args& args) {
 
   const std::string plan_path = args.get("save-plan");
   if (!plan_path.empty()) {
-    core::HareSystem system(cluster);
-    system.submit_all(jobs);
-    const sim::Schedule plan =
-        scheduler->schedule({cluster, jobs, system.profiled_times()});
-    sim::save_schedule_file(plan, plan_path);
+    sim::save_schedule_file(report.plan, plan_path);
     std::cout << "saved plan to " << plan_path << '\n';
   }
 
@@ -297,31 +293,8 @@ int cmd_schedule(const Args& args) {
   }
 
   if (args.flag("gantt")) {
-    // Re-run with timeline recording for the chart.
-    core::HareSystem::Options options;
-    options.sim.record_timeline = true;
-    core::HareSystem system(cluster, options);
-    system.submit_all(jobs);
-    const core::RunReport charted = system.run(*scheduler);
     std::cout << '\n'
-              << sim::render_gantt(cluster, jobs, charted.result,
-                                   {std::min<std::size_t>(100, 100), true});
-  }
-
-  if (obs::Tracer::enabled()) {
-    // Replay the plan on the threaded executor runtime (fast virtual
-    // clock) so the exported trace covers the runtime layer too.
-    core::HareSystem system(cluster);
-    system.submit_all(jobs);
-    const sim::Schedule plan =
-        scheduler->schedule({cluster, jobs, system.profiled_times()});
-    runtime::RuntimeConfig runtime_config;
-    runtime_config.microseconds_per_sim_second = 5.0;
-    runtime::ExecutorRuntime executors(cluster, jobs, system.profiled_times(),
-                                       runtime_config);
-    const runtime::RuntimeResult replay = executors.run(plan);
-    std::cout << "traced runtime replay: makespan " << replay.makespan
-              << " s, " << replay.switch_count << " cross-job switches\n";
+              << sim::render_gantt(cluster, jobs, report.result, {100, true});
   }
   return 0;
 }

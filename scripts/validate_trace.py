@@ -13,13 +13,15 @@ are well formed:
 
 With --require-cats, the union of event categories must cover every
 requested category — CI uses this to prove the trace contains spans from
-all instrumented layers (planner, sim, switching, runtime; fault runs add
-the "fault" category for replan spans and failure/recovery/cancellation
+all instrumented layers (planner, sim, switching; fault runs add the
+"fault" category for replan spans and failure/recovery/cancellation
 instant events).
 
 With --require-names, the union of event names must cover every requested
-name — CI's fault smoke uses this to prove the "fault.event" instants and
-"fault.replan" spans actually landed in the trace, not just the category.
+name — CI uses this to prove that named spans actually landed in the
+trace, not just their category: "planner.schedule" and "sim.run" for a
+`schedule` run, "fault.event" instants and "fault.replan" spans for a
+fault run.
 
 Usage: scripts/validate_trace.py TRACE.json [--require-cats a,b,c]
                                             [--require-names n1,n2]

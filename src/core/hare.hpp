@@ -38,7 +38,6 @@
 #include "sim/fairness.hpp"
 #include "sim/gantt.hpp"
 #include "sim/schedule.hpp"
-#include "runtime/runtime.hpp"
 #include "sim/simulator.hpp"
 #include "switching/context_pool.hpp"
 #include "switching/memory_manager.hpp"

@@ -51,18 +51,14 @@ RunReport HareSystem::run(sched::Scheduler& scheduler) {
 RunReport HareSystem::run(sched::Scheduler& scheduler,
                           sim::SimScratch& scratch) {
   ensure_profiled();
-  const sched::SchedulerInput input{cluster_, jobs_, profiled_};
-
+  RunReport report;
+  report.scheduler = std::string(scheduler.name());
   const auto start = std::chrono::steady_clock::now();
-  const sim::Schedule schedule = scheduler.schedule(input);
+  report.plan = scheduler.schedule({cluster_, jobs_, profiled_});
   const auto end = std::chrono::steady_clock::now();
 
   const sim::Simulator simulator(cluster_, jobs_, actual_, options_.sim);
-
-  RunReport report;
-  report.scheduler = std::string(scheduler.name());
-  report.result = simulator.run(schedule, scratch);
-  report.planned_objective = schedule.predicted_objective;
+  report.result = simulator.run(report.plan, scratch);
   report.scheduling_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
   report.approximation =

@@ -3,8 +3,9 @@
 // Wires the preparation stage (job submission → profiler + profile DB →
 // scheduling algorithm) to the training stage (executors = the simulator
 // with the fast-task-switching models). One call runs a scheduler against
-// the submitted workload and returns the realized metrics; a comparison
-// helper runs Hare plus the four baselines of §7.1 on identical inputs.
+// the submitted workload and returns its plan and the realized metrics; a
+// comparison helper runs Hare plus the four baselines of §7.1 on identical
+// inputs.
 #pragma once
 
 #include <chrono>
@@ -25,9 +26,9 @@ namespace hare::core {
 
 struct RunReport {
   std::string scheduler;
+  sim::Schedule plan;          ///< the scheduler's plan, as simulated
   sim::SimResult result;
-  double planned_objective = 0.0;  ///< scheduler's own prediction
-  double scheduling_ms = 0.0;      ///< wall time of the algorithm itself
+  double scheduling_ms = 0.0;  ///< wall time of the algorithm itself
   ApproximationReport approximation;
 };
 

@@ -3,7 +3,7 @@
 // Unlike spans, metric updates are always live (no enabled() gate): each is
 // a relaxed atomic op, cheap enough for the layers that carry them
 // (`planner.lp_pivots`, `sim.events_processed`, `switch.preempt_latency_us`,
-// `runtime.queue_depth`). Instrumentation sites cache the reference:
+// `exp.queue_depth`). Instrumentation sites cache the reference:
 //
 //   static auto& events = obs::counter("sim.events_processed");
 //   events.add();

@@ -1,6 +1,7 @@
 #include "workload/job.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -14,6 +15,11 @@ JobId JobSet::add_job(JobSpec spec) {
                  "a task trains at least one batch");
   HARE_CHECK_MSG(spec.weight > 0.0, "job weight must be positive");
   HARE_CHECK_MSG(spec.arrival >= 0.0, "arrival time must be non-negative");
+  // Task ids are int32: refuse a job that would overflow them up front.
+  const std::uint64_t job_tasks =
+      std::uint64_t{spec.rounds} * spec.tasks_per_round;
+  HARE_CHECK_MSG(job_tasks <= INT32_MAX - tasks_.size(),
+                 "a job of " << job_tasks << " tasks overflows int32 task ids");
 
   Job job;
   job.id = JobId(static_cast<JobId::underlying_type>(jobs_.size()));

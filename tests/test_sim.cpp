@@ -446,6 +446,68 @@ TEST(Simulator, JctDistributionMatchesJobs) {
   EXPECT_DOUBLE_EQ(dist.cdf(result.makespan + 1.0), 1.0);
 }
 
+TEST(Simulator, SingleJobMatchesAnalyticTime) {
+  // One job, two rounds on one GPU, free switching: each round is its
+  // compute plus its sync, so completion is exactly 2 x (10 + 1) s.
+  const Instance inst = make_uniform_instance({10.0}, 1, 2, 1, 1.0);
+  Schedule schedule;
+  schedule.sequences = {{TaskId(0), TaskId(1)}};
+  SimConfig config;
+  config.switching.free_switching = true;
+  const Simulator simulator(inst.cluster, inst.jobs, inst.times, config);
+  const SimResult result = simulator.run(schedule);
+  EXPECT_DOUBLE_EQ(result.tasks[1].start, 11.0);
+  EXPECT_DOUBLE_EQ(result.jobs[0].completion, 22.0);
+}
+
+TEST(Simulator, RoundBarriersHoldInLockstep) {
+  // Two tasks per round on GPUs 5:1 apart: every round of the fast GPU
+  // waits for the slow GPU's compute and sync, so the pair runs in
+  // lockstep and the job takes exactly 3 x (5.0 + 0.2) = 15.6 s.
+  const Instance inst = make_uniform_instance({5.0, 1.0}, 1, 3, 2, 0.2);
+  Schedule schedule;
+  schedule.sequences.resize(2);
+  for (RoundIndex r = 0; r < 3; ++r) {
+    const auto round = inst.jobs.round_tasks(JobId(0), r);
+    schedule.sequences[0].push_back(round[0]);
+    schedule.sequences[1].push_back(round[1]);
+  }
+  SimConfig config;
+  config.switching.free_switching = true;
+  const Simulator simulator(inst.cluster, inst.jobs, inst.times, config);
+  const SimResult result = simulator.run(schedule);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t g = 0; g < 2; ++g) {
+      const TaskId id = schedule.sequences[g][r];
+      EXPECT_NEAR(result.tasks[static_cast<std::size_t>(id.value())].start,
+                  5.2 * static_cast<double>(r), 1e-12);
+    }
+  }
+  EXPECT_NEAR(result.jobs[0].completion, 15.6, 1e-12);
+}
+
+TEST(Simulator, AlternatingJobsCountSwitchesAndResidentHits) {
+  // Two jobs alternating on one GPU under the Hare policy: three cross-job
+  // switches, and each job's second round finds its kept model state.
+  const Instance inst = make_uniform_instance({1.0}, 2, 2, 1, 0.05);
+  Schedule schedule;
+  schedule.sequences = {{TaskId(0), TaskId(2), TaskId(1), TaskId(3)}};
+  SimConfig config;
+  config.switching.policy = switching::SwitchPolicy::Hare;
+  const Simulator simulator(inst.cluster, inst.jobs, inst.times, config);
+  const SimResult result = simulator.run(schedule);
+  std::size_t switches = 0;
+  std::size_t resident_hits = 0;
+  for (const auto& stat : result.switch_stats) {
+    switches += stat.switch_count;
+    resident_hits += stat.resident_hits;
+  }
+  EXPECT_EQ(switches, 3u);  // j0->j1, j1->j0, j0->j1
+  EXPECT_EQ(resident_hits, 2u);
+  EXPECT_TRUE(result.tasks[1].model_resident);
+  EXPECT_TRUE(result.tasks[3].model_resident);
+}
+
 TEST(Simulator, MismatchedInputsRejected) {
   const Instance inst = make_uniform_instance({1.0, 1.0}, 1, 1, 1);
   profiler::TimeTable wrong(1, 5);

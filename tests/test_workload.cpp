@@ -246,6 +246,13 @@ TEST(JobSet, RejectsInvalidSpecs) {
   spec.arrival = 0.0;
   spec.batches_per_task = 0;
   EXPECT_THROW(jobs.add_job(spec), common::Error);
+  // 2^16 rounds x 2^15 tasks = 2^31 tasks: one more than an int32 TaskId
+  // can number, rejected before any task is allocated.
+  spec.batches_per_task = 1;
+  spec.rounds = 65536;
+  spec.tasks_per_round = 32768;
+  EXPECT_THROW(jobs.add_job(spec), common::Error);
+  EXPECT_EQ(jobs.task_count(), 0u);
 }
 
 TEST(JobSet, RoundTasksOutOfRangeThrows) {
@@ -399,6 +406,11 @@ TEST(TraceSerialization, RejectsTruncatedBody) {
   text.resize(text.size() / 2);
   std::stringstream broken(text);
   EXPECT_THROW(load_trace(broken), common::Error);
+
+  // A well-formed line whose task count (2^16 x 2^15 = 2^31) overflows
+  // int32 task ids.
+  std::stringstream oversized("hare-trace-v1 1\n0 0 1 65536 32768 32 1 -\n");
+  EXPECT_THROW(load_trace(oversized), common::Error);
 }
 
 }  // namespace
