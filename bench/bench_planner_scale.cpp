@@ -6,9 +6,10 @@
 // contract (tests/planner_oracle.cpp), not a bench one.
 //
 // Emits machine-readable BENCH_planner.json (wall ms, LP solves, cuts,
-// simplex pivots, LP shape, validity) which scripts/check_bench_regression.py
-// gates in CI. `--quick` shrinks the grid for smoke runs; `--json <path>`
-// overrides the output location.
+// simplex pivots and how many of them were phase-1 pivots, LP shape,
+// validity) which scripts/check_bench_regression.py gates in CI. `--quick`
+// shrinks the grid for smoke runs; `--json <path>` overrides the output
+// location.
 //
 // The timed grid always runs with hare::obs tracing *disabled*. Afterwards
 // one representative point per mode is re-run with the tracer enabled and
@@ -106,6 +107,9 @@ struct PointResult {
   std::size_t lp_solves = 0;
   std::size_t cuts = 0;
   std::size_t pivots = 0;
+  /// Phase-1 pivots, all solves: 0 while the cold solve starts from the
+  /// relaxation's critical-path basis.
+  std::size_t phase1_pivots = 0;
   std::size_t factorizations = 0;  ///< basis LU factorizations, all solves
   // Final LP shape of the relaxation (base rows + cuts).
   std::size_t lp_rows = 0;
@@ -131,6 +135,7 @@ PointResult run_point(const GridPoint& point, int repeats) {
   result.lp_solves = plan.relaxation.lp_solves;
   result.cuts = plan.relaxation.cut_count;
   result.pivots = plan.relaxation.simplex_pivots;
+  result.phase1_pivots = plan.relaxation.phase1_pivots;
   result.factorizations = plan.relaxation.lp_factorizations;
   result.lp_rows = plan.relaxation.lp_rows;
   result.lp_cols = plan.relaxation.lp_cols;
@@ -162,6 +167,7 @@ PointResult run_point(const GridPoint& point, int repeats) {
         << ", \"lp_solves\": " << r.lp_solves    //
         << ", \"cuts\": " << r.cuts              //
         << ", \"pivots\": " << r.pivots          //
+        << ", \"phase1_pivots\": " << r.phase1_pivots  //
         << ", \"factorizations\": " << r.factorizations  //
         << ", \"lp_rows\": " << r.lp_rows        //
         << ", \"lp_cols\": " << r.lp_cols        //
@@ -266,7 +272,7 @@ int main(int argc, char** argv) {
   }
 
   common::Table table({"mode", "jobs", "gpus", "tasks", "plan ms", "solves",
-                       "cuts", "pivots", "factors", "lp rxc (nnz)",
+                       "cuts", "pivots", "phase 1", "factors", "lp rxc (nnz)",
                        "valid"});
   for (const auto& r : rows) {
     auto row = table.row();
@@ -278,6 +284,7 @@ int main(int argc, char** argv) {
     row.cell(r.lp_solves);
     row.cell(r.cuts);
     row.cell(r.pivots);
+    row.cell(r.phase1_pivots);
     row.cell(r.factorizations);
     row.cell(std::to_string(r.lp_rows) + "x" + std::to_string(r.lp_cols) +
              " (" + std::to_string(r.lp_nonzeros) + ")");

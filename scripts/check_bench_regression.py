@@ -8,9 +8,12 @@ field:
 bench_planner_scale (BENCH_planner.json):
   * a grid point's schedule failed structural validation, or a point lacks
     its timing — never waived, including in quick mode;
-  * an lp_cuts point never solved an LP, or its reported LP shape is empty.
-    Absolute milliseconds are never compared; identity with the reference
-    planner is a ctest contract (tests/planner_oracle.cpp).
+  * an lp_cuts point never solved an LP, or its reported LP shape is empty;
+  * an lp_cuts point ran a phase-1 pivot (or does not report
+    phase1_pivots): the relaxation's cold solve starts from a primal
+    feasible critical-path basis, so phase 1 means it fell back to the
+    slack start. Absolute milliseconds are never compared; identity with
+    the reference planner is a ctest contract (tests/planner_oracle.cpp).
 
 bench_sweep_scale (BENCH_sweep.json):
   * the parallel sweep diverged from the serial reference (bit-identity is
@@ -187,6 +190,18 @@ def check_planner(data, quick, path):
                 errors += fail(f"{tag}: the LpCuts relaxation solved no LP")
             if p.get("lp_rows", 0) < 1 or p.get("lp_cols", 0) < 1:
                 errors += fail(f"{tag}: the reported LP shape is empty")
+            # The relaxation's cold solve starts from a primal feasible
+            # critical-path basis; a phase-1 pivot means it fell back to
+            # the slack start.
+            if "phase1_pivots" not in p:
+                errors += skip_missing(tag, ["phase1_pivots"],
+                                       "the critical-path start gate")
+            elif p["phase1_pivots"] > 0:
+                errors += fail(
+                    f"{tag}: phase1_pivots = {p['phase1_pivots']} — the "
+                    "relaxation's cold solve ran phase 1, so it did not "
+                    "start from its critical-path basis"
+                )
 
     if errors:
         return errors

@@ -1,6 +1,7 @@
 #include "core/relaxation.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -228,10 +229,21 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
                        y_hat[static_cast<std::size_t>(id.value())]);
   };
 
+  // The cold solve starts from the critical-path basis of these base rows:
+  // every task starts as early as its round allows (round-0 x_i nonbasic at
+  // their arrival bound, later x_i basic) and every round ends at its
+  // longest task (E_r basic in place of that task's round-end logical,
+  // ties to the lowest task; the other round-end logicals basic), with C_n
+  // basic. It is block triangular by round and primal feasible, so no
+  // phase 1 runs, and the perturbed optimum is this vertex.
+  const std::size_t cols = lp.variable_count();
+  std::vector<std::size_t> start_basis;
   for (const auto& job : jobs.jobs()) {
     const std::size_t j = static_cast<std::size_t>(job.id.value());
     for (std::uint32_t r = 0; r < job.rounds(); ++r) {
       const std::size_t e = e_var[j][r];
+      std::size_t longest_slot = 0;
+      Time longest = -std::numeric_limits<Time>::infinity();
       for (TaskId id : jobs.round_tasks(job.id, static_cast<RoundIndex>(r))) {
         const std::size_t x = x_var[static_cast<std::size_t>(id.value())];
         // (4): release — round 0 at arrival, later rounds behind E_{r-1}.
@@ -242,13 +254,22 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
         } else {
           lp.add_constraint({{x, 1.0}, {e_var[j][r - 1], -1.0}},
                             opt::Relation::GreaterEqual, 0.0);
+          start_basis.push_back(x);
         }
         // Round end dominates every member's completion: E >= x + T.
+        const Time total = assigned_total(id);
+        if (total > longest) {
+          longest = total;
+          longest_slot = start_basis.size();
+        }
+        start_basis.push_back(cols + lp.constraint_count());
         lp.add_constraint({{e, 1.0}, {x, -1.0}}, opt::Relation::GreaterEqual,
-                          assigned_total(id));
+                          total);
       }
+      start_basis[longest_slot] = e;
     }
     // (6): C_n >= E_{n,last}.
+    start_basis.push_back(c_var[j]);
     lp.add_constraint({{c_var[j], 1.0}, {e_var[j][job.rounds() - 1], -1.0}},
                       opt::Relation::GreaterEqual, 0.0);
   }
@@ -264,9 +285,8 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
 
   const std::size_t base_rows = lp.constraint_count();
   const std::size_t base_nonzeros = lp.nonzero_count();
-  const std::size_t cols = lp.variable_count();
   std::size_t cut_nonzeros = 0;
-  opt::IncrementalLpSolver solver(std::move(lp));
+  opt::IncrementalLpSolver solver(std::move(lp), std::move(start_basis));
   lp_build_span.end();
 
   // x̂ is the perturbed program's unique optimal vertex, snapped to the
@@ -286,6 +306,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   HARE_CHECK_MSG(solution.optimal(), "relaxation LP is infeasible/unbounded");
   ++result.lp_solves;
   result.simplex_pivots += solver.last_stats().total();
+  result.phase1_pivots += solver.last_stats().phase1;
   result.lp_factorizations += solver.last_stats().factorizations;
   lp_solve_counter.add();
   pivot_counter.add(solver.last_stats().total());
@@ -370,6 +391,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
     HARE_CHECK_MSG(solution.optimal(), "cut LP became infeasible");
     ++result.lp_solves;
     result.simplex_pivots += solver.last_stats().total();
+    result.phase1_pivots += solver.last_stats().phase1;
     result.lp_factorizations += solver.last_stats().factorizations;
     lp_solve_counter.add();
     pivot_counter.add(solver.last_stats().total());

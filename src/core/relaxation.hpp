@@ -56,6 +56,9 @@ struct RelaxationResult {
   std::size_t cut_count = 0;    ///< Queyranne cuts added (LpCuts mode)
   std::size_t lp_solves = 0;    ///< LP solve→separate rounds (LpCuts mode)
   std::size_t simplex_pivots = 0;  ///< total pivots across primary rounds
+  /// Of those, phase-1 (feasibility) pivots: 0 while every cold solve
+  /// starts from the critical-path basis (opt::IncrementalLpSolver).
+  std::size_t phase1_pivots = 0;
   std::size_t lp_factorizations = 0;  ///< basis LU factorizations, all rounds
   std::vector<LpRoundStats> lp_rounds;  ///< per-round accounting
 

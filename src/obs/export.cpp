@@ -155,8 +155,16 @@ void accumulate_thread(const std::vector<TraceEvent>& events,
 
 std::string flame_summary() {
   std::map<std::string, PathStats> paths;
+  std::ostringstream out;
   for (const auto& ring : Tracer::instance().rings()) {
     accumulate_thread(ring->snapshot(), paths);
+    // A wrapped ring lost its oldest spans, so its totals undercount.
+    if (const std::uint64_t dropped = ring->dropped()) {
+      out << "# obs.dropped_events tid=" << ring->tid()
+          << " count=" << dropped
+          << " (ring wrapped: this thread's earliest spans are missing; "
+             "HARE_OBS_RING sets the ring capacity)\n";
+    }
   }
   std::vector<std::pair<std::string, PathStats>> rows(paths.begin(),
                                                       paths.end());
@@ -166,7 +174,6 @@ std::string flame_summary() {
     }
     return a.first < b.first;
   });
-  std::ostringstream out;
   out << "total_ms     count  path\n";
   for (const auto& [path, stats] : rows) {
     std::ostringstream ms;

@@ -19,7 +19,9 @@ namespace hare::obs {
 void write_chrome_trace(std::ostream& out);
 [[nodiscard]] bool write_chrome_trace_file(const std::string& path);
 
-/// Aggregated call-path summary of all recorded spans.
+/// Aggregated call-path summary of all recorded spans. Each thread whose
+/// ring wrapped first gets a `# obs.dropped_events tid=T count=N` line: its
+/// oldest spans are gone, so its totals undercount.
 [[nodiscard]] std::string flame_summary();
 [[nodiscard]] bool write_flame_summary_file(const std::string& path);
 

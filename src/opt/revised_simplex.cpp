@@ -153,7 +153,8 @@ RevisedSimplex::PivotResult RevisedSimplex::pivot_exchange(
 }
 
 // ---------------------------------------------------------------------------
-// Phase 1: composite infeasibility minimization from the all-logical basis.
+// Phase 1: composite infeasibility minimization from the start basis (the
+// caller's, or the all-logical one); a primal feasible start returns at once.
 // The piecewise objective (per-unit cost −1 below lower, +1 above upper)
 // changes at every breakpoint, so duals are recomputed each iteration and a
 // basic variable blocks at the first bound it reaches — feasible basics at
@@ -425,15 +426,17 @@ LpStatus RevisedSimplex::dual_phase(std::size_t max_iterations,
     const int leaving = basis_[static_cast<std::size_t>(leave)];
     const double delta = below ? 1.0 : -1.0;
     btran_row(leave);
+    // One pass computes α_rj for every nonbasic column: the ratio test
+    // reads it here and the reduced-cost update below reuses it.
+    alpha_row_.clear();
     int enter = -1;
     double best_ratio = kInf;
     for (int j = 0; j < total_cols(); ++j) {
-      if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-          is_fixed(j)) {
-        continue;
-      }
+      if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic) continue;
       const double arj = A_.column_dot(j, rho_);
-      if (std::abs(arj) <= kPivotTol) continue;
+      if (arj == 0.0) continue;
+      alpha_row_.emplace_back(j, arj);
+      if (is_fixed(j) || std::abs(arj) <= kPivotTol) continue;
       const bool at_lower =
           vstat_[static_cast<std::size_t>(j)] == VarStatus::AtLower;
       // xb_r moves by −arj per unit increase of j; an AtLower variable can
@@ -458,13 +461,8 @@ LpStatus RevisedSimplex::dual_phase(std::size_t max_iterations,
                         alpha_r;  // signed entering step
 
     const double ratio_d = dual_[static_cast<std::size_t>(enter)] / alpha_r;
-    for (int j = 0; j < total_cols(); ++j) {
-      if (vstat_[static_cast<std::size_t>(j)] == VarStatus::Basic ||
-          j == enter) {
-        continue;
-      }
-      const double arj = A_.column_dot(j, rho_);
-      if (arj != 0.0) dual_[static_cast<std::size_t>(j)] -= ratio_d * arj;
+    for (const auto& [j, arj] : alpha_row_) {
+      if (j != enter) dual_[static_cast<std::size_t>(j)] -= ratio_d * arj;
     }
     dual_[static_cast<std::size_t>(leaving)] = -ratio_d;
     dual_[static_cast<std::size_t>(enter)] = 0.0;
@@ -496,30 +494,55 @@ LpSolution RevisedSimplex::extract() const {
   return solution;
 }
 
-LpSolution RevisedSimplex::solve(std::size_t max_iterations,
-                                 LpIterationStats* stats) {
-  factorizations_ = stats ? &stats->factorizations : nullptr;
-  basis_valid_ = false;
-  rows_appended_ = false;
+bool RevisedSimplex::install_basis(std::span<const std::size_t> start) {
   const int cols = total_cols();
   vstat_.assign(static_cast<std::size_t>(cols), VarStatus::AtLower);
   pos_of_.assign(static_cast<std::size_t>(cols), -1);
   basis_.resize(static_cast<std::size_t>(m_));
+  if (!start.empty() && start.size() != static_cast<std::size_t>(m_)) {
+    return false;
+  }
   for (int i = 0; i < m_; ++i) {
-    const int logical = n_ + i;
-    basis_[static_cast<std::size_t>(i)] = logical;
-    vstat_[static_cast<std::size_t>(logical)] = VarStatus::Basic;
-    pos_of_[static_cast<std::size_t>(logical)] = i;
+    const std::size_t col =
+        start.empty() ? static_cast<std::size_t>(n_ + i)
+                      : start[static_cast<std::size_t>(i)];
+    if (col >= static_cast<std::size_t>(cols) || pos_of_[col] >= 0) {
+      return false;
+    }
+    basis_[static_cast<std::size_t>(i)] = static_cast<int>(col);
+    vstat_[col] = VarStatus::Basic;
+    pos_of_[col] = i;
   }
   // ≥-row logicals have no lower bound; nonbasic means at upper for them.
-  // (They start basic, but a later pivot can make any column nonbasic.)
+  // (The all-logical start makes them basic, but a start basis or a later
+  // pivot can leave any column nonbasic.)
+  for (int j = n_; j < cols; ++j) {
+    if (vstat_[static_cast<std::size_t>(j)] != VarStatus::Basic &&
+        std::isinf(lower_[static_cast<std::size_t>(j)])) {
+      vstat_[static_cast<std::size_t>(j)] = VarStatus::AtUpper;
+    }
+  }
+  return true;
+}
+
+LpSolution RevisedSimplex::solve(std::size_t max_iterations,
+                                 LpIterationStats* stats,
+                                 std::span<const std::size_t> start) {
+  factorizations_ = stats ? &stats->factorizations : nullptr;
+  basis_valid_ = false;
+  rows_appended_ = false;
   LpSolution solution;
-  if (!refactorize()) {
+  // An unusable start basis (malformed or singular) falls back to the
+  // all-logical one, which always factorizes.
+  const bool started =
+      !start.empty() && install_basis(start) && refactorize();
+  if (!started && !(install_basis({}) && refactorize())) {
     solution.status = LpStatus::Infeasible;
     return solution;
   }
   compute_xb();
 
+  // Phase 1 returns at once when the start is already primal feasible.
   std::size_t sink = 0;
   LpStatus status = phase1(max_iterations, stats ? &stats->phase1 : &sink);
   if (status != LpStatus::Optimal) {
@@ -569,12 +592,18 @@ LpSolution RevisedSimplex::resolve(std::size_t max_iterations,
                                    LpIterationStats* stats) {
   if (!basis_valid_ || vstat_.empty()) return solve(max_iterations, stats);
   factorizations_ = stats ? &stats->factorizations : nullptr;
+  basis_valid_ = false;
+  LpSolution solution;
   if (rows_appended_) {
-    if (!refactorize()) return solve(max_iterations, stats);
+    // A singular extended basis is a numerical stall: the caller's cold
+    // restart takes over, from its start basis.
+    if (!refactorize()) {
+      solution.status = LpStatus::IterationLimit;
+      return solution;
+    }
     compute_xb();
     rows_appended_ = false;
   }
-  basis_valid_ = false;
   std::size_t sink = 0;
   LpStatus status = dual_phase(max_iterations, stats ? &stats->dual : &sink);
   if (status == LpStatus::Optimal) {
@@ -583,7 +612,6 @@ LpSolution RevisedSimplex::resolve(std::size_t max_iterations,
     // not.
     status = phase2(max_iterations, stats ? &stats->phase2 : &sink);
   }
-  LpSolution solution;
   if (status != LpStatus::Optimal) {
     solution.status = status;
     return solution;

@@ -10,9 +10,13 @@
 //    [0,∞) for ≤, (−∞,0] for ≥, [0,0] for =. Single-variable bound rows
 //    never reach this solver — relaxation.cpp states them as variable
 //    bounds, which live in the bound arrays, not the row space.
-//  * Cold solve: composite phase 1 from the all-logical basis (piecewise
-//    infeasibility objective, recomputed each iteration), then Devex-priced
-//    primal phase 2.
+//  * Cold solve: from a caller's start basis when it is usable (m distinct
+//    columns, nonsingular), else from the all-logical basis. Composite
+//    phase 1 (piecewise infeasibility objective, recomputed each iteration)
+//    runs only while the start is primal infeasible, so a feasible start
+//    basis goes straight to the Devex-priced primal phase 2. The LpCuts
+//    relaxation passes the critical-path vertex of its base rows, which is
+//    feasible and, on the testbed batches, already optimal.
 //  * Warm re-solve: appended ≥-cut rows get their logicals basic, which
 //    keeps the old duals exactly (the extended basis is block triangular);
 //    one refactorization then dual-simplex pivots restore primal
@@ -23,6 +27,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "opt/basis_lu.hpp"
@@ -37,9 +43,15 @@ class RevisedSimplex {
   explicit RevisedSimplex(const LinearProgram& lp);
 
   /// Cold solve: composite phase 1 + Devex phase 2. `stats`, when given,
-  /// accumulates pivot counts.
+  /// accumulates pivot counts. `start`, when non-empty, names the basic
+  /// column of each basis position (structural j < n, logical of row i at
+  /// n + i); nonbasic columns sit at their lower bound, or at their upper
+  /// bound when they have no finite lower one (≥-row logicals). A start of
+  /// the wrong size, with a repeated or unknown column, or singular falls
+  /// back to the all-logical basis.
   [[nodiscard]] LpSolution solve(std::size_t max_iterations,
-                                 LpIterationStats* stats = nullptr);
+                                 LpIterationStats* stats = nullptr,
+                                 std::span<const std::size_t> start = {});
 
   /// Append `terms >= rhs` as a new row. Cheap: touches only the cut's
   /// columns plus one new logical. Requires a prior optimal solve when the
@@ -48,8 +60,9 @@ class RevisedSimplex {
                   double rhs);
 
   /// Warm re-solve after add_ge_row(): refactorize the extended basis and
-  /// run dual-simplex pivots on the appended rows. Falls back to Infeasible
-  /// / IterationLimit like solve(); callers may cold-restart on failure.
+  /// run dual-simplex pivots on the appended rows. Fails with Infeasible /
+  /// IterationLimit like solve(), and with IterationLimit when the extended
+  /// basis does not factorize; callers may cold-restart on failure.
   [[nodiscard]] LpSolution resolve(std::size_t max_iterations,
                                    LpIterationStats* stats = nullptr);
 
@@ -92,6 +105,8 @@ class RevisedSimplex {
   std::vector<double> rho_;       ///< B⁻ᵀ e_r by row
   std::vector<double> pos_buf_;   ///< position-indexed scratch
   std::vector<double> y_;         ///< duals by row
+  /// Dual phase: the nonzero α_rj = (B⁻ᵀe_r)·a_j of the nonbasic columns.
+  std::vector<std::pair<int, double>> alpha_row_;
 
   enum class PivotResult { Ok, Refactored, Failed };
 
@@ -99,6 +114,10 @@ class RevisedSimplex {
   [[nodiscard]] bool is_fixed(int j) const;
   [[nodiscard]] double nonbasic_value(int j) const;
 
+  /// Set the basis to `start` (all logicals when empty) and put every
+  /// nonbasic column at a finite bound. False, with nothing usable, when
+  /// `start` is not m distinct columns of the program.
+  [[nodiscard]] bool install_basis(std::span<const std::size_t> start);
   [[nodiscard]] bool refactorize();
   void compute_xb();
   void compute_duals();

@@ -67,8 +67,9 @@ LpSolution LinearProgram::solve(std::size_t max_iterations,
   return solution;
 }
 
-IncrementalLpSolver::IncrementalLpSolver(LinearProgram lp)
-    : lp_(std::move(lp)) {}
+IncrementalLpSolver::IncrementalLpSolver(LinearProgram lp,
+                                         std::vector<std::size_t> start_basis)
+    : lp_(std::move(lp)), start_basis_(std::move(start_basis)) {}
 
 IncrementalLpSolver::~IncrementalLpSolver() = default;
 IncrementalLpSolver::IncrementalLpSolver(IncrementalLpSolver&&) noexcept =
@@ -79,6 +80,9 @@ IncrementalLpSolver& IncrementalLpSolver::operator=(
 void IncrementalLpSolver::add_ge_constraint(
     const std::vector<std::pair<std::size_t, double>>& terms, double rhs) {
   lp_.add_constraint(terms, Relation::GreaterEqual, rhs);
+  if (!start_basis_.empty()) {
+    start_basis_.push_back(lp_.variable_count() + lp_.constraint_count() - 1);
+  }
   if (simplex_ && simplex_->has_optimal_basis()) {
     simplex_->add_ge_row(terms, rhs);
   }
@@ -95,7 +99,7 @@ LpSolution IncrementalLpSolver::solve(std::size_t max_iterations) {
   }
   last_warm_ = false;
   simplex_ = std::make_unique<RevisedSimplex>(lp_);
-  return simplex_->solve(max_iterations, &stats_);
+  return simplex_->solve(max_iterations, &stats_, start_basis_);
 }
 
 }  // namespace hare::opt

@@ -22,13 +22,20 @@
 // arithmetic differences to identical doubles.
 //
 // Two entry points:
-//  * LinearProgram::solve() — one-shot cold solve (phase 1 + phase 2).
+//  * LinearProgram::solve() — one-shot cold solve (phase 1 + phase 2) from
+//    the all-logical (slack) basis.
 //  * IncrementalLpSolver — retains the optimal basis between solves so a
 //    cutting-plane loop (solve → separate → add ≥-cut → re-solve) restores
 //    feasibility with a handful of dual-simplex pivots instead of a cold
 //    restart. This is the standard warm start a commercial solver applies
 //    when rows are appended, and it is what makes the LpCuts relaxation
-//    usable inside a continuously re-planning scheduler.
+//    usable inside a continuously re-planning scheduler. Its cold solve can
+//    start from a caller's basis: the LpCuts relaxation hands it the
+//    critical-path vertex of its base rows (every task as early as its
+//    round allows, every round ending at its slowest task), which is primal
+//    feasible, so phase 1 does not run. Phase 1 still runs from the slack
+//    basis when no start basis is given or the given one is unusable, and
+//    from a usable start that is not primal feasible.
 #pragma once
 
 #include <cstddef>
@@ -142,7 +149,16 @@ class LinearProgram {
 /// the whole program.
 class IncrementalLpSolver {
  public:
-  explicit IncrementalLpSolver(LinearProgram lp);
+  /// `start_basis`, when non-empty, is the cold solve's starting basis over
+  /// the program's rows: the basic column of each basis position, where
+  /// column j < variable_count() is variable j and column
+  /// variable_count() + i is row i's logical (slack). Rows appended later
+  /// get their logicals basic, so a cold restart after a warm-path stall
+  /// starts from the same basis. A start basis of the wrong size, with a
+  /// repeated or unknown column, or singular is ignored: the cold solve
+  /// then starts from the all-logical basis.
+  explicit IncrementalLpSolver(LinearProgram lp,
+                               std::vector<std::size_t> start_basis = {});
   ~IncrementalLpSolver();
   IncrementalLpSolver(IncrementalLpSolver&&) noexcept;
   IncrementalLpSolver& operator=(IncrementalLpSolver&&) noexcept;
@@ -151,8 +167,9 @@ class IncrementalLpSolver {
   void add_ge_constraint(
       const std::vector<std::pair<std::size_t, double>>& terms, double rhs);
 
-  /// Solve / re-solve. The first call is always a cold two-phase solve;
-  /// later calls re-optimize from the previous basis.
+  /// Solve / re-solve. The first call is always a cold solve (from the
+  /// start basis when one was given); later calls re-optimize from the
+  /// previous basis.
   [[nodiscard]] LpSolution solve(std::size_t max_iterations = 100000);
 
   /// Pivot counts of the most recent solve() call.
@@ -167,6 +184,7 @@ class IncrementalLpSolver {
 
  private:
   LinearProgram lp_;
+  std::vector<std::size_t> start_basis_;
   std::unique_ptr<RevisedSimplex> simplex_;
   LpIterationStats stats_;
   bool last_warm_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -166,9 +167,18 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
     c_var[static_cast<std::size_t>(job.id.value())] =
         lp.add_variable(job.spec.weight);
   }
+  // The library's cold start: the critical-path basis of the base rows
+  // (later-round x_i, every E and C, and each round's round-end logicals
+  // but its longest task's, lowest task on ties). This oracle checks scans
+  // and separation, not the LP start, so it starts where the library does;
+  // test_lp_backend checks that start against a slack-start solve.
+  const std::size_t cols = lp.variable_count();
+  std::vector<std::size_t> start_basis;
   for (const auto& job : jobs.jobs()) {
     const std::size_t j = static_cast<std::size_t>(job.id.value());
     for (std::uint32_t r = 0; r < job.rounds(); ++r) {
+      std::size_t longest_slot = 0;
+      Time longest = -std::numeric_limits<Time>::infinity();
       for (TaskId id : jobs.round_tasks(job.id, static_cast<RoundIndex>(r))) {
         const std::size_t x = x_var[static_cast<std::size_t>(id.value())];
         if (r == 0) {
@@ -176,13 +186,21 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
         } else {
           lp.add_constraint({{x, 1.0}, {e_var[j][r - 1], -1.0}},
                             opt::Relation::GreaterEqual, 0.0);
+          start_basis.push_back(x);
         }
-        lp.add_constraint(
-            {{e_var[j][r], 1.0}, {x, -1.0}}, opt::Relation::GreaterEqual,
-            times.total(job.id,
-                        pass.y_hat[static_cast<std::size_t>(id.value())]));
+        const Time total = times.total(
+            job.id, pass.y_hat[static_cast<std::size_t>(id.value())]);
+        if (total > longest) {
+          longest = total;
+          longest_slot = start_basis.size();
+        }
+        start_basis.push_back(cols + lp.constraint_count());
+        lp.add_constraint({{e_var[j][r], 1.0}, {x, -1.0}},
+                          opt::Relation::GreaterEqual, total);
       }
+      start_basis[longest_slot] = e_var[j][r];
     }
+    start_basis.push_back(c_var[j]);
     lp.add_constraint({{c_var[j], 1.0}, {e_var[j][job.rounds() - 1], -1.0}},
                       opt::Relation::GreaterEqual, 0.0);
   }
@@ -201,7 +219,7 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
   const std::size_t base_nonzeros = lp.nonzero_count();
   result.lp_cols = lp.variable_count();
   std::size_t cut_nonzeros = 0;
-  opt::IncrementalLpSolver solver(std::move(lp));
+  opt::IncrementalLpSolver solver(std::move(lp), std::move(start_basis));
 
   std::vector<double> x_snapped(task_count, 0.0);
   opt::LpSolution solution;
@@ -210,6 +228,7 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
     HARE_CHECK_MSG(solution.optimal(), "oracle LP is infeasible/unbounded");
     ++result.lp_solves;
     result.simplex_pivots += solver.last_stats().total();
+    result.phase1_pivots += solver.last_stats().phase1;
     result.lp_rounds.push_back(core::LpRoundStats{
         cuts_added, solver.last_stats().total(), solver.last_solve_was_warm()});
     for (std::size_t i = 0; i < task_count; ++i) {

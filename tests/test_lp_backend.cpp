@@ -24,7 +24,12 @@
 //      singular and LpCuts bases;
 //  (h) golden pins on LpCuts plans of seeded testbed batches: any change
 //      that moves the vertex, the pivot path or the refactorization
-//      cadence fails here.
+//      cadence fails here;
+//  (i) the relaxation's cold solve starts from the critical-path basis of
+//      its base rows and runs no phase 1, snapping to the vertex a
+//      slack-start solve reaches; an unusable start basis falls back to
+//      the slack start, and an infeasible one runs phase 1 to the same
+//      vertex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -768,7 +773,7 @@ struct GoldenPlan {
   std::size_t lp_factorizations = 0;
 };
 
-GoldenPlan plan_testbed_batch(std::uint64_t seed) {
+testing::Instance make_testbed_batch(std::uint64_t seed) {
   workload::TraceConfig trace;
   trace.job_count = 8;
   trace.base_arrival_rate = 0.2;
@@ -784,11 +789,16 @@ GoldenPlan plan_testbed_batch(std::uint64_t seed) {
       profiler::Profiler(workload::PerfModel{}, profile, seed)
           .exact(jobs, cluster);
   times.precompute();
+  return {cluster, jobs, std::move(times)};
+}
 
+GoldenPlan plan_testbed_batch(std::uint64_t seed) {
+  const testing::Instance batch = make_testbed_batch(seed);
   core::HareConfig config;
   config.relaxation.mode = core::RelaxMode::LpCuts;
   core::HareScheduler scheduler(config);
-  const sim::Schedule plan = scheduler.schedule({cluster, jobs, times});
+  const sim::Schedule plan =
+      scheduler.schedule({batch.cluster, batch.jobs, batch.times});
   const core::RelaxationResult& relaxed = scheduler.last_relaxation();
   return GoldenPlan{plan.predicted_objective, relaxed.objective,
                     relaxed.lp_solves,        relaxed.simplex_pivots,
@@ -796,18 +806,19 @@ GoldenPlan plan_testbed_batch(std::uint64_t seed) {
 }
 
 TEST(LpCutsGolden, TestbedBatchesArePinned) {
-  // Values recorded before the sparse basis factorization replaced the
-  // dense sweep; they must not move. Seed 1 solves once, seeds 9, 24 and
-  // 36 add cuts, and 36 runs all 16 cut rounds.
+  // Objectives, solves and cuts must not move; pivots and factorizations
+  // pin the critical-path cold start and the dual pivot path after it.
+  // Seed 1 solves once, seeds 9, 24 and 36 add cuts, and 36 runs all 16
+  // cut rounds.
   struct Pin {
     std::uint64_t seed;
     GoldenPlan want;
   };
   const std::vector<Pin> pins = {
-      {1, {593.60571312943944, 516.79447138236435, 1, 82, 0, 2}},
-      {9, {403.84589580079546, 373.68755293889558, 2, 62, 3, 2}},
-      {24, {281.11035528356922, 250.89961422455471, 2, 79, 6, 3}},
-      {36, {516.58816055706518, 509.96551811391754, 17, 93, 17, 18}},
+      {1, {593.60571312943944, 516.79447138236435, 1, 0, 0, 1}},
+      {9, {403.84589580079546, 373.68755293889558, 2, 6, 3, 2}},
+      {24, {281.11035528356922, 250.89961422455471, 2, 9, 6, 2}},
+      {36, {516.58816055706518, 509.96551811391754, 17, 17, 17, 17}},
   };
   // The planner counter adds each LP solve's factorizations.
   const obs::Counter& factorizations =
@@ -824,6 +835,199 @@ TEST(LpCutsGolden, TestbedBatchesArePinned) {
     EXPECT_EQ(got.cut_count, pin.want.cut_count);
     EXPECT_EQ(got.lp_factorizations, pin.want.lp_factorizations);
   }
+}
+
+// ------------------------------------------- LpCuts critical-path start --
+
+/// The four golden batches, then 64 more testbed-shaped ones.
+std::vector<std::uint64_t> start_basis_seeds() {
+  std::vector<std::uint64_t> seeds = {1, 9, 24, 36};
+  for (std::uint64_t seed = 100; seed < 164; ++seed) seeds.push_back(seed);
+  return seeds;
+}
+
+/// The relaxation's base program of `batch` (its first solve, no cuts) and
+/// that solve's accounting.
+core::RelaxationResult relax_base_program(const testing::Instance& batch,
+                                          LinearProgram& program) {
+  core::RelaxationConfig config;
+  config.mode = core::RelaxMode::LpCuts;
+  config.max_cut_rounds = 0;
+  return core::HareRelaxation(config).solve(batch.cluster, batch.jobs,
+                                            batch.times, {}, nullptr,
+                                            &program);
+}
+
+/// A start basis for an LpCuts base program, rebuilt from its rows alone:
+/// release rows (x_i − E ≥ 0) make x_i basic, completion rows make C_n
+/// basic, and each round's round-end rows (E_r − x_i ≥ T_i) keep their
+/// logicals basic except one, whose place E_r takes. `longest` picks the
+/// round's largest T_i (lowest row on ties), the relaxation's choice;
+/// otherwise the smallest, which leaves the round's longer tasks past E_r.
+std::vector<std::size_t> base_row_basis(const LinearProgram& program,
+                                        std::size_t tasks, bool longest) {
+  const std::size_t cols = program.variable_count();
+  std::vector<std::size_t> basis;
+  std::size_t round_var = cols;  // E of the round being read
+  std::size_t chosen_slot = 0;
+  double chosen = 0.0;
+  for (std::size_t i = 0; i < program.constraint_count(); ++i) {
+    const auto& terms = program.rows()[i].terms;
+    const double t = program.rows()[i].rhs;
+    const bool round_end = terms[1].first < tasks;
+    // A round's rows end at the next round's first row: a round-end row of
+    // another E, or a release or completion row behind this E.
+    if (round_var != cols &&
+        (round_end ? terms[0].first != round_var
+                   : terms[1].first == round_var)) {
+      basis[chosen_slot] = round_var;
+      round_var = cols;
+    }
+    if (!round_end) {
+      basis.push_back(terms[0].first);  // x_i of a release row, or C_n
+      continue;
+    }
+    if (round_var == cols || (longest ? t > chosen : t < chosen)) {
+      chosen = t;
+      chosen_slot = basis.size();
+    }
+    round_var = terms[0].first;
+    basis.push_back(cols + i);
+  }
+  if (round_var != cols) basis[chosen_slot] = round_var;
+  return basis;
+}
+
+TEST(LpCutsStart, CriticalPathBasisRunsNoPhaseOne) {
+  // The relaxation's first solve starts at the critical-path vertex of its
+  // base rows: primal feasible, so no phase-1 pivot. The independent check
+  // is a slack-start solve of the same base program, which walks there
+  // through phase 1 and must snap to the same x̂.
+  std::size_t slack_phase1 = 0;
+  for (const std::uint64_t seed : start_basis_seeds()) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const testing::Instance batch = make_testbed_batch(seed);
+    LinearProgram program;
+    const core::RelaxationResult first = relax_base_program(batch, program);
+    ASSERT_EQ(first.lp_solves, 1u);
+    ASSERT_EQ(first.cut_count, 0u);
+    EXPECT_EQ(first.phase1_pivots, 0u);
+
+    opt::LpIterationStats slack_stats;
+    const LpSolution slack = program.solve(100000, &slack_stats);
+    ASSERT_TRUE(slack.optimal());
+    slack_phase1 += slack_stats.phase1;
+    const std::size_t tasks = batch.jobs.task_count();
+    ASSERT_EQ(first.x_hat.size(), tasks);
+    for (std::size_t i = 0; i < tasks; ++i) {
+      EXPECT_EQ(first.x_hat[i], opt::snap_lp_value(slack.values[i]))
+          << "task " << i;
+    }
+
+    // The basis rebuilt from the rows alone starts the same solve: no
+    // phase 1, and the pivots and factorizations of the relaxation's.
+    opt::IncrementalLpSolver solver(
+        program, base_row_basis(program, tasks, /*longest=*/true));
+    const LpSolution started = solver.solve();
+    ASSERT_TRUE(started.optimal());
+    EXPECT_EQ(solver.last_stats().phase1, 0u);
+    EXPECT_EQ(solver.last_stats().total(), first.simplex_pivots);
+    EXPECT_EQ(solver.last_stats().factorizations, first.lp_factorizations);
+    for (std::size_t i = 0; i < tasks; ++i) {
+      EXPECT_EQ(first.x_hat[i], opt::snap_lp_value(started.values[i]))
+          << "task " << i;
+    }
+
+    // With cuts, no cold solve of the whole relaxation runs phase 1.
+    core::RelaxationConfig config;
+    config.mode = core::RelaxMode::LpCuts;
+    const core::RelaxationResult full = core::HareRelaxation(config).solve(
+        batch.cluster, batch.jobs, batch.times);
+    EXPECT_EQ(full.phase1_pivots, 0u);
+  }
+  EXPECT_GT(slack_phase1, 0u) << "the slack start must take another path";
+}
+
+TEST(LpCutsStart, UnusableStartBasisFallsBackToSlack) {
+  // A start basis of the wrong size, with a repeated or unknown column, or
+  // singular is dropped: the solve is the slack start's, pivot for pivot.
+  for (const std::uint64_t seed : {1ull, 36ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const testing::Instance batch = make_testbed_batch(seed);
+    LinearProgram program;
+    (void)relax_base_program(batch, program);
+    const std::size_t n = program.variable_count();
+    const std::size_t m = program.constraint_count();
+
+    opt::IncrementalLpSolver slack(program);
+    const LpSolution want = slack.solve();
+    ASSERT_TRUE(want.optimal());
+    const opt::LpIterationStats want_stats = slack.last_stats();
+    ASSERT_GT(want_stats.phase1, 0u);
+
+    std::vector<std::size_t> logicals(m);
+    for (std::size_t i = 0; i < m; ++i) logicals[i] = n + i;
+    std::vector<std::size_t> too_short(logicals.begin(), logicals.end() - 1);
+    std::vector<std::size_t> too_long = logicals;
+    too_long.push_back(0);
+    std::vector<std::size_t> repeated = logicals;
+    repeated[1] = repeated[0];
+    std::vector<std::size_t> unknown = logicals;
+    unknown[0] = n + m;
+    // The last C_n appears only in the last row, whose logical stays basic:
+    // placing it in row 0's position leaves row 0 empty.
+    ASSERT_TRUE(std::none_of(program.rows()[0].terms.begin(),
+                             program.rows()[0].terms.end(),
+                             [&](const auto& t) { return t.first == n - 1; }));
+    std::vector<std::size_t> singular = logicals;
+    singular[0] = n - 1;
+
+    for (const auto& [name, start] :
+         std::vector<std::pair<const char*, std::vector<std::size_t>>>{
+             {"too short", too_short},
+             {"too long", too_long},
+             {"repeated column", repeated},
+             {"unknown column", unknown},
+             {"singular", singular}}) {
+      SCOPED_TRACE(name);
+      opt::IncrementalLpSolver solver(program, start);
+      const LpSolution got = solver.solve();
+      ASSERT_TRUE(got.optimal());
+      expect_same_bits(got.values, want.values, "values", 0);
+      EXPECT_EQ(got.objective, want.objective);
+      EXPECT_EQ(solver.last_stats().phase1, want_stats.phase1);
+      EXPECT_EQ(solver.last_stats().phase2, want_stats.phase2);
+    }
+  }
+}
+
+TEST(LpCutsStart, InfeasibleStartRunsPhaseOneToTheSameVertex) {
+  // Ending each round at its shortest task instead of its longest gives a
+  // nonsingular basis that is not primal feasible wherever a round's
+  // tasks differ in length: phase 1 runs from there and reaches the
+  // slack start's snapped vertex.
+  std::size_t phase1 = 0;
+  for (const std::uint64_t seed : {1ull, 9ull, 24ull, 36ull, 100ull, 101ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const testing::Instance batch = make_testbed_batch(seed);
+    LinearProgram program;
+    (void)relax_base_program(batch, program);
+    const std::size_t tasks = batch.jobs.task_count();
+
+    const LpSolution slack = program.solve();
+    opt::IncrementalLpSolver solver(
+        program, base_row_basis(program, tasks, /*longest=*/false));
+    const LpSolution got = solver.solve();
+    ASSERT_TRUE(slack.optimal());
+    ASSERT_TRUE(got.optimal());
+    phase1 += solver.last_stats().phase1;
+    for (std::size_t i = 0; i < tasks; ++i) {
+      EXPECT_EQ(opt::snap_lp_value(got.values[i]),
+                opt::snap_lp_value(slack.values[i]))
+          << "task " << i;
+    }
+  }
+  EXPECT_GT(phase1, 0u) << "some start must have been infeasible";
 }
 
 }  // namespace

@@ -370,6 +370,28 @@ TEST_F(ObsTest, FlameSummaryMergesCallPaths) {
   EXPECT_NE(summary.find("test.flame_root"), std::string::npos);
   EXPECT_NE(summary.find("test.flame_root;test.flame_leaf"),
             std::string::npos);
+  // Nothing wrapped, so nothing is reported lost.
+  EXPECT_EQ(summary.find("obs.dropped_events"), std::string::npos);
+}
+
+TEST_F(ObsTest, FlameSummaryReportsDroppedEvents) {
+  Tracer::instance().set_ring_capacity(8);
+  Tracer::instance().enable();
+  for (int i = 0; i < 20; ++i) {
+    HARE_SPAN("test", "test.flame_wrapped");
+  }
+  Tracer::instance().disable();
+  Tracer::instance().set_ring_capacity(1u << 16);
+
+  const auto rings = Tracer::instance().rings();
+  ASSERT_EQ(rings.size(), 1u);
+  const std::string summary = flame_summary();
+  EXPECT_EQ(count_occurrences(summary, "obs.dropped_events"), 1u);
+  EXPECT_NE(summary.find("# obs.dropped_events tid=" +
+                         std::to_string(rings[0]->tid()) + " count=12 "),
+            std::string::npos);
+  // The surviving eight spans are still summarized.
+  EXPECT_NE(summary.find("     8  test.flame_wrapped"), std::string::npos);
 }
 
 }  // namespace
