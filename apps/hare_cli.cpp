@@ -63,7 +63,7 @@ using namespace hare;
   hare generate --jobs N --out FILE [--seed S] [--rate R]
                 [--favour cv|nlp|speech|rec --share F] [--batch SCALE]
   hare schedule --trace FILE [--gpus N | --testbed]
-                [--scheduler hare|online|fifo|srtf|homo|allox|backfill]
+                [--scheduler hare|online|fifo|srtf|homo|allox]
                 [--gantt] [--csv] [--export PREFIX]
                 [--bandwidth GBPS] [--seed S]
   hare compare  --trace FILE [--gpus N | --testbed] [--csv] [--seed S]
@@ -202,7 +202,6 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const std::string& name) {
   if (name == "srtf") return std::make_unique<sched::SrtfScheduler>();
   if (name == "homo") return std::make_unique<sched::SchedHomoScheduler>();
   if (name == "allox") return std::make_unique<sched::SchedAlloxScheduler>();
-  if (name == "backfill") return std::make_unique<sched::BackfillScheduler>();
   usage("unknown scheduler: " + name);
 }
 

@@ -115,6 +115,9 @@ ScaleRow run_scale_point(const ScalePoint& point) {
   // alternate inside one rep loop, so transient machine noise (page-cache
   // churn, a background task) hits both modes alike instead of biasing
   // whichever ran second; the minimum over reps is the reported number.
+  // Small points repeat until each mode has spent kMinPlanMs planning (at
+  // least kMinPlanReps reps, at most kMaxPlanReps), so a millisecond-scale
+  // point gets enough samples for its minimum to settle.
   // Reusing one planner object per mode across reps also exercises the
   // worker-scratch reuse path the planner is designed around.
   shard::ShardPlannerConfig serial_config;
@@ -125,19 +128,31 @@ ScaleRow run_scale_point(const ScalePoint& point) {
   parallel_config.shards = point.shards;
   shard::HierarchicalPlanner parallel_planner(parallel_config);
 
-  const int plan_reps = 3;
+  constexpr int kMinPlanReps = 3;
+  constexpr int kMaxPlanReps = 100;
+  constexpr double kMinPlanMs = 200.0;
   sim::Schedule sharded_serial;
   sim::Schedule sharded_parallel;
   row.plan_serial_ms = 1e30;
   row.plan_parallel_ms = 1e30;
-  for (int rep = 0; rep < plan_reps; ++rep) {
+  double serial_total_ms = 0.0;
+  double parallel_total_ms = 0.0;
+  for (int rep = 0;
+       rep < kMaxPlanReps &&
+       (rep < kMinPlanReps || serial_total_ms < kMinPlanMs ||
+        parallel_total_ms < kMinPlanMs);
+       ++rep) {
     start = Clock::now();
     sharded_serial = serial_planner.schedule(input);
-    row.plan_serial_ms = std::min(row.plan_serial_ms, ms_since(start));
+    const double serial_ms = ms_since(start);
+    row.plan_serial_ms = std::min(row.plan_serial_ms, serial_ms);
+    serial_total_ms += serial_ms;
 
     start = Clock::now();
     sharded_parallel = parallel_planner.schedule(input);
-    row.plan_parallel_ms = std::min(row.plan_parallel_ms, ms_since(start));
+    const double parallel_ms = ms_since(start);
+    row.plan_parallel_ms = std::min(row.plan_parallel_ms, parallel_ms);
+    parallel_total_ms += parallel_ms;
   }
   row.migrated_jobs = serial_planner.last_plan().migrated_jobs;
   row.imbalance = serial_planner.last_plan().imbalance;

@@ -28,17 +28,6 @@ std::vector<std::pair<GpuType, std::size_t>> Cluster::type_histogram() const {
   return {counts.begin(), counts.end()};
 }
 
-double Cluster::peak_speed_ratio() const {
-  if (gpus_.empty()) return 1.0;
-  double lo = gpus_.front().spec().fp32_tflops;
-  double hi = lo;
-  for (const auto& gpu : gpus_) {
-    lo = std::min(lo, gpu.spec().fp32_tflops);
-    hi = std::max(hi, gpu.spec().fp32_tflops);
-  }
-  return hi / lo;
-}
-
 bool Cluster::homogeneous() const {
   return std::all_of(gpus_.begin(), gpus_.end(), [&](const Gpu& g) {
     return g.type == gpus_.front().type;
@@ -50,11 +39,6 @@ std::size_t Cluster::domain_count() const {
   std::size_t max_domain = 0;
   for (const auto& m : machines_) max_domain = std::max(max_domain, m.domain);
   return max_domain + 1;
-}
-
-void Cluster::set_network_gbps(double gbps) {
-  HARE_CHECK_MSG(gbps > 0.0, "bandwidth must be positive");
-  for (auto& m : machines_) m.network_gbps = gbps;
 }
 
 ClusterBuilder& ClusterBuilder::add_machine(GpuType type, std::size_t count,

@@ -55,19 +55,12 @@ class Cluster {
   [[nodiscard]] std::vector<std::pair<GpuType, std::size_t>> type_histogram()
       const;
 
-  /// Ratio of the fastest to slowest peak FP32 throughput in the cluster;
-  /// a crude heterogeneity indicator used in reports.
-  [[nodiscard]] double peak_speed_ratio() const;
-
   /// True when every GPU is of the same type.
   [[nodiscard]] bool homogeneous() const;
 
   /// Number of distinct network domains (max machine domain + 1; 1 for a
   /// flat single-domain cluster, 0 when empty).
   [[nodiscard]] std::size_t domain_count() const;
-
-  /// Scale every machine's uplink to `gbps` (Fig 18 bandwidth sweep).
-  void set_network_gbps(double gbps);
 
  private:
   friend class ClusterBuilder;

@@ -35,18 +35,6 @@ const GpuSpec& gpu_spec(GpuType type) {
 
 std::string_view gpu_type_name(GpuType type) { return gpu_spec(type).name; }
 
-std::string_view gpu_arch_name(GpuArch arch) {
-  switch (arch) {
-    case GpuArch::Kepler: return "Kepler";
-    case GpuArch::Maxwell: return "Maxwell";
-    case GpuArch::Pascal: return "Pascal";
-    case GpuArch::Volta: return "Volta";
-    case GpuArch::Turing: return "Turing";
-    case GpuArch::Ampere: return "Ampere";
-  }
-  return "?";
-}
-
 const std::array<GpuType, kGpuTypeCount>& all_gpu_types() { return kAllTypes; }
 
 }  // namespace hare::cluster

@@ -57,7 +57,6 @@ struct GpuSpec {
 [[nodiscard]] const GpuSpec& gpu_spec(GpuType type);
 
 [[nodiscard]] std::string_view gpu_type_name(GpuType type);
-[[nodiscard]] std::string_view gpu_arch_name(GpuArch arch);
 
 /// All types in catalogue order (stable for iteration in tests/benches).
 [[nodiscard]] const std::array<GpuType, kGpuTypeCount>& all_gpu_types();

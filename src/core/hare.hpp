@@ -26,20 +26,16 @@
 #include "profiler/profile_db.hpp"
 #include "profiler/profiler.hpp"
 #include "profiler/time_table.hpp"
-#include "sched/backfill.hpp"
 #include "sched/gavel_fifo.hpp"
 #include "sched/sched_allox.hpp"
 #include "sched/sched_homo.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/srtf.hpp"
-#include "sched/themis_fair.hpp"
 #include "sim/metrics.hpp"
 #include "sim/export.hpp"
-#include "sim/fairness.hpp"
 #include "sim/gantt.hpp"
 #include "sim/schedule.hpp"
 #include "sim/simulator.hpp"
-#include "switching/context_pool.hpp"
 #include "switching/memory_manager.hpp"
 #include "switching/switch_model.hpp"
 #include "workload/job.hpp"

@@ -53,17 +53,16 @@ struct SwitchBreakdown {
   }
 };
 
+/// The prototype's pool of standby trainer processes with pre-created
+/// contexts is modelled as always warm: PipeSwitch and Hare never pay
+/// context creation, however many distinct jobs interleave on a GPU, and
+/// Default pays the GPU's `context_create_s` on every cross-job switch.
 struct SwitchModelConfig {
   SwitchPolicy policy = SwitchPolicy::Hare;
   /// Scheduling-theory mode: every switch costs exactly zero. Used to
   /// check that planner timelines and simulator executions coincide when
   /// the §5.1 formulation's "ignore switching" idealization holds.
   bool free_switching = false;
-  /// Standby trainer processes with pre-created contexts (the prototype
-  /// keeps 3). PipeSwitch/Hare pay context creation only when more distinct
-  /// jobs than this interleave tightly; the pool refills off the critical
-  /// path, so in steady state creation cost is hidden.
-  std::uint32_t context_pool_size = 3;
   /// Fixed bookkeeping for a same-job continuation (checkpoint round id,
   /// hook updates).
   Time same_job_overhead_s = 0.0002;

@@ -67,10 +67,4 @@ Time JobSet::earliest_arrival() const {
   return earliest;
 }
 
-double JobSet::total_weight() const {
-  double sum = 0.0;
-  for (const auto& j : jobs_) sum += j.spec.weight;
-  return sum;
-}
-
 }  // namespace hare::workload

@@ -152,9 +152,6 @@ class JobSet {
   /// Earliest arrival across jobs (0 when empty).
   [[nodiscard]] Time earliest_arrival() const;
 
-  /// Sum of weights (normalization for weighted JCT reports).
-  [[nodiscard]] double total_weight() const;
-
  private:
   std::vector<Job> jobs_;
   std::vector<Task> tasks_;

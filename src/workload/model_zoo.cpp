@@ -55,16 +55,6 @@ const ModelSpec& model_spec(ModelType type) {
 
 std::string_view model_name(ModelType type) { return model_spec(type).name; }
 
-std::string_view job_category_name(JobCategory category) {
-  switch (category) {
-    case JobCategory::CV: return "CV";
-    case JobCategory::NLP: return "NLP";
-    case JobCategory::Speech: return "Speech";
-    case JobCategory::Rec: return "Rec";
-  }
-  return "?";
-}
-
 const std::array<ModelType, kModelCount>& all_models() { return kAllModels; }
 
 const std::array<ModelType, kWorkloadModelCount>& workload_models() {

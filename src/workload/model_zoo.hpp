@@ -63,7 +63,6 @@ struct ModelSpec {
 
 [[nodiscard]] const ModelSpec& model_spec(ModelType type);
 [[nodiscard]] std::string_view model_name(ModelType type);
-[[nodiscard]] std::string_view job_category_name(JobCategory category);
 
 /// All models, catalogue order.
 [[nodiscard]] const std::array<ModelType, kModelCount>& all_models();

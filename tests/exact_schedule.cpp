@@ -1,4 +1,4 @@
-#include "opt/exact_schedule.hpp"
+#include "exact_schedule.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -6,7 +6,7 @@
 
 #include "common/error.hpp"
 
-namespace hare::opt {
+namespace hare::testing {
 
 namespace {
 
@@ -163,4 +163,4 @@ ExactScheduleResult solve_exact_schedule(const cluster::Cluster& cluster,
   return result;
 }
 
-}  // namespace hare::opt
+}  // namespace hare::testing

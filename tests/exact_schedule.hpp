@@ -1,4 +1,4 @@
-// Exact Hare_Sched solver for tiny instances.
+// Exact Hare_Sched oracle for tiny instances.
 //
 // Branch-and-bound over (task → GPU, per-GPU order) decisions under the
 // full constraint set of §5.1 — arrivals (4), round barriers (7),
@@ -12,7 +12,7 @@
 #include "profiler/time_table.hpp"
 #include "workload/job.hpp"
 
-namespace hare::opt {
+namespace hare::testing {
 
 struct ExactScheduleResult {
   double objective = 0.0;  ///< optimal Σ w_n C_n
@@ -28,4 +28,4 @@ struct ExactScheduleResult {
     const cluster::Cluster& cluster, const workload::JobSet& jobs,
     const profiler::TimeTable& times, std::size_t max_tasks = 10);
 
-}  // namespace hare::opt
+}  // namespace hare::testing

@@ -5,7 +5,7 @@
 #include "common/error.hpp"
 #include "core/bounds.hpp"
 #include "core/hare_scheduler.hpp"
-#include "opt/exact_schedule.hpp"
+#include "exact_schedule.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -14,6 +14,7 @@ namespace {
 
 using testing::Instance;
 using testing::make_uniform_instance;
+using testing::solve_exact_schedule;
 
 TEST(ExactSchedule, SingleTaskOnFastestGpu) {
   const Instance inst = make_uniform_instance({3.0, 1.0}, 1, 1, 1, 0.2);
@@ -152,6 +153,58 @@ TEST_P(OptimalityGapTest, HareWithinGuaranteeOfTrueOptimum) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalityGapTest,
                          ::testing::Values(501, 502, 503, 504, 505, 506, 507,
                                            508, 509, 510));
+
+// ------------------------------ Fig 1 toy: exact expectations ------------
+
+TEST(Fig1Toy, TenTaskVariantPinsHareAndOptimum) {
+  // test_core's Fig 1 toy with J2 cut to 2 rounds, so the instance has 10
+  // tasks and the exact solver certifies its optimum. Golden values pin
+  // Hare's simulated Σw·C and makespan and OPT's Σw·C exactly.
+  const cluster::Cluster cluster = cluster::ClusterBuilder{}
+                                       .add_machine(cluster::GpuType::V100, 1)
+                                       .add_machine(cluster::GpuType::T4, 1)
+                                       .add_machine(cluster::GpuType::K80, 1)
+                                       .build();
+  workload::JobSet jobs;
+  workload::JobSpec j1;
+  j1.rounds = 2;
+  j1.tasks_per_round = 2;
+  jobs.add_job(j1);
+  workload::JobSpec j2;
+  j2.rounds = 2;
+  j2.tasks_per_round = 1;
+  jobs.add_job(j2);
+  workload::JobSpec j3;
+  j3.rounds = 2;
+  j3.tasks_per_round = 2;
+  jobs.add_job(j3);
+  ASSERT_EQ(jobs.task_count(), 10u);
+
+  profiler::TimeTable times(3, 3);
+  const double t[3][3] = {{1.0, 1.1, 1.2},   // J1
+                          {1.0, 0.4, 2.0},   // J2
+                          {1.1, 1.2, 1.0}};  // J3
+  for (int j = 0; j < 3; ++j) {
+    for (int g = 0; g < 3; ++g) {
+      times.set(JobId(j), GpuId(g), t[j][g], 0.05);
+    }
+  }
+
+  core::HareScheduler scheduler;
+  const sim::Simulator simulator(cluster, jobs, times);
+  const sim::SimResult hare =
+      simulator.run(scheduler.schedule({cluster, jobs, times}));
+  const auto exact = solve_exact_schedule(cluster, jobs, times);
+
+  // Hare's run includes the default executor's switching overhead; the
+  // exact solver's objective does not.
+  EXPECT_NEAR(hare.weighted_completion, 8.772943262232381, 1e-9);
+  EXPECT_NEAR(hare.makespan, 4.361471631116190, 1e-9);
+  EXPECT_NEAR(exact.objective, 7.4, 1e-9);
+  const double alpha = times.alpha();
+  EXPECT_LE(hare.weighted_completion,
+            exact.objective * alpha * (2.0 + alpha));
+}
 
 TEST(ExactSchedule, LowerBoundsNeverExceedOptimum) {
   // The certified lower bounds used by the approximation checker must

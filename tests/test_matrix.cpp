@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "core/hare.hpp"
-#include "sched/backfill.hpp"
 #include "test_util.hpp"
 
 namespace hare {
@@ -24,7 +23,6 @@ enum class Which {
   Srtf,
   SchedHomo,
   SchedAllox,
-  Backfill,
 };
 
 std::unique_ptr<sched::Scheduler> make(Which which) {
@@ -47,7 +45,6 @@ std::unique_ptr<sched::Scheduler> make(Which which) {
     case Which::SchedHomo: return std::make_unique<sched::SchedHomoScheduler>();
     case Which::SchedAllox:
       return std::make_unique<sched::SchedAlloxScheduler>();
-    case Which::Backfill: return std::make_unique<sched::BackfillScheduler>();
   }
   return nullptr;
 }
@@ -62,7 +59,6 @@ const char* which_name(Which which) {
     case Which::Srtf: return "Srtf";
     case Which::SchedHomo: return "SchedHomo";
     case Which::SchedAllox: return "SchedAllox";
-    case Which::Backfill: return "Backfill";
   }
   return "?";
 }
@@ -127,8 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Which::Hare, Which::HareStrict, Which::HareLiteral,
                           Which::HareOnline, Which::GavelFifo, Which::Srtf,
-                          Which::SchedHomo, Which::SchedAllox,
-                          Which::Backfill),
+                          Which::SchedHomo, Which::SchedAllox),
         ::testing::Values(cluster::HeterogeneityLevel::Low,
                           cluster::HeterogeneityLevel::Mid,
                           cluster::HeterogeneityLevel::High),

@@ -1,12 +1,19 @@
 // Tests for the discrete-event simulator: event queue, network model,
-// schedule validation, and execution invariants (§5.1 constraints 4-8).
+// schedule validation, execution invariants (§5.1 constraints 4-8), and
+// the CSV export and Gantt renderer of its results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/hare_scheduler.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/export.hpp"
+#include "sim/gantt.hpp"
 #include "sim/network.hpp"
 #include "sim/schedule.hpp"
 #include "sim/simulator.hpp"
@@ -628,6 +635,106 @@ TEST(Simulator, FinishedJobReleasesKeptStateOnEveryGpuItRan) {
       result.tasks[static_cast<std::size_t>(task(b, 1).value())];
   EXPECT_EQ(b1.gpu, GpuId(1));
   EXPECT_TRUE(b1.model_resident);
+}
+
+// ------------------------------------------------------------------ export --
+
+TEST(Export, TaskCsvHasHeaderAndAllRows) {
+  const Instance inst = make_random_instance(640, 6, 4);
+  core::HareScheduler scheduler;
+  const sim::Schedule schedule =
+      scheduler.schedule({inst.cluster, inst.jobs, inst.times});
+  const sim::Simulator simulator(inst.cluster, inst.jobs, inst.times);
+  const sim::SimResult result = simulator.run(schedule);
+
+  std::ostringstream os;
+  sim::export_task_csv(inst.cluster, inst.jobs, result, os);
+  const std::string text = os.str();
+  std::size_t lines = 0;
+  for (char c : text) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, inst.jobs.task_count() + 1);
+  EXPECT_EQ(text.rfind("task,job,", 0), 0u);
+}
+
+TEST(Export, JobCsvRowsMatchJobs) {
+  const Instance inst = make_random_instance(641, 5, 4);
+  core::HareScheduler scheduler;
+  const sim::Schedule schedule =
+      scheduler.schedule({inst.cluster, inst.jobs, inst.times});
+  const sim::Simulator simulator(inst.cluster, inst.jobs, inst.times);
+  const sim::SimResult result = simulator.run(schedule);
+
+  std::ostringstream os;
+  sim::export_job_csv(inst.jobs, result, os);
+  std::size_t lines = 0;
+  for (char c : os.str()) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, inst.jobs.job_count() + 1);
+}
+
+TEST(Export, FilesRoundTrip) {
+  const Instance inst = make_random_instance(642, 4, 4);
+  core::HareScheduler scheduler;
+  const sim::Schedule schedule =
+      scheduler.schedule({inst.cluster, inst.jobs, inst.times});
+  const sim::Simulator simulator(inst.cluster, inst.jobs, inst.times);
+  const sim::SimResult result = simulator.run(schedule);
+
+  const std::string prefix = ::testing::TempDir() + "/hare_export";
+  sim::export_result_files(inst.cluster, inst.jobs, result, prefix);
+  std::ifstream tasks(prefix + "_tasks.csv");
+  std::ifstream jobs(prefix + "_jobs.csv");
+  EXPECT_TRUE(tasks.good());
+  EXPECT_TRUE(jobs.good());
+  std::remove((prefix + "_tasks.csv").c_str());
+  std::remove((prefix + "_jobs.csv").c_str());
+}
+
+// ------------------------------------------------------------------ gantt --
+
+TEST(Gantt, RendersAllGpuRows) {
+  const Instance inst = make_random_instance(720, 5, 4);
+  core::HareScheduler scheduler;
+  const sim::Schedule schedule =
+      scheduler.schedule({inst.cluster, inst.jobs, inst.times});
+  const sim::Simulator simulator(inst.cluster, inst.jobs, inst.times);
+  const sim::SimResult result = simulator.run(schedule);
+
+  const std::string chart =
+      sim::render_gantt(inst.cluster, inst.jobs, result);
+  std::size_t rows = 0;
+  for (char c : chart) rows += c == '|' ? 1 : 0;
+  // Two pipes per GPU row.
+  EXPECT_EQ(rows, inst.cluster.gpu_count() * 2);
+  EXPECT_NE(chart.find("legend:"), std::string::npos);
+}
+
+TEST(Gantt, BusyGlyphsPresent) {
+  const Instance inst = make_uniform_instance({1.0}, 2, 2, 1, 0.05);
+  sim::Schedule schedule;
+  schedule.sequences = {{TaskId(0), TaskId(2), TaskId(1), TaskId(3)}};
+  const sim::Simulator simulator(inst.cluster, inst.jobs, inst.times);
+  const sim::SimResult result = simulator.run(schedule);
+
+  sim::GanttOptions options;
+  options.width = 40;
+  options.show_legend = false;
+  const std::string chart =
+      sim::render_gantt(inst.cluster, inst.jobs, result, options);
+  EXPECT_NE(chart.find('0'), std::string::npos);
+  EXPECT_NE(chart.find('1'), std::string::npos);
+}
+
+TEST(Gantt, RejectsTinyWidth) {
+  const Instance inst = make_uniform_instance({1.0}, 1, 1, 1);
+  sim::Schedule schedule;
+  schedule.sequences = {{TaskId(0)}};
+  const sim::Simulator simulator(inst.cluster, inst.jobs, inst.times);
+  const sim::SimResult result = simulator.run(schedule);
+  sim::GanttOptions options;
+  options.width = 4;
+  EXPECT_THROW(
+      (void)sim::render_gantt(inst.cluster, inst.jobs, result, options),
+      common::Error);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Unit tests for fast task switching (§4): speculative memory manager,
-// context pool, and the three-policy switch cost model (Table 3 shapes).
+// Unit tests for fast task switching (§4): speculative memory manager and
+// the three-policy switch cost model (Table 3 shapes).
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "common/error.hpp"
 #include "workload/perf_model.hpp"
-#include "switching/context_pool.hpp"
 #include "switching/memory_manager.hpp"
 #include "switching/switch_model.hpp"
 
@@ -101,41 +102,6 @@ TEST(MemoryManager, RejectsInvalidUse) {
   mm.on_task_start(JobId(0), 2 * GB, 1 * GB);
   EXPECT_THROW(mm.on_task_start(JobId(1), 2 * GB, 1 * GB),
                common::Error);  // non-preemption: one active task
-}
-
-// ------------------------------------------------------------ context pool --
-
-TEST(ContextPool, AcquireIsWarmWithStandby) {
-  ContextPool pool(3);
-  const auto a = pool.acquire(JobId(0));
-  EXPECT_TRUE(a.warm);
-  EXPECT_EQ(pool.busy_count(), 1u);
-  pool.release(a.slot);
-  EXPECT_EQ(pool.busy_count(), 0u);
-}
-
-TEST(ContextPool, PrefersSlotOfSameJob) {
-  ContextPool pool(3);
-  const auto first = pool.acquire(JobId(7));
-  pool.release(first.slot);
-  (void)pool.acquire(JobId(8));  // takes a different (LRU) slot
-  const auto again = pool.acquire(JobId(7));
-  EXPECT_EQ(again.slot, first.slot);
-}
-
-TEST(ContextPool, ColdWhenExhausted) {
-  ContextPool pool(2);
-  (void)pool.acquire(JobId(0));
-  (void)pool.acquire(JobId(1));
-  const auto overflow = pool.acquire(JobId(2));
-  EXPECT_FALSE(overflow.warm);
-  EXPECT_EQ(pool.cold_misses(), 1u);
-}
-
-TEST(ContextPool, ReleaseValidation) {
-  ContextPool pool(2);
-  EXPECT_THROW(pool.release(0), common::Error);  // idle slot
-  EXPECT_THROW(pool.release(5), common::Error);  // out of range
 }
 
 // ------------------------------------------------------------ switch model --
@@ -282,6 +248,42 @@ TEST(SwitchModel, Fig7OverheadRatio) {
                        nullptr)
           .total();
   EXPECT_LT(hare_switch / batch_pair, 0.05);
+}
+
+TEST(SwitchModel, StandbyContextsAreAlwaysWarm) {
+  // Five distinct jobs alternate on one GPU, more than the prototype's
+  // three standby contexts. PipeSwitch and Hare still pay no context
+  // creation on any cross-job switch; Default creates one every time.
+  const cluster::GpuSpec& gpu = cluster::gpu_spec(GpuType::V100);
+  ASSERT_GT(gpu.context_create_s, 0.0);
+  const ModelType models[] = {ModelType::ResNet50, ModelType::VGG19,
+                              ModelType::BertBase, ModelType::GraphSAGE,
+                              ModelType::DeepSpeech};
+  for (SwitchPolicy policy :
+       {SwitchPolicy::Default, SwitchPolicy::PipeSwitch, SwitchPolicy::Hare}) {
+    SwitchModelConfig config;
+    config.policy = policy;
+    const SwitchCostModel scm(config);
+    SpeculativeMemoryManager mm(gpu.memory);
+    std::optional<JobId> previous;
+    for (int step = 0; step < 20; ++step) {
+      const JobId job(step % 5);
+      const workload::ModelSpec& spec = workload::model_spec(models[step % 5]);
+      const auto breakdown = scm.switch_cost(
+          job, spec.type, GpuType::V100, previous,
+          policy == SwitchPolicy::Hare ? &mm : nullptr);
+      const double expected =
+          policy == SwitchPolicy::Default ? gpu.context_create_s : 0.0;
+      EXPECT_EQ(breakdown.context, expected)
+          << switch_policy_name(policy) << " step " << step;
+      mm.on_task_start(job,
+                       workload::task_memory_footprint(
+                           spec, spec.default_batch_size),
+                       workload::model_state_bytes(spec));
+      mm.on_task_complete(static_cast<Time>(step + 1));
+      previous = job;
+    }
+  }
 }
 
 TEST(SwitchModel, PolicyNames) {

@@ -58,7 +58,6 @@ TEST(ModelZoo, CategoriesMatchTable2) {
   EXPECT_EQ(model_spec(ModelType::BertBase).category, JobCategory::NLP);
   EXPECT_EQ(model_spec(ModelType::DeepSpeech).category, JobCategory::Speech);
   EXPECT_EQ(model_spec(ModelType::GraphSAGE).category, JobCategory::Rec);
-  EXPECT_EQ(job_category_name(JobCategory::Speech), "Speech");
 }
 
 TEST(ModelZoo, FootprintsFitTestbedGpus) {
@@ -274,7 +273,6 @@ TEST(JobSet, AggregateHelpers) {
   spec.weight = 1.0;
   jobs.add_job(spec);
   EXPECT_DOUBLE_EQ(jobs.earliest_arrival(), 3.0);
-  EXPECT_DOUBLE_EQ(jobs.total_weight(), 3.0);
 }
 
 // ----------------------------------------------------------------- trace --
