@@ -632,8 +632,6 @@ int cmd_serve(const Args& args) {
       std::to_string(report.flat_batches) + "/" +
       std::to_string(report.sharded_batches) + "/" +
       std::to_string(report.greedy_batches));
-  summary.row().cell("LP solves").cell(report.lp.cold_solves);
-  summary.row().cell("LP pivots").cell(report.lp.cold_pivots);
   summary.row().cell("fault events").cell(report.fault_events);
   summary.row().cell("displaced tasks").cell(report.displaced_tasks);
   summary.row().cell("continuations").cell(report.continuations);

@@ -10,20 +10,20 @@
 //     admit -> profile -> batch -> replan path) on large batches (flat
 //     path) — the 10k/s floor from the serving design note;
 //   * the same throughput on a stream whose every batch takes the LP path
-//     (each batch solved as its own small LP block), with its own floor;
+//     (each batch relaxed as its own small block, in closed form), with
+//     its own floor;
 //   * p99 replan latency, the nearest-rank bucket bound of the
 //     `serve.replan_latency` histogram the service records per flush.
 //
 // Determinism is the fourth, never-waived contract: the served schedule
 // for a fixed event stream must be bit-identical across a serial re-run,
 // four replicas fanned across the hare::exp pool, and the sharded serve
-// path serial vs pooled; and every LP
-// block's snapped start values must equal the ones the block takes inside
-// the accumulated program that stacks all of the stream's blocks.
+// path serial vs pooled. (That each block's closed-form vertex is the one
+// it takes inside the accumulated LP of the stream's blocks is checked by
+// Serve.BlockSolvesMatchAccumulatedProgram in tests/test_serve.cpp.)
 //
 // Emits machine-readable BENCH_serve.json, gated by
 // scripts/check_bench_regression.py.
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -56,81 +56,6 @@ serve::ServeReport serve_stream(const cluster::Cluster& cluster,
   return service.run(stream);
 }
 
-/// Replay the LP path of a fault-free, cancel-free served stream batch by
-/// batch and also stack every block into one program, solved once. True
-/// when the replay reproduces the served schedule and every block's
-/// per-block h matches the accumulated program's snapped starts.
-bool blocks_match_accumulated(const cluster::Cluster& cluster,
-                              const std::string& spec,
-                              const serve::ServeConfig& config) {
-  workload::TraceStream stream(4200, workload::parse_arrival_spec(spec));
-  serve::ServeService service(cluster, workload::PerfModel{}, config);
-  const serve::ServeReport report = service.run(stream);
-  const workload::JobSet& jobs = service.jobs();
-  const profiler::TimeTable& times = service.times();
-  if (report.lp_batches != report.batches) return false;
-
-  core::HareConfig hare = config.hare;
-  hare.relaxation.mode = core::RelaxMode::Fluid;
-  hare.sync = core::SyncScheme::Relaxed;
-  core::HareScheduler flat(hare);
-  core::HareScheduler::IncrementalState state;
-  state.phi.assign(cluster.gpu_count(), 0.0);
-  sim::Schedule replay;
-  replay.sequences.resize(cluster.gpu_count());
-  replay.predicted_start.assign(jobs.task_count(), 0.0);
-  std::vector<Time> h(jobs.task_count(), 0.0);
-  serve::IncrementalReplanner replanner;
-  opt::LinearProgram accumulated;
-  std::vector<std::vector<JobId>> blocks;
-  std::vector<std::vector<std::vector<std::size_t>>> block_vars;
-  bool solved = true;
-
-  serve::AdmissionBatcher batcher(config.tick);
-  const auto flush = [&] {
-    if (batcher.empty()) return;
-    blocks.push_back(batcher.take());
-    const std::vector<JobId>& batch = blocks.back();
-    const Time phi_floor =
-        *std::min_element(state.phi.begin(), state.phi.end());
-    solved = solved && replanner.relax_batch(jobs, times, batch, phi_floor,
-                                             cluster.gpu_count(), h);
-    block_vars.emplace_back();
-    serve::append_batch_block(accumulated, jobs, times, batch, phi_floor,
-                              cluster.gpu_count(), block_vars.back());
-    (void)flat.schedule_jobs_with_h({cluster, jobs, times}, batch, h, state,
-                                    replay);
-  };
-  for (std::size_t j = 0; j < jobs.job_count(); ++j) {
-    const Time arrival = jobs.job(JobId(static_cast<int>(j))).spec.arrival;
-    if (batcher.should_flush(arrival)) flush();
-    batcher.admit(JobId(static_cast<int>(j)), arrival);
-  }
-  flush();
-  if (!solved || blocks.size() != report.lp_batches ||
-      !schedules_identical(report.schedule, replay)) {
-    return false;
-  }
-
-  const opt::LpSolution whole = accumulated.solve();
-  if (!whole.optimal()) return false;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    for (std::size_t k = 0; k < blocks[b].size(); ++k) {
-      const workload::Job& job = jobs.job(blocks[b][k]);
-      const Time half_tc = times.max_tc(job.id) / 2.0;
-      for (std::uint32_t r = 0; r < job.rounds(); ++r) {
-        const Time mid =
-            opt::snap_lp_value(whole.values[block_vars[b][k][r]]) +
-            half_tc;
-        if (h[static_cast<std::size_t>(job.task_at(r, 0).value())] != mid) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
 struct ServeNumbers {
   std::size_t arrivals = 0;
   std::size_t batches = 0;
@@ -141,8 +66,6 @@ struct ServeNumbers {
   std::size_t lp_max_batch_jobs = 0;
   double lp_throughput = 0.0;
   double p99_us = 0.0;
-  serve::ReplannerStats lp;
-  bool blocks_identical = false;
   bool sharded_identical = false;
   bool deterministic = false;
 };
@@ -163,8 +86,6 @@ struct ServeNumbers {
   out << "  \"lp_batches\": " << n.lp_batches << ",\n";
   out << "  \"lp_max_batch_jobs\": " << n.lp_max_batch_jobs << ",\n";
   out << "  \"lp_throughput_arrivals_per_s\": " << n.lp_throughput << ",\n";
-  out << "  \"lp_solves\": " << n.lp.cold_solves << ",\n";
-  out << "  \"lp_pivots\": " << n.lp.cold_pivots << ",\n";
   out << "  \"replan_p99_us\": " << n.p99_us << ",\n";
   out << "  \"wall_ms\": " << wall_ms << "\n";
   out << "}\n";
@@ -195,7 +116,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "=== serve: streaming admission, per-batch LP replans ===\n";
+  std::cout << "=== serve: streaming admission, per-batch block replans ===\n";
   obs::Registry::instance().reset();
   const auto bench_start = std::chrono::steady_clock::now();
   const cluster::Cluster cluster = cluster::make_testbed_cluster();
@@ -229,7 +150,7 @@ int main(int argc, char** argv) {
   }
 
   // --- LP-path throughput: small bursty batches, every one within the LP
-  // cap, so each flush builds and solves its own LP block. --------------
+  // cap, so each flush relaxes its own block. ---------------------------
   {
     const std::string spec =
         std::string("jobs=") + (quick ? "600" : "2000") +
@@ -242,7 +163,6 @@ int main(int argc, char** argv) {
     n.lp_arrivals = report.arrivals;
     n.lp_batches = report.lp_batches;
     n.lp_max_batch_jobs = report.max_batch_jobs;
-    n.lp = report.lp;
     if (report.lp_batches != report.batches) {
       std::cerr << "error: " << report.batches - report.lp_batches
                 << " batches of the LP stream left the LP path\n";
@@ -251,8 +171,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Determinism on a moderate LP stream: a serial re-run and four pool
-  // replicas must reproduce the first schedule bit for bit, and every
-  // block must match the accumulated program. ---------------------------
+  // replicas must reproduce the first schedule bit for bit. -------------
   const std::string lp_spec =
       std::string("jobs=") + (quick ? "48" : "96") +
       ",rate=2,rounds_min=0.08,rounds_max=0.2";
@@ -270,8 +189,7 @@ int main(int argc, char** argv) {
     for (const auto& replica : replicas) {
       identical = identical && schedules_identical(first, replica);
     }
-    n.blocks_identical = blocks_match_accumulated(cluster, lp_spec, lp_config);
-    n.deterministic = identical && n.blocks_identical;
+    n.deterministic = identical;
   }
 
   // --- Sharded serve path: large batches fanned across shard workers
@@ -310,12 +228,7 @@ int main(int argc, char** argv) {
       std::to_string(n.lp_batches) + " (" +
       std::to_string(n.lp_max_batch_jobs) + ")");
   table.row().cell("LP throughput (arrivals/s)").cell(n.lp_throughput, 0);
-  table.row().cell("LP solves / pivots").cell(
-      std::to_string(n.lp.cold_solves) + " / " +
-      std::to_string(n.lp.cold_pivots));
   table.row().cell("replan p99 (us, bucket bound)").cell(n.p99_us, 1);
-  table.row().cell("blocks == accumulated LP").cell(
-      n.blocks_identical ? "yes" : "NO");
   table.row().cell("sharded serial == pooled").cell(
       n.sharded_identical ? "yes" : "NO");
   table.row().cell("deterministic").cell(n.deterministic ? "yes" : "NO");

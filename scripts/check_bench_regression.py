@@ -46,9 +46,8 @@ bench_fault (BENCH_fault.json):
 
 bench_serve (BENCH_serve.json):
   * the served schedule is bit-identical across a serial re-run, pooled
-    replicas, and sharded serial vs pooled, and every LP block's snapped starts equal those it takes in
-    the accumulated program stacking all of the stream's blocks — a
-    correctness contract, never waived;
+    replicas, and sharded serial vs pooled — a correctness contract,
+    never waived;
   * the LP stream actually planned through the LP path (lp_batches >= 1,
     every batch within the LP cap) — enforced in quick mode too;
   * full mode: sustained admission throughput stayed at or above the
@@ -393,9 +392,8 @@ def check_serve(data, quick, path):
     if not data["deterministic"]:
         errors += fail(
             f"{path}: served schedule diverged across serial/pooled/"
-            "sharded executions, or an LP block left the "
-            "accumulated program's vertex (bit-identity is a correctness "
-            "contract, never waived)"
+            "sharded executions (bit-identity is a correctness contract, "
+            "never waived)"
         )
     if data["arrivals"] < 1 or data["batches"] < 1:
         errors += fail(f"{path}: serve run admitted or planned nothing")

@@ -112,10 +112,10 @@ class HareScheduler final : public sched::Scheduler {
   /// supplied middle completion times `h` (indexed by TaskId value and
   /// spanning the task array; only the batch tasks' entries are read)
   /// instead of running the relaxation. The serving loop derives h from
-  /// one cold LP solve of the batch's own block (or an arrival-keyed
-  /// greedy order when its replan budget is exhausted) and hands the
-  /// ordering here, so placement semantics stay identical to every other
-  /// planner path. Requires relaxed sync.
+  /// the closed-form optimum of the batch's own relaxation block (or an
+  /// arrival-keyed greedy order when its replan budget is exhausted) and
+  /// hands the ordering here, so placement semantics stay identical to
+  /// every other planner path. Requires relaxed sync.
   double schedule_jobs_with_h(const sched::SchedulerInput& input,
                               std::span<const JobId> batch,
                               const std::vector<Time>& h,

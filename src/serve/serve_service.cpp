@@ -10,8 +10,74 @@
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "opt/simplex.hpp"
 
 namespace hare::serve {
+
+void relax_batch(const workload::JobSet& jobs, const profiler::TimeTable& times,
+                 const std::vector<JobId>& batch, Time phi_floor,
+                 std::size_t gpus_alive, std::vector<Time>& h) {
+  HARE_CHECK_MSG(h.size() >= jobs.task_count(),
+                 "h must span the task array before relax_batch");
+  std::size_t block_vars = 0;
+  for (JobId id : batch) block_vars += jobs.job(id).rounds() + 1;
+
+  // Release vertex: the cut's load there, its right-hand side, and the job
+  // whose whole-chain shift buys cut load cheapest (least c/g, with the
+  // perturbation in c settling equal w/g ratios as it does in the LP).
+  double load = 0.0;
+  double sum_p = 0.0;
+  double sum_p2 = 0.0;
+  std::size_t pos = 0;
+  std::size_t shifted = 0;
+  double shifted_cost = 0.0;
+  double shifted_gain = 0.0;
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    const workload::Job& job = jobs.job(batch[b]);
+    const Time t_min = times.min_total(batch[b]);
+    const double tpr = static_cast<double>(job.tasks_per_round());
+    const double rounds = static_cast<double>(job.rounds());
+    const Time release = std::max(job.spec.arrival, phi_floor);
+    double cost = job.spec.weight;
+    for (std::uint32_t k = 0; k <= job.rounds(); ++k) {
+      cost += opt::perturbation_cost(++pos, block_vars);
+    }
+    const double gain = rounds * tpr * t_min;
+    load += gain * (release + 0.5 * (rounds - 1.0) * t_min);
+    sum_p += gain;
+    sum_p2 += gain * t_min;
+    if (b == 0 || cost * shifted_gain < shifted_cost * gain) {
+      shifted = b;
+      shifted_cost = cost;
+      shifted_gain = gain;
+    }
+  }
+  const double capacity =
+      static_cast<double>(std::max<std::size_t>(gpus_alive, 1));
+  const double rhs = 0.5 * (sum_p * sum_p - sum_p2) / capacity;
+  // A cut violated at the release vertex is met by that one job's chain.
+  const Time shift = load < rhs ? (rhs - load) / shifted_gain : 0.0;
+
+  // Hand off: h_i = x_{j,r} + max_m T^c_{j,m} / 2 for every task of the
+  // block, snapped to the perturbation's 1e-6 grid.
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    const workload::Job& job = jobs.job(batch[b]);
+    const Time t_min = times.min_total(batch[b]);
+    const Time release = std::max(job.spec.arrival, phi_floor);
+    const Time offset = b == shifted ? shift : 0.0;
+    const Time half_tc = times.max_tc(batch[b]) / 2.0;
+    const std::uint32_t tpr = job.tasks_per_round();
+    for (std::uint32_t r = 0; r < job.rounds(); ++r) {
+      const Time mid =
+          opt::snap_lp_value(release + static_cast<double>(r) * t_min +
+                             offset) +
+          half_tc;
+      for (std::uint32_t k = 0; k < tpr; ++k) {
+        h[static_cast<std::size_t>(job.task_at(r, k).value())] = mid;
+      }
+    }
+  }
+}
 
 ServeService::ServeService(const cluster::Cluster& cluster,
                            workload::PerfModel perf, ServeConfig config)
@@ -78,10 +144,7 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
 
   const sched::SchedulerInput input{cluster_, jobs_, times_};
 
-  const bool budget_left = config_.replan_budget == 0 ||
-                           replans_spent_ < config_.replan_budget;
-  bool planned = false;
-  if (!budget_left) {
+  if (config_.replan_budget > 0 && replans_spent_ >= config_.replan_budget) {
     // Budget exhausted: list-schedule the batch in arrival order through
     // the same placement machinery (greedy earliest-finish).
     for (JobId id : plannable) {
@@ -93,7 +156,6 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
     flat_.schedule_jobs_with_h(input, plannable, h_, state_, schedule_);
     ++report_.greedy_batches;
     greedy_fallbacks.add();
-    planned = true;
   } else {
     if (config_.lp_max_batch_jobs > 0 &&
         plannable.size() <= config_.lp_max_batch_jobs) {
@@ -105,23 +167,18 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
         phi_floor = std::min(phi_floor, state_.phi[g]);
       }
       if (gpus_alive == 0) phi_floor = 0.0;
-      if (replanner_.relax_batch(jobs_, times_, plannable, phi_floor,
-                                 gpus_alive, h_)) {
-        flat_.schedule_jobs_with_h(input, plannable, h_, state_, schedule_);
-        ++report_.lp_batches;
-        lp_batches.add();
-        planned = true;
-      }
-    }
-    if (!planned) {
-      if (sharded_ && plannable.size() >= config_.shard_min_batch_jobs) {
-        sharded_->schedule_online(input, plannable, state_.phi, schedule_);
-        ++report_.sharded_batches;
-      } else {
-        flat_.schedule_jobs(input, plannable, state_, schedule_);
-        ++report_.flat_batches;
-      }
-      planned = true;
+      relax_batch(jobs_, times_, plannable, phi_floor, gpus_alive, h_);
+      ++report_.lp.batches;
+      ++report_.lp.cold_solves;
+      flat_.schedule_jobs_with_h(input, plannable, h_, state_, schedule_);
+      ++report_.lp_batches;
+      lp_batches.add();
+    } else if (sharded_ && plannable.size() >= config_.shard_min_batch_jobs) {
+      sharded_->schedule_online(input, plannable, state_.phi, schedule_);
+      ++report_.sharded_batches;
+    } else {
+      flat_.schedule_jobs(input, plannable, state_, schedule_);
+      ++report_.flat_batches;
     }
     ++replans_spent_;
   }
@@ -317,7 +374,6 @@ ServeReport ServeService::serve(NextSpec&& next_spec,
 
   report_.objective = schedule_.predicted_objective;
   report_.schedule = std::move(schedule_);
-  report_.lp = replanner_.stats();
   return std::move(report_);
 }
 

@@ -13,8 +13,8 @@
 // surviving commitment moves).
 //
 // Replan paths, chosen per batch:
-//  * LP (batches of at most `lp_max_batch_jobs` jobs) — the
-//    IncrementalReplanner solves the batch's own small LP block and hands
+//  * Closed-form block (batches of at most `lp_max_batch_jobs` jobs) —
+//    relax_batch relaxes the batch's own small LP block (below) and hands
 //    middle completion times to HareScheduler::schedule_jobs_with_h.
 //  * Flat fluid (larger batches) — HareScheduler::schedule_jobs with the
 //    Fluid relaxation, exactly the OnlineHareScheduler path.
@@ -37,10 +37,36 @@
 // that lands before its job is planned removes the job from every future
 // batch (the JobSet row stays, keeping arrival-index == JobId).
 //
+// The batch block. Per job j with R_j rounds, start variables x_{j,r}
+// and a completion C_j, bounded below by the release L_j = max(a_j,
+// phi_floor) plus r fastest per-task totals t_j and chained by
+// x_{j,r+1} - x_{j,r} >= t_j and C_j - x_{j,last} >= t_j, plus one
+// aggregate parallel-load cut over the batch's tasks,
+//
+//   sum_j p_j sum_r x_{j,r}  >=  ((sum p)^2 - sum p^2) / (2 * alive GPUs),
+//
+// with p_j = tasks_per_round * t_j (the classic completion-time
+// polymatroid bound). The objective is sum_j w_j C_j plus
+// opt::perturbation_cost(k, n) on the k-th of the block's n variables
+// (job-major), so its optimum is a unique vertex, and that vertex has a
+// closed form: every chain at its release (x_{j,r} = L_j + r t_j) when the
+// cut holds there; otherwise, since any feasible point is the release
+// vertex plus non-negative shifts of chain suffixes and a whole chain is
+// each job's cheapest suffix, the cut is a fractional knapsack over whole
+// chains: the job with the least c_j / (R_j p_j), where c_j is w_j plus
+// the perturbation of its R_j + 1 variables, shifts by the missing load
+// over R_j p_j. relax_batch
+// writes that vertex in O(block variables) with no solver; the tests solve
+// the same block as an LP (testing::append_batch_block) with both simplex
+// codes and compare. Values are snapped to the perturbation's 1e-6 grid
+// (opt::snap_lp_value), which makes the two agree bit for bit except where
+// a shifted start lies within rounding of a grid midpoint, where they may
+// differ by one grid step.
+//
 // Determinism: for a fixed event stream the served schedule is
-// bit-identical across serial and pooled execution, and each LP block's
-// vertex is unique (see incremental_replanner.hpp for the perturbation
-// argument).
+// bit-identical across serial and pooled execution. Blocks of different
+// batches share no row or column, so each block's vertex is also the one
+// it takes inside a program stacking every block of the stream.
 #pragma once
 
 #include <cstddef>
@@ -56,20 +82,41 @@
 #include "profiler/gpu_classes.hpp"
 #include "profiler/time_table.hpp"
 #include "serve/admission_batcher.hpp"
-#include "serve/incremental_replanner.hpp"
 #include "shard/hierarchical_planner.hpp"
 #include "sim/schedule.hpp"
+#include "workload/job.hpp"
 #include "workload/perf_model.hpp"
 #include "workload/trace.hpp"
 
 namespace hare::serve {
 
+/// Per-batch relaxation counters. Every closed-form batch counts one block
+/// in `batches` and `cold_solves`; the other four fields are always 0 (kept
+/// so existing readers of these names still parse).
+struct ReplannerStats {
+  std::size_t batches = 0;      ///< blocks relaxed
+  std::size_t warm_solves = 0;  ///< always 0
+  std::size_t cold_solves = 0;  ///< blocks relaxed
+  std::size_t warm_pivots = 0;  ///< always 0
+  std::size_t cold_pivots = 0;  ///< always 0
+  std::size_t compactions = 0;  ///< always 0
+};
+
+/// Write the batch block's optimal vertex as the middle completion time of
+/// every task of every batch job into `h` (indexed by TaskId value; `h`
+/// must already span the task array): h_i = x_{j,r} + max_m T^c_{j,m} / 2.
+/// `phi_floor` is the earliest commitment horizon across alive GPUs (the
+/// start lower bound) and `gpus_alive` the parallel capacity in the cut.
+void relax_batch(const workload::JobSet& jobs, const profiler::TimeTable& times,
+                 const std::vector<JobId>& batch, Time phi_floor,
+                 std::size_t gpus_alive, std::vector<Time>& h);
+
 struct ServeConfig {
   /// Admission batching window (seconds); 0 coalesces only simultaneous
   /// arrivals (arrival-time planning).
   Time tick = 0.0;
-  /// Batches up to this many jobs take the incremental-LP path; 0 disables
-  /// the LP entirely (every batch plans flat/sharded).
+  /// Batches up to this many jobs take the closed-form block path; 0
+  /// disables it (every batch plans flat/sharded).
   std::size_t lp_max_batch_jobs = 32;
   /// Non-greedy replans allowed before the greedy fallback takes over
   /// permanently; 0 = unlimited.
@@ -103,7 +150,7 @@ struct ServeReport {
   std::size_t flat_batches = 0;
   std::size_t sharded_batches = 0;
   std::size_t greedy_batches = 0;
-  ReplannerStats lp;  ///< LP block solve + pivot counts
+  ReplannerStats lp;  ///< closed-form block counts
 };
 
 class ServeService {
@@ -161,7 +208,6 @@ class ServeService {
   std::vector<Time> h_;
 
   core::HareScheduler flat_;
-  IncrementalReplanner replanner_;
   std::optional<shard::HierarchicalPlanner> sharded_;
 
   ServeReport report_;

@@ -14,13 +14,20 @@
 // by the plain dense left-looking sweep (every earlier step and every row,
 // per column), with the library's FTRAN/BTRAN/update copied verbatim. The
 // library's sparse factorization must match it bit for bit.
+//
+// append_batch_block is the reference for serve::relax_batch: it builds a
+// serving batch's block as an explicit LP, which either simplex code then
+// solves; the closed-form vertex must match the snapped solution.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "common/types.hpp"
 #include "opt/simplex.hpp"
 #include "opt/sparse_matrix.hpp"
+#include "profiler/time_table.hpp"
+#include "workload/job.hpp"
 
 namespace hare::testing {
 
@@ -28,6 +35,18 @@ namespace hare::testing {
 [[nodiscard]] opt::LpSolution oracle_solve(const opt::LinearProgram& lp,
                                            std::size_t max_iterations = 100000,
                                            std::size_t* pivots = nullptr);
+
+/// Append `batch`'s serving block to `lp` (serve_service.hpp documents the
+/// program): variables job-major (each job's rounds, then its completion),
+/// chain rows, then the aggregate load cut. `round_vars[b][r]` receives the
+/// index in `lp` of batch job b's round-r start variable. Appending several
+/// blocks to one program builds the accumulated LP the blocks form side by
+/// side.
+void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
+                        const profiler::TimeTable& times,
+                        const std::vector<JobId>& batch, Time phi_floor,
+                        std::size_t gpus_alive,
+                        std::vector<std::vector<std::size_t>>& round_vars);
 
 class DenseBasisLU {
  public:
