@@ -624,6 +624,9 @@ int cmd_serve(const Args& args) {
   common::Table summary({"metric", "value"});
   summary.row().cell("arrivals").cell(report.arrivals);
   summary.row().cell("planned jobs").cell(report.planned_jobs);
+  summary.row()
+      .cell("never planned (no GPU alive)")
+      .cell(report.unplanned_jobs);
   summary.row().cell("batches (max jobs)").cell(
       std::to_string(report.batches) + " (" +
       std::to_string(report.max_batch_jobs) + ")");

@@ -8,7 +8,7 @@
 #include "core/hare.hpp"
 #include "opt/hungarian.hpp"
 #include "opt/queyranne.hpp"
-#include "opt/simplex.hpp"
+#include "opt/revised_simplex.hpp"
 
 namespace {
 
@@ -99,20 +99,22 @@ void BM_SimplexLp(benchmark::State& state) {
   common::Rng rng(4);
   for (auto _ : state) {
     state.PauseTiming();
-    opt::LinearProgram lp;
+    opt::RevisedSimplex lp;
     std::vector<std::size_t> vars;
     for (std::size_t i = 0; i < n; ++i) {
       vars.push_back(lp.add_variable(rng.uniform(-1.0, 0.0)));
-      lp.add_constraint({{vars.back(), 1.0}}, opt::Relation::LessEqual,
-                        rng.uniform(1.0, 5.0));
     }
+    for (const std::size_t var : vars) {
+      const opt::RevisedSimplex::Term cap[] = {{var, 1.0}};
+      lp.add_row(cap, opt::Relation::LessEqual, rng.uniform(1.0, 5.0));
+    }
+    std::vector<opt::RevisedSimplex::Term> terms;
     for (std::size_t c = 0; c < n; ++c) {
-      std::vector<std::pair<std::size_t, double>> terms;
+      terms.clear();
       for (std::size_t i = 0; i < n; ++i) {
         terms.emplace_back(vars[i], rng.uniform(0.0, 1.0));
       }
-      lp.add_constraint(terms, opt::Relation::LessEqual,
-                        rng.uniform(5.0, 20.0));
+      lp.add_row(terms, opt::Relation::LessEqual, rng.uniform(5.0, 20.0));
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(lp.solve());

@@ -2,18 +2,8 @@
 """Gate performance results from the perf benches.
 
 Reads the machine-readable JSON a perf bench emits and fails (exit 1) on a
-regression. Two bench formats are understood, dispatched on the "bench"
-field:
-
-bench_planner_scale (BENCH_planner.json):
-  * a grid point's schedule failed structural validation, or a point lacks
-    its timing — never waived, including in quick mode;
-  * an lp_cuts point never solved an LP, or its reported LP shape is empty;
-  * an lp_cuts point ran a phase-1 pivot (or does not report
-    phase1_pivots): the relaxation's cold solve starts from a primal
-    feasible critical-path basis, so phase 1 means it fell back to the
-    slack start. Absolute milliseconds are never compared; identity with
-    the reference planner is a ctest contract (tests/planner_oracle.cpp).
+regression. Five bench formats are understood, dispatched on the "bench"
+field (an unknown one fails):
 
 bench_sweep_scale (BENCH_sweep.json):
   * the parallel sweep diverged from the serial reference (bit-identity is
@@ -78,8 +68,7 @@ Quick mode (--quick, or a JSON produced with --quick) runs tiny grids
 where fixed costs dominate, so only the determinism contracts are
 enforced there.
 
-Usage: scripts/check_bench_regression.py [JSON...] [--quick]
-       (default: BENCH_planner.json)
+Usage: scripts/check_bench_regression.py JSON... [--quick]
 """
 
 import json
@@ -164,49 +153,6 @@ def skip_missing(tag, absent, gates):
         f"{tag}: baseline JSON missing expected key(s) "
         f"{', '.join(repr(k) for k in absent)} — skipped: {gates}"
     )
-
-
-def check_planner(data, quick, path):
-    points = data.get("points", [])
-    if not points:
-        return fail(f"{path} contains no grid points")
-
-    errors = 0
-    for i, p in enumerate(points):
-        absent = missing_keys(p, ("mode", "jobs", "gpus", "plan_ms", "valid"))
-        if absent:
-            errors += skip_missing(
-                f"{path} point {i}", absent, "all gates for this point"
-            )
-            continue
-        tag = f"{p['mode']} {p['jobs']}x{p['gpus']}"
-        if not p["valid"]:
-            errors += fail(f"{tag}: the planned schedule failed validation")
-        if not p["plan_ms"] > 0.0:
-            errors += fail(f"{tag}: plan_ms {p['plan_ms']} is not positive")
-        if p["mode"] == "lp_cuts":
-            if p.get("lp_solves", 0) < 1:
-                errors += fail(f"{tag}: the LpCuts relaxation solved no LP")
-            if p.get("lp_rows", 0) < 1 or p.get("lp_cols", 0) < 1:
-                errors += fail(f"{tag}: the reported LP shape is empty")
-            # The relaxation's cold solve starts from a primal feasible
-            # critical-path basis; a phase-1 pivot means it fell back to
-            # the slack start.
-            if "phase1_pivots" not in p:
-                errors += skip_missing(tag, ["phase1_pivots"],
-                                       "the critical-path start gate")
-            elif p["phase1_pivots"] > 0:
-                errors += fail(
-                    f"{tag}: phase1_pivots = {p['phase1_pivots']} — the "
-                    "relaxation's cold solve ran phase 1, so it did not "
-                    "start from its critical-path basis"
-                )
-
-    if errors:
-        return errors
-    mode = "quick" if quick else "full"
-    print(f"OK: {len(points)} grid points pass the {mode} planner gate in {path}")
-    return 0
 
 
 def check_sweep(data, quick, path):
@@ -503,7 +449,7 @@ def check_file(path, quick):
     except (OSError, json.JSONDecodeError) as exc:
         return fail(f"cannot read {path}: {exc}")
     quick = quick or bool(data.get("quick", False))
-    bench = data.get("bench", "bench_planner_scale")
+    bench = data.get("bench")
     if bench == "bench_sweep_scale":
         return check_sweep(data, quick, path)
     if bench == "bench_shard_scale":
@@ -514,7 +460,7 @@ def check_file(path, quick):
         return check_serve(data, quick, path)
     if bench == "bench_scale_100k":
         return check_scale(data, quick, path)
-    return check_planner(data, quick, path)
+    return fail(f"{path}: unknown bench {bench!r}")
 
 
 def main(argv):
@@ -529,7 +475,8 @@ def main(argv):
         else:
             paths.append(arg)
     if not paths:
-        paths = ["BENCH_planner.json"]
+        print(__doc__)
+        return 2
 
     errors = sum(check_file(path, quick) for path in paths)
     if errors:

@@ -22,17 +22,9 @@ ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure \
 echo "== experiments =="
 for bench in "$BUILD_DIR"/bench/*; do
   name="$(basename "$bench")"
-  # The planner scale sweep gets its own invocation below (it needs --json
-  # and is followed by the regression gate).
-  [ "$name" = "bench_planner_scale" ] && continue
   echo "-- $name"
   "$bench" | tee "$RESULTS_DIR/$name.txt"
 done
-
-echo "== planner scale sweep =="
-"$BUILD_DIR/bench/bench_planner_scale" --json "$RESULTS_DIR/BENCH_planner.json" \
-  | tee "$RESULTS_DIR/bench_planner_scale.txt"
-python3 "$(dirname "$0")/check_bench_regression.py" "$RESULTS_DIR/BENCH_planner.json"
 
 echo
 echo "done — outputs in $RESULTS_DIR/"

@@ -10,7 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/queyranne.hpp"
-#include "opt/simplex.hpp"
+#include "opt/revised_simplex.hpp"
 
 namespace hare::core {
 
@@ -144,14 +144,13 @@ RelaxationResult HareRelaxation::solve(const cluster::Cluster& cluster,
                                        const workload::JobSet& jobs,
                                        const profiler::TimeTable& times,
                                        const SubProblem& sub,
-                                       PlannerScratch* scratch,
-                                       opt::LinearProgram* program) const {
+                                       PlannerScratch* scratch) const {
   PlannerScratch local;
   PlannerScratch& shared = scratch ? *scratch : local;
   if (config_.mode == RelaxMode::LpCuts) {
     HARE_SPAN("planner", "planner.relaxation");
     check_instance(cluster, jobs, times);
-    return solve_lp_cuts(cluster, jobs, times, sub, shared, program);
+    return solve_lp_cuts(cluster, jobs, times, sub, shared);
   }
   RelaxationResult result;
   solve_batch(cluster, jobs, times, sub, shared, result);
@@ -177,7 +176,7 @@ void HareRelaxation::solve_batch(const cluster::Cluster& cluster,
 RelaxationResult HareRelaxation::solve_lp_cuts(
     const cluster::Cluster& cluster, const workload::JobSet& jobs,
     const profiler::TimeTable& times, const SubProblem& sub,
-    PlannerScratch& scratch, opt::LinearProgram* program) const {
+    PlannerScratch& scratch) const {
   HARE_SPAN("planner", "planner.lp_cuts");
   static obs::Counter& lp_solve_counter = obs::counter("planner.lp_solves");
   static obs::Counter& pivot_counter = obs::counter("planner.lp_pivots");
@@ -205,12 +204,12 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   const std::size_t gpu_count = cluster.gpu_count();
 
   obs::Span lp_build_span("planner", "planner.lp_build");
-  opt::LinearProgram lp;
+  opt::RevisedSimplex solver;
   // Variables: x_i per task, then E_{n,r} per round, then C_n per job. The
   // x_i carry the unique-vertex perturbation, ranked by task index.
   std::vector<std::size_t> x_var(task_count);
   for (std::size_t i = 0; i < task_count; ++i) {
-    x_var[i] = lp.add_variable(opt::perturbation_cost(i + 1, task_count));
+    x_var[i] = solver.add_variable(opt::perturbation_cost(i + 1, task_count));
   }
 
   std::vector<std::vector<std::size_t>> e_var(jobs.job_count());
@@ -218,15 +217,22 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   for (const auto& job : jobs.jobs()) {
     auto& rounds = e_var[static_cast<std::size_t>(job.id.value())];
     rounds.resize(job.rounds());
-    for (auto& v : rounds) v = lp.add_variable(0.0);
+    for (auto& v : rounds) v = solver.add_variable(0.0);
     c_var[static_cast<std::size_t>(job.id.value())] =
-        lp.add_variable(job.spec.weight);
+        solver.add_variable(job.spec.weight);
   }
 
   auto assigned_total = [&](TaskId id) {
     const workload::Task& task = jobs.task(id);
     return times.total(task.job,
                        y_hat[static_cast<std::size_t>(id.value())]);
+  };
+
+  // Every base row is `a - b >= rhs` over two variables.
+  const auto add_difference_row = [&](std::size_t a, std::size_t b,
+                                      double rhs) {
+    const opt::RevisedSimplex::Term terms[] = {{a, 1.0}, {b, -1.0}};
+    solver.add_row(terms, opt::Relation::GreaterEqual, rhs);
   };
 
   // The cold solve starts from the critical-path basis of these base rows:
@@ -236,7 +242,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   // ties to the lowest task; the other round-end logicals basic), with C_n
   // basic. It is block triangular by round and primal feasible, so no
   // phase 1 runs, and the perturbed optimum is this vertex.
-  const std::size_t cols = lp.variable_count();
+  const std::size_t cols = static_cast<std::size_t>(solver.structural_count());
   std::vector<std::size_t> start_basis;
   for (const auto& job : jobs.jobs()) {
     const std::size_t j = static_cast<std::size_t>(job.id.value());
@@ -250,10 +256,10 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
         // The round-0 release is a single-variable constraint: stated as a
         // bound it never enters the LP's row space.
         if (r == 0) {
-          lp.set_bounds(x, job.spec.arrival, opt::LinearProgram::kInfinity);
+          solver.set_bounds(x, job.spec.arrival,
+                            opt::RevisedSimplex::kInfinity);
         } else {
-          lp.add_constraint({{x, 1.0}, {e_var[j][r - 1], -1.0}},
-                            opt::Relation::GreaterEqual, 0.0);
+          add_difference_row(x, e_var[j][r - 1], 0.0);
           start_basis.push_back(x);
         }
         // Round end dominates every member's completion: E >= x + T.
@@ -262,17 +268,17 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
           longest = total;
           longest_slot = start_basis.size();
         }
-        start_basis.push_back(cols + lp.constraint_count());
-        lp.add_constraint({{e, 1.0}, {x, -1.0}}, opt::Relation::GreaterEqual,
-                          total);
+        start_basis.push_back(cols +
+                              static_cast<std::size_t>(solver.row_count()));
+        add_difference_row(e, x, total);
       }
       start_basis[longest_slot] = e;
     }
     // (6): C_n >= E_{n,last}.
     start_basis.push_back(c_var[j]);
-    lp.add_constraint({{c_var[j], 1.0}, {e_var[j][job.rounds() - 1], -1.0}},
-                      opt::Relation::GreaterEqual, 0.0);
+    add_difference_row(c_var[j], e_var[j][job.rounds() - 1], 0.0);
   }
+  solver.set_start_basis(std::move(start_basis));
 
   // Group tasks per machine under ŷ for separation.
   std::vector<std::vector<TaskId>> machine_tasks(gpu_count);
@@ -282,11 +288,6 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
                           .value())]
         .push_back(task.id);
   }
-
-  const std::size_t base_rows = lp.constraint_count();
-  const std::size_t base_nonzeros = lp.nonzero_count();
-  std::size_t cut_nonzeros = 0;
-  opt::IncrementalLpSolver solver(std::move(lp), std::move(start_basis));
   lp_build_span.end();
 
   // x̂ is the perturbed program's unique optimal vertex, snapped to the
@@ -335,6 +336,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
   }
 
   std::vector<opt::QueyranneCut> machine_cuts(gpu_count);
+  std::vector<opt::RevisedSimplex::Term> terms;
   for (std::size_t round = 0; round < config_.max_cut_rounds; ++round) {
     {
       HARE_SPAN_ARG("planner", "planner.separation", "round", round);
@@ -365,7 +367,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
       const auto& members = machine_tasks[g];
 
       // sum_{i in S} T_i x_i >= 1/2 [ (sum T)^2 - sum T^2 ].
-      std::vector<std::pair<std::size_t, double>> terms;
+      terms.clear();
       double t_sum = 0.0;
       double t_sq = 0.0;
       for (std::size_t k : cut.subset) {
@@ -377,8 +379,7 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
         t_sq += tk * tk;
       }
       const double cut_rhs = 0.5 * (t_sum * t_sum - t_sq);
-      solver.add_ge_constraint(terms, cut_rhs);
-      cut_nonzeros += terms.size();
+      solver.add_row(terms, opt::Relation::GreaterEqual, cut_rhs);
       ++result.cut_count;
       ++added;
     }
@@ -412,9 +413,9 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
     result.h[idx] = result.x_hat[idx] + 0.5 * times.max_tc(task.job);
   }
 
-  result.lp_rows = base_rows + result.cut_count;
+  result.lp_rows = static_cast<std::size_t>(solver.row_count());
   result.lp_cols = cols;
-  result.lp_nonzeros = base_nonzeros + cut_nonzeros;
+  result.lp_nonzeros = solver.nonzeros() - result.lp_rows;
   rows_gauge.set(static_cast<double>(result.lp_rows));
   cols_gauge.set(static_cast<double>(result.lp_cols));
   nonzeros_gauge.set(static_cast<double>(result.lp_nonzeros));
@@ -426,8 +427,6 @@ RelaxationResult HareRelaxation::solve_lp_cuts(
                  static_cast<double>(result.lp_cols)));
   sep_total_counter.add(result.sep_tasks_total);
   sep_resorted_counter.add(result.sep_tasks_resorted);
-
-  if (program) *program = std::move(solver).program();
 
   common::log_debug("planner: lp_cuts converged, ", result.lp_solves,
                     " solves, ", result.cut_count, " cuts, ",

@@ -10,9 +10,13 @@
 //    (9)-constraints over every machine-subset are added lazily: solve LP,
 //    run Queyranne prefix separation per machine, add the violated cut,
 //    repeat. This is exactly the cutting-plane treatment a commercial
-//    solver applies. Each round is one warm re-solve of a program whose x_i
-//    costs carry opt::perturbation_cost(i + 1, |tasks|), so the optimum is
-//    a unique vertex; x̂ is that vertex snapped to the 1e-6 grid.
+//    solver applies. The program is written once, straight into one
+//    opt::RevisedSimplex: variables x_i per task (index = task id), then
+//    per job its round ends and its completion C_n, then the base rows;
+//    each cut is one more row of that solver. Each round is one warm
+//    re-solve of a program whose x_i costs carry
+//    opt::perturbation_cost(i + 1, |tasks|), so the optimum is a unique
+//    vertex; x̂ is that vertex snapped to the 1e-6 grid.
 //  * Fluid — the scalable surrogate for cluster-size instances: one
 //    earliest-finish-time list-scheduling pass over the precedence DAG
 //    yields fluid start times x̂ directly in O(|D|·(log|D| + |M|)).
@@ -29,7 +33,6 @@
 
 #include "cluster/cluster.hpp"
 #include "common/types.hpp"
-#include "opt/simplex.hpp"
 #include "profiler/time_table.hpp"
 #include "workload/job.hpp"
 
@@ -57,7 +60,7 @@ struct RelaxationResult {
   std::size_t lp_solves = 0;    ///< LP solve→separate rounds (LpCuts mode)
   std::size_t simplex_pivots = 0;  ///< total pivots across primary rounds
   /// Of those, phase-1 (feasibility) pivots: 0 while every cold solve
-  /// starts from the critical-path basis (opt::IncrementalLpSolver).
+  /// starts from the critical-path basis (opt::RevisedSimplex's start).
   std::size_t phase1_pivots = 0;
   std::size_t lp_factorizations = 0;  ///< basis LU factorizations, all rounds
   std::vector<LpRoundStats> lp_rounds;  ///< per-round accounting
@@ -119,17 +122,13 @@ class HareRelaxation {
 
   /// `scratch` (optional) shares the φ-independent planning buffers — the
   /// fitting matrix and placement index — with the caller's list-scheduling
-  /// pass. `program` (optional, LpCuts mode)
-  /// receives the final LP: perturbed objective and every appended cut.
-  /// Its variables are x_i per task (index = task id), then per job its
-  /// round ends and its completion C_n. A batch sub-problem (Fluid only)
-  /// returns task-indexed arrays that span the instance with only the
-  /// batch's entries written; incremental planners use solve_batch instead.
+  /// pass. A batch sub-problem (Fluid only) returns task-indexed arrays
+  /// that span the instance with only the batch's entries written;
+  /// incremental planners use solve_batch instead.
   [[nodiscard]] RelaxationResult solve(
       const cluster::Cluster& cluster, const workload::JobSet& jobs,
       const profiler::TimeTable& times, const SubProblem& sub = {},
-      PlannerScratch* scratch = nullptr,
-      opt::LinearProgram* program = nullptr) const;
+      PlannerScratch* scratch = nullptr) const;
 
   /// Fluid relaxation of `sub`'s batch into a standing `result`: its
   /// task-indexed x̂, ŷ and h grow (by appending) to span the instance and
@@ -146,7 +145,7 @@ class HareRelaxation {
   [[nodiscard]] RelaxationResult solve_lp_cuts(
       const cluster::Cluster& cluster, const workload::JobSet& jobs,
       const profiler::TimeTable& times, const SubProblem& sub,
-      PlannerScratch& scratch, opt::LinearProgram* program) const;
+      PlannerScratch& scratch) const;
 
   RelaxationConfig config_;
 };

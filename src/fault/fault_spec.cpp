@@ -33,6 +33,13 @@ double parse_number(std::string_view text, std::string_view fragment) {
   return value;
 }
 
+[[noreturn]] void too_many_events(std::string_view key) {
+  std::ostringstream os;
+  os << "fault spec: " << key << " expands past the " << kMaxFaultEvents
+     << "-event cap";
+  throw common::Error(os.str());
+}
+
 int parse_id(std::string_view text, std::string_view fragment) {
   int value = 0;
   const auto [ptr, ec] =
@@ -230,6 +237,31 @@ FaultPlan generate_fault_plan(const FaultSpec& spec,
 
   const std::size_t machine_count = cluster.machine_count();
   const std::size_t gpu_count = cluster.gpu_count();
+  // Poisson arrival mode: no explicit counts, mttf shapes a failure stream
+  // across the whole fleet (rate = gpu_count / mttf).
+  const bool poisson = spec.machine_failures == 0 && spec.gpu_failures == 0 &&
+                       spec.mttf > 0.0 && gpu_count > 0;
+  const double rate =
+      poisson ? static_cast<double>(gpu_count) / spec.mttf : 0.0;
+
+  // Bound the expansion before allocating: every key's events (a failure
+  // with its recovery counts two), the Poisson stream by its expectation.
+  const double per_failure = spec.mttr > 0.0 ? 2.0 : 1.0;
+  double expanded = 0.0;
+  const auto charge = [&](std::string_view key, bool applies, double events) {
+    if (applies) expanded += events;
+    if (expanded > static_cast<double>(kMaxFaultEvents)) too_many_events(key);
+  };
+  charge("events", true, static_cast<double>(spec.scripted.size()));
+  charge("machine_failures", machine_count > 0,
+         per_failure * static_cast<double>(spec.machine_failures));
+  charge("gpu_failures", gpu_count > 0,
+         per_failure * static_cast<double>(spec.gpu_failures));
+  charge("mttf", poisson, per_failure * rate * horizon);
+  charge("cancellations", jobs.job_count() > 0,
+         static_cast<double>(spec.cancellations));
+  charge("stragglers", gpu_count > 0,
+         2.0 * static_cast<double>(spec.stragglers));
 
   const auto push_failure = [&](FaultKind fail, FaultKind recover, int id) {
     FaultEvent event;
@@ -277,13 +309,11 @@ FaultPlan generate_fault_plan(const FaultSpec& spec,
                    ids[i % ids.size()]);
     }
   }
-  // Poisson arrival mode: no explicit counts, mttf shapes a failure stream
-  // across the whole fleet (rate = gpu_count / mttf).
-  if (spec.machine_failures == 0 && spec.gpu_failures == 0 &&
-      spec.mttf > 0.0 && gpu_count > 0) {
-    const double rate = static_cast<double>(gpu_count) / spec.mttf;
+  if (poisson) {
     Time t = rng.exponential(rate);
     while (t < horizon) {
+      // The draw can outrun its expectation: a hard stop at the cap.
+      if (plan.events.size() >= kMaxFaultEvents) too_many_events("mttf");
       push_failure(FaultKind::GpuFail, FaultKind::GpuRecover,
                    static_cast<int>(rng.uniform_int(gpu_count)));
       // push_failure drew its own fail time; overwrite with the arrival.

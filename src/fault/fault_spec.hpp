@@ -24,6 +24,7 @@
 // silently run fault-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -62,6 +63,11 @@ struct FaultSpec {
   /// Scripted events, appended verbatim to whatever the knobs generate.
   std::vector<FaultEvent> scripted;
 };
+
+/// Most events one generated plan may hold: generate_fault_plan checks a
+/// spec against it before expanding and throws common::Error naming the
+/// key that exceeds it.
+inline constexpr std::size_t kMaxFaultEvents = 1'000'000;
 
 /// Parse a config string. Throws common::Error on unknown keys or
 /// malformed values.

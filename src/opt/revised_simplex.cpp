@@ -22,44 +22,74 @@ constexpr std::size_t kStallThreshold = 64;
 
 }  // namespace
 
-RevisedSimplex::RevisedSimplex(const LinearProgram& lp) {
-  n_ = static_cast<int>(lp.objective_.size());
-  m_ = static_cast<int>(lp.rows_.size());
-  cost_ = lp.objective_;
-  lower_ = lp.lower_;
-  upper_ = lp.upper_;
-  rhs_.reserve(static_cast<std::size_t>(m_));
+std::size_t RevisedSimplex::add_variable(double cost) {
+  HARE_CHECK_MSG(m_ == 0, "variables must be added before rows");
+  A_.add_column();
+  cost_.push_back(cost);
+  lower_.push_back(0.0);
+  upper_.push_back(kInf);
+  return static_cast<std::size_t>(n_++);
+}
 
-  A_ = SparseMatrix(m_);
-  A_.reserve_columns(static_cast<std::size_t>(n_ + m_) + 64);
-  for (int j = 0; j < n_; ++j) A_.add_column();
-  for (int i = 0; i < m_; ++i) {
-    const auto& row = lp.rows_[static_cast<std::size_t>(i)];
-    for (const auto& [var, coeff] : row.terms) {
-      A_.push(static_cast<int>(var), i, coeff);
-    }
-    rhs_.push_back(row.rhs);
+void RevisedSimplex::set_bounds(std::size_t var, double lower, double upper) {
+  HARE_CHECK_MSG(var < static_cast<std::size_t>(n_),
+                 "bounds reference unknown variable " << var);
+  HARE_CHECK_MSG(std::isfinite(lower),
+                 "lower bound must be finite for variable " << var);
+  HARE_CHECK_MSG(lower <= upper, "empty bound interval for variable " << var);
+  lower_[var] = lower;
+  upper_[var] = upper;
+}
+
+void RevisedSimplex::add_row(std::span<const Term> terms, Relation rel,
+                             double rhs) {
+  for (const auto& term : terms) {
+    HARE_CHECK_MSG(term.first < static_cast<std::size_t>(n_),
+                   "row references unknown variable " << term.first);
+  }
+  const int row = m_;
+  A_.add_rows(1);
+  for (const auto& [var, coeff] : terms) {
+    A_.push(static_cast<int>(var), row, coeff);
   }
   // One logical per row: a·x + s = b with s bounded by the relation.
-  cost_.resize(static_cast<std::size_t>(n_ + m_), 0.0);
-  for (int i = 0; i < m_; ++i) {
-    const int col = A_.add_column();
-    A_.push(col, i, 1.0);
-    switch (lp.rows_[static_cast<std::size_t>(i)].rel) {
-      case Relation::LessEqual:
-        lower_.push_back(0.0);
-        upper_.push_back(kInf);
-        break;
-      case Relation::GreaterEqual:
-        lower_.push_back(-kInf);
-        upper_.push_back(0.0);
-        break;
-      case Relation::Equal:
-        lower_.push_back(0.0);
-        upper_.push_back(0.0);
-        break;
-    }
+  const int logical = A_.add_column();
+  A_.push(logical, row, 1.0);
+  ++m_;
+  rhs_.push_back(rhs);
+  cost_.push_back(0.0);
+  switch (rel) {
+    case Relation::LessEqual:
+      lower_.push_back(0.0);
+      upper_.push_back(kInf);
+      break;
+    case Relation::GreaterEqual:
+      lower_.push_back(-kInf);
+      upper_.push_back(0.0);
+      break;
+    case Relation::Equal:
+      lower_.push_back(0.0);
+      upper_.push_back(0.0);
+      break;
   }
+  if (!start_basis_.empty()) {
+    start_basis_.push_back(static_cast<std::size_t>(logical));
+  }
+  if (!basis_valid_) return;  // the next solve is cold: it installs a basis
+  // The new logical joins the basis: the extended basis is block triangular
+  // ([B 0; C I]), so the retained duals stay exact and the next warm solve
+  // starts dual feasible.
+  basis_.push_back(logical);
+  vstat_.push_back(VarStatus::Basic);
+  pos_of_.push_back(m_ - 1);
+  xb_.push_back(0.0);
+  dual_.push_back(0.0);
+  devex_.push_back(1.0);
+  rows_appended_ = true;
+}
+
+void RevisedSimplex::set_start_basis(std::vector<std::size_t> start) {
+  start_basis_ = std::move(start);
 }
 
 bool RevisedSimplex::is_fixed(int j) const {
@@ -75,7 +105,7 @@ double RevisedSimplex::nonbasic_value(int j) const {
 }
 
 bool RevisedSimplex::refactorize() {
-  if (factorizations_) ++*factorizations_;
+  ++stats_.factorizations;
   return lu_.factorize(A_, basis_);
 }
 
@@ -249,7 +279,7 @@ LpStatus RevisedSimplex::phase1(std::size_t max_iterations,
                            lower_[static_cast<std::size_t>(enter)];
     if (leave < 0 && std::isinf(t_bound)) return LpStatus::IterationLimit;
 
-    if (pivots) ++*pivots;
+    ++*pivots;
     if (t_bound <= t_row) {
       bound_flip(enter, sigma, t_bound);
       stall = t_bound <= kStepTol ? stall + 1 : 0;
@@ -335,7 +365,7 @@ LpStatus RevisedSimplex::phase2(std::size_t max_iterations,
                            lower_[static_cast<std::size_t>(enter)];
     if (leave < 0 && std::isinf(t_bound)) return LpStatus::Unbounded;
 
-    if (pivots) ++*pivots;
+    ++*pivots;
     if (t_bound <= t_row) {
       bound_flip(enter, sigma, t_bound);
       stall = t_bound <= kStepTol ? stall + 1 : 0;
@@ -467,7 +497,7 @@ LpStatus RevisedSimplex::dual_phase(std::size_t max_iterations,
     dual_[static_cast<std::size_t>(leaving)] = -ratio_d;
     dual_[static_cast<std::size_t>(enter)] = 0.0;
 
-    if (pivots) ++*pivots;
+    ++*pivots;
     const PivotResult res = pivot_exchange(
         leave, enter, 1.0, step,
         below ? VarStatus::AtLower : VarStatus::AtUpper);
@@ -525,17 +555,27 @@ bool RevisedSimplex::install_basis(std::span<const std::size_t> start) {
   return true;
 }
 
-LpSolution RevisedSimplex::solve(std::size_t max_iterations,
-                                 LpIterationStats* stats,
-                                 std::span<const std::size_t> start) {
-  factorizations_ = stats ? &stats->factorizations : nullptr;
+LpSolution RevisedSimplex::solve(std::size_t max_iterations) {
+  stats_ = {};
+  if (basis_valid_) {
+    last_warm_ = true;
+    LpSolution solution = warm_solve(max_iterations);
+    if (solution.status != LpStatus::IterationLimit) return solution;
+    // Numerical stall on the warm path: solve the same store cold.
+    stats_ = {};
+  }
+  last_warm_ = false;
+  return cold_solve(max_iterations);
+}
+
+LpSolution RevisedSimplex::cold_solve(std::size_t max_iterations) {
   basis_valid_ = false;
   rows_appended_ = false;
   LpSolution solution;
   // An unusable start basis (malformed or singular) falls back to the
   // all-logical one, which always factorizes.
-  const bool started =
-      !start.empty() && install_basis(start) && refactorize();
+  const bool started = !start_basis_.empty() &&
+                       install_basis(start_basis_) && refactorize();
   if (!started && !(install_basis({}) && refactorize())) {
     solution.status = LpStatus::Infeasible;
     return solution;
@@ -543,13 +583,12 @@ LpSolution RevisedSimplex::solve(std::size_t max_iterations,
   compute_xb();
 
   // Phase 1 returns at once when the start is already primal feasible.
-  std::size_t sink = 0;
-  LpStatus status = phase1(max_iterations, stats ? &stats->phase1 : &sink);
+  LpStatus status = phase1(max_iterations, &stats_.phase1);
   if (status != LpStatus::Optimal) {
     solution.status = status;
     return solution;
   }
-  status = phase2(max_iterations, stats ? &stats->phase2 : &sink);
+  status = phase2(max_iterations, &stats_.phase2);
   if (status != LpStatus::Optimal) {
     solution.status = status;
     return solution;
@@ -558,45 +597,12 @@ LpSolution RevisedSimplex::solve(std::size_t max_iterations,
   return extract();
 }
 
-void RevisedSimplex::add_ge_row(
-    const std::vector<std::pair<std::size_t, double>>& terms, double rhs) {
-  const int row = m_;
-  A_.add_rows(1);
-  for (const auto& [var, coeff] : terms) {
-    HARE_CHECK_MSG(var < static_cast<std::size_t>(n_),
-                   "cut references unknown variable " << var);
-    A_.push(static_cast<int>(var), row, coeff);
-  }
-  const int logical = A_.add_column();
-  A_.push(logical, row, 1.0);
-  ++m_;
-  rhs_.push_back(rhs);
-  cost_.push_back(0.0);
-  lower_.push_back(-kInf);
-  upper_.push_back(0.0);
-  // The new logical joins the basis: the extended basis is block triangular
-  // ([B 0; C I]), so the retained duals stay exact and the next resolve()
-  // starts dual feasible.
-  basis_.push_back(logical);
-  if (!vstat_.empty()) {
-    vstat_.push_back(VarStatus::Basic);
-    pos_of_.push_back(m_ - 1);
-    xb_.push_back(0.0);
-    dual_.push_back(0.0);
-    devex_.push_back(1.0);
-  }
-  rows_appended_ = true;
-}
-
-LpSolution RevisedSimplex::resolve(std::size_t max_iterations,
-                                   LpIterationStats* stats) {
-  if (!basis_valid_ || vstat_.empty()) return solve(max_iterations, stats);
-  factorizations_ = stats ? &stats->factorizations : nullptr;
+LpSolution RevisedSimplex::warm_solve(std::size_t max_iterations) {
   basis_valid_ = false;
   LpSolution solution;
   if (rows_appended_) {
-    // A singular extended basis is a numerical stall: the caller's cold
-    // restart takes over, from its start basis.
+    // A singular extended basis is a numerical stall: solve() restarts
+    // cold, from the start basis.
     if (!refactorize()) {
       solution.status = LpStatus::IterationLimit;
       return solution;
@@ -604,13 +610,12 @@ LpSolution RevisedSimplex::resolve(std::size_t max_iterations,
     compute_xb();
     rows_appended_ = false;
   }
-  std::size_t sink = 0;
-  LpStatus status = dual_phase(max_iterations, stats ? &stats->dual : &sink);
+  LpStatus status = dual_phase(max_iterations, &stats_.dual);
   if (status == LpStatus::Optimal) {
     // Dual feasibility is maintained by the ratio test, so this usually
     // confirms optimality immediately; it cleans up numerical drift when
     // not.
-    status = phase2(max_iterations, stats ? &stats->phase2 : &sink);
+    status = phase2(max_iterations, &stats_.phase2);
   }
   if (status != LpStatus::Optimal) {
     solution.status = status;

@@ -1,5 +1,13 @@
-// Sparse revised simplex with bounded variables — the engine behind
-// LinearProgram::solve() and IncrementalLpSolver.
+// Sparse revised simplex with bounded variables — the repo's one LP solver
+// and the one place an LP program lives.
+//
+// Callers state a program straight into the solver's column store with the
+// builder (add_variable, set_bounds, add_row) and then alternate solve()
+// with appended rows: the cutting-plane loop of the LpCuts relaxation
+// (solve → separate → add ≥-cut → re-solve). The store is laid out as
+//   [structural 0..n-1 | logical of row 0 | logical of row 1 | ...],
+// so every variable precedes every row, row i's logical is column n + i,
+// and each column holds its entries in row order.
 //
 // The constraint matrix lives in column-sparse form (see SparseMatrix) and
 // the solver works against an LU-factorized basis (see BasisLU), so one
@@ -10,23 +18,28 @@
 //    [0,∞) for ≤, (−∞,0] for ≥, [0,0] for =. Single-variable bound rows
 //    never reach this solver — relaxation.cpp states them as variable
 //    bounds, which live in the bound arrays, not the row space.
-//  * Cold solve: from a caller's start basis when it is usable (m distinct
-//    columns, nonsingular), else from the all-logical basis. Composite
-//    phase 1 (piecewise infeasibility objective, recomputed each iteration)
-//    runs only while the start is primal infeasible, so a feasible start
-//    basis goes straight to the Devex-priced primal phase 2. The LpCuts
-//    relaxation passes the critical-path vertex of its base rows, which is
-//    feasible and, on the testbed batches, already optimal.
-//  * Warm re-solve: appended ≥-cut rows get their logicals basic, which
-//    keeps the old duals exactly (the extended basis is block triangular);
-//    one refactorization then dual-simplex pivots restore primal
-//    feasibility.
+//  * Cold solve (the first solve()): from the start basis when one is set
+//    and usable (m distinct columns, nonsingular), else from the
+//    all-logical basis. Composite phase 1 (piecewise infeasibility
+//    objective, recomputed each iteration) runs only while the start is
+//    primal infeasible, so a feasible start basis goes straight to the
+//    Devex-priced primal phase 2. The LpCuts relaxation sets the
+//    critical-path vertex of its base rows, which is feasible and, on the
+//    testbed batches, already optimal.
+//  * Warm re-solve (every later solve() after an optimal one): appended
+//    rows get their logicals basic, which keeps the old duals exactly (the
+//    extended basis is block triangular); one refactorization then
+//    dual-simplex pivots restore primal feasibility. This is the standard
+//    warm start a commercial solver applies when rows are appended. A warm
+//    re-solve that stalls (IterationLimit) re-solves cold from the start
+//    basis on the same, already-extended store.
 //  * Determinism: every tie (pricing, ratio tests, LU pivoting) breaks to
 //    the lowest variable/row index, so repeated runs — and the planner
 //    schedules built on top — are bit-reproducible.
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -39,37 +52,53 @@ namespace hare::opt {
 
 class RevisedSimplex {
  public:
-  /// Snapshot the program (structural columns + bounds + base rows).
-  explicit RevisedSimplex(const LinearProgram& lp);
+  static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-  /// Cold solve: composite phase 1 + Devex phase 2. `stats`, when given,
-  /// accumulates pivot counts. `start`, when non-empty, names the basic
+  /// One row term: coefficient times variable.
+  using Term = std::pair<std::size_t, double>;
+
+  /// Add a variable with cost `cost` and bounds [0, +inf); returns its
+  /// index. Variables come before rows: adding one after a row throws
+  /// common::Error.
+  std::size_t add_variable(double cost);
+
+  /// Set bounds lower <= x[var] <= upper. `lower` must be finite (nonbasic
+  /// variables are anchored at their lower bound); `upper` may be
+  /// kInfinity. lower == upper fixes the variable.
+  void set_bounds(std::size_t var, double lower, double upper);
+
+  /// Add the row sum(coeff · x[var]) rel rhs, with its logical at column
+  /// structural_count() + row. Terms may repeat a variable; coefficients
+  /// accumulate. After an optimal solve the logical joins the basis, and
+  /// the next solve() prices the row in warm; once a start basis is set,
+  /// the logical also joins it.
+  void add_row(std::span<const Term> terms, Relation rel, double rhs);
+
+  /// The cold solve's start basis over the rows added so far: the basic
   /// column of each basis position (structural j < n, logical of row i at
-  /// n + i); nonbasic columns sit at their lower bound, or at their upper
+  /// n + i). Nonbasic columns sit at their lower bound, or at their upper
   /// bound when they have no finite lower one (≥-row logicals). A start of
   /// the wrong size, with a repeated or unknown column, or singular falls
   /// back to the all-logical basis.
-  [[nodiscard]] LpSolution solve(std::size_t max_iterations,
-                                 LpIterationStats* stats = nullptr,
-                                 std::span<const std::size_t> start = {});
+  void set_start_basis(std::vector<std::size_t> start);
 
-  /// Append `terms >= rhs` as a new row. Cheap: touches only the cut's
-  /// columns plus one new logical. Requires a prior optimal solve when the
-  /// retained basis is to be reused via resolve().
-  void add_ge_row(const std::vector<std::pair<std::size_t, double>>& terms,
-                  double rhs);
+  /// Minimize. The first call solves cold (from the start basis when one
+  /// is set); a call after an optimal solve re-optimizes from its basis and
+  /// falls back to a cold solve of the whole store when that stalls.
+  /// `max_iterations` caps each phase's pivots (Bland's rule engages
+  /// automatically after a degenerate stall).
+  [[nodiscard]] LpSolution solve(std::size_t max_iterations = 100000);
 
-  /// Warm re-solve after add_ge_row(): refactorize the extended basis and
-  /// run dual-simplex pivots on the appended rows. Fails with Infeasible /
-  /// IterationLimit like solve(), and with IterationLimit when the extended
-  /// basis does not factorize; callers may cold-restart on failure.
-  [[nodiscard]] LpSolution resolve(std::size_t max_iterations,
-                                   LpIterationStats* stats = nullptr);
+  /// Pivot counts of the most recent solve() call.
+  [[nodiscard]] const LpIterationStats& last_stats() const { return stats_; }
 
-  [[nodiscard]] bool has_optimal_basis() const { return basis_valid_; }
+  /// True when the most recent solve() reused the previous basis.
+  [[nodiscard]] bool last_solve_was_warm() const { return last_warm_; }
 
   [[nodiscard]] int row_count() const { return m_; }
   [[nodiscard]] int structural_count() const { return n_; }
+  /// Column-store nonzeros, one logical entry per row included (a
+  /// repeated variable's terms count once).
   [[nodiscard]] std::size_t nonzeros() const { return A_.nonzeros(); }
 
  private:
@@ -77,7 +106,7 @@ class RevisedSimplex {
 
   // Problem in standard form. m_ rows, n_ structural variables. Columns
   // are [structural 0..n_-1 | logical per row], so row i's logical is
-  // column n_ + i (appended rows' logicals join the tail in row order).
+  // column n_ + i.
   int m_ = 0;
   int n_ = 0;
   SparseMatrix A_;
@@ -94,8 +123,9 @@ class RevisedSimplex {
   std::vector<double> dual_;      ///< reduced costs per column
   std::vector<double> devex_;     ///< Devex reference weights per column
   BasisLU lu_;
-  /// Factorization count of the running solve()/resolve() call, or null.
-  std::size_t* factorizations_ = nullptr;
+  std::vector<std::size_t> start_basis_;  ///< cold start; empty = slack
+  LpIterationStats stats_;
+  bool last_warm_ = false;
   bool basis_valid_ = false;
   bool rows_appended_ = false;
 
@@ -139,6 +169,11 @@ class RevisedSimplex {
                                 std::size_t* pivots);
   [[nodiscard]] LpStatus dual_phase(std::size_t max_iterations,
                                     std::size_t* pivots);
+  /// Phase 1 + phase 2 from the start basis.
+  [[nodiscard]] LpSolution cold_solve(std::size_t max_iterations);
+  /// Refactorize after appended rows, then dual + cleanup primal pivots.
+  /// IterationLimit also when the extended basis does not factorize.
+  [[nodiscard]] LpSolution warm_solve(std::size_t max_iterations);
   [[nodiscard]] LpSolution extract() const;
 };
 

@@ -97,6 +97,7 @@ ServeService::ServeService(const cluster::Cluster& cluster,
   state_.phi.assign(cluster.gpu_count(), 0.0);
   saved_phi_.assign(cluster.gpu_count(), 0.0);
   alive_.assign(cluster.gpu_count(), 1);
+  alive_count_ = cluster.gpu_count();
   if (config_.shard_min_batch_jobs > 0) {
     sharded_.emplace(config_.shard);
   }
@@ -160,14 +161,10 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
     if (config_.lp_max_batch_jobs > 0 &&
         plannable.size() <= config_.lp_max_batch_jobs) {
       Time phi_floor = kTimeInfinity;
-      std::size_t gpus_alive = 0;
       for (std::size_t g = 0; g < alive_.size(); ++g) {
-        if (!alive_[g]) continue;
-        ++gpus_alive;
-        phi_floor = std::min(phi_floor, state_.phi[g]);
+        if (alive_[g]) phi_floor = std::min(phi_floor, state_.phi[g]);
       }
-      if (gpus_alive == 0) phi_floor = 0.0;
-      relax_batch(jobs_, times_, plannable, phi_floor, gpus_alive, h_);
+      relax_batch(jobs_, times_, plannable, phi_floor, alive_count_, h_);
       ++report_.lp.batches;
       ++report_.lp.cold_solves;
       flat_.schedule_jobs_with_h(input, plannable, h_, state_, schedule_);
@@ -198,7 +195,8 @@ void ServeService::plan_batch(const std::vector<JobId>& plannable) {
 }
 
 void ServeService::flush_batch(AdmissionBatcher& batcher) {
-  if (batcher.empty()) return;
+  // With no GPU alive the open batch is held until the first recovery.
+  if (batcher.empty() || alive_count_ == 0) return;
   const std::vector<JobId> batch = batcher.take();
   std::vector<JobId> plannable;
   plannable.reserve(batch.size());
@@ -222,6 +220,7 @@ void ServeService::apply_event(const fault::FaultEvent& event, GpuId gpu,
       const auto g = static_cast<std::size_t>(gpu.value());
       if (!alive_[g]) break;
       alive_[g] = 0;
+      --alive_count_;
       saved_phi_[g] = state_.phi[g];
       state_.phi[g] = core::kDeadHorizon;
       // Commitments on the dead GPU from the failure instant onward are
@@ -258,6 +257,7 @@ void ServeService::apply_event(const fault::FaultEvent& event, GpuId gpu,
       const auto g = static_cast<std::size_t>(gpu.value());
       if (alive_[g]) break;
       alive_[g] = 1;
+      ++alive_count_;
       state_.phi[g] = std::max(event.time, saved_phi_[g]);
       break;
     }
@@ -348,19 +348,26 @@ ServeReport ServeService::serve(NextSpec&& next_spec,
         (!pending.has_value() || scripted[next_event].time <= pending->arrival);
     if (take_scripted) {
       // Machine events apply one GPU at a time, in the machine's GPU order.
-      // Each GPU or job event first closes the open batch: a failure must
-      // displace against a fully flushed plan.
+      // Each GPU failure or job event first closes the open batch (a
+      // failure must displace against a fully flushed plan); a recovery
+      // closes it once, before its first GPU.
       const fault::FaultEvent& event = scripted[next_event++];
       const bool machine = event.kind == fault::FaultKind::MachineFail ||
                            event.kind == fault::FaultKind::MachineRecover;
+      const bool recovery = event.kind == fault::FaultKind::MachineRecover ||
+                            event.kind == fault::FaultKind::GpuRecover;
       const std::span<const GpuId> gpus =
           machine ? std::span<const GpuId>(cluster_.machine(event.machine).gpus)
                   : std::span<const GpuId>(&event.gpu, 1);
-      for (const GpuId gpu : gpus) {
+      const std::size_t alive_before = alive_count_;
+      for (std::size_t k = 0; k < gpus.size(); ++k) {
         events_counter.add();
-        flush_batch(batcher);
-        apply_event(event, gpu, batcher);
+        if (k == 0 || !recovery) flush_batch(batcher);
+        apply_event(event, gpus[k], batcher);
       }
+      // A batch held while no GPU was alive is planned at the first
+      // recovery, over every GPU it brought back.
+      if (alive_before == 0) flush_batch(batcher);
     } else {
       events_counter.add();
       if (batcher.should_flush(pending->arrival)) flush_batch(batcher);
@@ -371,6 +378,12 @@ ServeReport ServeService::serve(NextSpec&& next_spec,
     }
   }
   flush_batch(batcher);
+  // Jobs still held when the stream ends never found a live GPU.
+  for (JobId id : batcher.take()) {
+    if (!canceled_[static_cast<std::size_t>(id.value())]) {
+      ++report_.unplanned_jobs;
+    }
+  }
 
   report_.objective = schedule_.predicted_objective;
   report_.schedule = std::move(schedule_);

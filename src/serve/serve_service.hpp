@@ -135,6 +135,8 @@ struct ServeReport {
   double objective = 0.0;      ///< planned sum of weighted completions
   std::size_t arrivals = 0;    ///< stream arrivals admitted
   std::size_t planned_jobs = 0;
+  /// Jobs held, because no GPU was alive, until the stream ended.
+  std::size_t unplanned_jobs = 0;
   std::size_t batches = 0;     ///< planned (non-empty) batches
   std::size_t max_batch_jobs = 0;
   std::size_t canceled = 0;      ///< cancels that landed before planning
@@ -201,6 +203,7 @@ class ServeService {
   core::HareScheduler::IncrementalState state_;
   std::vector<Time> saved_phi_;  ///< pre-failure horizons of dead GPUs
   std::vector<char> alive_;
+  std::size_t alive_count_ = 0;  ///< GPUs with alive_ set
   std::vector<char> canceled_;   ///< admitted but never to be planned
   std::vector<char> planned_;
   std::vector<char> continued_;  ///< a continuation was already spawned

@@ -11,7 +11,6 @@ namespace hare::testing {
 
 namespace {
 
-using opt::LinearProgram;
 using opt::LpSolution;
 using opt::LpStatus;
 using opt::Relation;
@@ -213,7 +212,7 @@ LpSolution oracle_solve(const LinearProgram& lp, std::size_t max_iterations,
 
 // ------------------------------------------------------- dense basis LU --
 
-void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
+void append_batch_block(LinearProgram& lp, const workload::JobSet& jobs,
                         const profiler::TimeTable& times,
                         const std::vector<JobId>& batch, Time phi_floor,
                         std::size_t gpus_alive,

@@ -1,10 +1,11 @@
 // Independent LP oracle: a cold two-phase dense tableau simplex.
 //
-// Shares nothing with opt::RevisedSimplex beyond the LinearProgram it
-// reads. Lower bounds are shifted out (x = l + x'), finite upper bounds
-// become explicit ≤ rows, every row gets a slack/surplus and — for ≥ and =
-// rows — an artificial. Phase 1 drives the artificials to zero, phase 2
-// minimizes the true objective with artificials banned from entering.
+// Shares nothing with opt::RevisedSimplex beyond the row-form
+// LinearProgram (linear_program.hpp) it reads. Lower bounds are shifted
+// out (x = l + x'), finite upper bounds become explicit ≤ rows, every row
+// gets a slack/surplus and — for ≥ and = rows — an artificial. Phase 1
+// drives the artificials to zero, phase 2 minimizes the true objective
+// with artificials banned from entering.
 // Pricing is Dantzig (most positive reduced cost), and Bland's rule takes
 // over after 64 non-improving pivots, so degenerate programs such as
 // Beale's cycling example terminate. There is no warm start: every call
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "linear_program.hpp"
 #include "opt/simplex.hpp"
 #include "opt/sparse_matrix.hpp"
 #include "profiler/time_table.hpp"
@@ -32,7 +34,7 @@
 namespace hare::testing {
 
 /// Solve `lp` cold. `pivots`, when given, receives the pivot count.
-[[nodiscard]] opt::LpSolution oracle_solve(const opt::LinearProgram& lp,
+[[nodiscard]] opt::LpSolution oracle_solve(const LinearProgram& lp,
                                            std::size_t max_iterations = 100000,
                                            std::size_t* pivots = nullptr);
 
@@ -42,7 +44,7 @@ namespace hare::testing {
 /// index in `lp` of batch job b's round-r start variable. Appending several
 /// blocks to one program builds the accumulated LP the blocks form side by
 /// side.
-void append_batch_block(opt::LinearProgram& lp, const workload::JobSet& jobs,
+void append_batch_block(LinearProgram& lp, const workload::JobSet& jobs,
                         const profiler::TimeTable& times,
                         const std::vector<JobId>& batch, Time phi_floor,
                         std::size_t gpus_alive,

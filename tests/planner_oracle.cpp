@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "opt/queyranne.hpp"
-#include "opt/simplex.hpp"
+#include "opt/revised_simplex.hpp"
 #include "workload/feasibility.hpp"
 
 namespace hare::testing {
@@ -148,12 +148,13 @@ std::vector<Time> middle_completion_times(const workload::JobSet& jobs,
 core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
                                const workload::JobSet& jobs,
                                const profiler::TimeTable& times,
-                               const core::RelaxationConfig& config) {
+                               const core::RelaxationConfig& config,
+                               LinearProgram* program) {
   const FluidPass pass = fluid_pass(cluster, jobs, times, {});
   const std::size_t task_count = jobs.task_count();
   const std::size_t gpu_count = cluster.gpu_count();
 
-  opt::LinearProgram lp;
+  LinearProgram lp;
   std::vector<std::size_t> x_var(task_count);
   for (std::size_t i = 0; i < task_count; ++i) {
     x_var[i] = lp.add_variable(opt::perturbation_cost(i + 1, task_count));
@@ -182,7 +183,7 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
       for (TaskId id : jobs.round_tasks(job.id, static_cast<RoundIndex>(r))) {
         const std::size_t x = x_var[static_cast<std::size_t>(id.value())];
         if (r == 0) {
-          lp.set_bounds(x, job.spec.arrival, opt::LinearProgram::kInfinity);
+          lp.set_bounds(x, job.spec.arrival, LinearProgram::kInfinity);
         } else {
           lp.add_constraint({{x, 1.0}, {e_var[j][r - 1], -1.0}},
                             opt::Relation::GreaterEqual, 0.0);
@@ -215,11 +216,11 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
 
   core::RelaxationResult result;
   result.y_hat = pass.y_hat;
-  const std::size_t base_rows = lp.constraint_count();
-  const std::size_t base_nonzeros = lp.nonzero_count();
   result.lp_cols = lp.variable_count();
-  std::size_t cut_nonzeros = 0;
-  opt::IncrementalLpSolver solver(std::move(lp), std::move(start_basis));
+  // The solver is fed from the row-form program, and every cut goes to
+  // both, so `lp` stays the program as solved so far.
+  opt::RevisedSimplex solver = lp.to_solver();
+  solver.set_start_basis(std::move(start_basis));
 
   std::vector<double> x_snapped(task_count, 0.0);
   opt::LpSolution solution;
@@ -264,8 +265,9 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
         t_sum += t[k];
         t_sq += t[k] * t[k];
       }
-      solver.add_ge_constraint(terms, 0.5 * (t_sum * t_sum - t_sq));
-      cut_nonzeros += terms.size();
+      const double rhs = 0.5 * (t_sum * t_sum - t_sq);
+      lp.add_constraint(terms, opt::Relation::GreaterEqual, rhs);
+      solver.add_row(terms, opt::Relation::GreaterEqual, rhs);
       ++result.cut_count;
       ++added;
     }
@@ -280,8 +282,9 @@ core::RelaxationResult lp_cuts(const cluster::Cluster& cluster,
         solution.values[c_var[static_cast<std::size_t>(job.id.value())]];
   }
   result.h = middle_completion_times(jobs, times, result.x_hat);
-  result.lp_rows = base_rows + result.cut_count;
-  result.lp_nonzeros = base_nonzeros + cut_nonzeros;
+  result.lp_rows = lp.constraint_count();
+  result.lp_nonzeros = lp.nonzero_count();
+  if (program) *program = std::move(lp);
   return result;
 }
 
@@ -379,11 +382,12 @@ core::RelaxationResult oracle_relax(const cluster::Cluster& cluster,
                                     const workload::JobSet& jobs,
                                     const profiler::TimeTable& times,
                                     const core::RelaxationConfig& config,
-                                    const core::SubProblem& sub) {
+                                    const core::SubProblem& sub,
+                                    LinearProgram* program) {
   if (config.mode == core::RelaxMode::LpCuts) {
     HARE_CHECK_MSG(sub.whole() && sub.initial_phi.empty(),
                    "LpCuts oracle plans whole instances only");
-    return lp_cuts(cluster, jobs, times, config);
+    return lp_cuts(cluster, jobs, times, config, program);
   }
   const FluidPass pass = fluid_pass(cluster, jobs, times, sub);
   core::RelaxationResult result;

@@ -16,6 +16,7 @@
 
 #include "core/hare_scheduler.hpp"
 #include "core/relaxation.hpp"
+#include "linear_program.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/schedule.hpp"
 
@@ -24,10 +25,14 @@ namespace hare::testing {
 /// Reference core::HareRelaxation::solve (Fluid or LpCuts, per `config`).
 /// Fills the same RelaxationResult fields; `sep_tasks_resorted` always
 /// equals `sep_tasks_total`, since every round re-sorts every machine.
+/// `program` (optional, LpCuts mode) receives the final LP in row form:
+/// perturbed objective and every appended cut, stated in the library's
+/// order. Its variables are x_i per task (index = task id), then per job
+/// its round ends and its completion C_n.
 [[nodiscard]] core::RelaxationResult oracle_relax(
     const cluster::Cluster& cluster, const workload::JobSet& jobs,
     const profiler::TimeTable& times, const core::RelaxationConfig& config,
-    const core::SubProblem& sub = {});
+    const core::SubProblem& sub = {}, LinearProgram* program = nullptr);
 
 /// Reference core::HareScheduler::schedule for relaxed sync, under either
 /// placement rule.

@@ -287,6 +287,37 @@ TEST(FaultPlan, GenerationIsDeterministicInSeed) {
   EXPECT_TRUE(any_different);
 }
 
+TEST(FaultPlan, EventCapRejectsUnboundedSpecs) {
+  // A spec is checked against kMaxFaultEvents before it expands: an
+  // explicit count by its events, the Poisson stream by its expectation
+  // (16 GPUs x 60 s / mttf). The error names the key.
+  const Instance inst = make_random_instance(506);
+  const cluster::Cluster cluster =
+      cluster::make_simulation_cluster(16, 25.0, 4);
+  const auto expand = [&](const std::string& text) {
+    return fault::generate_fault_plan(fault::parse_fault_spec(text), cluster,
+                                      inst.jobs, 60.0);
+  };
+  const auto expect_cap = [&](const std::string& text, const char* key) {
+    try {
+      (void)expand(text);
+      ADD_FAILURE() << text << " expanded past the cap";
+    } catch (const common::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_cap("machine_failures=1e12", "machine_failures");
+  expect_cap("mttf=1e-9", "mttf");
+  expect_cap("gpu_failures=600000,mttr=5", "gpu_failures");
+  expect_cap("stragglers=500001", "stragglers");
+
+  // mttf=0.01 on 16 GPUs is ~96k failures: within the cap, it expands.
+  const fault::FaultPlan dense = expand("mttf=0.01");
+  EXPECT_GT(dense.events.size(), 90000u);
+  EXPECT_LT(dense.events.size(), 100000u);
+}
+
 TEST(FaultPlan, EventsAreTimeSorted) {
   const Instance inst = make_random_instance(502);
   fault::FaultSpec spec;

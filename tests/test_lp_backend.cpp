@@ -1,7 +1,7 @@
 // The LP engine against an independent oracle, and the unique-vertex
 // contract of the LpCuts relaxation.
 //
-// opt::RevisedSimplex (behind LinearProgram::solve) is checked against
+// opt::RevisedSimplex (fed by testing::LinearProgram) is checked against
 // testing::oracle_solve, a cold two-phase dense tableau that shares no code
 // with it:
 //  (a) on randomized LPs (feasible, infeasible, unbounded, degenerate)
@@ -11,11 +11,14 @@
 //      variables) round-trip identically through both;
 //  (c) the Beale cycling LP terminates at the optimum on both — the
 //      stall-triggered Bland's-rule regression test;
-//  (d) a warm-started cutting-plane loop (IncrementalLpSolver) agrees with
-//      cold solves and the oracle round by round;
+//  (d) a warm-started cutting-plane loop (one RevisedSimplex, rows
+//      appended between solves) agrees with cold solves and the oracle
+//      round by round, and a capped warm re-solve falls back to a cold
+//      solve of the same store;
 //  (e) the LpCuts relaxation's warm cut loop reports the same snapped
 //      vertex as a cold solve of its final perturbed program (and as the
-//      oracle), and its objective is the unperturbed optimum;
+//      oracle), and its objective is the unperturbed optimum; the final
+//      program is the planner oracle's own row-form build of it;
 //  (f) every planner engine configuration yields the same LP shape and
 //      the same schedule;
 //  (g) opt::BasisLU (sparse factorization) matches testing::DenseBasisLU
@@ -29,7 +32,10 @@
 //      its base rows and runs no phase 1, snapping to the vertex a
 //      slack-start solve reaches; an unusable start basis falls back to
 //      the slack start, and an infeasible one runs phase 1 to the same
-//      vertex.
+//      vertex;
+//  (j) the planner scaling grid (Fluid and LpCuts, up to 800 jobs) plans
+//      valid schedules, and its LpCuts points pin their LP counts and
+//      shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,7 +50,7 @@
 #include "lp_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "opt/basis_lu.hpp"
-#include "opt/simplex.hpp"
+#include "opt/revised_simplex.hpp"
 #include "opt/sparse_matrix.hpp"
 #include "planner_oracle.hpp"
 #include "test_util.hpp"
@@ -52,7 +58,7 @@
 namespace hare {
 namespace {
 
-using opt::LinearProgram;
+using testing::LinearProgram;
 using opt::LpSolution;
 using opt::LpStatus;
 using opt::Relation;
@@ -328,14 +334,14 @@ TEST(LpBackend, WarmCutLoopMatchesColdAndAcrossBackends) {
     for (std::size_t j = 0; j < lp.variable_count(); ++j) {
       lp.set_bounds(j, 0.0, 50.0);
     }
-    opt::IncrementalLpSolver warm(lp);
+    opt::RevisedSimplex warm = lp.to_solver();
 
     common::Rng rng(seed ^ 0xabcdefull);
     for (int round = 0; round < 5; ++round) {
       SCOPED_TRACE(round);
       const LpSolution a = warm.solve();
-      const LpSolution c = warm.program().solve();
-      const LpSolution o = testing::oracle_solve(warm.program());
+      const LpSolution c = lp.solve();
+      const LpSolution o = testing::oracle_solve(lp);
       // A random cut may clash with the planted equality rows and make the
       // program infeasible; all three must then agree on that too.
       ASSERT_EQ(a.status, c.status);
@@ -366,7 +372,8 @@ TEST(LpBackend, WarmCutLoopMatchesColdAndAcrossBackends) {
       const double rhs =
           std::min(activity + rng.uniform(0.1, 1.0),
                    50.0 * static_cast<double>(terms.size()) - 1.0);
-      warm.add_ge_constraint(terms, rhs);
+      lp.add_constraint(terms, Relation::GreaterEqual, rhs);
+      warm.add_row(terms, Relation::GreaterEqual, rhs);
     }
   }
 }
@@ -389,11 +396,11 @@ TEST(LpCutsVertex, WarmCutLoopMatchesColdSolveOfFinalProgram) {
           testing::make_random_instance(seed, jobs, gpus);
       core::RelaxationConfig config;
       config.mode = core::RelaxMode::LpCuts;
+      const core::RelaxationResult relaxed = core::HareRelaxation(config).solve(
+          instance.cluster, instance.jobs, instance.times);
       LinearProgram program;
-      const core::RelaxationResult relaxed =
-          core::HareRelaxation(config).solve(instance.cluster, instance.jobs,
-                                             instance.times, {}, nullptr,
-                                             &program);
+      (void)testing::oracle_relax(instance.cluster, instance.jobs,
+                                  instance.times, config, {}, &program);
       const std::size_t tasks = instance.jobs.task_count();
       ASSERT_EQ(relaxed.x_hat.size(), tasks);
       cuts += relaxed.cut_count;
@@ -735,9 +742,8 @@ TEST(BasisLuOracle, LpCutsProgramBasesMatchDenseSweep) {
     core::RelaxationConfig config;
     config.mode = core::RelaxMode::LpCuts;
     LinearProgram program;
-    (void)core::HareRelaxation(config).solve(instance.cluster, instance.jobs,
-                                             instance.times, {}, nullptr,
-                                             &program);
+    (void)testing::oracle_relax(instance.cluster, instance.jobs,
+                                instance.times, config, {}, &program);
     const int m = static_cast<int>(program.constraint_count());
     const int n = static_cast<int>(program.variable_count());
     SparseMatrix A(m);
@@ -846,16 +852,25 @@ std::vector<std::uint64_t> start_basis_seeds() {
   return seeds;
 }
 
-/// The relaxation's base program of `batch` (its first solve, no cuts) and
-/// that solve's accounting.
+/// The relaxation's first solve of `batch` (no cuts), with its base
+/// program from the planner oracle's build of the same rows.
 core::RelaxationResult relax_base_program(const testing::Instance& batch,
                                           LinearProgram& program) {
   core::RelaxationConfig config;
   config.mode = core::RelaxMode::LpCuts;
   config.max_cut_rounds = 0;
+  (void)testing::oracle_relax(batch.cluster, batch.jobs, batch.times, config,
+                              {}, &program);
   return core::HareRelaxation(config).solve(batch.cluster, batch.jobs,
-                                            batch.times, {}, nullptr,
-                                            &program);
+                                            batch.times);
+}
+
+/// A solver holding `program`, its cold solve started from `start`.
+opt::RevisedSimplex started_solver(const LinearProgram& program,
+                                   std::vector<std::size_t> start) {
+  opt::RevisedSimplex solver = program.to_solver();
+  solver.set_start_basis(std::move(start));
+  return solver;
 }
 
 /// A start basis for an LpCuts base program, rebuilt from its rows alone:
@@ -926,7 +941,7 @@ TEST(LpCutsStart, CriticalPathBasisRunsNoPhaseOne) {
 
     // The basis rebuilt from the rows alone starts the same solve: no
     // phase 1, and the pivots and factorizations of the relaxation's.
-    opt::IncrementalLpSolver solver(
+    opt::RevisedSimplex solver = started_solver(
         program, base_row_basis(program, tasks, /*longest=*/true));
     const LpSolution started = solver.solve();
     ASSERT_TRUE(started.optimal());
@@ -959,7 +974,7 @@ TEST(LpCutsStart, UnusableStartBasisFallsBackToSlack) {
     const std::size_t n = program.variable_count();
     const std::size_t m = program.constraint_count();
 
-    opt::IncrementalLpSolver slack(program);
+    opt::RevisedSimplex slack = program.to_solver();
     const LpSolution want = slack.solve();
     ASSERT_TRUE(want.optimal());
     const opt::LpIterationStats want_stats = slack.last_stats();
@@ -990,7 +1005,7 @@ TEST(LpCutsStart, UnusableStartBasisFallsBackToSlack) {
              {"unknown column", unknown},
              {"singular", singular}}) {
       SCOPED_TRACE(name);
-      opt::IncrementalLpSolver solver(program, start);
+      opt::RevisedSimplex solver = started_solver(program, start);
       const LpSolution got = solver.solve();
       ASSERT_TRUE(got.optimal());
       expect_same_bits(got.values, want.values, "values", 0);
@@ -1015,7 +1030,7 @@ TEST(LpCutsStart, InfeasibleStartRunsPhaseOneToTheSameVertex) {
     const std::size_t tasks = batch.jobs.task_count();
 
     const LpSolution slack = program.solve();
-    opt::IncrementalLpSolver solver(
+    opt::RevisedSimplex solver = started_solver(
         program, base_row_basis(program, tasks, /*longest=*/false));
     const LpSolution got = solver.solve();
     ASSERT_TRUE(slack.optimal());
@@ -1028,6 +1043,125 @@ TEST(LpCutsStart, InfeasibleStartRunsPhaseOneToTheSameVertex) {
     }
   }
   EXPECT_GT(phase1, 0u) << "some start must have been infeasible";
+}
+
+TEST(WarmStall, CappedCutRoundRestartsColdOnTheSameStore) {
+  // A warm cut-round re-solve capped below its dual pivot count stalls and
+  // re-solves cold from the start basis on its own, already-extended
+  // store. The next uncapped solve lands bit for bit on the vertex of a
+  // fresh cold solve of the same program.
+  for (const std::uint64_t seed : {9ull, 24ull, 36ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const testing::Instance batch = make_testbed_batch(seed);
+    LinearProgram base;
+    (void)relax_base_program(batch, base);
+    core::RelaxationConfig config;
+    config.mode = core::RelaxMode::LpCuts;
+    LinearProgram program;
+    const core::RelaxationResult relaxed = testing::oracle_relax(
+        batch.cluster, batch.jobs, batch.times, config, {}, &program);
+    ASSERT_GE(relaxed.lp_rounds.size(), 2u);
+    const std::size_t base_rows = base.constraint_count();
+    const std::size_t rows = base_rows + relaxed.lp_rounds[1].cuts_added;
+    const std::vector<std::size_t> start =
+        base_row_basis(base, batch.jobs.task_count(), /*longest=*/true);
+    const auto append_cuts = [&](opt::RevisedSimplex& solver) {
+      for (std::size_t i = base_rows; i < rows; ++i) {
+        const LinearProgram::Row& row = program.rows()[i];
+        solver.add_row(row.terms, row.rel, row.rhs);
+      }
+    };
+
+    opt::RevisedSimplex solver = started_solver(base, start);
+    ASSERT_TRUE(solver.solve().optimal());
+    append_cuts(solver);
+    opt::RevisedSimplex uncapped = solver;
+    ASSERT_TRUE(uncapped.solve().optimal());
+    ASSERT_TRUE(uncapped.last_solve_was_warm());
+    const std::size_t dual = uncapped.last_stats().dual;
+    ASSERT_GT(dual, 0u);
+
+    (void)solver.solve(dual - 1);
+    EXPECT_FALSE(solver.last_solve_was_warm());
+    EXPECT_EQ(static_cast<std::size_t>(solver.row_count()), rows);
+    const LpSolution got = solver.solve();
+    ASSERT_TRUE(got.optimal());
+
+    opt::RevisedSimplex fresh = started_solver(base, start);
+    append_cuts(fresh);
+    const LpSolution want = fresh.solve();
+    ASSERT_TRUE(want.optimal());
+    EXPECT_FALSE(fresh.last_solve_was_warm());
+    expect_same_bits(got.values, want.values, "values", 0);
+    EXPECT_EQ(got.objective, want.objective);
+  }
+}
+
+struct GridPin {
+  std::size_t jobs;
+  std::size_t gpus;
+  core::RelaxMode mode;
+  std::size_t lp_solves, cuts, pivots, factorizations;
+  std::size_t lp_rows, lp_cols, lp_nonzeros;
+};
+
+TEST(PlannerGrid, ScaleGridPlansValidAndLpCutsShapesArePinned) {
+  // The planner scaling grid: five Fluid points up to 800 jobs on 512 GPUs
+  // and six LpCuts points up to 40 jobs on 16 GPUs, each on the simulation
+  // cluster with a seeded trace (seed 9000 + jobs) and its exact profile.
+  // Every plan must validate; each LpCuts point pins its solve, cut, pivot
+  // and factorization counts and the final LP shape (nonzeros without the
+  // logicals), and starts cold from the critical-path basis (no phase 1).
+  constexpr std::size_t kNoLp = 0;
+  const GridPin grid[] = {
+      {50, 16, core::RelaxMode::Fluid, kNoLp, 0, 0, 0, 0, 0, 0},
+      {100, 32, core::RelaxMode::Fluid, kNoLp, 0, 0, 0, 0, 0, 0},
+      {200, 64, core::RelaxMode::Fluid, kNoLp, 0, 0, 0, 0, 0, 0},
+      {400, 256, core::RelaxMode::Fluid, kNoLp, 0, 0, 0, 0, 0, 0},
+      {800, 512, core::RelaxMode::Fluid, kNoLp, 0, 0, 0, 0, 0, 0},
+      {6, 4, core::RelaxMode::LpCuts, 2, 4, 25, 2, 274, 201, 680},
+      {10, 6, core::RelaxMode::LpCuts, 17, 24, 40, 17, 299, 215, 818},
+      {16, 8, core::RelaxMode::LpCuts, 17, 71, 171, 19, 466, 322, 1866},
+      {24, 10, core::RelaxMode::LpCuts, 17, 57, 135, 18, 762, 562, 2212},
+      {32, 12, core::RelaxMode::LpCuts, 17, 23, 27, 17, 951, 724, 2219},
+      {40, 16, core::RelaxMode::LpCuts, 17, 55, 156, 18, 909, 719, 2932},
+  };
+  for (const GridPin& pin : grid) {
+    SCOPED_TRACE(::testing::Message() << pin.jobs << " jobs x " << pin.gpus
+                                      << " GPUs");
+    const std::uint64_t seed = 9000 + pin.jobs;
+    const cluster::Cluster cluster =
+        cluster::make_simulation_cluster(pin.gpus, 25.0, 4);
+    workload::TraceConfig trace;
+    trace.job_count = pin.jobs;
+    trace.base_arrival_rate = 0.2;
+    trace.sync_scales = {1, 2, 2, 4};
+    trace.rounds_scale_min = 0.1;
+    trace.rounds_scale_max = 0.3;
+    const workload::JobSet jobs = workload::TraceGenerator(seed).generate(trace);
+    const profiler::TimeTable times =
+        profiler::Profiler(workload::PerfModel{}, profiler::ProfilerConfig{},
+                           seed)
+            .exact(jobs, cluster);
+
+    core::HareConfig config;
+    config.relaxation.mode = pin.mode;
+    config.placement = core::Placement::EarliestFinish;
+    core::HareScheduler scheduler(config);
+    const sim::Schedule plan = scheduler.schedule({cluster, jobs, times});
+    EXPECT_NO_THROW(sim::validate_schedule(plan, jobs));
+    if (pin.mode != core::RelaxMode::LpCuts) continue;
+
+    const core::RelaxationResult& relaxed = scheduler.last_relaxation();
+    EXPECT_EQ(relaxed.lp_solves, pin.lp_solves);
+    EXPECT_EQ(relaxed.cut_count, pin.cuts);
+    EXPECT_EQ(relaxed.simplex_pivots, pin.pivots);
+    EXPECT_EQ(relaxed.phase1_pivots, 0u);
+    EXPECT_EQ(relaxed.lp_factorizations, pin.factorizations);
+    EXPECT_EQ(relaxed.lp_rows, pin.lp_rows);
+    EXPECT_EQ(relaxed.lp_cols, pin.lp_cols);
+    EXPECT_EQ(relaxed.lp_nonzeros, pin.lp_nonzeros);
+  }
 }
 
 }  // namespace

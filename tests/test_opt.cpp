@@ -7,9 +7,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "linear_program.hpp"
 #include "opt/hungarian.hpp"
 #include "opt/queyranne.hpp"
-#include "opt/simplex.hpp"
+#include "opt/revised_simplex.hpp"
 
 namespace hare::opt {
 namespace {
@@ -94,6 +95,8 @@ TEST(Hungarian, RejectsBadShapes) {
 }
 
 // ---------------------------------------------------------------- simplex --
+
+using testing::LinearProgram;
 
 TEST(Simplex, SimpleMinimization) {
   // min -x - 2y  s.t. x + y <= 4, x <= 2  =>  x=2, y=2, obj=-6.
@@ -200,6 +203,30 @@ TEST(Simplex, UnknownVariableRejected) {
   (void)lp.add_variable(1.0);
   EXPECT_THROW(lp.add_constraint({{5, 1.0}}, Relation::LessEqual, 1.0),
                common::Error);
+}
+
+TEST(Simplex, BuilderKeepsVariablesBeforeRows) {
+  // Row i's logical is column n + i, so no variable may follow a row; a
+  // row over an unknown variable or an empty bound interval is rejected.
+  RevisedSimplex solver;
+  const std::size_t x = solver.add_variable(1.0);
+  const std::size_t y = solver.add_variable(1.0);
+  EXPECT_THROW(solver.set_bounds(x, 2.0, 1.0), common::Error);
+  EXPECT_THROW(solver.set_bounds(2, 0.0, 1.0), common::Error);
+  const RevisedSimplex::Term unknown[] = {{2, 1.0}};
+  EXPECT_THROW(solver.add_row(unknown, Relation::LessEqual, 1.0),
+               common::Error);
+  const RevisedSimplex::Term terms[] = {{x, 1.0}, {y, 1.0}, {x, 1.0}};
+  solver.add_row(terms, Relation::GreaterEqual, 3.0);
+  EXPECT_THROW((void)solver.add_variable(0.0), common::Error);
+  EXPECT_EQ(solver.structural_count(), 2);
+  EXPECT_EQ(solver.row_count(), 1);
+  // The repeated x accumulates into one entry, plus the row's logical.
+  EXPECT_EQ(solver.nonzeros(), 3u);
+  const LpSolution solution = solver.solve();
+  ASSERT_TRUE(solution.optimal());
+  EXPECT_NEAR(solution.objective, 1.5, 1e-9);
+  EXPECT_FALSE(solver.last_solve_was_warm());
 }
 
 class SimplexRandomTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -59,40 +59,37 @@ testing::Instance fig1_toy() {
   return instance;
 }
 
-core::RelaxationResult solve_lp(const testing::Instance& instance,
-                                opt::LinearProgram* program) {
-  core::RelaxationConfig config;
-  config.mode = core::RelaxMode::LpCuts;
-  const core::HareRelaxation relaxation(config);
-  return relaxation.solve(instance.cluster, instance.jobs, instance.times, {},
-                          nullptr, program);
-}
-
 /// The program the cut loop solved in round `round`: the final program's
 /// variables and base rows plus the cuts appended up to that round.
-opt::LinearProgram round_program(const core::RelaxationResult& relaxed,
-                                 const opt::LinearProgram& full,
-                                 std::size_t round) {
+testing::LinearProgram round_program(const core::RelaxationResult& relaxed,
+                                     const testing::LinearProgram& full,
+                                     std::size_t round) {
   std::size_t later_cuts = 0;
   for (std::size_t r = round + 1; r < relaxed.lp_rounds.size(); ++r) {
     later_cuts += relaxed.lp_rounds[r].cuts_added;
   }
-  opt::LinearProgram lp;
+  testing::LinearProgram lp;
   for (std::size_t j = 0; j < full.variable_count(); ++j) {
     lp.add_variable(full.objective(j));
     lp.set_bounds(j, full.lower_bound(j), full.upper_bound(j));
   }
   const std::size_t rows = full.constraint_count() - later_cuts;
   for (std::size_t i = 0; i < rows; ++i) {
-    const opt::LinearProgram::Row& row = full.rows()[i];
+    const testing::LinearProgram::Row& row = full.rows()[i];
     lp.add_constraint(row.terms, row.rel, row.rhs);
   }
   return lp;
 }
 
 void expect_warm_matches_cold(const testing::Instance& instance) {
-  opt::LinearProgram program;
-  const core::RelaxationResult warm = solve_lp(instance, &program);
+  core::RelaxationConfig config;
+  config.mode = core::RelaxMode::LpCuts;
+  const core::RelaxationResult warm = core::HareRelaxation(config).solve(
+      instance.cluster, instance.jobs, instance.times);
+  // The final program comes from the oracle's own build of the same rows.
+  testing::LinearProgram program;
+  const core::RelaxationResult oracle = testing::oracle_relax(
+      instance.cluster, instance.jobs, instance.times, config, {}, &program);
   EXPECT_GE(warm.cut_count, 1u) << "toy/random instances always need cuts";
 
   // Every re-solve after the first must actually have reused the basis.
@@ -122,10 +119,6 @@ void expect_warm_matches_cold(const testing::Instance& instance) {
 
   // The oracle runs the same loop with reference scans and full separation
   // sorts: same cuts, same vertex, same objective.
-  core::RelaxationConfig config;
-  config.mode = core::RelaxMode::LpCuts;
-  const core::RelaxationResult oracle = testing::oracle_relax(
-      instance.cluster, instance.jobs, instance.times, config);
   EXPECT_EQ(warm.cut_count, oracle.cut_count);
   EXPECT_EQ(warm.x_hat, oracle.x_hat);
   EXPECT_EQ(warm.objective, oracle.objective);

@@ -11,6 +11,7 @@
 #include <functional>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -346,7 +347,7 @@ TEST(Serve, BlockSolvesMatchAccumulatedProgram) {
     const workload::JobSet& jobs = service.jobs();
     const profiler::TimeTable& times = service.times();
     std::vector<Time> h;
-    opt::LinearProgram accumulated;
+    testing::LinearProgram accumulated;
     std::vector<std::vector<JobId>> blocks;
     std::vector<std::vector<std::vector<std::size_t>>> block_vars;
     const sim::Schedule replay = replay_lp_path(
@@ -401,7 +402,7 @@ TEST(Serve, LpServeMatchesOracle) {
   const sim::Schedule oracle = replay_lp_path(
       cluster, service, arrivals, config.tick, h,
       [&](const std::vector<JobId>& batch, Time phi_floor) {
-        opt::LinearProgram lp;
+        testing::LinearProgram lp;
         std::vector<std::vector<std::size_t>> round_vars;
         testing::append_batch_block(lp, jobs, times, batch, phi_floor,
                                     cluster.gpu_count(), round_vars);
@@ -516,7 +517,7 @@ TEST(Serve, ClosedFormBlockMatchesLpOracles) {
     const Block& block = blocks[i];
     serve::relax_batch(jobs, times, block.batch, block.phi_floor, block.alive,
                        h);
-    opt::LinearProgram lp;
+    testing::LinearProgram lp;
     std::vector<std::vector<std::size_t>> round_vars;
     testing::append_batch_block(lp, jobs, times, block.batch, block.phi_floor,
                                 block.alive, round_vars);
@@ -819,8 +820,8 @@ TEST(Serve, ShardedServeUsesSurvivorsOfAShardWithADeadGpu) {
       << "faulted " << report.objective << " vs healthy "
       << baseline.objective;
 
-  // With every GPU dead no shard has alive capacity: each job still gets a
-  // shard and queues behind the parked horizons, as on the flat path.
+  // With every GPU dead no shard has alive capacity: the jobs are held,
+  // as on the flat path, and never planned when no GPU comes back.
   fault::FaultPlan blackout;
   for (const cluster::Machine& machine : cluster.machines()) {
     fault::FaultEvent event;
@@ -829,7 +830,90 @@ TEST(Serve, ShardedServeUsesSurvivorsOfAShardWithADeadGpu) {
     blackout.events.push_back(event);
   }
   serve::ServeService stranded(cluster, workload::PerfModel{}, config);
-  EXPECT_EQ(stranded.run(arrivals, blackout).planned_jobs, arrivals.size());
+  const serve::ServeReport held = stranded.run(arrivals, blackout);
+  EXPECT_EQ(held.planned_jobs, 0u);
+  EXPECT_EQ(held.unplanned_jobs, arrivals.size());
+}
+
+/// Every machine fails at t = 0; `recovered` (if any) comes back at
+/// `recover_at`.
+fault::FaultPlan all_machines_down(const cluster::Cluster& cluster,
+                                   std::optional<MachineId> recovered,
+                                   Time recover_at) {
+  fault::FaultPlan plan;
+  for (const cluster::Machine& machine : cluster.machines()) {
+    fault::FaultEvent event;
+    event.kind = fault::FaultKind::MachineFail;
+    event.machine = machine.id;
+    plan.events.push_back(event);
+  }
+  if (recovered) {
+    fault::FaultEvent up;
+    up.time = recover_at;
+    up.kind = fault::FaultKind::MachineRecover;
+    up.machine = *recovered;
+    plan.events.push_back(up);
+  }
+  return plan;
+}
+
+TEST(Serve, AllGpusDeadHoldsTheBatchUntilTheFirstRecovery) {
+  // No batch is planned onto the dead horizon: the jobs that arrive while
+  // every GPU is down wait for machine 0, which comes back after the last
+  // arrival, and are then planned over all of its GPUs.
+  const cluster::Cluster cluster = cluster::make_testbed_cluster();
+  const auto arrivals = spaced_arrivals(12, 2.0);
+  const MachineId back = cluster.machines().front().id;
+  serve::ServeService service(cluster, workload::PerfModel{},
+                              small_lp_config());
+  const serve::ServeReport report =
+      service.run(arrivals, all_machines_down(cluster, back, 30.0));
+
+  EXPECT_EQ(report.planned_jobs, arrivals.size());
+  EXPECT_EQ(report.unplanned_jobs, 0u);
+  EXPECT_EQ(report.continuations, 0u);
+  EXPECT_EQ(report.batches, 1u);
+  EXPECT_LT(report.objective, 1e6);
+  sim::validate_schedule(report.schedule, service.jobs());
+  const std::vector<GpuId>& gpus = cluster.machine(back).gpus;
+  std::size_t used = 0;
+  for (std::size_t g = 0; g < report.schedule.sequences.size(); ++g) {
+    const auto& seq = report.schedule.sequences[g];
+    const bool on_back =
+        std::find(gpus.begin(), gpus.end(), GpuId(static_cast<int>(g))) !=
+        gpus.end();
+    EXPECT_TRUE(on_back || seq.empty()) << "GPU " << g;
+    used += seq.empty() ? 0 : 1;
+    for (TaskId task : seq) {
+      EXPECT_GE(report.schedule.predicted_start[static_cast<std::size_t>(
+                    task.value())],
+                30.0);
+    }
+  }
+  EXPECT_EQ(used, gpus.size());
+}
+
+TEST(Serve, AllGpusDeadWithoutRecoveryPlansNothing) {
+  // Held jobs that never see a live GPU are reported as never planned and
+  // stay out of the objective; a job canceled while held counts as
+  // canceled, not as unplanned.
+  const cluster::Cluster cluster = cluster::make_testbed_cluster();
+  const auto arrivals = spaced_arrivals(12, 2.0);
+  fault::FaultPlan plan = all_machines_down(cluster, std::nullopt, 0.0);
+  fault::FaultEvent cancel;
+  cancel.time = 9.0;
+  cancel.kind = fault::FaultKind::JobCancel;
+  cancel.job = JobId(3);
+  plan.events.push_back(cancel);
+  serve::ServeService service(cluster, workload::PerfModel{},
+                              small_lp_config());
+  const serve::ServeReport report = service.run(arrivals, plan);
+
+  EXPECT_EQ(report.planned_jobs, 0u);
+  EXPECT_EQ(report.batches, 0u);
+  EXPECT_EQ(report.canceled, 1u);
+  EXPECT_EQ(report.unplanned_jobs, arrivals.size() - 1);
+  EXPECT_EQ(report.objective, 0.0);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // between examples, and numeric extremes (nan, 1e309, -0, 2^64, ...), one
 // to four stacked operations per mutant. Every mutant must either parse or
 // throw common::Error; any other exception, a crash or a hang is a parser
-// bug. A spec that parses must also respect the documented value ranges.
+// bug. A spec that parses must also respect the documented value ranges,
+// and a parsed fault spec must expand on a 16-GPU cluster to a plan within
+// fault::kMaxFaultEvents or throw common::Error.
 // The seed is fixed, so a failure reproduces; the failing input is printed
 // with its non-printable bytes escaped.
 #include <gtest/gtest.h>
@@ -23,10 +25,12 @@
 #include <string_view>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_spec.hpp"
 #include "workload/arrival_spec.hpp"
+#include "workload/trace.hpp"
 
 namespace hare {
 namespace {
@@ -252,6 +256,18 @@ std::string fault_violation(std::string_view text) {
         return "a straggler window that is empty or unpaired";
       }
     }
+  }
+  static const cluster::Cluster cluster =
+      cluster::make_simulation_cluster(16, 25.0, 4);
+  static const workload::JobSet jobs = [] {
+    workload::TraceConfig trace;
+    trace.job_count = 10;
+    return workload::TraceGenerator(3).generate(trace);
+  }();
+  const fault::FaultPlan plan =
+      fault::generate_fault_plan(spec, cluster, jobs, 60.0);
+  if (plan.events.size() > fault::kMaxFaultEvents) {
+    return "a plan past the event cap";
   }
   return {};
 }
